@@ -1,8 +1,8 @@
 """Estimating the longitudinal field: offsets, slopes, and the index p.
 
 The survival probability is an interference fringe in h^z.  A known offset
-parks the fringe at maximum slope, a finite difference extracts the slope,
-and error propagation with Bernoulli readout noise gives the uncertainty.
+parks the fringe at maximum slope, the slope is taken analytically, and
+error propagation with Bernoulli readout noise gives the uncertainty.
 The index p = 1/(2 N T_int delta-h) measures the distance to the Heisenberg
 limit (p = 1); uncorrelated probes sit at p = 1/sqrt(N).
 """

@@ -181,6 +181,12 @@ def validate_config(kind, values):
             int(values["seed"])
         except ValueError:
             diags.append(f"seed must be an integer, got {values['seed']!r}")
+    if "steps" in values:
+        try:
+            if int(values["steps"]) < 1:
+                diags.append(f"steps must be at least 1, got {values['steps']}")
+        except ValueError:
+            diags.append(f"steps must be an integer, got {values['steps']!r}")
     if kind == "time-budget" and values.get("variant", "main") not in ("main", "single-shot"):
         diags.append(f"variant must be 'main' or 'single-shot', got {values['variant']!r}")
     return diags
@@ -240,14 +246,13 @@ def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps, out):
     return [path], "\n".join(lines)
 
 
-def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, fd_step, steps, out):
+def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps, out):
     unit = _unit(n)
     sweep = metrology.tint_sweep(
         n,
         ta_units * unit,
         tint_grid=np.asarray(tint_units) * unit,
         h0x=h0x_over_jn,
-        fd_step=fd_step,
         ramp_steps=steps,
     )
     header = ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
@@ -476,8 +481,10 @@ def figure(name, config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, st
     steps = merged(steps, cfg, "steps")
     out = merged(out, cfg, "out")
     values = {k: v for k, v in [("n", n_spec), ("ta", ta), ("tint_grid", tint_grid),
-                                ("gamma_c", gamma_c)] if v is not None}
+                                ("gamma_c", gamma_c), ("steps", steps)] if v is not None}
     _ensure_valid(name, values)
+    scan_steps = int(steps) if steps is not None else 3000
+    sweep_steps = int(steps) if steps is not None else 4000
 
     if name == "fig1":
         ns = parse_int_list(n_spec) if n_spec else [10, 50, 100]
@@ -489,29 +496,23 @@ def figure(name, config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, st
     elif name == "fig3":
         n = parse_int_list(n_spec)[0] if n_spec else 10
         taus = np.arange(1.0, (float(ta) if ta else 300.0) + 1)
-        _, summary = run_scan_ta(n, float(h0x) if h0x else 1.0, taus,
-                                 int(steps) if steps else 3000,
+        _, summary = run_scan_ta(n, float(h0x) if h0x else 1.0, taus, scan_steps,
                                  resolve_out(out, "fig3.csv"))
     elif name == "fig4":
         n = parse_int_list(n_spec)[0] if n_spec else 10
         taus = parse_grid(tint_grid) if tint_grid else np.arange(1.0, 200.0, 2)
         _, summary = run_uncertainty_sweep(
             n, float(ta) if ta else 150.0, taus, float(h0x) if h0x else 1.0,
-            1e-10, int(steps) if steps else 4000, resolve_out(out, "fig4.csv"))
+            sweep_steps, resolve_out(out, "fig4.csv"))
     elif name == "fig5":
         ns = parse_int_list(n_spec) if n_spec else list(range(10, 101, 10))
-        _, summary, _ = run_fig5(ns, int(steps) if steps else 3000,
-                                 resolve_out(out, "fig5.csv"))
+        _, summary, _ = run_fig5(ns, scan_steps, resolve_out(out, "fig5.csv"))
     elif name == "fig6":
         ns = parse_int_list(n_spec) if n_spec else list(range(10, 101, 10))
-        _, summary = run_fig6(ns, int(steps) if steps else 3000,
-                              int(steps) if steps else 4000,
-                              resolve_out(out, "fig6.csv"))
+        _, summary = run_fig6(ns, scan_steps, sweep_steps, resolve_out(out, "fig6.csv"))
     else:  # fig8
         ns = parse_int_list(n_spec) if n_spec else [20, 30, 40, 50]
-        _, summary = run_fig8(ns, int(steps) if steps else 3000,
-                              int(steps) if steps else 4000,
-                              resolve_out(out, "fig8.csv"))
+        _, summary = run_fig8(ns, scan_steps, sweep_steps, resolve_out(out, "fig8.csv"))
     click.echo(summary)
 
 
@@ -557,7 +558,7 @@ def scan_ta(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, 
     steps = merged(steps, cfg, "steps", 3000)
     ta_max = float(merged(None, cfg, "ta_max", ta_max))
     out = merged(out, cfg, "out")
-    _ensure_valid("scan-ta", {"n": n_spec})
+    _ensure_valid("scan-ta", {"n": n_spec, "steps": steps})
     taus = np.arange(1.0, ta_max + 1)
     _, summary = run_scan_ta(parse_int_list(n_spec)[0], float(h0x), taus, int(steps),
                              resolve_out(out, "scan_ta.csv"))
@@ -566,9 +567,7 @@ def scan_ta(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, 
 
 @main.command("uncertainty-sweep")
 @_common_options
-@click.option("--fd-step", type=float, default=1e-10,
-              help="Finite-difference step for the survival slope.")
-def uncertainty_sweep(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, fd_step):
+def uncertainty_sweep(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps):
     """Estimation uncertainty against the sensing time."""
     cfg, _ = _gather(config_path)
     n_spec = merged(n_spec, cfg, "n", "10")
@@ -576,12 +575,12 @@ def uncertainty_sweep(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, see
     ta = merged(ta, cfg, "ta", 150.0)
     tint_grid = merged(tint_grid, cfg, "tint_grid", "1:199:2")
     steps = merged(steps, cfg, "steps", 4000)
-    fd_step = float(merged(None, cfg, "fd_step", fd_step))
     out = merged(out, cfg, "out")
-    _ensure_valid("uncertainty-sweep", {"n": n_spec, "ta": ta, "tint_grid": tint_grid})
+    _ensure_valid("uncertainty-sweep",
+                  {"n": n_spec, "ta": ta, "tint_grid": tint_grid, "steps": steps})
     _, summary = run_uncertainty_sweep(
         parse_int_list(n_spec)[0], float(ta), parse_grid(tint_grid), float(h0x),
-        fd_step, int(steps), resolve_out(out, "uncertainty_sweep.csv"))
+        int(steps), resolve_out(out, "uncertainty_sweep.csv"))
     click.echo(summary)
 
 

@@ -1,15 +1,24 @@
 """Time-dependent dynamics: field schedules, propagation, protocol runs.
 
-The propagator applies exponential-midpoint steps: over each step the
-Hamiltonian is frozen at the segment-midpoint field and exponentiated
-exactly through its eigendecomposition, so every step is unitary and the
-norm is preserved to machine precision regardless of step size.
+Every ramp is stepped by one kernel, ``_midpoint_steps``, with the
+exponential-midpoint rule: over each step the Hamiltonian is frozen at the
+segment-midpoint field and exponentiated exactly through its
+eigendecomposition, so every step is unitary and the norm is preserved to
+machine precision regardless of step size.  The kernel writes
+H(h^x) = A + h^x B with A and B real symmetric tridiagonal and advances a
+(d, K) block of states, each column by its own signed time step.
 
 For h^z = 0 the evolution is computed inside the two parity sectors of the
-X eigenbasis, where the Hamiltonian is exactly block tridiagonal; parity
-is then conserved identically, which is the symmetry protection the
-prepare/readout ramps rely on.  With h^z != 0 the Hamiltonian is real
-symmetric tridiagonal in the Z basis and is stepped there instead.
+X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m is
+diagonal; parity is then conserved identically, which is the symmetry
+protection the prepare/readout ramps rely on.  With h^z != 0 the
+Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
+off-diagonal, and is stepped there instead.
+
+A ramp-time scan steps all its durations as the columns of one block, and
+the protocol kernel steps the prepared state and the readout state together:
+the up ramp's adjoint, walked backwards, meets the down ramp's fields, so
+preparation and readout share each eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -121,21 +130,47 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Stepping kernels.
+# The ramp stepper (see the module docstring).
 # ---------------------------------------------------------------------------
 
 
-def _phase_step(w, v, psi, dt, adjoint=False):
-    sign = 1j if adjoint else -1j
-    return v @ (np.exp(sign * w * dt) * (v.T @ psi))
+def _midpoint_steps(a, b, fields, durations, psi):
+    """Exponential-midpoint stepping of a (d, K) block through H(h) = A + h B.
+
+    Column k of ``psi`` spans the signed duration ``durations[k]`` in
+    len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
+    Returns the evolved block as a new array.
+    """
+    if len(fields) < 1:
+        raise ValueError("a ramp needs at least one integrator step")
+    neg_dts = -np.asarray(durations, dtype=float) / len(fields)
+    # One check here stands in for eigh_tridiagonal's per-step input scan.
+    if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
+        raise ValueError("ramp fields, durations and couplings must be finite")
+    psi = np.array(psi, dtype=complex, order="C")
+    phase = np.empty(psi.shape, dtype=complex)
+    for h in fields:
+        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1], check_finite=False)
+        theta = w[:, None] * neg_dts
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        # v is real: both products run on the float64 view of the block.
+        coeffs = (v.T @ psi.view(float)).view(complex)
+        coeffs *= phase
+        psi = (v @ coeffs.view(float)).view(complex)
+    return psi
 
 
-def _step_block(diag, off, psi, dt, adjoint=False):
-    if len(diag) == 1:
-        sign = 1j if adjoint else -1j
-        return psi * np.exp(sign * diag[0] * dt)
-    w, v = eigh_tridiagonal(diag, off)
-    return _phase_step(w, v, psi, dt, adjoint)
+def _sector_terms(n_qubits, interaction, parity):
+    """(A, B, X indices) of one parity sector, H = A + h^x B."""
+    diag, off, idx = sector_tridiagonal(n_qubits, interaction, 0.0, parity)
+    return (diag, off), (2.0 * idx - n_qubits, np.zeros_like(off)), idx
+
+
+def _z_diagonal(n_qubits, interaction, hz):
+    """Z-basis diagonal of H at h^x = 0."""
+    m = n_qubits / 2 - np.arange(n_qubits + 1)
+    return -2 * interaction * m**2 - 2 * hz * m
 
 
 def _segment_steps(segment, steps_per_unit):
@@ -146,44 +181,15 @@ def _segment_steps(segment, steps_per_unit):
     return max(1, int(np.ceil(segment.duration * steps_per_unit)))
 
 
-def _propagate_blocks(n_qubits, interaction, segments, steps_per_unit, even, odd):
-    """h^z = 0 path: step the two X-basis parity blocks independently."""
+def _propagate_segments(a, b, segments, steps_per_unit, psi):
+    """Step one state vector through every segment of a schedule."""
+    block = psi[:, None]
     for seg in segments:
         n_steps = _segment_steps(seg, steps_per_unit)
-        dt = seg.duration / n_steps
-        for i in range(n_steps):
-            hx = seg.field_at((i + 0.5) * dt)
-            if even is not None:
-                d, o, _ = sector_tridiagonal(n_qubits, interaction, hx, +1)
-                even = _step_block(d, o, even, dt)
-            if odd is not None:
-                d, o, _ = sector_tridiagonal(n_qubits, interaction, hx, -1)
-                odd = _step_block(d, o, odd, dt)
-    return even, odd
-
-
-def _z_tridiagonal(n_qubits, interaction, hx, hz):
-    m = n_qubits / 2 - np.arange(n_qubits + 1)
-    diag = -2 * interaction * m**2 - 2 * hz * m
-    off = -hx * ladder_elements(n_qubits)
-    return diag, off
-
-
-def _propagate_z(n_qubits, interaction, segments, hz, steps_per_unit, psi_z):
-    """General path: real symmetric tridiagonal stepping in the Z basis."""
-    for seg in segments:
-        if seg.kind == "constant" and seg.field_start == 0.0:
-            # Sensing segment: H is diagonal in the Z basis, evolve exactly.
-            diag, _ = _z_tridiagonal(n_qubits, interaction, 0.0, hz)
-            psi_z = psi_z * np.exp(-1j * diag * seg.duration)
-            continue
-        n_steps = _segment_steps(seg, steps_per_unit)
-        dt = seg.duration / n_steps
-        for i in range(n_steps):
-            hx = seg.field_at((i + 0.5) * dt)
-            diag, off = _z_tridiagonal(n_qubits, interaction, hx, hz)
-            psi_z = _step_block(diag, off, psi_z, dt)
-    return psi_z
+        t = (np.arange(n_steps) + 0.5) * (seg.duration / n_steps)
+        fields = np.broadcast_to(seg.field_at(t), t.shape)
+        block = _midpoint_steps(a, b, fields, [seg.duration], block)
+    return block[:, 0]
 
 
 def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
@@ -212,27 +218,21 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
     in_axis = state.basis.axis
     u = rotation_matrix(n)
     if hz == 0.0:
+        # Each parity sector is stepped on its own, so parity is exact.
         amp_x = state.amplitudes if in_axis == "X" else u.conj().T @ state.amplitudes
-        even_idx = sector_indices(n, +1)
-        odd_idx = sector_indices(n, -1)
-        even = amp_x[even_idx].astype(complex)
-        odd = amp_x[odd_idx].astype(complex)
-        even = even if np.any(even) else None
-        odd = odd if np.any(odd) else None
-        even, odd = _propagate_blocks(
-            n, interaction, schedule.segments, steps_per_unit, even, odd
-        )
         out_x = np.zeros(n + 1, dtype=complex)
-        if even is not None:
-            out_x[even_idx] = even
-        if odd is not None:
-            out_x[odd_idx] = odd
+        for parity in (+1, -1):
+            a, b, idx = _sector_terms(n, interaction, parity)
+            if np.any(amp_x[idx]):
+                out_x[idx] = _propagate_segments(
+                    a, b, schedule.segments, steps_per_unit, amp_x[idx]
+                )
         out = out_x if in_axis == "X" else u @ out_x
     else:
         amp_z = state.amplitudes if in_axis == "Z" else u @ state.amplitudes
-        out_z = _propagate_z(
-            n, interaction, schedule.segments, hz, steps_per_unit, amp_z.astype(complex)
-        )
+        a = (_z_diagonal(n, interaction, hz), np.zeros(n))
+        b = (np.zeros(n + 1), -ladder_elements(n))
+        out_z = _propagate_segments(a, b, schedule.segments, steps_per_unit, amp_z)
         out = out_z if in_axis == "Z" else u.conj().T @ out_z
     return DickeState(DickeBasis(n, in_axis), out)
 
@@ -289,7 +289,7 @@ def propagate_converged(
 
 def sensing_phases(n_qubits, interaction, hz, t_sense):
     """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
-    diag, _ = _z_tridiagonal(n_qubits, interaction, 0.0, hz)
+    diag = _z_diagonal(n_qubits, interaction, hz)
     return np.exp(-1j * diag * t_sense)
 
 
@@ -353,6 +353,8 @@ def run_protocol(
         raise ValueError("times must be nonnegative")
     if observable not in ("projection", "sx"):
         raise ValueError(f"unknown observable {observable!r}")
+    if steps_per_ramp is not None and steps_per_ramp < 1:
+        raise ValueError("a ramp needs at least one integrator step")
     init = x_polarized_state(n_qubits, axis="Z") if initial_state is None else initial_state
     psi = rotate_basis(init, "Z")
 
@@ -409,42 +411,27 @@ def run_protocol(
 #
 # For a one-segment cosine (or sine, or linear) ramp the midpoint fields of an
 # n-step discretization depend only on the step fraction, not on the ramp
-# duration.  A whole grid of ramp times can therefore share every per-step
+# duration.  A whole grid of ramp times therefore shares every per-step
 # eigendecomposition, each grid column advancing with its own dt.
+#
+# The up ramp mirrors the down ramp: sin(pi (p + 1/2) / 2n) equals
+# cos(pi (n - 1 - p + 1/2) / 2n), and for the linear profile the fraction
+# (p + 1/2)/n mirrors 1 - (p + 1/2)/n the same way.  So the up ramp steps
+# through the down-ramp fields in reverse, and its adjoint, walked backwards,
+# sees at step p exactly the Hamiltonian of the down ramp's step p.  The
+# protocol kernel uses this to step the prepared state and the readout state
+# as the two columns of one block, with time steps +dt and -dt.
 # ---------------------------------------------------------------------------
 
 
-def _profile_fraction(kind, frac):
-    if kind == "cosine-down":
-        return np.cos(np.pi * frac / 2)
-    if kind == "sine-up":
-        return np.sin(np.pi * frac / 2)
-    if kind == "linear-down":
-        return 1 - frac
-    if kind == "linear-up":
-        return frac
-    raise ValueError(f"unknown ramp profile {kind!r}")
-
-
-def _batched_even_ramp(n_qubits, interaction, h0x, durations, n_steps, profile, psi0):
-    """Evolve even-sector states through a ramp for every duration at once.
-
-    psi0: (d_even,) shared initial state or (d_even, K) per-duration states.
-    Returns (d_even, K).
-    """
-    durations = np.asarray(durations, dtype=float)
-    dts = durations / n_steps
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.ndim == 1:
-        psi = np.repeat(psi[:, None], len(durations), axis=1)
-    else:
-        psi = psi.copy()
-    for i in range(n_steps):
-        hx = h0x * _profile_fraction(profile, (i + 0.5) / n_steps)
-        d, o, _ = sector_tridiagonal(n_qubits, interaction, hx, +1)
-        w, v = eigh_tridiagonal(d, o)
-        psi = v @ (np.exp(-1j * np.outer(w, dts)) * (v.T @ psi))
-    return psi
+def _down_ramp_fields(kind, h0x, n_steps):
+    """Midpoint fields of the down ramp; the up ramp's are these reversed."""
+    frac = (np.arange(n_steps) + 0.5) / n_steps
+    if kind == "cosine-sine":
+        return h0x * np.cos(np.pi * frac / 2)
+    if kind == "linear":
+        return h0x * (1 - frac)
+    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -475,21 +462,13 @@ def scan_ramp_time(
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
         raise ValueError("empty ramp-time grid")
-    down_profile = "cosine-down" if kind == "cosine-sine" else "linear-down"
-    up_profile = "sine-up" if kind == "cosine-sine" else "linear-up"
-
-    d_even = len(sector_indices(n_qubits, +1))
-    e0 = np.zeros(d_even, dtype=complex)
-    e0[0] = 1.0
-    after_down = _batched_even_ramp(
-        n_qubits, interaction, h0x, ramp_times, ramp_steps, down_profile, e0
-    )
-    ghz_even_amp = _ghz_even_coords(n_qubits)
-    fid_ghz = np.abs(ghz_even_amp.conj() @ after_down) ** 2
-
-    after_up = _batched_even_ramp(
-        n_qubits, interaction, h0x, ramp_times, ramp_steps, up_profile, after_down
-    )
+    fields = _down_ramp_fields(kind, h0x, ramp_steps)
+    a, b, _ = _sector_terms(n_qubits, interaction, +1)
+    start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
+    start[0] = 1.0
+    after_down = _midpoint_steps(a, b, fields, ramp_times, start)
+    fid_ghz = np.abs(_ghz_even_coords(n_qubits).conj() @ after_down) ** 2
+    after_up = _midpoint_steps(a, b, fields[::-1], ramp_times, after_down)
     fid_init = np.abs(after_up[0, :]) ** 2
 
     return RampScan(
@@ -536,7 +515,7 @@ class ProtocolKernel:
     read_z: np.ndarray
 
     def _amplitude(self, t_sense, hz):
-        diag, _ = _z_tridiagonal(self.n_qubits, self.interaction, 0.0, hz)
+        diag = _z_diagonal(self.n_qubits, self.interaction, hz)
         return np.vdot(self.read_z, np.exp(-1j * diag * t_sense) * self.prep_z)
 
     def survival(self, t_sense, hz):
@@ -546,7 +525,7 @@ class ProtocolKernel:
     def survival_slope(self, t_sense, hz):
         """Analytic dP/dh^z at the given sensing window."""
         m = self.n_qubits / 2 - np.arange(self.n_qubits + 1)
-        diag, _ = _z_tridiagonal(self.n_qubits, self.interaction, 0.0, hz)
+        diag = _z_diagonal(self.n_qubits, self.interaction, hz)
         terms = self.read_z.conj() * np.exp(-1j * diag * t_sense) * self.prep_z
         amp = terms.sum()
         d_amp = (terms * (2j * m * t_sense)).sum()  # dE_m/dh^z = -2m
@@ -580,37 +559,18 @@ def protocol_kernel(
     the cooled preparation read out in its own basis.  Both must be
     even-parity (the ramps never leave the even sector).
     """
-    down_profile = "cosine-down" if kind == "cosine-sine" else "linear-down"
-    up_profile = "sine-up" if kind == "cosine-sine" else "linear-up"
-    n = n_qubits
-    even_idx = sector_indices(n, +1)
+    a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
     e0 = np.zeros(len(even_idx), dtype=complex)
     e0[0] = 1.0
     init_even = e0 if initial_state is None else _even_coords(initial_state)
-    read_even0 = e0 if readout_state is None else _even_coords(readout_state)
-
-    prep_even = _ramp_even_single(
-        n, interaction, h0x, t_ramp, ramp_steps, down_profile, init_even
+    read_even = e0 if readout_state is None else _even_coords(readout_state)
+    # Column 0 runs the down ramp forward; column 1 runs the up ramp's
+    # adjoint backwards, which meets the same fields (see the scan notes).
+    ends = _midpoint_steps(
+        a, b, _down_ramp_fields(kind, h0x, ramp_steps), [t_ramp, -t_ramp],
+        np.column_stack([init_even, read_even]),
     )
-    read_even = _ramp_even_single(
-        n, interaction, h0x, t_ramp, ramp_steps, up_profile, read_even0, adjoint=True
-    )
-    u = rotation_matrix(n)
-    prep_x = np.zeros(n + 1, dtype=complex)
-    prep_x[even_idx] = prep_even
-    read_x = np.zeros(n + 1, dtype=complex)
-    read_x[even_idx] = read_even
-    return ProtocolKernel(n, interaction, u @ prep_x, u @ read_x)
-
-
-def _ramp_even_single(
-    n_qubits, interaction, h0x, duration, n_steps, profile, psi, adjoint=False
-):
-    psi = psi.astype(complex).copy()
-    dt = duration / n_steps
-    order = range(n_steps - 1, -1, -1) if adjoint else range(n_steps)
-    for i in order:
-        hx = h0x * _profile_fraction(profile, (i + 0.5) / n_steps)
-        d, o, _ = sector_tridiagonal(n_qubits, interaction, hx, +1)
-        psi = _step_block(d, o, psi, dt, adjoint)
-    return psi
+    ends_x = np.zeros((n_qubits + 1, 2), dtype=complex)
+    ends_x[even_idx] = ends
+    prep_z, read_z = (rotation_matrix(n_qubits) @ ends_x).T
+    return ProtocolKernel(n_qubits, interaction, prep_z, read_z)

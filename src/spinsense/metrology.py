@@ -630,7 +630,6 @@ class TintSweep:
     p_mean: float
     p_std: float
     excluded: int  # divergent (zero-slope) points left out of the average
-    cancellation_flags: int
 
 
 def tint_sweep(
@@ -641,7 +640,6 @@ def tint_sweep(
     h0x=None,
     offset_policy="paper",
     h_known=0.0,
-    fd_step=1e-10,
     ramp_steps=4000,
     kind="cosine-sine",
     shots=None,
@@ -649,8 +647,9 @@ def tint_sweep(
     """Estimation uncertainty of the simulated protocol over sensing times.
 
     For each T_int the longitudinal offset is applied, the protocol survival
-    probability is evaluated at h^z_u = 0 and h^z_u = fd_step, and the
-    uncertainty follows from error propagation with Bernoulli readout noise.
+    probability and its analytic h^z slope are evaluated at h^z_u = 0, and
+    the uncertainty follows from error propagation with Bernoulli readout
+    noise.
     With shots None the per-shot convention is used (sqrt(M) omitted).
 
     offset_policy "paper" holds the total field at (pi/2) JN, which sits at
@@ -683,7 +682,6 @@ def tint_sweep(
     delta_h = np.empty_like(grid)
     p_values = np.full_like(grid, np.nan)
     excluded = 0
-    cancellations = 0
     for i, t in enumerate(grid):
         if offset_policy == "paper":
             h_tot = (np.pi / 2) * jn
@@ -692,14 +690,9 @@ def tint_sweep(
         else:
             raise ValueError(f"unknown offset policy {offset_policy!r}")
         offsets[i] = h_tot
-        p0 = kernel.survival(t, h_tot)
-        p1 = kernel.survival(t, h_tot + fd_step)
-        fd = finite_difference_slope(p1, p0, fd_step)
-        if fd.cancellation:
-            cancellations += 1
-        survival[i] = p0
-        slope[i] = fd.value
-        dh = error_propagation(projection_noise(p0), fd.value, m_shots)
+        survival[i] = kernel.survival(t, h_tot)
+        slope[i] = kernel.survival_slope(t, h_tot)
+        dh = error_propagation(projection_noise(survival[i]), slope[i], m_shots)
         delta_h[i] = dh
         if np.isfinite(dh) and dh > 0:
             p_values[i] = 1.0 / (2 * n_qubits * t * dh)
@@ -728,5 +721,4 @@ def tint_sweep(
         p_mean=float(np.mean(included)) if included.size else np.nan,
         p_std=float(np.std(included)) if included.size else np.nan,
         excluded=excluded,
-        cancellation_flags=cancellations,
     )

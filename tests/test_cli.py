@@ -84,6 +84,27 @@ def test_uncertainty_sweep_small(runner, tmp_path):
     assert np.all(rows[:, 1] <= rows[:, 3])  # beats the SQL here
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-ta", "--N", "10", "--ta-max", "5", "--steps", "0"],
+        ["scan-ta", "--N", "10", "--ta-max", "5", "--steps", "-3"],
+        ["uncertainty-sweep", "--N", "10", "--tint-grid", "1:3:2", "--steps", "0"],
+        ["figure", "fig3", "--N", "10", "--Ta", "5", "--steps", "0"],
+        ["figure", "fig4", "--N", "10", "--tint-grid", "1:3:2", "--steps", "-3"],
+    ],
+)
+def test_nonpositive_steps_rejected(runner, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a diagnostic, not a traceback
+    assert result.output.strip().splitlines() == [
+        f"Error: invalid configuration: steps must be at least 1, got {argv[-1]}"
+    ]
+    assert not out.exists()
+
+
 def test_dephasing_window_multiple_gammas(runner, tmp_path):
     result = runner.invoke(
         main, ["dephasing-window", "--gamma-c", "0.01,0.05", "--n-max", "500",
@@ -241,6 +262,13 @@ def test_validate_config_function():
     assert any("single N" in d for d in diags)
     # closed-form kinds accept odd N
     assert validate_config("limits", {"n": "1"}) == []
+    assert validate_config("scan-ta", {"n": "10", "steps": "800"}) == []
+    assert validate_config("scan-ta", {"n": "10", "steps": "0"}) == [
+        "steps must be at least 1, got 0"
+    ]
+    assert validate_config("fig5", {"steps": "many"}) == [
+        "steps must be an integer, got 'many'"
+    ]
 
 
 def test_unwritable_output_fails_cleanly(runner, tmp_path):

@@ -26,7 +26,10 @@ from spinsense import (
     sine_ramp_up,
     x_polarized_state,
 )
+from spinsense.dicke import rotation_matrix
+from spinsense.dynamics import _midpoint_steps
 from spinsense.metrology import time_unit
+from spinsense.model import sector_indices, sector_tridiagonal
 
 from conftest import brute_force_ramp, symmetric_isometry
 
@@ -303,3 +306,102 @@ def test_linear_schedule_kind():
     assert 0 <= res.fidelity_to_ghz <= 1
     with pytest.raises(ValueError):
         run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, kind="bogus")
+
+
+# ---------------------------------------------------------------------------
+# The ramp stepper against straightforward per-column loops.
+# ---------------------------------------------------------------------------
+
+
+def _loop_ramp(n, j, fields, dt, psi, adjoint=False):
+    """One even-sector state through a ramp, one dense eigensolve per step."""
+    order = range(len(fields) - 1, -1, -1) if adjoint else range(len(fields))
+    sign = 1j if adjoint else -1j
+    psi = psi.astype(complex)
+    for i in order:
+        diag, off, _ = sector_tridiagonal(n, j, fields[i], +1)
+        w, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        psi = v @ (np.exp(sign * w * dt) * (v.T @ psi))
+    return psi
+
+
+@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
+@pytest.mark.parametrize("n", [6, 20])
+def test_kernel_shared_steps_match_separate_ramps(n, kind):
+    # The kernel steps preparation and adjoint readout through the same
+    # eigendecompositions; stepping the down ramp forward and the up ramp's
+    # adjoint backwards, each with its own fields, must agree.
+    j, steps = 1.0 / n, 300
+    ta = 80 * time_unit(n, j)
+    frac = (np.arange(steps) + 0.5) / steps
+    if kind == "cosine-sine":
+        down, up = np.cos(np.pi * frac / 2), np.sin(np.pi * frac / 2)
+    else:
+        down, up = 1 - frac, frac
+    rng = np.random.default_rng(n)
+    d = n // 2 + 1
+    start = rng.normal(size=d) + 1j * rng.normal(size=d)
+    start /= np.linalg.norm(start)
+    idx = sector_indices(n, +1)
+    full_x = np.zeros(n + 1, dtype=complex)
+    full_x[idx] = start
+    state = DickeState(DickeBasis(n, "X"), full_x)
+
+    kernel = protocol_kernel(n, j, 1.0, ta, kind=kind, ramp_steps=steps,
+                             initial_state=state, readout_state=state)
+    u = rotation_matrix(n)
+    for column, fields, adjoint in [(kernel.prep_z, down, False), (kernel.read_z, up, True)]:
+        expected = np.zeros(n + 1, dtype=complex)
+        expected[idx] = _loop_ramp(n, j, fields, ta / steps, start, adjoint)
+        assert np.abs(column - u @ expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("hz", [0.0, 0.3])
+@pytest.mark.parametrize("n", [2, 4])
+def test_propagate_matches_brute_force_amplitudes(n, hz):
+    # N = 2 has a one-dimensional odd sector; the random start fills both.
+    j, h0, duration, steps = 1.0 / n, 1.0, 1.5, 400
+    rng = np.random.default_rng(n)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    q = symmetric_isometry(n)
+    ref = brute_force_ramp(
+        n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
+        q @ state.amplitudes, steps,
+    )
+    ours = propagate(state, Schedule((cosine_ramp_down(h0, duration),)), j, hz=hz,
+                     steps_per_unit=steps / duration)
+    assert np.abs(q @ ours.amplitudes - ref).max() < 1e-12
+
+
+def test_block_columns_match_single_columns():
+    n, j = 12, 1.0 / 12
+    diag, off, idx = sector_tridiagonal(n, j, 0.0, +1)
+    a, b = (diag, off), (2.0 * idx - n, np.zeros_like(off))
+    fields = np.linspace(1.5, 0.1, 50)
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(len(idx), 5)) + 1j * rng.normal(size=(len(idx), 5))
+    durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
+    out = _midpoint_steps(a, b, fields, durations, block)
+    for k, duration in enumerate(durations):
+        single = _midpoint_steps(a, b, fields, [duration], block[:, k:k + 1])
+        assert np.abs(out[:, k] - single[:, 0]).max() < 1e-13
+    # a zero duration is the identity, and +T then -T over reversed fields
+    # undoes the ramp
+    assert np.abs(out[:, 3] - block[:, 3]).max() < 1e-13
+    back = _midpoint_steps(a, b, fields[::-1], [-0.7], out[:, :1])
+    assert np.abs(back[:, 0] - block[:, 0]).max() < 1e-12
+
+
+def test_stepper_rejects_bad_input():
+    n, j = 6, 1.0 / 6
+    with pytest.raises(ValueError, match="must be finite"):
+        protocol_kernel(n, j, np.nan, 1.0, ramp_steps=10)
+    with pytest.raises(ValueError, match="must be finite"):
+        scan_ramp_time(n, j, 1.0, np.array([1.0, np.inf]), ramp_steps=10)
+    with pytest.raises(ValueError, match="at least one integrator step"):
+        scan_ramp_time(n, j, 1.0, np.array([1.0, 2.0]), ramp_steps=0)
+    with pytest.raises(ValueError, match="at least one integrator step"):
+        protocol_kernel(n, j, 1.0, 1.0, ramp_steps=-3)
+    with pytest.raises(ValueError, match="at least one integrator step"):
+        run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, steps_per_ramp=0)

@@ -450,7 +450,7 @@ def test_tint_sweep_ideal_adiabatic_reaches_heisenberg():
         t = tau * unit
         h_tot = calibrate_offset(0.0, n, t)
         p0 = kernel.survival(t, h_tot)
-        slope = (kernel.survival(t, h_tot + 1e-10) - p0) / 1e-10
+        slope = kernel.survival_slope(t, h_tot)
         dh = error_propagation(projection_noise(p0), slope)
         ps.append(1 / (2 * n * t * dh))
     assert np.mean(ps) == pytest.approx(1.0, abs=1e-3)
