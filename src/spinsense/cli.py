@@ -8,11 +8,17 @@ produce byte-identical files.
 
 Configuration files are INI-style with a single [experiment] section of
 flat key = value pairs; command-line flags override config values.
+
+Each command is a row of ``COMMANDS`` (``FIGURES`` for the ``figure`` presets)
+naming the config keys it reads; ``OPTS`` turns the raw text of each key, from
+a flag, a config file or a default, into a checked value.
 """
 
 import configparser
+import math
 import os
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -24,19 +30,6 @@ ENV_OUTDIR = "SPINSENSE_OUTDIR"
 # Linear trend of the locally optimal ramp times, in (2JN^2)^-1 units; used
 # to select one local optimum per system size in the fig5/fig6/fig8 runs.
 OPTIMUM_TREND = (11.6, 60.0)
-
-EXPERIMENT_KINDS = (
-    "overlap",
-    "gap-scaling",
-    "scan-ta",
-    "uncertainty-sweep",
-    "limits",
-    "dephasing-window",
-    "time-budget",
-    "bounds-check",
-    "sz-readout",
-)
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig8")
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +66,19 @@ def parse_float_list(text):
 
 
 def parse_grid(text):
-    """Grid spec 'lo:hi:step' (inclusive) or a comma list of values."""
+    """Grid spec 'lo:hi:step' (inclusive) or a comma list; ValueError unless nonempty, finite."""
     text = str(text)
     if ":" in text:
-        lo, hi, step = (float(t) for t in text.split(":"))
-        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(n)
-    return np.array(parse_float_list(text))
+        fields = [float(t) for t in text.split(":")]
+        if len(fields) != 3 or not all(map(math.isfinite, fields)) or fields[2] <= 0:
+            raise ValueError(f"grid {text!r} is not lo:hi:step with finite fields and step > 0")
+        lo, hi, step = fields
+        grid = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+    else:
+        grid = np.array(parse_float_list(text))
+    if grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError(f"grid {text!r} is empty or not finite")
+    return grid
 
 
 def load_config(path):
@@ -88,20 +87,11 @@ def load_config(path):
         raise click.ClickException(f"config file not found: {path}")
     try:
         cp.read(path)
+        if not cp.has_section("experiment"):
+            raise click.ClickException(f"config {path} is missing an [experiment] section")
+        return dict(cp["experiment"])  # values are interpolated here
     except configparser.Error as exc:
         raise click.ClickException(f"malformed config {path}: {exc}") from exc
-    if not cp.has_section("experiment"):
-        raise click.ClickException(f"config {path} is missing an [experiment] section")
-    return dict(cp["experiment"])
-
-
-def merged(flag_value, config, key, default=None):
-    """Flag wins over config value wins over default."""
-    if flag_value is not None:
-        return flag_value
-    if config and key in config:
-        return config[key]
-    return default
 
 
 def resolve_out(out, default_name):
@@ -115,87 +105,6 @@ def resolve_out(out, default_name):
 
 def _unit(n):
     return metrology.time_unit(n, 1.0 / n)  # (2JN^2)^-1 with JN = 1
-
-
-# ---------------------------------------------------------------------------
-# Config validation.
-# ---------------------------------------------------------------------------
-
-
-def validate_config(kind, values):
-    """Diagnostics for an experiment configuration; empty list means valid."""
-    diags = []
-    if kind not in EXPERIMENT_KINDS and kind not in FIGURES:
-        return [f"unknown experiment kind {kind!r}"]
-
-    # Closed-form analyses accept any positive N; everything that simulates
-    # the collective-spin model needs N even.
-    needs_even = kind not in ("limits", "time-budget", "dephasing-window")
-
-    def check_n(key="n", many=True):
-        raw = values.get(key)
-        if raw is None:
-            return
-        try:
-            ns = parse_int_list(raw)
-        except ValueError:
-            diags.append(f"{key} must be an integer or comma list, got {raw!r}")
-            return
-        if not many and len(ns) != 1:
-            diags.append(f"{kind} takes a single N, got {raw!r}")
-        for n in ns:
-            if needs_even and (n < 2 or n % 2):
-                diags.append(f"N must be even and >= 2, got {n}")
-            elif n < 1:
-                diags.append(f"N must be positive, got {n}")
-
-    check_n(many=kind not in ("scan-ta", "uncertainty-sweep", "bounds-check", "sz-readout"))
-    if "eps" in values:
-        try:
-            eps = float(values["eps"])
-            if not 0 <= eps <= 0.5:
-                diags.append(f"eps must lie in [0, 1/2], got {eps}")
-        except ValueError:
-            diags.append(f"eps must be a float, got {values['eps']!r}")
-    if "gamma_c" in values:
-        try:
-            if any(g < 0 for g in parse_float_list(values["gamma_c"])):
-                diags.append("gamma_c values must be nonnegative")
-        except ValueError:
-            diags.append(f"gamma_c must be a comma list of floats, got {values['gamma_c']!r}")
-    if "ta" in values:
-        try:
-            if float(values["ta"]) <= 0:
-                diags.append("ta must be positive")
-        except ValueError:
-            diags.append(f"ta must be a float, got {values['ta']!r}")
-    if "tint_grid" in values:
-        try:
-            grid = parse_grid(values["tint_grid"])
-            if len(grid) == 0 or np.any(grid <= 0):
-                diags.append("tint_grid must be positive and nonempty")
-        except ValueError:
-            diags.append(f"unparseable tint_grid {values['tint_grid']!r}")
-    if "seed" in values:
-        try:
-            int(values["seed"])
-        except ValueError:
-            diags.append(f"seed must be an integer, got {values['seed']!r}")
-    if "steps" in values:
-        try:
-            if int(values["steps"]) < 1:
-                diags.append(f"steps must be at least 1, got {values['steps']}")
-        except ValueError:
-            diags.append(f"steps must be an integer, got {values['steps']!r}")
-    if kind == "time-budget" and values.get("variant", "main") not in ("main", "single-shot"):
-        diags.append(f"variant must be 'main' or 'single-shot', got {values['variant']!r}")
-    return diags
-
-
-def _ensure_valid(kind, values):
-    diags = validate_config(kind, values)
-    if diags:
-        raise click.ClickException(f"invalid configuration: {diags[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +179,8 @@ def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps, out):
 def run_limits(n, shots, t_int, total_time, out):
     lim = metrology.metrology_limits(n, shots, t_int, total_time)
     header = ["N", "M", "T_int", "T", "HL", "SQL", "HL_min", "SQL_min", "HL_min_star"]
-    nan = float("nan")
-    rows = [
-        [
-            n,
-            shots,
-            t_int,
-            total_time if total_time is not None else nan,
-            lim.hl,
-            lim.sql,
-            lim.hl_min if lim.hl_min is not None else nan,
-            lim.sql_min if lim.sql_min is not None else nan,
-            lim.hl_min_star if lim.hl_min_star is not None else nan,
-        ]
-    ]
+    row = [n, shots, t_int, total_time, lim.hl, lim.sql, lim.hl_min, lim.sql_min, lim.hl_min_star]
+    rows = [[float("nan") if x is None else x for x in row]]
     path = write_csv(out, header, rows)
     summary = f"wrote {path}\nHL = {lim.hl:.6g}, SQL = {lim.sql:.6g}"
     return [path], summary
@@ -331,17 +228,15 @@ def run_time_budget(ns, c, c_tilde, eps, variant, out):
 def run_bounds_check(n, draws, seed, out):
     instances = metrology.random_overlap_instances(n, draws, seed)
     rows = []
-    violations = 0
     for i, (overlaps, hz, t_sense) in enumerate(instances):
         res = metrology.check_uncertainty_bound(overlaps, hz, n, t_sense)
-        if not res.satisfied:
-            violations += 1
         rows.append(
             [i, abs(overlaps[0]) ** 2, 2 * hz * n * t_sense, res.slope_abs,
              res.bound, res.satisfied]
         )
     header = ["draw", "g0_sq", "two_hNT", "slope_abs", "lower_bound", "satisfied"]
     path = write_csv(out, header, rows)
+    violations = sum(not row[-1] for row in rows)
     summary = (
         f"wrote {path}\n"
         f"{draws} seeded draws (seed {seed}), violations of the slope bound: {violations}"
@@ -349,10 +244,10 @@ def run_bounds_check(n, draws, seed, out):
     return [path], summary
 
 
-def run_sz_readout(n, alpha, phase_grid, out):
+def run_sz_readout(n, alpha, out):
     rows = []
     t_sense = 1.0
-    for phase in phase_grid:  # phase = 2 h^z N T_int
+    for phase in np.round(np.arange(0, 2 * np.pi + 1e-9, np.pi / 50), 12):  # 2 h^z N T_int
         hz = phase / (2 * n * t_sense)
         r = metrology.sz_readout_ideal(n, hz, t_sense, alpha=alpha)
         rows.append([phase, r.expectation, r.deviation, r.delta_h, r.delta_h_closed])
@@ -377,7 +272,7 @@ def _fig5_optima(ns, steps):
         scan = dynamics.scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=steps)
         ta, fid = dynamics.select_optimum(scan, line * unit)
         i = int(np.argmin(np.abs(scan.ramp_times - ta)))
-        optima[n] = (ta / unit, fid, scan.return_fidelity[i], scan)
+        optima[n] = (ta / unit, fid, scan.return_fidelity[i])
     return optima
 
 
@@ -392,14 +287,14 @@ def run_fig5(ns, steps, out):
         f"linear fit of the selected optima: T_a = {fit[0]:.2f} N + {fit[1]:.1f} "
         "(2JN^2)^-1"
     )
-    return [path], summary, optima
+    return [path], summary
 
 
 def run_fig6(ns, scan_steps, sweep_steps, out):
     optima = _fig5_optima(ns, scan_steps)
     rows = []
     for n in ns:
-        ta_units, fid_ghz, fid_init, _ = optima[n]
+        ta_units, fid_ghz, fid_init = optima[n]
         sweep = metrology.tint_sweep(n, ta_units * _unit(n), ramp_steps=sweep_steps)
         rows.append([n, sweep.p_mean, sweep.p_std, fid_ghz, fid_init])
     path = write_csv(out, ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)
@@ -432,34 +327,239 @@ def run_fig8(ns, scan_steps, sweep_steps, out):
 
 
 # ---------------------------------------------------------------------------
+# The option table (the one place raw text becomes a checked value) and the
+# command table (the keys each command reads, their defaults, its runner).
+# ---------------------------------------------------------------------------
+
+
+class Opt(NamedTuple):
+    flag: str
+    parse: Callable  # raw text -> value; raises ValueError on malformed text
+    form: str  # what parse accepts, for the diagnostic
+    ok: Callable  # range check on the parsed value
+    rule: str  # what ok accepts, for the diagnostic
+    help: str
+
+
+def _integer(flag, least, help):
+    return Opt(flag, int, "an integer", lambda v: v >= least, f"at least {least}", help)
+
+
+def _number(flag, help, ok=lambda x: math.isfinite(x) and x > 0, rule="positive and finite"):
+    return Opt(flag, float, "a number", ok, rule, help)
+
+
+GRID = "a nonempty grid 'lo:hi:step' with step > 0 or a comma list, all finite"
+
+OPTS = {
+    "n": Opt("--N", parse_int_list, "an integer or comma list",
+             lambda ns: len(ns) > 0 and min(ns) >= 1, "positive",
+             "System size(s), comma separated."),
+    "h0x_over_jn": _number("--h0x-over-JN", "Initial transverse field in units of JN.",
+                           math.isfinite, "finite"),
+    "ta": _number("--Ta", "Ramp time in units of (2JN^2)^-1."),
+    "tint_grid": Opt("--tint-grid", parse_grid, GRID,
+                     lambda g: bool((g > 0).all()), "positive",
+                     "Sensing-time grid 'lo:hi:step' in (2JN^2)^-1 units."),
+    "gamma_c": Opt("--gamma-c", parse_float_list, "a comma list of numbers",
+                   lambda gs: len(gs) > 0 and all(0 <= g < math.inf for g in gs), "nonnegative",
+                   "Gamma*C value(s), comma separated."),
+    "seed": _integer("--seed", 0, "RNG seed."),
+    "steps": _integer("--steps", 1, "Integrator steps per ramp."),
+    "grid": Opt("--grid", parse_grid, GRID,
+                lambda g: bool((g >= 0).all()), "nonnegative",
+                "Transverse-field grid in JN units."),
+    "bracket": Opt("--bracket", lambda t: parse_float_list(t.replace(":", ",")), "'lo:hi'",
+                   lambda b: len(b) == 2 and 0 <= b[0] < 1 < b[1] < math.inf,
+                   "a range lo:hi with 0 <= lo < 1 < hi", "Field bracket lo:hi in JN units."),
+    "ta_max": _number("--ta-max", "Largest ramp time scanned (the scan starts at 1).",
+                      lambda x: 1 <= x < math.inf, "at least 1 and finite"),
+    "m": _integer("--M", 1, "Number of measurements."),
+    "t_int": _number("--T-int", "Sensing time."),
+    "t": _number("--T", "Total time budget."),
+    "n_max": _integer("--n-max", 2, "Largest system size scanned."),
+    "c": _number("--c", "Adiabatic time constant C."),
+    "c_tilde": _number("--c-tilde", "Total-time constant C~."),
+    "eps": _number("--eps", "Sensing-time exponent in [0, 1/2].",
+                   lambda e: 0 <= e <= 0.5, "in [0, 1/2]"),
+    "variant": Opt("--variant", str, "text", lambda v: v in ("main", "single-shot"),
+                   "'main' or 'single-shot'", "Time-budget accounting."),
+    "draws": _integer("--draws", 1, "Number of random instances."),
+    "alpha": _number("--alpha", "Residual ramp phase.", math.isfinite, "finite"),
+}
+
+
+class Command(NamedTuple):
+    help: str
+    defaults: dict  # config key read -> default text, or None for unset
+    run: Callable  # (parsed values, output path) -> (paths, summary)
+    sizes: tuple = (1, math.inf)  # least and most values of N taken
+    even: bool = True  # N even and >= 2; False allows any positive N
+
+
+ONE = (1, 1)
+TEN_TO_100 = ",".join(str(n) for n in range(10, 101, 10))
+
+
+def _scan_sweep_steps(steps):
+    """Steps of the fig5 scans and of the sweeps: --steps sets both."""
+    return (3000, 4000) if steps is None else (steps, steps)
+
+
+COMMANDS = {
+    "overlap": Command(
+        "Ground-state overlap |g0|^2 against the transverse field.",
+        {"n": "10,50,100", "grid": "0:3:0.02"},
+        lambda v, out: run_overlap(v["n"], v["grid"], out)),
+    "gap-scaling": Command(
+        "Minimum and critical-point even-sector gaps against N.",
+        {"n": TEN_TO_100, "bracket": "0.3:1.5"},
+        lambda v, out: run_gap_scaling(v["n"], tuple(v["bracket"]), out),
+        sizes=(2, math.inf)),
+    "scan-ta": Command(
+        "GHZ and return fidelity against the ramp time.",
+        {"n": "10", "h0x_over_jn": "1", "ta_max": "300", "steps": "3000"},
+        lambda v, out: run_scan_ta(v["n"][0], v["h0x_over_jn"],
+                                   np.arange(1.0, v["ta_max"] + 1), v["steps"], out),
+        sizes=ONE),
+    "uncertainty-sweep": Command(
+        "Estimation uncertainty against the sensing time.",
+        {"n": "10", "h0x_over_jn": "1", "ta": "150", "tint_grid": "1:199:2", "steps": "4000"},
+        lambda v, out: run_uncertainty_sweep(v["n"][0], v["ta"], v["tint_grid"],
+                                             v["h0x_over_jn"], v["steps"], out),
+        sizes=ONE),
+    "limits": Command(
+        "Closed-form Heisenberg and standard quantum limits.",
+        {"n": "10", "m": "1", "t_int": "1", "t": None},
+        lambda v, out: run_limits(v["n"][0], v["m"], v["t_int"], v["t"], out),
+        sizes=ONE, even=False),
+    "dephasing-window": Command(
+        "System sizes where the entangled scheme beats the dephased SQL.",
+        {"gamma_c": "0.01", "n_max": "2000"},
+        lambda v, out: run_dephasing_window(v["gamma_c"], v["n_max"], out)),
+    "time-budget": Command(
+        "Finite-duration scaling budget (eta, eta', SQL threshold).",
+        {"n": "10,100,1000", "c": "1", "c_tilde": "100", "eps": "0.5", "variant": "main"},
+        lambda v, out: run_time_budget(v["n"], v["c"], v["c_tilde"], v["eps"],
+                                       v["variant"], out),
+        even=False),
+    "bounds-check": Command(
+        "Monte-Carlo check of the survival-slope lower bound.",
+        {"n": "10", "draws": "10000", "seed": "0"},
+        lambda v, out: run_bounds_check(v["n"][0], v["draws"], v["seed"], out),
+        sizes=ONE),
+    "sz-readout": Command(
+        "Global-magnetization readout statistics of the ideal probe state.",
+        {"n": "10", "alpha": "0"},
+        lambda v, out: run_sz_readout(v["n"][0], v["alpha"], out),
+        sizes=ONE),
+}
+
+FIGURES = {
+    "fig1": Command(
+        "Ground-state overlap |g0|^2 at N = 10, 50, 100.",
+        {"n": "10,50,100"},
+        lambda v, out: run_overlap(v["n"], np.round(np.arange(0, 3.0 + 1e-9, 0.02), 10), out)),
+    "fig2": Command(
+        "SQL-beating windows under dephasing, one file per Gamma*C.",
+        {"gamma_c": "0.01,0.03,0.05"},
+        lambda v, out: run_dephasing_window(v["gamma_c"], 1000, out)),
+    "fig3": Command(
+        "Fidelities against the ramp time; --Ta is the longest one.",
+        {"n": "10", "h0x_over_jn": "1", "ta": "300", "steps": "3000"},
+        lambda v, out: run_scan_ta(v["n"][0], v["h0x_over_jn"], np.arange(1.0, v["ta"] + 1),
+                                   v["steps"], out),
+        sizes=ONE),
+    "fig4": COMMANDS["uncertainty-sweep"]._replace(
+        help="Estimation uncertainty against the sensing time at N = 10."),
+    "fig5": Command(
+        "Locally optimal ramp time against N.",
+        {"n": TEN_TO_100, "steps": "3000"},
+        lambda v, out: run_fig5(v["n"], v["steps"], out)),
+    "fig6": Command(
+        "Uncertainty index p against N at the fig5 optima.",
+        {"n": TEN_TO_100, "steps": None},
+        lambda v, out: run_fig6(v["n"], *_scan_sweep_steps(v["steps"]), out)),
+    "fig8": Command(
+        "Uncertainty sweeps at the fig5 optima, one file per N.",
+        {"n": "20,30,40,50", "steps": None},
+        lambda v, out: run_fig8(v["n"], *_scan_sweep_steps(v["steps"]), out)),
+}
+
+ROWS = {**COMMANDS, **FIGURES}
+
+
+def _parse(kind, raw):
+    """(values, diagnostics) of the raw text values of one command."""
+    row = ROWS[kind]
+    diags = [f"{kind} does not read key {key!r}" for key in raw
+             if key not in row.defaults and key not in ("kind", "out")]
+    values = dict.fromkeys(row.defaults)  # unset or malformed keys stay None
+    for key in row.defaults:
+        text, opt = raw.get(key), OPTS[key]
+        if text is None:
+            continue
+        try:
+            value = opt.parse(text)
+        except ValueError:
+            diags.append(f"{key} must be {opt.form}, got {text!r}")
+            continue
+        if opt.ok(value):
+            values[key] = value
+        else:
+            diags.append(f"{key} must be {opt.rule}, got {text}")
+    ns = values.get("n")
+    if ns:
+        odd = [n for n in ns if n < 2 or n % 2] if row.even else []
+        least, most = row.sizes
+        if odd:
+            diags.append(f"N must be even and >= 2, got {odd[0]}")
+        elif len(ns) > most:
+            diags.append(f"{kind} takes a single N, got {raw['n']!r}")
+        elif len(ns) < least:
+            diags.append(f"{kind} takes at least {least} values of N, got {raw['n']!r}")
+    return values, diags
+
+
+def validate_config(kind, values):
+    """Diagnostics for an experiment configuration; empty list means valid."""
+    if kind not in ROWS:
+        return [f"unknown experiment kind {kind!r}"]
+    return _parse(kind, values)[1]
+
+
+def _run(kind, config_path, flags):
+    """Merge flag over config over default, check through OPTS and run."""
+    config = load_config(config_path) if config_path else {}
+    raw = {**ROWS[kind].defaults, **config}
+    raw.update((key, text) for key, text in flags.items() if text is not None)
+    values, diags = _parse(kind, raw)
+    if diags:
+        raise click.ClickException(f"invalid configuration: {diags[0]}")
+    out = resolve_out(raw.get("out"), kind.replace("-", "_") + ".csv")
+    try:  # a floating-point overflow or 0/0 stops the run instead of writing inf/nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _, summary = ROWS[kind].run(values, out)
+    except (ValueError, ArithmeticError) as exc:
+        raise click.ClickException(str(exc)) from exc
+    click.echo(summary)
+
+
+# ---------------------------------------------------------------------------
 # Click commands.
 # ---------------------------------------------------------------------------
 
 
-def _common_options(f):
-    decorators = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
+def _command(kind, row):
+    """Click command of one row: --config, --out and the flags it reads."""
+    params = [
+        click.Option(["--config", "config_path"], type=click.Path(),
                      help="INI config with an [experiment] section; flags override."),
-        click.option("--out", default=None, help="Output CSV file or directory."),
-        click.option("--N", "n_spec", default=None, help="System size(s), comma separated."),
-        click.option("--h0x-over-JN", "h0x", type=float, default=None,
-                     help="Initial transverse field in units of JN."),
-        click.option("--Ta", "ta", type=float, default=None,
-                     help="Ramp time in units of (2JN^2)^-1."),
-        click.option("--tint-grid", default=None,
-                     help="Sensing-time grid 'lo:hi:step' in (2JN^2)^-1 units."),
-        click.option("--gamma-c", default=None, help="Gamma*C value(s), comma separated."),
-        click.option("--seed", type=int, default=None, help="RNG seed (bounds-check)."),
-        click.option("--steps", type=int, default=None, help="Integrator steps per ramp."),
+        click.Option(["--out"], help="Output CSV file or directory."),
     ]
-    for dec in reversed(decorators):
-        f = dec(f)
-    return f
-
-
-def _gather(config_path, **kw):
-    cfg = load_config(config_path) if config_path else {}
-    return cfg, kw
+    params += [click.Option([OPTS[key].flag, key], help=OPTS[key].help) for key in row.defaults]
+    return click.Command(kind, params=params, help=row.help,
+                         callback=lambda config_path, **flags: _run(kind, config_path, flags))
 
 
 @click.group()
@@ -467,212 +567,14 @@ def main():
     """Simulation and analysis runner for adiabatic GHZ-state metrology."""
 
 
-@main.command()
-@click.argument("name", type=click.Choice(FIGURES))
-@_common_options
-def figure(name, config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps):
+@main.group()
+def figure():
     """Reproduce one of the standard analysis figures as CSV."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n")
-    h0x = merged(h0x, cfg, "h0x_over_jn")
-    ta = merged(ta, cfg, "ta")
-    tint_grid = merged(tint_grid, cfg, "tint_grid")
-    gamma_c = merged(gamma_c, cfg, "gamma_c")
-    steps = merged(steps, cfg, "steps")
-    out = merged(out, cfg, "out")
-    values = {k: v for k, v in [("n", n_spec), ("ta", ta), ("tint_grid", tint_grid),
-                                ("gamma_c", gamma_c), ("steps", steps)] if v is not None}
-    _ensure_valid(name, values)
-    scan_steps = int(steps) if steps is not None else 3000
-    sweep_steps = int(steps) if steps is not None else 4000
-
-    if name == "fig1":
-        ns = parse_int_list(n_spec) if n_spec else [10, 50, 100]
-        grid = np.round(np.arange(0, 3.0 + 1e-9, 0.02), 10)
-        _, summary = run_overlap(ns, grid, resolve_out(out, "fig1.csv"))
-    elif name == "fig2":
-        gcs = parse_float_list(gamma_c) if gamma_c else [0.01, 0.03, 0.05]
-        _, summary = run_dephasing_window(gcs, 1000, resolve_out(out, "fig2.csv"))
-    elif name == "fig3":
-        n = parse_int_list(n_spec)[0] if n_spec else 10
-        taus = np.arange(1.0, (float(ta) if ta else 300.0) + 1)
-        _, summary = run_scan_ta(n, float(h0x) if h0x else 1.0, taus, scan_steps,
-                                 resolve_out(out, "fig3.csv"))
-    elif name == "fig4":
-        n = parse_int_list(n_spec)[0] if n_spec else 10
-        taus = parse_grid(tint_grid) if tint_grid else np.arange(1.0, 200.0, 2)
-        _, summary = run_uncertainty_sweep(
-            n, float(ta) if ta else 150.0, taus, float(h0x) if h0x else 1.0,
-            sweep_steps, resolve_out(out, "fig4.csv"))
-    elif name == "fig5":
-        ns = parse_int_list(n_spec) if n_spec else list(range(10, 101, 10))
-        _, summary, _ = run_fig5(ns, scan_steps, resolve_out(out, "fig5.csv"))
-    elif name == "fig6":
-        ns = parse_int_list(n_spec) if n_spec else list(range(10, 101, 10))
-        _, summary = run_fig6(ns, scan_steps, sweep_steps, resolve_out(out, "fig6.csv"))
-    else:  # fig8
-        ns = parse_int_list(n_spec) if n_spec else [20, 30, 40, 50]
-        _, summary = run_fig8(ns, scan_steps, sweep_steps, resolve_out(out, "fig8.csv"))
-    click.echo(summary)
 
 
-@main.command()
-@_common_options
-@click.option("--grid", default="0:3:0.02", help="Transverse-field grid in JN units.")
-def overlap(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, grid):
-    """Ground-state overlap |g0|^2 against the transverse field."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10,50,100")
-    grid = merged(None, cfg, "grid", grid)
-    out = merged(out, cfg, "out")
-    _ensure_valid("overlap", {"n": n_spec})
-    _, summary = run_overlap(parse_int_list(n_spec), parse_grid(grid),
-                             resolve_out(out, "overlap.csv"))
-    click.echo(summary)
-
-
-@main.command("gap-scaling")
-@_common_options
-@click.option("--bracket", default="0.3:1.5", help="Field bracket lo:hi in JN units.")
-def gap_scaling_cmd(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, bracket):
-    """Minimum and critical-point even-sector gaps against N."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", ",".join(str(n) for n in range(10, 101, 10)))
-    bracket = merged(None, cfg, "bracket", bracket)
-    out = merged(out, cfg, "out")
-    _ensure_valid("gap-scaling", {"n": n_spec})
-    toks = parse_float_list(str(bracket).replace(":", ","))
-    _, summary = run_gap_scaling(parse_int_list(n_spec), (toks[0], toks[1]),
-                                 resolve_out(out, "gap_scaling.csv"))
-    click.echo(summary)
-
-
-@main.command("scan-ta")
-@_common_options
-@click.option("--ta-max", type=float, default=300.0, help="Largest ramp time scanned.")
-def scan_ta(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, ta_max):
-    """GHZ and return fidelity against the ramp time."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10")
-    h0x = merged(h0x, cfg, "h0x_over_jn", 1.0)
-    steps = merged(steps, cfg, "steps", 3000)
-    ta_max = float(merged(None, cfg, "ta_max", ta_max))
-    out = merged(out, cfg, "out")
-    _ensure_valid("scan-ta", {"n": n_spec, "steps": steps})
-    taus = np.arange(1.0, ta_max + 1)
-    _, summary = run_scan_ta(parse_int_list(n_spec)[0], float(h0x), taus, int(steps),
-                             resolve_out(out, "scan_ta.csv"))
-    click.echo(summary)
-
-
-@main.command("uncertainty-sweep")
-@_common_options
-def uncertainty_sweep(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps):
-    """Estimation uncertainty against the sensing time."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10")
-    h0x = merged(h0x, cfg, "h0x_over_jn", 1.0)
-    ta = merged(ta, cfg, "ta", 150.0)
-    tint_grid = merged(tint_grid, cfg, "tint_grid", "1:199:2")
-    steps = merged(steps, cfg, "steps", 4000)
-    out = merged(out, cfg, "out")
-    _ensure_valid("uncertainty-sweep",
-                  {"n": n_spec, "ta": ta, "tint_grid": tint_grid, "steps": steps})
-    _, summary = run_uncertainty_sweep(
-        parse_int_list(n_spec)[0], float(ta), parse_grid(tint_grid), float(h0x),
-        int(steps), resolve_out(out, "uncertainty_sweep.csv"))
-    click.echo(summary)
-
-
-@main.command()
-@_common_options
-@click.option("--M", "shots", type=int, default=1, help="Number of measurements.")
-@click.option("--T-int", "t_int", type=float, default=1.0, help="Sensing time.")
-@click.option("--T", "total_time", type=float, default=None, help="Total time budget.")
-def limits(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps,
-           shots, t_int, total_time):
-    """Closed-form Heisenberg and standard quantum limits."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10")
-    shots = int(merged(None, cfg, "m", shots))
-    t_int = float(merged(None, cfg, "t_int", t_int))
-    if total_time is None and "t" in cfg:
-        total_time = float(cfg["t"])
-    out = merged(out, cfg, "out")
-    n = parse_int_list(n_spec)[0]
-    if n < 1:
-        raise click.ClickException("N must be positive")
-    _, summary = run_limits(n, shots, t_int, total_time, resolve_out(out, "limits.csv"))
-    click.echo(summary)
-
-
-@main.command("dephasing-window")
-@_common_options
-@click.option("--n-max", type=int, default=2000, help="Largest system size scanned.")
-def dephasing_window(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, n_max):
-    """System sizes where the entangled scheme beats the dephased SQL."""
-    cfg, _ = _gather(config_path)
-    gamma_c = merged(gamma_c, cfg, "gamma_c", "0.01")
-    n_max = int(merged(None, cfg, "n_max", n_max))
-    out = merged(out, cfg, "out")
-    _ensure_valid("dephasing-window", {"gamma_c": gamma_c})
-    _, summary = run_dephasing_window(parse_float_list(gamma_c), n_max,
-                                      resolve_out(out, "dephasing_window.csv"))
-    click.echo(summary)
-
-
-@main.command("time-budget")
-@_common_options
-@click.option("--c", type=float, default=1.0, help="Adiabatic time constant C.")
-@click.option("--c-tilde", type=float, default=100.0, help="Total-time constant C~.")
-@click.option("--eps", type=float, default=0.5, help="Sensing-time exponent in [0, 1/2].")
-@click.option("--variant", type=click.Choice(["main", "single-shot"]), default="main")
-def time_budget_cmd(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps,
-                    c, c_tilde, eps, variant):
-    """Finite-duration scaling budget (eta, eta', SQL threshold)."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10,100,1000")
-    c = float(merged(None, cfg, "c", c))
-    c_tilde = float(merged(None, cfg, "c_tilde", c_tilde))
-    eps = float(merged(None, cfg, "eps", eps))
-    variant = merged(None, cfg, "variant", variant)
-    out = merged(out, cfg, "out")
-    _ensure_valid("time-budget", {"n": n_spec, "eps": str(eps), "variant": variant})
-    _, summary = run_time_budget(parse_int_list(n_spec), c, c_tilde, eps, variant,
-                                 resolve_out(out, "time_budget.csv"))
-    click.echo(summary)
-
-
-@main.command("bounds-check")
-@_common_options
-@click.option("--draws", type=int, default=10000, help="Number of random instances.")
-def bounds_check(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, draws):
-    """Monte-Carlo check of the survival-slope lower bound."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10")
-    seed = int(merged(seed, cfg, "seed", 0))
-    draws = int(merged(None, cfg, "draws", draws))
-    out = merged(out, cfg, "out")
-    _ensure_valid("bounds-check", {"n": n_spec, "seed": str(seed)})
-    _, summary = run_bounds_check(parse_int_list(n_spec)[0], draws, seed,
-                                  resolve_out(out, "bounds_check.csv"))
-    click.echo(summary)
-
-
-@main.command("sz-readout")
-@_common_options
-@click.option("--alpha", type=float, default=0.0, help="Residual ramp phase.")
-def sz_readout(config_path, out, n_spec, h0x, ta, tint_grid, gamma_c, seed, steps, alpha):
-    """Global-magnetization readout statistics of the ideal probe state."""
-    cfg, _ = _gather(config_path)
-    n_spec = merged(n_spec, cfg, "n", "10")
-    alpha = float(merged(None, cfg, "alpha", alpha))
-    out = merged(out, cfg, "out")
-    _ensure_valid("sz-readout", {"n": n_spec})
-    phases = np.round(np.arange(0, 2 * np.pi + 1e-9, np.pi / 50), 12)
-    _, summary = run_sz_readout(parse_int_list(n_spec)[0], alpha, phases,
-                                resolve_out(out, "sz_readout.csv"))
-    click.echo(summary)
+for _group, _rows in ((main, COMMANDS), (figure, FIGURES)):
+    for _kind, _row in _rows.items():
+        _group.add_command(_command(_kind, _row))
 
 
 @main.command()

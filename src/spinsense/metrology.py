@@ -343,7 +343,8 @@ def time_budget(n_qubits, c, epsilon, c_tilde=None, variant="main"):
         eta = np.sqrt(n_qubits) * t_sense / (t_sense + 2 * t_ramp)
         eta_prime = t_sense / (t_sense + 2 * t_ramp)
         root_n = np.sqrt(n_qubits)
-        threshold = 2 * t_ramp / root_n / (1 - 1 / root_n)
+        # a single qubit never beats the SQL (eta <= 1)
+        threshold = np.inf if n_qubits == 1 else 2 * t_ramp / root_n / (1 - 1 / root_n)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return TimeBudget(

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spinsense.cli import main, parse_grid, validate_config
+from spinsense.cli import COMMANDS, OPTS, ROWS, main, parse_grid, validate_config
 
 
 @pytest.fixture()
@@ -22,6 +24,9 @@ def _read_csv(path):
 def test_parse_grid_forms():
     assert np.allclose(parse_grid("1:5:2"), [1, 3, 5])
     assert np.allclose(parse_grid("0.5,1.5"), [0.5, 1.5])
+    for bad in ["1:5:0", "1:5:-1", "1:5", "1:2:3:4", "1:0:0.1", "1:inf:1", "1,nan", ""]:
+        with pytest.raises(ValueError):
+            parse_grid(bad)
 
 
 def test_limits_single_qubit(runner, tmp_path):
@@ -219,12 +224,53 @@ def test_config_file_merging_and_flag_override(runner, tmp_path):
     result = runner.invoke(main, ["scan-ta", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "from_config.csv").exists()
-    # flags win over config
+    _, rows = _read_csv(tmp_path / "from_config.csv")
+    assert rows[-1][0] == 20
+    # flags win over config, also for the command's own options
     result = runner.invoke(
-        main, ["scan-ta", "--config", str(cfg), "--out", str(tmp_path / "flag.csv")]
+        main, ["scan-ta", "--config", str(cfg), "--out", str(tmp_path / "flag.csv"),
+               "--ta-max", "40"]
     )
     assert result.exit_code == 0, result.output
-    assert (tmp_path / "flag.csv").exists()
+    _, rows = _read_csv(tmp_path / "flag.csv")
+    assert rows[-1][0] == 40
+
+    cfg.write_text("[experiment]\nkind = time-budget\nn = 100\neps = 0.3\n")
+    out = tmp_path / "tb.csv"
+    result = runner.invoke(
+        main, ["time-budget", "--config", str(cfg), "--eps", "0.5", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "eps = 0.5:" in result.output
+
+    # a key the command does not read is an error, in the command and in validate
+    cfg.write_text("[experiment]\nkind = scan-ta\nn = 10\nstep = 50\n")
+    for argv in (["scan-ta", "--config", str(cfg), "--out", str(out)],
+                 ["validate", "--config", str(cfg)]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert "scan-ta does not read key 'step'" in result.output
+
+
+@pytest.mark.parametrize(
+    "argv", [["limits", "--steps", "3", "--Ta", "5"], ["figure", "fig5", "--Ta", "3"]]
+)
+def test_flags_a_command_does_not_read_are_rejected(runner, tmp_path, argv):
+    result = runner.invoke(main, argv + ["--out", str(tmp_path / "out.csv")])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--h0x-over-JN", "0"], ["--h0x-over-JN", "0.5"]])
+def test_fig4_matches_uncertainty_sweep(runner, tmp_path, extra):
+    flags = ["--N", "6", "--Ta", "60", "--tint-grid", "1:9:2", "--steps", "200"] + extra
+    a, b = tmp_path / "fig4.csv", tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["figure", "fig4", *flags, "--out", str(a)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["uncertainty-sweep", *flags, "--out", str(b)])
+    assert result.exit_code == 0, result.output
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_validate_command(runner, tmp_path):
@@ -253,6 +299,73 @@ def test_validate_command(runner, tmp_path):
 
     result = runner.invoke(main, ["validate", "--config", str(tmp_path / "nope.ini")])
     assert result.exit_code == 1
+
+    percent = tmp_path / "percent.ini"
+    percent.write_text("[experiment]\nkind = limits\nout = 100%.csv\n")
+    for argv in (["validate", "--config", str(percent)], ["limits", "--config", str(percent)]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "malformed config" in result.output
+
+
+BAD_INPUTS = [
+    ["limits", "--N", "abc"],
+    ["uncertainty-sweep", "--tint-grid", "1:5:0"],
+    ["scan-ta", "--ta-max", "0"],
+    ["gap-scaling", "--N", "10"],
+    ["gap-scaling", "--bracket", "2:3"],
+    ["limits", "--T-int", "0"],
+    ["limits", "--M", "0"],
+    ["time-budget", "--c", "0"],
+    ["uncertainty-sweep", "--h0x-over-JN", "nan"],
+]
+
+
+def _diagnostic(runner, tmp_path, argv):
+    """The one-line diagnostic of a rejected command, checked to write nothing."""
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a diagnostic, not a traceback
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert not list(tmp_path.glob("*.csv"))
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_gives_one_line_diagnostic(runner, tmp_path, argv):
+    _diagnostic(runner, tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_validate_gives_the_command_diagnostic(runner, tmp_path, argv):
+    kind, flag, value = argv
+    key = next(key for key, opt in OPTS.items() if opt.flag == flag)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nkind = {kind}\n{key} = {value}\n")
+    result = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert result.exit_code == 1
+    expected = _diagnostic(runner, tmp_path, argv)
+    assert expected == "Error: invalid configuration: " + result.output.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["time-budget", "--c", "1e-200", "--c-tilde", "1e-200"],  # 0/0
+        ["dephasing-window", "--gamma-c", "1e307"],  # overflow
+        ["limits", "--N", "1" + "0" * 400],  # too large for a float
+    ],
+)
+def test_numerical_failure_gives_one_line_diagnostic(runner, tmp_path, argv):
+    _diagnostic(runner, tmp_path, argv)
+
+
+@pytest.mark.parametrize("kind", list(ROWS))
+def test_every_row_default_validates(kind):
+    assert validate_config(kind, ROWS[kind].defaults) == []
 
 
 def test_validate_config_function():
@@ -285,3 +398,46 @@ def test_environment_default_outdir(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["limits", "--N", "2"])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "limits.csv").exists()
+
+
+# Closed-form commands, plus the two simulating commands with N <= 6 and at
+# most 20 steps (and bounds-check with at most 40 draws) so each example is fast.
+FUZZED = ("limits", "time-budget", "dephasing-window", "bounds-check", "sz-readout",
+          "scan-ta", "uncertainty-sweep")
+SMALL = {
+    "scan-ta": {"--N": 6, "--steps": 20},
+    "uncertainty-sweep": {"--N": 6, "--steps": 20},
+    "bounds-check": {"--draws": 40},
+}
+TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+INTS = st.integers(-3, 40).map(str)
+VALUES = st.one_of(
+    INTS,
+    st.floats(-10, 400).map(repr),
+    st.lists(INTS, min_size=1, max_size=3).map(",".join),
+    st.lists(INTS, min_size=2, max_size=3).map(":".join),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e-300", "main", "single-shot"]),
+    TEXT,
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    kind = draw(st.sampled_from(FUZZED))
+    keys = draw(st.lists(st.sampled_from(list(COMMANDS[kind].defaults)), max_size=3, unique=True))
+    argv = [kind]
+    for key in keys:
+        argv += [OPTS[key].flag, draw(VALUES)]
+    for flag, most in SMALL.get(kind, {}).items():  # the last occurrence wins
+        argv += [flag, draw(st.integers(-1, most).map(str) | st.sampled_from(["", "x", "2,4"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_fuzzed_flags_never_raise(runner, tmp_path, argv):
+    result = runner.invoke(main, argv + ["--out", str(tmp_path / "fuzz.csv")])
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.exception)

@@ -282,6 +282,9 @@ def test_time_budget_single_shot_half():
     assert tb.eta_prime == pytest.approx(0.5, rel=1e-12)
     assert tb.t_sense == pytest.approx(tb.total_time - 2 * tb.t_ramp, rel=1e-12)
     assert tb.eta == pytest.approx(np.sqrt(64) / 2, rel=1e-12)
+    # one qubit never beats the SQL: an infinite threshold, without a 1/0
+    single = time_budget(1, 2.0, 0.5, variant="single-shot")
+    assert single.tint_threshold == np.inf and not single.beats_sql
 
 
 def test_time_budget_threshold_and_validation():
