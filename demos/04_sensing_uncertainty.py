@@ -39,7 +39,7 @@ print(f"ideal: P = {p:.3f}, |dP/dh| = {abs(slope):.3f}, "
 # The simulated protocol at the locally optimal ramp time T_a = 150 units:
 # averaged over the standard sensing grid the uncertainty stays within ~7%
 # of the Heisenberg limit.
-sweep = tint_sweep(n, 150 * unit, ramp_steps=4000)
+sweep = tint_sweep(n, 150 * unit, ramp_steps=400)
 print(f"\nsimulated protocol, T_a = 150 units:")
 print(f"  p = {sweep.p_mean:.4f} +- {sweep.p_std:.4f} over "
       f"{len(sweep.t_sense)} sensing times")

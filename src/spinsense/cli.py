@@ -281,6 +281,8 @@ def run_fig5(ns, steps, out):
     header = ["N", "T_a_opt_2JN2", "fid_ghz", "fid_init"]
     rows = [[n, optima[n][0], optima[n][1], optima[n][2]] for n in ns]
     path = write_csv(out, header, rows)
+    if len(ns) < 2:
+        return [path], f"wrote {path}\na linear fit of the selected optima needs two or more N"
     fit = np.polyfit(ns, [optima[n][0] for n in ns], 1)
     summary = (
         f"wrote {path}\n"
@@ -290,12 +292,12 @@ def run_fig5(ns, steps, out):
     return [path], summary
 
 
-def run_fig6(ns, scan_steps, sweep_steps, out):
-    optima = _fig5_optima(ns, scan_steps)
+def run_fig6(ns, steps, out):
+    optima = _fig5_optima(ns, steps)
     rows = []
     for n in ns:
         ta_units, fid_ghz, fid_init = optima[n]
-        sweep = metrology.tint_sweep(n, ta_units * _unit(n), ramp_steps=sweep_steps)
+        sweep = metrology.tint_sweep(n, ta_units * _unit(n), ramp_steps=steps)
         rows.append([n, sweep.p_mean, sweep.p_std, fid_ghz, fid_init])
     path = write_csv(out, ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)
     margins = [r[1] - 1 / np.sqrt(r[0]) for r in rows]
@@ -309,14 +311,14 @@ def run_fig6(ns, scan_steps, sweep_steps, out):
     return [path], summary
 
 
-def run_fig8(ns, scan_steps, sweep_steps, out):
-    optima = _fig5_optima(ns, scan_steps)
+def run_fig8(ns, steps, out):
+    optima = _fig5_optima(ns, steps)
     paths = []
     lines = []
     for n in ns:
         ta_units = optima[n][0]
         unit = _unit(n)
-        sweep = metrology.tint_sweep(n, ta_units * unit, ramp_steps=sweep_steps)
+        sweep = metrology.tint_sweep(n, ta_units * unit, ramp_steps=steps)
         taus = sweep.t_sense / unit
         rows = list(zip(taus, sweep.delta_h, sweep.hl, sweep.sql))
         target = Path(out)
@@ -365,7 +367,8 @@ OPTS = {
                    lambda gs: len(gs) > 0 and all(0 <= g < math.inf for g in gs), "nonnegative",
                    "Gamma*C value(s), comma separated."),
     "seed": _integer("--seed", 0, "RNG seed."),
-    "steps": _integer("--steps", 1, "Integrator steps per ramp."),
+    "steps": Opt("--steps", int, "an integer", lambda v: v >= 2 and v % 2 == 0,
+                 "even and at least 2", "Exponentials per ramp (two per CF4 step)."),
     "grid": Opt("--grid", parse_grid, GRID,
                 lambda g: bool((g >= 0).all()), "nonnegative",
                 "Transverse-field grid in JN units."),
@@ -401,11 +404,6 @@ ONE = (1, 1)
 TEN_TO_100 = ",".join(str(n) for n in range(10, 101, 10))
 
 
-def _scan_sweep_steps(steps):
-    """Steps of the fig5 scans and of the sweeps: --steps sets both."""
-    return (3000, 4000) if steps is None else (steps, steps)
-
-
 COMMANDS = {
     "overlap": Command(
         "Ground-state overlap |g0|^2 against the transverse field.",
@@ -418,13 +416,13 @@ COMMANDS = {
         sizes=(2, math.inf)),
     "scan-ta": Command(
         "GHZ and return fidelity against the ramp time.",
-        {"n": "10", "h0x_over_jn": "1", "ta_max": "300", "steps": "3000"},
+        {"n": "10", "h0x_over_jn": "1", "ta_max": "300", "steps": "400"},
         lambda v, out: run_scan_ta(v["n"][0], v["h0x_over_jn"],
                                    np.arange(1.0, v["ta_max"] + 1), v["steps"], out),
         sizes=ONE),
     "uncertainty-sweep": Command(
         "Estimation uncertainty against the sensing time.",
-        {"n": "10", "h0x_over_jn": "1", "ta": "150", "tint_grid": "1:199:2", "steps": "4000"},
+        {"n": "10", "h0x_over_jn": "1", "ta": "150", "tint_grid": "1:199:2", "steps": "400"},
         lambda v, out: run_uncertainty_sweep(v["n"][0], v["ta"], v["tint_grid"],
                                              v["h0x_over_jn"], v["steps"], out),
         sizes=ONE),
@@ -464,26 +462,22 @@ FIGURES = {
         "SQL-beating windows under dephasing, one file per Gamma*C.",
         {"gamma_c": "0.01,0.03,0.05"},
         lambda v, out: run_dephasing_window(v["gamma_c"], 1000, out)),
-    "fig3": Command(
-        "Fidelities against the ramp time; --Ta is the longest one.",
-        {"n": "10", "h0x_over_jn": "1", "ta": "300", "steps": "3000"},
-        lambda v, out: run_scan_ta(v["n"][0], v["h0x_over_jn"], np.arange(1.0, v["ta"] + 1),
-                                   v["steps"], out),
-        sizes=ONE),
+    "fig3": COMMANDS["scan-ta"]._replace(
+        help="GHZ and return fidelity against the ramp time at N = 10."),
     "fig4": COMMANDS["uncertainty-sweep"]._replace(
         help="Estimation uncertainty against the sensing time at N = 10."),
     "fig5": Command(
         "Locally optimal ramp time against N.",
-        {"n": TEN_TO_100, "steps": "3000"},
+        {"n": TEN_TO_100, "steps": "400"},
         lambda v, out: run_fig5(v["n"], v["steps"], out)),
     "fig6": Command(
         "Uncertainty index p against N at the fig5 optima.",
-        {"n": TEN_TO_100, "steps": None},
-        lambda v, out: run_fig6(v["n"], *_scan_sweep_steps(v["steps"]), out)),
+        {"n": TEN_TO_100, "steps": "400"},
+        lambda v, out: run_fig6(v["n"], v["steps"], out)),
     "fig8": Command(
         "Uncertainty sweeps at the fig5 optima, one file per N.",
-        {"n": "20,30,40,50", "steps": None},
-        lambda v, out: run_fig8(v["n"], *_scan_sweep_steps(v["steps"]), out)),
+        {"n": "20,30,40,50", "steps": "400"},
+        lambda v, out: run_fig8(v["n"], v["steps"], out)),
 }
 
 ROWS = {**COMMANDS, **FIGURES}

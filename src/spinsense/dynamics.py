@@ -1,12 +1,21 @@
 """Time-dependent dynamics: field schedules, propagation, protocol runs.
 
-Every ramp is stepped by one kernel, ``_midpoint_steps``, with the
-exponential-midpoint rule: over each step the Hamiltonian is frozen at the
-segment-midpoint field and exponentiated exactly through its
+Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
+exact exponentials exp(-i H(h) dt) of the frozen Hamiltonian through its
 eigendecomposition, so every step is unitary and the norm is preserved to
 machine precision regardless of step size.  The kernel writes
 H(h^x) = A + h^x B with A and B real symmetric tridiagonal and advances a
 (d, K) block of states, each column by its own signed time step.
+
+The fields come from the fourth-order commutator-free Magnus rule CF4
+(Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930, 2011):
+a step of length dt samples the field at the Gauss points t_1,2 and applies
+exp(-i dt (a_1 H_1 + a_2 H_2)) exp(-i dt (a_2 H_1 + a_1 H_2)), the right
+factor first.  Because H is linear in h^x and a_1 + a_2 = 1/2, each factor is
+exp(-i (dt/2) H(h')) with h' a weighted mean of the two Gauss-point fields,
+so a CF4 step is two exponentials of half the step length, each of the same
+tridiagonal form.  Every step count in this module counts exponentials per
+ramp (two per CF4 step), so it is even.
 
 For h^z = 0 the evolution is computed inside the two parity sectors of the
 X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m is
@@ -17,8 +26,8 @@ off-diagonal, and is stepped there instead.
 
 A ramp-time scan steps all its durations as the columns of one block, and
 the protocol kernel steps the prepared state and the readout state together:
-the up ramp's adjoint, walked backwards, meets the down ramp's fields, so
-preparation and readout share each eigendecomposition.
+the up ramp's adjoint, walked backwards, meets the down ramp's exponents in
+the same order, so preparation and readout share each eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -39,7 +48,9 @@ from .dicke import (
 from .model import sector_indices, sector_tridiagonal
 
 SEGMENT_KINDS = ("cosine-down", "sine-up", "linear", "constant")
-DEFAULT_SEGMENT_STEPS = 10_000
+DEFAULT_SEGMENT_STEPS = 10_000  # exponentials per non-constant segment
+_STEPS_RULE = "steps must be even and at least 2"
+_GAUSS = np.sqrt(3) / 6  # Gauss points of a CF4 step sit at 1/2 -+ _GAUSS
 _CONTINUITY_TOL = 1e-12
 
 
@@ -134,15 +145,32 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_steps(a, b, fields, durations, psi):
-    """Exponential-midpoint stepping of a (d, K) block through H(h) = A + h B.
+def _cf4_fields(profile, n_exps):
+    """CF4 exponent fields of a ramp over [0, 1] in ``n_exps`` exponentials.
+
+    ``profile`` maps the fraction of the ramp elapsed to the field.  Step j of
+    the n_exps / 2 steps samples it at the Gauss fractions g_1,2 and yields
+    2 (a_2 h(g_1) + a_1 h(g_2)), applied first, then 2 (a_1 h(g_1) + a_2 h(g_2)).
+    """
+    if n_exps < 2 or n_exps % 2:
+        raise ValueError(_STEPS_RULE)
+    m = n_exps // 2
+    h1 = profile((np.arange(m) + 0.5 - _GAUSS) / m)
+    h2 = profile((np.arange(m) + 0.5 + _GAUSS) / m)
+    a1, a2 = 0.25 - _GAUSS, 0.25 + _GAUSS
+    fields = np.empty(n_exps)
+    fields[0::2] = 2 * (a2 * h1 + a1 * h2)
+    fields[1::2] = 2 * (a1 * h1 + a2 * h2)
+    return fields
+
+
+def _exponential_steps(a, b, fields, durations, psi):
+    """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
     Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
     Returns the evolved block as a new array.
     """
-    if len(fields) < 1:
-        raise ValueError("a ramp needs at least one integrator step")
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
     # One check here stands in for eigh_tridiagonal's per-step input scan.
     if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
@@ -173,22 +201,23 @@ def _z_diagonal(n_qubits, interaction, hz):
     return -2 * interaction * m**2 - 2 * hz * m
 
 
-def _segment_steps(segment, steps_per_unit):
+def _segment_fields(segment, steps_per_unit):
+    """Exponent fields of one segment; a constant one is a single exact exponential."""
     if segment.kind == "constant":
-        return 1  # midpoint exponential is exact on a constant segment
+        return np.array([segment.field_start])
     if steps_per_unit is None:
-        return DEFAULT_SEGMENT_STEPS
-    return max(1, int(np.ceil(segment.duration * steps_per_unit)))
+        n_exps = DEFAULT_SEGMENT_STEPS
+    else:  # the 1e-9 absorbs roundoff in steps_per_unit = steps / duration
+        n_exps = 2 * max(1, int(np.ceil(segment.duration * steps_per_unit / 2 - 1e-9)))
+    return _cf4_fields(lambda frac: segment.field_at(frac * segment.duration), n_exps)
 
 
 def _propagate_segments(a, b, segments, steps_per_unit, psi):
     """Step one state vector through every segment of a schedule."""
     block = psi[:, None]
     for seg in segments:
-        n_steps = _segment_steps(seg, steps_per_unit)
-        t = (np.arange(n_steps) + 0.5) * (seg.duration / n_steps)
-        fields = np.broadcast_to(seg.field_at(t), t.shape)
-        block = _midpoint_steps(a, b, fields, [seg.duration], block)
+        fields = _segment_fields(seg, steps_per_unit)
+        block = _exponential_steps(a, b, fields, [seg.duration], block)
     return block[:, 0]
 
 
@@ -206,9 +235,10 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
     hz : float
         Longitudinal field held during the whole schedule.
     steps_per_unit : float or None
-        Time resolution.  None applies the default of 10^4 steps per
-        non-constant segment; constant segments are always evolved exactly
-        in a single step.
+        Exponentials per unit time; each non-constant segment takes that
+        many rounded up to an even count (two per CF4 step).  None applies
+        10^4 exponentials per non-constant segment; constant segments are
+        always evolved exactly in a single exponential.
 
     Returns the final state in the same basis as the input.
     """
@@ -339,9 +369,9 @@ def run_protocol(
     Parameters
     ----------
     steps_per_ramp : int or None
-        Fixed number of integrator steps per ramp.  None uses adaptive step
-        doubling from the default resolution until the survival probability
-        is converged to 1e-9.
+        Fixed number of exponentials per ramp, even (two per CF4 step).
+        None uses adaptive step doubling from the default resolution until
+        the survival probability is converged to 1e-9.
     initial_state : DickeState or None
         None starts from the projected strong-field state |N/2, N/2>_X;
         pass a finite-field ground state to model a cooled preparation.
@@ -353,8 +383,8 @@ def run_protocol(
         raise ValueError("times must be nonnegative")
     if observable not in ("projection", "sx"):
         raise ValueError(f"unknown observable {observable!r}")
-    if steps_per_ramp is not None and steps_per_ramp < 1:
-        raise ValueError("a ramp needs at least one integrator step")
+    if steps_per_ramp is not None and (steps_per_ramp < 2 or steps_per_ramp % 2):
+        raise ValueError(_STEPS_RULE)
     init = x_polarized_state(n_qubits, axis="Z") if initial_state is None else initial_state
     psi = rotate_basis(init, "Z")
 
@@ -409,28 +439,30 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 # Batched ramp-time scans.
 #
-# For a one-segment cosine (or sine, or linear) ramp the midpoint fields of an
-# n-step discretization depend only on the step fraction, not on the ramp
-# duration.  A whole grid of ramp times therefore shares every per-step
+# For a one-segment cosine (or sine, or linear) ramp the CF4 fields depend
+# only on the fraction of the ramp elapsed, not on the ramp duration.  A whole
+# grid of ramp times therefore shares every per-exponential
 # eigendecomposition, each grid column advancing with its own dt.
 #
-# The up ramp mirrors the down ramp: sin(pi (p + 1/2) / 2n) equals
-# cos(pi (n - 1 - p + 1/2) / 2n), and for the linear profile the fraction
-# (p + 1/2)/n mirrors 1 - (p + 1/2)/n the same way.  So the up ramp steps
-# through the down-ramp fields in reverse, and its adjoint, walked backwards,
-# sees at step p exactly the Hamiltonian of the down ramp's step p.  The
-# protocol kernel uses this to step the prepared state and the readout state
-# as the two columns of one block, with time steps +dt and -dt.
+# The up ramp mirrors the down ramp: its field at fraction g is the down
+# ramp's at 1 - g (sin(pi g / 2) = cos(pi (1 - g) / 2), and g against 1 - g
+# for the linear profile), and the Gauss fractions of step p are those of
+# step M - 1 - p mirrored with g_1 and g_2 swapped.  So the up ramp's two
+# exponents of step p are the down ramp's two of step M - 1 - p in swapped
+# order: the up ramp runs through the down-ramp fields in reverse, and its
+# adjoint, walked backwards, meets at exponent i exactly the Hamiltonian of
+# the down ramp's exponent i.  The protocol kernel uses this to step the
+# prepared state and the readout state as the two columns of one block, with
+# time steps +dt and -dt.
 # ---------------------------------------------------------------------------
 
 
-def _down_ramp_fields(kind, h0x, n_steps):
-    """Midpoint fields of the down ramp; the up ramp's are these reversed."""
-    frac = (np.arange(n_steps) + 0.5) / n_steps
+def _down_ramp_fields(kind, h0x, n_exps):
+    """CF4 exponent fields of the down ramp; the up ramp's are these reversed."""
     if kind == "cosine-sine":
-        return h0x * np.cos(np.pi * frac / 2)
+        return _cf4_fields(lambda frac: h0x * np.cos(np.pi * frac / 2), n_exps)
     if kind == "linear":
-        return h0x * (1 - frac)
+        return _cf4_fields(lambda frac: h0x * (1 - frac), n_exps)
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
@@ -451,13 +483,14 @@ def local_maxima(x, y):
 
 
 def scan_ramp_time(
-    n_qubits, interaction, h0x, ramp_times, kind="cosine-sine", ramp_steps=3000
+    n_qubits, interaction, h0x, ramp_times, kind="cosine-sine", ramp_steps=400
 ):
     """GHZ and return fidelities of the T_int = 0 protocol over a T_a grid.
 
     Evaluates the protocol with h^z = 0 at every grid point and reports the
     strict local maxima of the GHZ fidelity.  The whole grid is propagated
-    in one batch sharing the per-step eigendecompositions.
+    in one batch sharing the per-exponential eigendecompositions;
+    ``ramp_steps`` counts exponentials per ramp (even, two per CF4 step).
     """
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
@@ -466,9 +499,9 @@ def scan_ramp_time(
     a, b, _ = _sector_terms(n_qubits, interaction, +1)
     start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
     start[0] = 1.0
-    after_down = _midpoint_steps(a, b, fields, ramp_times, start)
+    after_down = _exponential_steps(a, b, fields, ramp_times, start)
     fid_ghz = np.abs(_ghz_even_coords(n_qubits).conj() @ after_down) ** 2
-    after_up = _midpoint_steps(a, b, fields[::-1], ramp_times, after_down)
+    after_up = _exponential_steps(a, b, fields[::-1], ramp_times, after_down)
     fid_init = np.abs(after_up[0, :]) ** 2
 
     return RampScan(
@@ -548,7 +581,7 @@ def protocol_kernel(
     h0x,
     t_ramp,
     kind="cosine-sine",
-    ramp_steps=4000,
+    ramp_steps=400,
     initial_state=None,
     readout_state=None,
 ):
@@ -557,7 +590,8 @@ def protocol_kernel(
     ``initial_state``/``readout_state`` default to the projected strong-field
     state |N/2, N/2>_X; passing the finite-field ground state for both models
     the cooled preparation read out in its own basis.  Both must be
-    even-parity (the ramps never leave the even sector).
+    even-parity (the ramps never leave the even sector).  ``ramp_steps``
+    counts exponentials per ramp (even, two per CF4 step).
     """
     a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
     e0 = np.zeros(len(even_idx), dtype=complex)
@@ -565,8 +599,8 @@ def protocol_kernel(
     init_even = e0 if initial_state is None else _even_coords(initial_state)
     read_even = e0 if readout_state is None else _even_coords(readout_state)
     # Column 0 runs the down ramp forward; column 1 runs the up ramp's
-    # adjoint backwards, which meets the same fields (see the scan notes).
-    ends = _midpoint_steps(
+    # adjoint backwards, which meets the same exponents (see the scan notes).
+    ends = _exponential_steps(
         a, b, _down_ramp_fields(kind, h0x, ramp_steps), [t_ramp, -t_ramp],
         np.column_stack([init_even, read_even]),
     )

@@ -16,8 +16,6 @@ import numpy as np
 from . import dynamics
 from .dicke import DickeBasis, DickeState, rotate_basis
 
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class TargetField:
@@ -74,27 +72,6 @@ def error_propagation(std_observable, slope, shots=1):
 def projection_noise(p):
     """Bernoulli standard deviation sqrt(P(1-P)) of a projection readout."""
     return np.sqrt(max(p * (1.0 - p), 0.0))
-
-
-@dataclass(frozen=True)
-class FdSlope:
-    value: float
-    cancellation: bool
-    suggested_step: float | None = None
-
-
-def finite_difference_slope(p_plus, p_zero, step):
-    """Forward difference (P(delta) - P(0)) / delta with a cancellation guard.
-
-    When the numerator sits below 100 machine epsilons the difference is
-    dominated by roundoff; the result is flagged and a larger step suggested.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    diff = p_plus - p_zero
-    if abs(diff) < 100 * _EPS:
-        return FdSlope(diff / step, True, step * 100)
-    return FdSlope(diff / step, False)
 
 
 def central_difference_slope(p_plus, p_minus, step):
@@ -641,7 +618,7 @@ def tint_sweep(
     h0x=None,
     offset_policy="paper",
     h_known=0.0,
-    ramp_steps=4000,
+    ramp_steps=400,
     kind="cosine-sine",
     shots=None,
 ):

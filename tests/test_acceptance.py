@@ -56,7 +56,7 @@ def ramp_time_optima():
         unit = time_unit(n, 1.0 / n)
         line = slope * n + intercept
         taus = np.arange(1.0, np.ceil(1.45 * line) + 1)
-        scan = scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=2000)
+        scan = scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=400)
         ta, fid = select_optimum(scan, line * unit)
         optima[n] = (ta / unit, fid)
     return optima
@@ -122,7 +122,7 @@ def test_criterion_05_index_beats_sql(ramp_time_optima):
     start = time.perf_counter()
     margins = {}
     for n, (ta_units, _) in sorted(ramp_time_optima.items()):
-        sweep = tint_sweep(n, ta_units * time_unit(n, 1.0 / n), ramp_steps=3000)
+        sweep = tint_sweep(n, ta_units * time_unit(n, 1.0 / n), ramp_steps=400)
         sql_line = 1 / np.sqrt(n)
         assert sweep.p_mean > sql_line, f"p fell below the SQL line at N={n}"
         margins[n] = sweep.p_mean - sql_line

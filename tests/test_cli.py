@@ -62,8 +62,7 @@ def test_fig1_crossing(runner, tmp_path):
 def test_fig3_local_max_near_150(runner, tmp_path):
     out = tmp_path / "fig3.csv"
     result = runner.invoke(
-        main, ["figure", "fig3", "--N", "10", "--Ta", "200", "--steps", "1500",
-               "--out", str(out)]
+        main, ["figure", "fig3", "--N", "10", "--ta-max", "200", "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
     header, rows = _read_csv(out)
@@ -95,17 +94,20 @@ def test_uncertainty_sweep_small(runner, tmp_path):
         ["scan-ta", "--N", "10", "--ta-max", "5", "--steps", "0"],
         ["scan-ta", "--N", "10", "--ta-max", "5", "--steps", "-3"],
         ["uncertainty-sweep", "--N", "10", "--tint-grid", "1:3:2", "--steps", "0"],
-        ["figure", "fig3", "--N", "10", "--Ta", "5", "--steps", "0"],
+        ["figure", "fig3", "--N", "10", "--ta-max", "5", "--steps", "0"],
         ["figure", "fig4", "--N", "10", "--tint-grid", "1:3:2", "--steps", "-3"],
+        ["scan-ta", "--N", "10", "--ta-max", "5", "--steps", "1"],
+        ["figure", "fig5", "--N", "10", "--steps", "401"],
     ],
 )
 def test_nonpositive_steps_rejected(runner, tmp_path, argv):
+    # A step count is a number of exponentials per ramp, two per CF4 step.
     out = tmp_path / "out.csv"
     result = runner.invoke(main, argv + ["--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a diagnostic, not a traceback
     assert result.output.strip().splitlines() == [
-        f"Error: invalid configuration: steps must be at least 1, got {argv[-1]}"
+        f"Error: invalid configuration: steps must be even and at least 2, got {argv[-1]}"
     ]
     assert not out.exists()
 
@@ -193,6 +195,18 @@ def test_fig5_fig6_fig8_small(runner, tmp_path):
     assert header == ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
 
 
+def test_fig5_single_n_reports_no_fit(runner, tmp_path):
+    out = tmp_path / "f5.csv"
+    result = runner.invoke(main, ["figure", "fig5", "--N", "10", "--steps", "200",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1:] == [
+        "a linear fit of the selected optima needs two or more N"
+    ]
+    _, rows = _read_csv(out)
+    assert rows.shape == (1, 4) and rows[0][1] == 166
+
+
 def test_reproducibility_byte_identical(runner, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -253,7 +267,9 @@ def test_config_file_merging_and_flag_override(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["limits", "--steps", "3", "--Ta", "5"], ["figure", "fig5", "--Ta", "3"]]
+    "argv",
+    [["limits", "--steps", "3", "--Ta", "5"], ["figure", "fig5", "--Ta", "3"],
+     ["figure", "fig3", "--Ta", "0.5"]],
 )
 def test_flags_a_command_does_not_read_are_rejected(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "out.csv")])
@@ -377,7 +393,10 @@ def test_validate_config_function():
     assert validate_config("limits", {"n": "1"}) == []
     assert validate_config("scan-ta", {"n": "10", "steps": "800"}) == []
     assert validate_config("scan-ta", {"n": "10", "steps": "0"}) == [
-        "steps must be at least 1, got 0"
+        "steps must be even and at least 2, got 0"
+    ]
+    assert validate_config("fig3", {"ta_max": "0.5"}) == [
+        "ta_max must be at least 1 and finite, got 0.5"
     ]
     assert validate_config("fig5", {"steps": "many"}) == [
         "steps must be an integer, got 'many'"

@@ -1,0 +1,17 @@
+"""Every demo runs to completion without a warning."""
+
+import runpy
+import warnings
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -27,7 +27,7 @@ from spinsense import (
     x_polarized_state,
 )
 from spinsense.dicke import rotation_matrix
-from spinsense.dynamics import _midpoint_steps
+from spinsense.dynamics import _exponential_steps
 from spinsense.metrology import time_unit
 from spinsense.model import sector_indices, sector_tridiagonal
 
@@ -155,6 +155,33 @@ def test_step_halving_convergence():
                                     base_steps_per_unit=2000 / 3.0)
     assert info.survival_delta < 1e-9
     assert abs(out.fidelity(ref) - surv[-1]) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
+def test_cf4_fourth_order_convergence(kind):
+    # Halving the exponential count must cut the error about 16-fold; a
+    # second-order rule (such as CF4 with its two exponents swapped) gives 4.
+    n, j = 10, 0.1
+    unit = time_unit(n, j)
+    taus = np.array([50.0, 150.0, 280.0]) * unit
+    scans = {s: scan_ramp_time(n, j, 1.0, taus, kind=kind, ramp_steps=s)
+             for s in (100, 200, 3200)}
+    scan_err = [
+        max(np.abs(scans[s].ghz_fidelity - scans[3200].ghz_fidelity).max(),
+            np.abs(scans[s].return_fidelity - scans[3200].return_fidelity).max())
+        for s in (100, 200)
+    ]
+    assert scan_err[0] / scan_err[1] >= 12
+
+    ta = 150 * unit
+    ramp = cosine_ramp_down(1.0, ta) if kind == "cosine-sine" else linear_ramp(1.0, 0.0, ta)
+    rng = np.random.default_rng(5)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    finals = {s: propagate(state, Schedule((ramp,)), j, hz=0.3,
+                           steps_per_unit=s / ta).amplitudes for s in (100, 200, 3200)}
+    state_err = [np.linalg.norm(finals[s] - finals[3200]) for s in (100, 200)]
+    assert state_err[0] / state_err[1] >= 12
 
 
 def test_propagate_converged_reports_failure():
@@ -312,15 +339,32 @@ def test_linear_schedule_kind():
 # The ramp stepper against straightforward per-column loops.
 # ---------------------------------------------------------------------------
 
+_C = np.sqrt(3) / 6  # Gauss points of a CF4 step at 1/2 -+ _C
 
-def _loop_ramp(n, j, fields, dt, psi, adjoint=False):
-    """One even-sector state through a ramp, one dense eigensolve per step."""
-    order = range(len(fields) - 1, -1, -1) if adjoint else range(len(fields))
+
+def _sector_matrix(n, j, h):
+    diag, off, _ = sector_tridiagonal(n, j, h, +1)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _loop_ramp(n, j, profile, duration, steps, psi, adjoint=False):
+    """One even-sector state through a CF4 ramp, one dense eigensolve per exponential.
+
+    Each of the steps / 2 CF4 steps of length dt applies
+    exp(-i dt (a_1 H_1 + a_2 H_2)) exp(-i dt (a_2 H_1 + a_1 H_2)), the right
+    factor first, with H_1,2 the Hamiltonians at the step's Gauss points.  The
+    adjoint applies the daggered exponentials in reverse order.
+    """
+    m, a1, a2 = steps // 2, 0.25 - _C, 0.25 + _C
+    dt = duration / m
+    exponents = []  # generators in order of application
+    for i in range(m):
+        h1, h2 = (_sector_matrix(n, j, profile((i + 0.5 + c) / m)) for c in (-_C, _C))
+        exponents += [a2 * h1 + a1 * h2, a1 * h1 + a2 * h2]
     sign = 1j if adjoint else -1j
     psi = psi.astype(complex)
-    for i in order:
-        diag, off, _ = sector_tridiagonal(n, j, fields[i], +1)
-        w, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for h in exponents[::-1] if adjoint else exponents:
+        w, v = np.linalg.eigh(h)
         psi = v @ (np.exp(sign * w * dt) * (v.T @ psi))
     return psi
 
@@ -330,14 +374,13 @@ def _loop_ramp(n, j, fields, dt, psi, adjoint=False):
 def test_kernel_shared_steps_match_separate_ramps(n, kind):
     # The kernel steps preparation and adjoint readout through the same
     # eigendecompositions; stepping the down ramp forward and the up ramp's
-    # adjoint backwards, each with its own fields, must agree.
+    # adjoint backwards, each from its own CF4 exponents, must agree.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n, j)
-    frac = (np.arange(steps) + 0.5) / steps
     if kind == "cosine-sine":
-        down, up = np.cos(np.pi * frac / 2), np.sin(np.pi * frac / 2)
+        down, up = (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
     else:
-        down, up = 1 - frac, frac
+        down, up = (lambda g: 1 - g), (lambda g: g)
     rng = np.random.default_rng(n)
     d = n // 2 + 1
     start = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -350,9 +393,9 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
     kernel = protocol_kernel(n, j, 1.0, ta, kind=kind, ramp_steps=steps,
                              initial_state=state, readout_state=state)
     u = rotation_matrix(n)
-    for column, fields, adjoint in [(kernel.prep_z, down, False), (kernel.read_z, up, True)]:
+    for column, profile, adjoint in [(kernel.prep_z, down, False), (kernel.read_z, up, True)]:
         expected = np.zeros(n + 1, dtype=complex)
-        expected[idx] = _loop_ramp(n, j, fields, ta / steps, start, adjoint)
+        expected[idx] = _loop_ramp(n, j, profile, ta, steps, start, adjoint)
         assert np.abs(column - u @ expected).max() < 1e-12
 
 
@@ -382,14 +425,14 @@ def test_block_columns_match_single_columns():
     rng = np.random.default_rng(3)
     block = rng.normal(size=(len(idx), 5)) + 1j * rng.normal(size=(len(idx), 5))
     durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
-    out = _midpoint_steps(a, b, fields, durations, block)
+    out = _exponential_steps(a, b, fields, durations, block)
     for k, duration in enumerate(durations):
-        single = _midpoint_steps(a, b, fields, [duration], block[:, k:k + 1])
+        single = _exponential_steps(a, b, fields, [duration], block[:, k:k + 1])
         assert np.abs(out[:, k] - single[:, 0]).max() < 1e-13
     # a zero duration is the identity, and +T then -T over reversed fields
     # undoes the ramp
     assert np.abs(out[:, 3] - block[:, 3]).max() < 1e-13
-    back = _midpoint_steps(a, b, fields[::-1], [-0.7], out[:, :1])
+    back = _exponential_steps(a, b, fields[::-1], [-0.7], out[:, :1])
     assert np.abs(back[:, 0] - block[:, 0]).max() < 1e-12
 
 
@@ -399,9 +442,10 @@ def test_stepper_rejects_bad_input():
         protocol_kernel(n, j, np.nan, 1.0, ramp_steps=10)
     with pytest.raises(ValueError, match="must be finite"):
         scan_ramp_time(n, j, 1.0, np.array([1.0, np.inf]), ramp_steps=10)
-    with pytest.raises(ValueError, match="at least one integrator step"):
-        scan_ramp_time(n, j, 1.0, np.array([1.0, 2.0]), ramp_steps=0)
-    with pytest.raises(ValueError, match="at least one integrator step"):
-        protocol_kernel(n, j, 1.0, 1.0, ramp_steps=-3)
-    with pytest.raises(ValueError, match="at least one integrator step"):
-        run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, steps_per_ramp=0)
+    for steps in (0, -3, 1, 7):
+        with pytest.raises(ValueError, match="steps must be even and at least 2"):
+            scan_ramp_time(n, j, 1.0, np.array([1.0, 2.0]), ramp_steps=steps)
+        with pytest.raises(ValueError, match="steps must be even and at least 2"):
+            protocol_kernel(n, j, 1.0, 1.0, ramp_steps=steps)
+        with pytest.raises(ValueError, match="steps must be even and at least 2"):
+            run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, steps_per_ramp=steps)

@@ -13,7 +13,6 @@ from spinsense import (
     check_uncertainty_bound,
     dephasing_analysis,
     error_propagation,
-    finite_difference_slope,
     ghz_dephasing_uncertainty,
     ideal_readout_state,
     ideal_survival,
@@ -68,23 +67,10 @@ def test_ideal_heisenberg_limit_at_offset():
     assert dh == pytest.approx(1 / (2 * n * np.sqrt(shots) * t), rel=1e-6)
 
 
-def test_finite_difference_matches_analytic_ideal_slope():
-    n, t = 10, 1.7
-    h_tot = calibrate_offset(0.0, n, t)
-    delta = 1e-10
-    fd = finite_difference_slope(
-        ideal_survival(h_tot + delta, n, t), ideal_survival(h_tot, n, t), delta
-    )
-    assert not fd.cancellation
-    assert abs(fd.value) == pytest.approx(n * t, rel=1e-4)
-
-
-def test_finite_difference_flat_function_and_cancellation():
-    fd = finite_difference_slope(0.5, 0.5, 1e-10)
-    assert fd.value == 0.0
-    assert fd.cancellation
-    assert fd.suggested_step > 1e-10
+def test_central_difference_slope():
     assert central_difference_slope(0.6, 0.4, 0.1) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        central_difference_slope(0.6, 0.4, 0.0)
 
 
 # -- offset calibration -------------------------------------------------------
