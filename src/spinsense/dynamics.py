@@ -249,7 +249,7 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
     u = rotation_matrix(n)
     if hz == 0.0:
         # Each parity sector is stepped on its own, so parity is exact.
-        amp_x = state.amplitudes if in_axis == "X" else u.conj().T @ state.amplitudes
+        amp_x = state.amplitudes if in_axis == "X" else u.T @ state.amplitudes
         out_x = np.zeros(n + 1, dtype=complex)
         for parity in (+1, -1):
             a, b, idx = _sector_terms(n, interaction, parity)
@@ -263,7 +263,7 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
         a = (_z_diagonal(n, interaction, hz), np.zeros(n))
         b = (np.zeros(n + 1), -ladder_elements(n))
         out_z = _propagate_segments(a, b, schedule.segments, steps_per_unit, amp_z)
-        out = out_z if in_axis == "Z" else u.conj().T @ out_z
+        out = out_z if in_axis == "Z" else u.T @ out_z
     return DickeState(DickeBasis(n, in_axis), out)
 
 
@@ -516,7 +516,7 @@ def _ghz_even_coords(n_qubits):
     """Even-sector X coordinates of the even GHZ state."""
     u = rotation_matrix(n_qubits)
     ghz_z = ghz_state(n_qubits).amplitudes
-    return (u.conj().T @ ghz_z)[sector_indices(n_qubits, +1)]
+    return (u.T @ ghz_z)[sector_indices(n_qubits, +1)]
 
 
 def select_optimum(scan, target):

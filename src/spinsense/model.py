@@ -149,7 +149,7 @@ def parity_resolved_spectrum(params):
             full_x[idx] = v[:, col]
             amp_z = _gauge_fix(u @ full_x)
             states.append(DickeState(basis_z, amp_z))
-            amps_x.append(u.conj().T @ amp_z)
+            amps_x.append(u.T @ amp_z)
         return w, tuple(states), amps_x
 
     even_w, even_states, even_x = solve(+1)

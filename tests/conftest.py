@@ -2,7 +2,10 @@
 
 The oracles build operators and dynamics in the full 2^N qubit space and
 project onto the symmetric subspace, completely independently of the
-collective-spin code under test.  Only usable for small N.
+collective-spin code under test.  Only usable for small N.  The Z -> X
+rotation oracle is the dense matrix exponential of its definition instead,
+written out from the angular-momentum ladder elements, and is usable up to a
+few hundred qubits.
 """
 
 from itertools import combinations
@@ -57,6 +60,15 @@ def symmetric_isometry(n_qubits):
             q[index, k] = 1.0
         q[:, k] /= np.sqrt(comb(n_qubits, k))
     return q
+
+
+def dense_rotation(n_qubits):
+    """exp(-i (pi/2) S_Y) by dense expm, S_Y in the descending-m Z basis."""
+    j = n_qubits / 2
+    m = j - np.arange(1, n_qubits + 1)
+    sp = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), 1)
+    sy = (sp - sp.T) / 2j
+    return expm(-1j * (np.pi / 2) * sy)
 
 
 def full_hamiltonian(n_qubits, interaction, hx, hz):

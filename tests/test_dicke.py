@@ -1,6 +1,6 @@
 """Collective operators, parity, and basis rotation against brute force."""
 
-from math import comb
+from math import comb, lgamma, log
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from spinsense import (
     rotation_matrix,
     x_polarized_state,
 )
+from spinsense.dicke import ladder_elements
 
-from conftest import full_collective, full_parity, symmetric_isometry, _X, _Z
+from conftest import dense_rotation, full_collective, full_parity, symmetric_isometry, _X, _Z
 
 
 def test_basis_validation():
@@ -126,6 +127,42 @@ def test_rotation_unitary_and_round_trip(n, rng):
     state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
     back = rotate_basis(rotate_basis(state, "X"), "Z")
     assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 50, 100, 200])
+def test_rotation_matches_expm_oracle(n):
+    # Entry by entry, so the column signs (the gauge every overlap phase
+    # depends on) are compared, not only the spanned subspaces.
+    u = rotation_matrix(n)
+    assert u.dtype == np.float64
+    assert np.abs(u - dense_rotation(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_rotation_structure_large_n(n):
+    u = rotation_matrix(n)
+    assert u.dtype == np.float64 and u.shape == (n + 1, n + 1)
+    assert np.abs(u.T @ u - np.eye(n + 1)).max() < 1e-12
+    sp = np.diag(ladder_elements(n), 1)
+    m = DickeBasis(n).m_values
+    # Columns are the S_X eigenvectors in descending m ...
+    assert np.abs((sp + sp.T) / 2 @ u - u * m).max() <= 1e-10
+    # ... and U commutes with -i S_Y = (S_+^T - S_+)/2, the real generator.
+    minus_i_sy = (sp.T - sp) / 2
+    assert np.abs(u.T @ minus_i_sy @ u - minus_i_sy).max() < 1e-12 * n
+    # Column 0 is |+>^N: 2^{-N/2} sqrt(binom(N, k)), through log-gamma.
+    log_binom = np.array([lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for k in range(n + 1)])
+    assert np.abs(u[:, 0] - np.exp(0.5 * log_binom - (n / 2) * log(2))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 3, 2.5])
+def test_rotation_matrix_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="n_qubits must be an even integer >= 2"):
+        rotation_matrix(n)
+
+
+def test_rotation_cache_is_bounded():
+    assert rotation_matrix.cache_info().maxsize == 8
 
 
 @pytest.mark.parametrize("n", [4, 10])
