@@ -28,6 +28,18 @@ A ramp-time scan steps all its durations as the columns of one block, and
 the protocol kernel steps the prepared state and the readout state together:
 the up ramp's adjoint, walked backwards, meets the down ramp's exponents in
 the same order, so preparation and readout share each eigendecomposition.
+
+Two shortcuts are chosen from the shape of the block alone.  A block with
+more columns than rows (K > d, a scan) is carried in the instantaneous
+eigenbasis: rotated in by V_0^T, moved between exponentials by the real
+transfer matrix W_i = V_{i+1}^T V_i (one d^3 product, then one d x d x K
+product instead of two), and rotated out by the last V.  Narrower blocks,
+such as the protocol kernel's two columns or a propagated state, go through
+V^T and V at every exponential, as forming W would cost more than it saves.
+When K >= 3 signed steps form an arithmetic progression s_k = s_0 + k delta,
+the phase table exp(i w s_k) is applied as exp(i w (s_0 + q B delta)) times
+exp(i w r delta) with k = q B + r and B = ceil(sqrt(K)): two exact tables of
+about d sqrt(K) entries each instead of d K cos/sin evaluations.
 """
 
 from dataclasses import dataclass
@@ -164,29 +176,81 @@ def _cf4_fields(profile, n_exps):
     return fields
 
 
+_ARITHMETIC_TOL = 1e-13  # relative; any np.arange(...) * unit grid passes
+
+
+def _phase_factors(steps):
+    """Outer and inner step lengths of an arithmetic progression, else None.
+
+    For K >= 3 steps s_k = s_0 + k delta (to _ARITHMETIC_TOL relative to
+    the largest |s_k|), B = ceil(sqrt(K)) and k = q B + r, returns
+    (s_0 + q B delta for q < Q, r delta for r < B) with Q = ceil(K / B).
+    """
+    k = len(steps)
+    if k < 3:
+        return None
+    delta = (steps[-1] - steps[0]) / (k - 1)
+    ramp = steps[0] + delta * np.arange(k)
+    if np.abs(steps - ramp).max() > _ARITHMETIC_TOL * np.abs(steps).max():
+        return None
+    width = int(np.ceil(np.sqrt(k)))
+    rows = -(-k // width)
+    return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
+
+
+def _real_matmul(m, z):
+    """m @ z for real m and a C-ordered complex block z, on its float64 view."""
+    return (m @ z.view(float)).view(complex)
+
+
 def _exponential_steps(a, b, fields, durations, psi):
     """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
     Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
-    Returns the evolved block as a new array.
+    Returns the evolved block as a new array.  A block wider than tall is
+    carried in the eigenbasis, and arithmetic step lengths get the factored
+    phase table (see the module docstring).
     """
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
     # One check here stands in for eigh_tridiagonal's per-step input scan.
     if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
         raise ValueError("ramp fields, durations and couplings must be finite")
-    psi = np.array(psi, dtype=complex, order="C")
-    phase = np.empty(psi.shape, dtype=complex)
+    d, k = np.shape(psi)
+    factors = _phase_factors(neg_dts)
+    if factors is None:
+        table_steps, width = neg_dts, k
+    else:  # one table holds both factors: columns [:rows] and [rows:]
+        table_steps = np.concatenate(factors)
+        rows, width = len(factors[0]), len(factors[0]) * len(factors[1])
+    block = np.zeros((d, width), dtype=complex)
+    block[:, :k] = psi
+    psi = block
+    phase = np.empty((d, len(table_steps)), dtype=complex)
+    carry = width > d
+    basis = None  # eigenvectors that the carried coefficients refer to
     for h in fields:
         w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1], check_finite=False)
-        theta = w[:, None] * neg_dts
+        if basis is None:
+            coeffs = _real_matmul(v.T, psi)
+        else:
+            coeffs = _real_matmul(v.T @ basis, coeffs)
+        theta = np.multiply.outer(w, table_steps)
         np.cos(theta, out=phase.real)
         np.sin(theta, out=phase.imag)
-        # v is real: both products run on the float64 view of the block.
-        coeffs = (v.T @ psi.view(float)).view(complex)
-        coeffs *= phase
-        psi = (v @ coeffs.view(float)).view(complex)
-    return psi
+        if factors is None:
+            coeffs *= phase
+        else:
+            grid = coeffs.reshape(d, rows, -1)
+            grid *= phase[:, :rows, None]
+            grid *= phase[:, None, rows:]
+        if carry:
+            basis = v
+        else:
+            psi = _real_matmul(v, coeffs)
+    if carry:
+        psi = _real_matmul(basis, coeffs)
+    return psi[:, :k]
 
 
 def _sector_terms(n_qubits, interaction, parity):
@@ -471,14 +535,24 @@ class RampScan:
     ramp_times: np.ndarray
     ghz_fidelity: np.ndarray
     return_fidelity: np.ndarray
-    optima: tuple  # (ramp_time, ghz_fidelity) at strict local maxima
+    optima: tuple  # (ramp_time, ghz_fidelity) at local maxima, see local_maxima
+
+
+_ROUNDOFF_RISE = 1e-12
 
 
 def local_maxima(x, y):
-    """Grid points strictly exceeding both neighbors."""
+    """Grid points exceeding both neighbors by more than 1e-12.
+
+    A rise of at most 1e-12 is round-off, not a maximum: at N = 100 the GHZ
+    fidelity of the shortest ramps is below 1e-28 and its strict "maxima"
+    flip under any 1e-16 change of the inputs.  Real maxima rise by 1e-6
+    and more.
+    """
     x = np.asarray(x)
     y = np.asarray(y)
-    hits = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
+    mid = y[1:-1]
+    hits = np.flatnonzero((mid - y[:-2] > _ROUNDOFF_RISE) & (mid - y[2:] > _ROUNDOFF_RISE)) + 1
     return tuple((float(x[i]), float(y[i])) for i in hits)
 
 
@@ -488,8 +562,8 @@ def scan_ramp_time(
     """GHZ and return fidelities of the T_int = 0 protocol over a T_a grid.
 
     Evaluates the protocol with h^z = 0 at every grid point and reports the
-    strict local maxima of the GHZ fidelity.  The whole grid is propagated
-    in one batch sharing the per-exponential eigendecompositions;
+    local maxima of the GHZ fidelity (see local_maxima).  The whole grid is
+    propagated in one batch sharing the per-exponential eigendecompositions;
     ``ramp_steps`` counts exponentials per ramp (even, two per CF4 step).
     """
     ramp_times = np.asarray(ramp_times, dtype=float)

@@ -118,6 +118,14 @@ def test_criterion_04_optimal_ramp_time_fit(ramp_time_optima):
            f"optimal T_a fit: {slope:.2f} N + {intercept:.1f} (2JN^2)^-1")
 
 
+def test_fig5_selects_the_pinned_optima(ramp_time_optima):
+    # The exact optima of the 400-exponential scans; a faster stepper or a
+    # change of the selection rule must reproduce them point for point.
+    assert [ramp_time_optima[n][0] for n in range(10, 101, 10)] == [
+        166, 290, 430, 510, 645, 773, 885, 989, 1097, 1203
+    ]
+
+
 def test_criterion_05_index_beats_sql(ramp_time_optima):
     start = time.perf_counter()
     margins = {}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from spinsense import (
     ConvergenceError,
@@ -27,7 +28,7 @@ from spinsense import (
     x_polarized_state,
 )
 from spinsense.dicke import rotation_matrix
-from spinsense.dynamics import _exponential_steps
+from spinsense.dynamics import _exponential_steps, _phase_factors, _sector_terms
 from spinsense.metrology import time_unit
 from spinsense.model import sector_indices, sector_tridiagonal
 
@@ -303,6 +304,19 @@ def test_local_maxima_detection():
     y = np.array([0.0, 1.0, 0.5, 0.7, 0.2])
     opts = local_maxima(np.arange(5.0), y)
     assert opts == ((1.0, 1.0), (3.0, 0.7))
+    # a rise of at most 1e-12 over either neighbor is round-off
+    y = np.array([0.0, 3e-13, 1e-13, 0.5, 0.5 - 1e-12, 0.1])
+    assert local_maxima(np.arange(6.0), y) == ()
+
+
+def test_scan_drops_roundoff_maxima():
+    # The GHZ fidelity of the shortest ramps at N = 100 is below 1e-28; its
+    # strict local maxima there are round-off and must not be reported.
+    n = 100
+    unit = time_unit(n, 1.0 / n)
+    scan = scan_ramp_time(n, 1.0 / n, 1.0, np.arange(1.0, 41.0) * unit, ramp_steps=400)
+    assert scan.ghz_fidelity.max() < 1e-20
+    assert scan.optima == ()
 
 
 def test_kernel_matches_run_protocol():
@@ -419,21 +433,64 @@ def test_propagate_matches_brute_force_amplitudes(n, hz):
 
 def test_block_columns_match_single_columns():
     n, j = 12, 1.0 / 12
-    diag, off, idx = sector_tridiagonal(n, j, 0.0, +1)
-    a, b = (diag, off), (2.0 * idx - n, np.zeros_like(off))
-    fields = np.linspace(1.5, 0.1, 50)
+    a, b, _ = _sector_terms(n, j, +1)
+    d, fields = len(a[0]), np.linspace(1.5, 0.1, 50)
     rng = np.random.default_rng(3)
-    block = rng.normal(size=(len(idx), 5)) + 1j * rng.normal(size=(len(idx), 5))
-    durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
-    out = _exponential_steps(a, b, fields, durations, block)
-    for k, duration in enumerate(durations):
-        single = _exponential_steps(a, b, fields, [duration], block[:, k:k + 1])
-        assert np.abs(out[:, k] - single[:, 0]).max() < 1e-13
+    # The even sector has d = 7: the 37- and 40-column grids are carried in
+    # the eigenbasis, the others are not; the arithmetic grids (the middle
+    # three) get the factored phase table.
+    grids = [
+        np.array([0.9]),
+        np.arange(3.0) * 0.4 + 0.5,
+        np.arange(1.0, 38.0) * 0.13,
+        np.arange(2.0, -2.0, -0.1),
+        np.array([0.7, -0.7, 2.0, 0.0, -3.1]),
+    ]
+    for durations in grids:
+        block = rng.normal(size=(d, len(durations))) + 1j * rng.normal(size=(d, len(durations)))
+        out = _exponential_steps(a, b, fields, durations, block)
+        assert out.shape == block.shape
+        for k, duration in enumerate(durations):
+            single = _exponential_steps(a, b, fields, [duration], block[:, k:k + 1])
+            assert np.abs(out[:, k] - single[:, 0]).max() < 1e-13
     # a zero duration is the identity, and +T then -T over reversed fields
     # undoes the ramp
     assert np.abs(out[:, 3] - block[:, 3]).max() < 1e-13
     back = _exponential_steps(a, b, fields[::-1], [-0.7], out[:, :1])
     assert np.abs(back[:, 0] - block[:, 0]).max() < 1e-12
+
+
+def test_phase_factors_of_arithmetic_grids():
+    unit = time_unit(30, 1.0 / 30)
+    for steps in (np.arange(1.0, 593.0) * unit, np.arange(2.0, -2.0, -0.1), np.zeros(5)):
+        outer, inner = _phase_factors(steps)
+        width = len(inner)
+        assert width == int(np.ceil(np.sqrt(len(steps))))
+        assert len(outer) * width >= len(steps) > (len(outer) - 1) * width
+        rebuilt = (outer[:, None] + inner[None, :]).ravel()[:len(steps)]
+        assert np.abs(rebuilt - steps).max() <= 1e-13 * max(1.0, np.abs(steps).max())
+    for steps in ([0.7, -0.7, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0, 3.0 + 1e-9]):
+        assert _phase_factors(np.array(steps)) is None
+
+
+def test_narrow_block_is_the_plain_step_loop():
+    # K <= d and not arithmetic: V^T and V at every exponential, a direct
+    # cos/sin phase table, bit for bit.
+    n, j = 12, 1.0 / 12
+    a, b, _ = _sector_terms(n, j, +1)
+    fields = np.linspace(1.5, 0.1, 40)
+    durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(len(a[0]), 5)) + 1j * rng.normal(size=(len(a[0]), 5))
+    psi = block.copy()
+    neg_dts = -durations / len(fields)
+    for h in fields:
+        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1])
+        theta = w[:, None] * neg_dts
+        coeffs = (v.T @ psi.view(float)).view(complex)
+        coeffs *= np.cos(theta) + 1j * np.sin(theta)
+        psi = (v @ coeffs.view(float)).view(complex)
+    assert np.array_equal(_exponential_steps(a, b, fields, durations, block), psi)
 
 
 def test_stepper_rejects_bad_input():
