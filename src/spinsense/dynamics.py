@@ -1,9 +1,10 @@
 """Time-dependent dynamics: field schedules, propagation, protocol runs.
 
 Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
-exact exponentials exp(-i H(h) dt) of the frozen Hamiltonian through its
-eigendecomposition, so every step is unitary and the norm is preserved to
-machine precision regardless of step size.  The kernel writes
+exponentials exp(-i H(h) dt) of the frozen Hamiltonian, either exactly
+through its eigendecomposition or as a Chebyshev series whose dropped terms
+weigh at most 1e-16.  Either way every step is unitary to that bound plus
+round-off, whatever the step size.  The kernel writes
 H(h^x) = A + h^x B with A and B real symmetric tridiagonal and advances a
 (d, K) block of states, each column by its own signed time step.
 
@@ -27,21 +28,58 @@ off-diagonal, and is stepped there instead.
 A ramp-time scan steps all its durations as the columns of one block, and
 the protocol kernel steps the prepared state and the readout state together:
 the up ramp's adjoint, walked backwards, meets the down ramp's exponents in
-the same order, so preparation and readout share each eigendecomposition.
+the same order, so preparation and readout share each exponential's
+eigendecomposition or series.
 
-Two shortcuts are chosen from the shape of the block alone.  A block with
-more columns than rows (K > d, a scan) is carried in the instantaneous
+Three shortcuts are chosen per call from what the stepper sees: the rows d,
+the columns K and the length of the Chebyshev series.
+
+A block no wider than tall (the protocol kernel's two columns, a propagated
+state) skips the eigensolves when its series are short (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r] holding the spectrum
+of H and H' = (H - c) / r,
+
+    exp(-i H dt) = e^{-i c dt} sum_j (2 - delta_j0) (-i)^j J_j(r dt) T_j(H'),
+
+the Bessel coefficients of all columns come from one FFT per exponential,
+and T_j(H') psi from the three-term recurrence on the block's float64 view,
+O(d K) per term.
+The interval is Gershgorin's: its ends are concave and convex in h, so
+their chords between 17 fields spanning the ramp enclose the spectrum at
+every field.  The series stops at the least m whose dropped terms weigh at
+most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
+A call takes the series when its longest one satisfies
+m_max (550 + d K) < 3.75 d^2, a cost model fitted to these times per
+exponential (one BLAS thread on a shared 2-core x86 host, best of 2-5 runs;
+m is the mean series length over the ramp, at T_a = 11.6 N + 60):
+
+       N     d    K   exps      m   eigensolves   series   taken
+      50    26    2   4000    7.3       100 us    183 us   eigensolves
+      50    26    2    400   12.2       102 us    244 us   eigensolves
+     100    51    2    400   14.6       230 us    351 us   eigensolves
+     100    51    2   4000    8.3       242 us    225 us   series
+     100    51    1   4000    8.3       228 us    173 us   series
+     150    76    2    400   16.5       435 us    386 us   series
+     200   101    2    400   18.2       624 us    411 us   series
+     200   101   32    400   18.2       806 us   1700 us   eigensolves
+     600   301    2    400   27.9      3346 us    394 us   series
+     600   301    2     40  112.0      3361 us   1583 us   series
+    1000   501    2    400   35.6      9955 us    653 us   series
+
+Other blocks go through the eigendecomposition.  A block with more columns
+than rows (K > d, a scan) is carried in the instantaneous
 eigenbasis: rotated in by V_0^T, moved between exponentials by the real
 transfer matrix W_i = V_{i+1}^T V_i (one d^3 product, then one d x d x K
-product instead of two), and rotated out by the last V.  Narrower blocks,
-such as the protocol kernel's two columns or a propagated state, go through
-V^T and V at every exponential, as forming W would cost more than it saves.
+product instead of two), and rotated out by the last V.  Narrower blocks
+go through V^T and V at every exponential, as forming W would cost more
+than it saves.
 When K >= 3 signed steps form an arithmetic progression s_k = s_0 + k delta,
 the phase table exp(i w s_k) is applied as exp(i w (s_0 + q B delta)) times
 exp(i w r delta) with k = q B + r and B = ceil(sqrt(K)): two exact tables of
 about d sqrt(K) entries each instead of d K cos/sin evaluations.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,20 +241,116 @@ def _real_matmul(m, z):
     return (m @ z.view(float)).view(complex)
 
 
+_SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
+# Cost model of the path choice, in units of one series term's work per row
+# and column: a term costs _SERIES_TERM + d K, an eigensolve with its two
+# products about _EIGEN_COST d^2 (see the module docstring for the table).
+_SERIES_TERM = 550.0
+_EIGEN_COST = 3.75
+_SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
+
+
+def _series_lengths(x, limit=math.inf):
+    """Index m of the last Chebyshev term kept for exp(i x y), |y| <= 1, per x.
+
+    The dropped terms weigh 2 sum_{k>m} |J_k(x)| <= 2 sum_{k>m} (|x|/2)^k / k!,
+    at most four times its first term once |x| <= m + 2, as the ratio of
+    successive terms is then below 1/2; m is the least index that puts this
+    below _SERIES_TAIL.  Returns None as soon as some m reaches ``limit``.
+    """
+    half = np.abs(np.asarray(x, dtype=float)) / 2
+    with np.errstate(divide="ignore"):
+        log_half = np.log(half)  # -inf at x = 0, which keeps T_0 alone
+    log_term = log_half.copy()  # log (|x|/2)^k / k! at k = m + 1
+    lengths = np.full(half.shape, -1)
+    log_tail = math.log(_SERIES_TAIL / 4)
+    m = 0
+    while (open_ := lengths < 0).any():
+        if m >= limit:
+            return None
+        lengths[open_ & (2 * half <= m + 2) & (log_term <= log_tail)] = m
+        m += 1
+        log_term += log_half - math.log(m + 1)
+    return lengths
+
+
+def _bessel_table(x, m):
+    """J_k(x) for k = 0..m along a new last axis, without scipy.special.
+
+    exp(i x sin t) = sum_k J_k(x) e^{ikt}, so an M-point FFT of it returns
+    J_k plus the aliases J_{k -+ M}; M >= 2 (m + 1) puts every alias past
+    index m, below _SERIES_TAIL when m is at least _series_lengths(x).
+    """
+    size = 1 << int(2 * m + 1).bit_length()
+    waves = np.exp(1j * np.multiply.outer(x, np.sin(2 * np.pi / size * np.arange(size))))
+    return np.fft.fft(waves, axis=-1)[..., : m + 1].real / size
+
+
+def _gershgorin(diag, off):
+    """Ends (lo, hi) of an interval holding the tridiagonal's spectrum."""
+    size = np.abs(off)
+    rad = np.zeros(len(diag))
+    rad[1:] = size
+    rad[:-1] += size
+    return (diag - rad).min(), (diag + rad).max()
+
+
 def _exponential_steps(a, b, fields, durations, psi):
     """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
     Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
-    Returns the evolved block as a new array.  A block wider than tall is
-    carried in the eigenbasis, and arithmetic step lengths get the factored
-    phase table (see the module docstring).
+    Returns the evolved block as a new array.  A block no wider than tall
+    whose Chebyshev series are short takes the series instead of the
+    eigensolves, a wider one is carried in the eigenbasis, and arithmetic
+    step lengths get the factored phase table (see the module docstring).
     """
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
     # One check here stands in for eigh_tridiagonal's per-step input scan.
     if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
         raise ValueError("ramp fields, durations and couplings must be finite")
     d, k = np.shape(psi)
+    lengths = None
+    if k <= d:
+        # Gershgorin's lo(h) is concave and hi(h) convex in h, so their chords
+        # between knots spanning the fields enclose the spectrum at every field.
+        knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)
+        ends = np.array([_gershgorin(a[0] + h * b[0], a[1] + h * b[1]) for h in knots])
+        lo, hi = np.interp(fields, knots, ends[:, 0]), np.interp(fields, knots, ends[:, 1])
+        centres, radii = (hi + lo) / 2, (hi - lo) / 2
+        limit = _EIGEN_COST * d * d / (_SERIES_TERM + d * k)
+        lengths = _series_lengths(radii * np.abs(neg_dts).max(), limit)
+    if lengths is not None:
+        # exp(i x y) = sum_j (2 - delta_j0) i^j J_j(x) T_j(y): real weights
+        # here, the i of the odd terms applied where the two sums meet.
+        weights = 2.0 - 4.0 * (np.arange(lengths.max() + 1) // 2 % 2)
+        weights[0] = 1.0
+        # Rows are the columns of psi, each an interleaved (re, im) float64
+        # row, so H' = (H - c) / r acts along the rows on repeated diagonals.
+        a2, b2 = [np.repeat(x, 2) for x in a], [np.repeat(x, 2) for x in b]
+        psi = np.ascontiguousarray(np.transpose(psi), dtype=complex)
+        for h, centre, radius, m in zip(fields, centres, radii, lengths):
+            coef = (_bessel_table(radius * neg_dts, m) * weights[: m + 1])[..., None]
+            cur = psi.view(float)
+            sums = [coef[:, 0] * cur, np.zeros_like(cur)]  # even and odd j
+            if m:
+                diag = (a2[0] + h * b2[0] - centre) * (2 / radius)
+                off = (a2[1] + h * b2[1]) * (2 / radius)
+            prev = None
+            for j in range(1, m + 1):
+                # T_j = 2 H' T_{j-1} - T_{j-2}, and T_1 = H' T_0
+                nxt = diag * cur
+                nxt[:, :-2] += off * cur[:, 2:]
+                nxt[:, 2:] += off * cur[:, :-2]
+                if prev is None:
+                    nxt *= 0.5
+                else:
+                    nxt -= prev
+                sums[j % 2] += coef[:, j] * nxt
+                prev, cur = cur, nxt
+            psi = sums[0].view(complex) + 1j * sums[1].view(complex)
+            psi *= np.exp(1j * centre * neg_dts)[:, None]
+        return np.transpose(psi)
     factors = _phase_factors(neg_dts)
     if factors is None:
         table_steps, width = neg_dts, k

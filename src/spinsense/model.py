@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .dicke import (
     CollectiveOperator,
@@ -217,6 +216,8 @@ def minimum_gap(n_qubits, bracket=(0.3, 1.5)):
         raise ValueError(f"invalid field range {bracket}")
     if not (lo < 1.0 < hi):
         raise ValueError("field range must bracket the critical point h^x/JN = 1")
+    from scipy.optimize import minimize_scalar  # slow to import; used only here
+
     res = minimize_scalar(
         lambda h: even_gap_at(n_qubits, h),
         bounds=(lo, hi),

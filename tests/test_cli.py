@@ -1,5 +1,10 @@
 """CLI commands: CSV output, config handling, validation, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -19,6 +24,17 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
     return header, np.array(rows)
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # scipy.optimize is slow to import and only gap-scaling needs it; the
+    # ramp stepper computes its Bessel table with numpy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, spinsense.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parse_grid_forms():

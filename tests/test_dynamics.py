@@ -27,8 +27,17 @@ from spinsense import (
     sine_ramp_up,
     x_polarized_state,
 )
-from spinsense.dicke import rotation_matrix
-from spinsense.dynamics import _exponential_steps, _phase_factors, _sector_terms
+from spinsense import dynamics
+from spinsense.dicke import ladder_elements, rotation_matrix
+from spinsense.dynamics import (
+    _bessel_table,
+    _down_ramp_fields,
+    _exponential_steps,
+    _phase_factors,
+    _sector_terms,
+    _series_lengths,
+    _z_diagonal,
+)
 from spinsense.metrology import time_unit
 from spinsense.model import sector_indices, sector_tridiagonal
 
@@ -506,3 +515,89 @@ def test_stepper_rejects_bad_input():
             protocol_kernel(n, j, 1.0, 1.0, ramp_steps=steps)
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
             run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, steps_per_ramp=steps)
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", counted)
+    return calls
+
+
+def _carried(a, b, fields, durations, block):
+    """The same columns padded to K > d, so the eigenbasis carry steps them."""
+    d, k = block.shape
+    padded = np.zeros((d, d + 1), dtype=complex)
+    padded[:, :k] = block
+    out = _exponential_steps(a, b, fields, np.resize(durations, d + 1), padded)
+    return out[:, :k]
+
+
+@pytest.mark.parametrize("durations", [[1.0], [-1.0], [1.0, -1.0], [0.7, 0.0]])
+@pytest.mark.parametrize("n, n_exps", [(200, 400), (600, 40)])
+def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations):
+    # Narrow blocks whose series is short skip the eigensolves; the ramp is
+    # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.
+    a, b, _ = _sector_terms(n, 1.0 / n, +1)
+    fields = _down_ramp_fields("cosine-sine", 1.0, n_exps)
+    durations = np.array(durations) * (11.6 * n + 60) * time_unit(n, 1.0 / n)
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
+    block /= np.linalg.norm(block, axis=0)
+    calls = _count_eigensolves(monkeypatch)
+    out = _exponential_steps(a, b, fields, durations, block)
+    assert not calls
+    assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
+    assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
+
+
+def test_series_path_in_the_z_basis(monkeypatch):
+    # With h^z != 0 propagate steps the whole Z basis, d = N + 1, where the
+    # transverse field sits on the off-diagonal.
+    n, j, hz, duration, steps = 200, 1.0 / 200, 0.3, 2.0, 200
+    rng = np.random.default_rng(5)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    calls = _count_eigensolves(monkeypatch)
+    out = propagate(state, Schedule((cosine_ramp_down(1.0, duration),)), j, hz=hz,
+                    steps_per_unit=steps / duration)
+    assert not calls
+    a = (_z_diagonal(n, j, hz), np.zeros(n))
+    b = (np.zeros(n + 1), -ladder_elements(n))
+    fields = dynamics._segment_fields(cosine_ramp_down(1.0, duration), steps / duration)
+    ref = _carried(a, b, fields, [duration], state.amplitudes[:, None])[:, 0]
+    assert np.abs(out.amplitudes - ref).max() <= 1e-12
+    assert abs(out.norm - 1) <= 1e-12
+
+
+def test_bessel_table_and_series_tail():
+    from scipy.special import jv
+
+    x = np.linspace(-100.0, 100.0, 401)
+    m = int(_series_lengths(100.0))
+    table = _bessel_table(x, m)
+    assert table.shape == (len(x), m + 1)
+    assert np.abs(table - jv(np.arange(m + 1), x[:, None])).max() <= 1e-13
+    # The dropped coefficients weigh at most the stated 1e-16; up to x = 15
+    # (the N = 600 kernel reaches 8.8) the bound keeps at most one term more
+    # than that needs.
+    for x in (0.0, 1e-3, 0.1, 1.0, 8.8, 15.0, 30.0, 100.0):
+        m = int(_series_lengths(x))
+        assert 2 * np.abs(jv(np.arange(m + 1, m + 80), x)).sum() <= 1e-16
+        if 0 < x <= 15:
+            assert 2 * np.abs(jv(np.arange(m - 1, m + 80), x)).sum() > 1e-16
+    assert _series_lengths(np.array([0.5, 30.0]), limit=20) is None
+
+
+@pytest.mark.parametrize("n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4), (50, 4000, 4000)])
+def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolves):
+    # The choice follows the series length, not the size alone: at N = 600
+    # four exponentials need a series of about 2600 terms.
+    calls = _count_eigensolves(monkeypatch)
+    t_ramp = (11.6 * n + 60) * time_unit(n, 1.0 / n)
+    protocol_kernel(n, 1.0 / n, 1.0, t_ramp, ramp_steps=n_exps)
+    assert len(calls) == eigensolves
