@@ -31,8 +31,9 @@ the up ramp's adjoint, walked backwards, meets the down ramp's exponents in
 the same order, so preparation and readout share each exponential's
 eigendecomposition or series.
 
-Three shortcuts are chosen per call from what the stepper sees: the rows d,
-the columns K and the length of the Chebyshev series.
+Two choices are made per call from what the stepper sees.  The first picks
+the Chebyshev series or the eigensolves, from the rows d, the columns K and
+the length of the series.
 
 A block no wider than tall (the protocol kernel's two columns, a propagated
 state) skips the eigensolves when its series are short (Tal-Ezer & Kosloff,
@@ -66,17 +67,16 @@ m is the mean series length over the ramp, at T_a = 11.6 N + 60):
      600   301    2     40  112.0      3361 us   1583 us   series
     1000   501    2    400   35.6      9955 us    653 us   series
 
-Other blocks go through the eigendecomposition.  A block with more columns
-than rows (K > d, a scan) is carried in the instantaneous
-eigenbasis: rotated in by V_0^T, moved between exponentials by the real
-transfer matrix W_i = V_{i+1}^T V_i (one d^3 product, then one d x d x K
-product instead of two), and rotated out by the last V.  Narrower blocks
-go through V^T and V at every exponential, as forming W would cost more
-than it saves.
-When K >= 3 signed steps form an arithmetic progression s_k = s_0 + k delta,
-the phase table exp(i w s_k) is applied as exp(i w (s_0 + q B delta)) times
-exp(i w r delta) with k = q B + r and B = ceil(sqrt(K)): two exact tables of
-about d sqrt(K) entries each instead of d K cos/sin evaluations.
+Every other block goes through the eigendecomposition and is carried in the
+instantaneous eigenbasis: rotated in by V_0^T, moved between exponentials
+by the real transfer matrix W_i = V_{i+1}^T V_i (one d^3 product and one
+d x d x K product each), and rotated out by the last V.
+
+The second choice is the phase table.  When K >= 3 signed steps form an
+arithmetic progression s_k = s_0 + k delta, the phase table exp(i w s_k) is
+applied as exp(i w (s_0 + q B delta)) times exp(i w r delta) with
+k = q B + r and B = ceil(sqrt(K)): two exact tables of about d sqrt(K)
+entries each instead of d K cos/sin evaluations.
 """
 
 import math
@@ -98,14 +98,9 @@ from .dicke import (
 from .model import sector_indices, sector_tridiagonal
 
 SEGMENT_KINDS = ("cosine-down", "sine-up", "linear", "constant")
-DEFAULT_SEGMENT_STEPS = 10_000  # exponentials per non-constant segment
 _STEPS_RULE = "steps must be even and at least 2"
 _GAUSS = np.sqrt(3) / 6  # Gauss points of a CF4 step sit at 1/2 -+ _GAUSS
 _CONTINUITY_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Step-doubling did not reach the requested tolerance within the cap."""
 
 
 @dataclass(frozen=True)
@@ -301,9 +296,9 @@ def _exponential_steps(a, b, fields, durations, psi):
     Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
     Returns the evolved block as a new array.  A block no wider than tall
-    whose Chebyshev series are short takes the series instead of the
-    eigensolves, a wider one is carried in the eigenbasis, and arithmetic
-    step lengths get the factored phase table (see the module docstring).
+    whose Chebyshev series are short takes the series, any other is carried
+    in the eigenbasis, and arithmetic step lengths get the factored phase
+    table (see the module docstring).
     """
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
     # One check here stands in for eigh_tridiagonal's per-step input scan.
@@ -361,7 +356,6 @@ def _exponential_steps(a, b, fields, durations, psi):
     block[:, :k] = psi
     psi = block
     phase = np.empty((d, len(table_steps)), dtype=complex)
-    carry = width > d
     basis = None  # eigenvectors that the carried coefficients refer to
     for h in fields:
         w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1], check_finite=False)
@@ -378,13 +372,8 @@ def _exponential_steps(a, b, fields, durations, psi):
             grid = coeffs.reshape(d, rows, -1)
             grid *= phase[:, :rows, None]
             grid *= phase[:, None, rows:]
-        if carry:
-            basis = v
-        else:
-            psi = _real_matmul(v, coeffs)
-    if carry:
-        psi = _real_matmul(basis, coeffs)
-    return psi[:, :k]
+        basis = v
+    return _real_matmul(basis, coeffs)[:, :k]
 
 
 def _sector_terms(n_qubits, interaction, parity):
@@ -404,9 +393,9 @@ def _segment_fields(segment, steps_per_unit):
     if segment.kind == "constant":
         return np.array([segment.field_start])
     if steps_per_unit is None:
-        n_exps = DEFAULT_SEGMENT_STEPS
-    else:  # the 1e-9 absorbs roundoff in steps_per_unit = steps / duration
-        n_exps = 2 * max(1, int(np.ceil(segment.duration * steps_per_unit / 2 - 1e-9)))
+        raise ValueError(f"a {segment.kind} segment needs steps_per_unit")
+    # the 1e-9 absorbs roundoff in steps_per_unit = steps / duration
+    n_exps = 2 * max(1, int(np.ceil(segment.duration * steps_per_unit / 2 - 1e-9)))
     return _cf4_fields(lambda frac: segment.field_at(frac * segment.duration), n_exps)
 
 
@@ -434,9 +423,9 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
         Longitudinal field held during the whole schedule.
     steps_per_unit : float or None
         Exponentials per unit time; each non-constant segment takes that
-        many rounded up to an even count (two per CF4 step).  None applies
-        10^4 exponentials per non-constant segment; constant segments are
-        always evolved exactly in a single exponential.
+        many rounded up to an even count (two per CF4 step).  Constant
+        segments are always evolved exactly in a single exponential, so None
+        is valid only for a schedule of constant segments.
 
     Returns the final state in the same basis as the input.
     """
@@ -463,51 +452,6 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
         out_z = _propagate_segments(a, b, schedule.segments, steps_per_unit, amp_z)
         out = out_z if in_axis == "Z" else u.T @ out_z
     return DickeState(DickeBasis(n, in_axis), out)
-
-
-@dataclass(frozen=True)
-class PropagationInfo:
-    steps_per_unit: float
-    survival_delta: float
-    doublings: int
-
-
-def propagate_converged(
-    state,
-    schedule,
-    interaction,
-    hz=0.0,
-    tol=1e-9,
-    base_steps_per_unit=None,
-    max_doublings=4,
-):
-    """Propagate with step doubling until the survival probability settles.
-
-    The resolution is doubled until projecting the final state onto
-    |N/2, N/2>_X changes by less than ``tol`` under one further doubling.
-    Raises ConvergenceError when the cap is hit, reporting the last delta.
-    """
-    n = state.basis.n_qubits
-    if base_steps_per_unit is None:
-        longest = max(s.duration for s in schedule.segments)
-        base_steps_per_unit = DEFAULT_SEGMENT_STEPS / longest
-    ref = x_polarized_state(n, axis=state.basis.axis)
-
-    spu = base_steps_per_unit
-    out = propagate(state, schedule, interaction, hz, spu)
-    p_prev = out.fidelity(ref)
-    for k in range(1, max_doublings + 1):
-        spu *= 2
-        out = propagate(state, schedule, interaction, hz, spu)
-        p = out.fidelity(ref)
-        delta = abs(p - p_prev)
-        if delta < tol:
-            return out, PropagationInfo(spu, delta, k)
-        p_prev = p
-    raise ConvergenceError(
-        f"survival probability still changing by {delta:.3e} (> {tol:.1e}) "
-        f"after {max_doublings} doublings ({spu:.0f} steps per unit time)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +498,7 @@ def run_protocol(
     hz_total,
     kind="cosine-sine",
     initial_state=None,
-    steps_per_ramp=None,
+    steps_per_ramp=400,
     observable="projection",
 ):
     """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
@@ -566,10 +510,8 @@ def run_protocol(
 
     Parameters
     ----------
-    steps_per_ramp : int or None
-        Fixed number of exponentials per ramp, even (two per CF4 step).
-        None uses adaptive step doubling from the default resolution until
-        the survival probability is converged to 1e-9.
+    steps_per_ramp : int
+        Exponentials per ramp, even (two per CF4 step).
     initial_state : DickeState or None
         None starts from the projected strong-field state |N/2, N/2>_X;
         pass a finite-field ground state to model a cooled preparation.
@@ -581,15 +523,12 @@ def run_protocol(
         raise ValueError("times must be nonnegative")
     if observable not in ("projection", "sx"):
         raise ValueError(f"unknown observable {observable!r}")
-    if steps_per_ramp is not None and (steps_per_ramp < 2 or steps_per_ramp % 2):
+    if steps_per_ramp < 2 or steps_per_ramp % 2:
         raise ValueError(_STEPS_RULE)
     init = x_polarized_state(n_qubits, axis="Z") if initial_state is None else initial_state
     psi = rotate_basis(init, "Z")
 
     def ramp(state, schedule):
-        if steps_per_ramp is None:
-            out, _ = propagate_converged(state, schedule, interaction)
-            return out
         spu = steps_per_ramp / schedule.total_duration
         return propagate(state, schedule, interaction, 0.0, spu)
 
@@ -747,7 +686,8 @@ class ProtocolKernel:
     factorizes as <readout| D(T_int, h^z) |prep> with D the diagonal sensing
     evolution in the Z basis.  ``prep_z`` is the initial state after the
     down ramp and ``read_z`` the up-ramp adjoint applied to the readout
-    projector state, so each (T_int, h^z) evaluation costs O(N).
+    projector state, so each (T_int, h^z) evaluation costs O(N).  Both
+    methods take arrays of T_int and h^z that broadcast against each other.
     """
 
     n_qubits: int
@@ -755,22 +695,26 @@ class ProtocolKernel:
     prep_z: np.ndarray
     read_z: np.ndarray
 
-    def _amplitude(self, t_sense, hz):
+    def _terms(self, t_sense, hz):
+        """(..., d) summands of the survival amplitude; T_int and h^z broadcast."""
+        hz = np.asarray(hz, dtype=float)[..., None]
         diag = _z_diagonal(self.n_qubits, self.interaction, hz)
-        return np.vdot(self.read_z, np.exp(-1j * diag * t_sense) * self.prep_z)
+        t = np.asarray(t_sense, dtype=float)[..., None]
+        return self.read_z.conj() * np.exp(-1j * diag * t) * self.prep_z
 
     def survival(self, t_sense, hz):
-        """P = |<N/2, N/2|_X final>|^2 for the given sensing window."""
-        return min(1.0, abs(self._amplitude(t_sense, hz)) ** 2)
+        """P = |<N/2, N/2|_X final>|^2 for the given sensing windows."""
+        return np.minimum(1.0, np.abs(self._terms(t_sense, hz).sum(-1)) ** 2)
 
     def survival_slope(self, t_sense, hz):
-        """Analytic dP/dh^z at the given sensing window."""
+        """Analytic dP/dh^z at the given sensing windows."""
         m = self.n_qubits / 2 - np.arange(self.n_qubits + 1)
-        diag = _z_diagonal(self.n_qubits, self.interaction, hz)
-        terms = self.read_z.conj() * np.exp(-1j * diag * t_sense) * self.prep_z
-        amp = terms.sum()
-        d_amp = (terms * (2j * m * t_sense)).sum()  # dE_m/dh^z = -2m
-        return 2 * np.real(np.conj(amp) * d_amp)
+        terms = self._terms(t_sense, hz)
+        amp = terms.sum(-1)
+        t = np.asarray(t_sense, dtype=float)[..., None]
+        d_amp = (terms * (2j * m * t)).sum(-1)  # dE_m/dh^z = -2m
+        # 2 Re(conj(amp) d_amp) in real arithmetic, the same for arrays and scalars
+        return 2 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
 
 
 def _even_coords(state):

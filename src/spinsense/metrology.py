@@ -17,44 +17,6 @@ from . import dynamics
 from .dicke import DickeBasis, DickeState, rotate_basis
 
 
-@dataclass(frozen=True)
-class TargetField:
-    """Longitudinal field split into known, unknown, and offset parts."""
-
-    known: float = 0.0
-    unknown: float = 0.0
-    offset: float = 0.0
-
-    @property
-    def total(self):
-        return self.known + self.unknown + self.offset
-
-
-@dataclass(frozen=True)
-class MetrologyBudget:
-    """Time and noise budget of a repeated prepare-sense-read experiment."""
-
-    total_time: float
-    t_prep: float = 0.0
-    t_sense: float = 0.0
-    t_read: float = 0.0
-    dephasing_rate: float = 0.0
-
-    def __post_init__(self):
-        if min(self.total_time, self.t_prep, self.t_sense, self.t_read) < 0:
-            raise ValueError("times must be nonnegative")
-        if self.dephasing_rate < 0:
-            raise ValueError("dephasing rate must be nonnegative")
-
-    @property
-    def shots(self):
-        """M = T / (T_prep + T_int + T_read)."""
-        cycle = self.t_prep + self.t_sense + self.t_read
-        if cycle <= 0:
-            raise ValueError("cycle time must be positive to derive shots")
-        return self.total_time / cycle
-
-
 # ---------------------------------------------------------------------------
 # Error propagation.
 # ---------------------------------------------------------------------------
@@ -72,12 +34,6 @@ def error_propagation(std_observable, slope, shots=1):
 def projection_noise(p):
     """Bernoulli standard deviation sqrt(P(1-P)) of a projection readout."""
     return np.sqrt(max(p * (1.0 - p), 0.0))
-
-
-def central_difference_slope(p_plus, p_minus, step):
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return (p_plus - p_minus) / (2 * step)
 
 
 def ideal_survival(hz, n_qubits, t_sense):
@@ -160,13 +116,6 @@ def ghz_dephasing_uncertainty(n_qubits, gamma, t_sense, total_time, t_prep=0.0, 
     )
 
 
-def sql_dephasing_uncertainty(n_qubits, gamma, t_sense, total_time):
-    """Uncorrelated-ensemble reference with negligible prep/read time."""
-    return np.exp(gamma**2 * t_sense**2 / 2) / (
-        2 * np.sqrt(n_qubits * t_sense * total_time)
-    )
-
-
 def sql_dephasing_min(n_qubits, gamma, total_time):
     """(2 e Gamma^2)^{1/4} / (2 sqrt(NT)), the minimized dephased SQL."""
     return (2 * np.e * gamma**2) ** 0.25 / (2 * np.sqrt(n_qubits * total_time))
@@ -198,13 +147,9 @@ class DephasingAnalysis:
     t_sense_opt: float
     ghz_min: float
     zeno: float
-    t_sense_grid: np.ndarray | None = None
-    delta_h_curve: np.ndarray | None = None
 
 
-def dephasing_analysis(
-    n_qubits, gamma, total_time, t_prep=0.0, t_read=0.0, t_sense_grid=None
-):
+def dephasing_analysis(n_qubits, gamma, total_time, t_prep=0.0, t_read=0.0):
     """Dephased uncertainty analysis of the GHZ scheme against the SQL.
 
     With gamma = 0 the analysis degenerates to the noiseless minimized
@@ -219,24 +164,12 @@ def dephasing_analysis(
     fast = (t_prep + t_read) == 0
     t_opt = optimal_sense_time(n_qubits, gamma, prep_read_negligible=fast)
     ghz_min = ghz_dephasing_uncertainty(n_qubits, gamma, t_opt, total_time, t_prep, t_read)
-    curve = None
-    grid = None
-    if t_sense_grid is not None:
-        grid = np.asarray(t_sense_grid, dtype=float)
-        curve = np.array(
-            [
-                ghz_dephasing_uncertainty(n_qubits, gamma, t, total_time, t_prep, t_read)
-                for t in grid
-            ]
-        )
     return DephasingAnalysis(
         "zeno" if fast else "slow-prep",
         sql_dephasing_min(n_qubits, gamma, total_time),
         t_opt,
         ghz_min,
         zeno_limit(n_qubits, gamma, total_time),
-        grid,
-        curve,
     )
 
 
@@ -389,6 +322,8 @@ def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):
     theta = h^z N T_int.  alpha is quoted in the gauge where alpha = 0
     maximizes <S_Z>; relative phases are convention dependent while all
     probabilities are not.
+
+    Kept as the exact state on which sz_readout_state checks sz_readout_ideal.
     """
     theta = hz * n_qubits * t_sense
     amp = np.zeros(n_qubits + 1, dtype=complex)
@@ -434,6 +369,8 @@ def sz_readout_state(state, slope=None, shots=1):
     S_Z is diagonal in the Z basis, so moments are plain weighted sums.  A
     known d<S_Z>/dh^z must be supplied to turn the deviation into an
     uncertainty; otherwise ``delta_h`` is reported as infinite.
+
+    Kept as the exact-state check of the closed forms in sz_readout_ideal.
     """
     state_z = rotate_basis(state, "Z")
     m = state_z.basis.m_values
@@ -521,23 +458,6 @@ def check_uncertainty_bound(overlaps, hz, n_qubits, t_sense, shots=1):
     return BoundCheck(slope, bound, bool(slope >= bound - 1e-12), trivial, delta_h)
 
 
-def delta_h_bound_cooled(g0_sq, hz, n_qubits, t_sense, shots=1):
-    """Upper uncertainty bound 1/(2 N sqrt(M) T |g_0|^2 |sin(2 h N T)|).
-
-    This is the cooled-preparation variant, where the probe starts in the
-    finite-field ground state and P = |g_0|^2 cos^2(h N T).
-    """
-    denom = (
-        2
-        * n_qubits
-        * np.sqrt(shots)
-        * t_sense
-        * g0_sq
-        * abs(np.sin(2 * hz * n_qubits * t_sense))
-    )
-    return np.inf if denom == 0 else 1.0 / denom
-
-
 def random_overlap_instances(n_qubits, count, seed):
     """Seeded random (overlaps, h^z, T_int) triples satisfying the bound's
     preconditions: |g_0|^4 > 1/2, unit weight, and 0 <= 2 h N T <= pi/2."""
@@ -598,48 +518,33 @@ class TintSweep:
     interaction: float
     t_ramp: float
     t_sense: np.ndarray
-    offsets: np.ndarray  # total longitudinal field per point
     survival: np.ndarray
     slope: np.ndarray
     delta_h: np.ndarray
-    hl: np.ndarray  # Heisenberg limit for h^z, 1/(2 N sqrt(M) T_int)
-    sql: np.ndarray  # SQL for h^z, 1/(2 sqrt(NM) T_int)
+    hl: np.ndarray  # Heisenberg limit for h^z, 1/(2 N T_int)
+    sql: np.ndarray  # SQL for h^z, 1/(2 sqrt(N) T_int)
     p_values: np.ndarray  # 1 / (2 N T_int delta_h), nan where excluded
     p_mean: float
     p_std: float
     excluded: int  # divergent (zero-slope) points left out of the average
 
 
-def tint_sweep(
-    n_qubits,
-    t_ramp,
-    tint_grid=None,
-    interaction=None,
-    h0x=None,
-    offset_policy="paper",
-    h_known=0.0,
-    ramp_steps=400,
-    kind="cosine-sine",
-    shots=None,
-):
+def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400):
     """Estimation uncertainty of the simulated protocol over sensing times.
 
-    For each T_int the longitudinal offset is applied, the protocol survival
-    probability and its analytic h^z slope are evaluated at h^z_u = 0, and
-    the uncertainty follows from error propagation with Bernoulli readout
-    noise.
-    With shots None the per-shot convention is used (sqrt(M) omitted).
-
-    offset_policy "paper" holds the total field at (pi/2) JN, which sits at
+    The protocol runs at J = 1/N with cosine/sine ramps from h0x (default
+    JN).  The total longitudinal field is held at (pi/2) JN, which sits at
     an odd multiple of pi/2 in interferometer phase for every odd grid point
-    (2 J N^2) T_int = 1, 3, ...; "calibrated" re-solves the offset per point
-    on the lowest branch.  The index p = 1/(2 N T_int delta_h) measures the
-    distance to the Heisenberg limit (p = 1).
+    (2 J N^2) T_int = 1, 3, ...  At that field the survival probability and
+    its analytic h^z slope are evaluated for every T_int, and the per-shot
+    uncertainty follows from error propagation with Bernoulli readout noise.  The index
+    p = 1/(2 N T_int delta_h) measures the distance to the Heisenberg limit
+    (p = 1).
 
     Divergent points (vanishing slope) are excluded from the p average and
     counted in ``excluded``.
     """
-    interaction = 1.0 / n_qubits if interaction is None else interaction
+    interaction = 1.0 / n_qubits
     jn = interaction * n_qubits
     h0x = jn if h0x is None else h0x
     grid = (
@@ -649,52 +554,34 @@ def tint_sweep(
     )
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("sensing-time grid must be positive and nonempty")
-    m_shots = 1 if shots is None else shots
 
-    kernel = dynamics.protocol_kernel(
-        n_qubits, interaction, h0x, t_ramp, kind=kind, ramp_steps=ramp_steps
-    )
-    offsets = np.empty_like(grid)
-    survival = np.empty_like(grid)
-    slope = np.empty_like(grid)
-    delta_h = np.empty_like(grid)
-    p_values = np.full_like(grid, np.nan)
-    excluded = 0
-    for i, t in enumerate(grid):
-        if offset_policy == "paper":
-            h_tot = (np.pi / 2) * jn
-        elif offset_policy == "calibrated":
-            h_tot = h_known + calibrate_offset(h_known, n_qubits, t)
-        else:
-            raise ValueError(f"unknown offset policy {offset_policy!r}")
-        offsets[i] = h_tot
-        survival[i] = kernel.survival(t, h_tot)
-        slope[i] = kernel.survival_slope(t, h_tot)
-        dh = error_propagation(projection_noise(survival[i]), slope[i], m_shots)
-        delta_h[i] = dh
-        if np.isfinite(dh) and dh > 0:
-            p_values[i] = 1.0 / (2 * n_qubits * t * dh)
-        else:
-            excluded += 1
+    kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps=ramp_steps)
+    h_tot = (np.pi / 2) * jn
+    survival = kernel.survival(grid, h_tot)
+    slope = kernel.survival_slope(grid, h_tot)
+    # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.
+    noise = np.sqrt(np.maximum(survival * (1.0 - survival), 0.0))
+    delta_h = np.divide(noise, np.abs(slope), out=np.full_like(grid, np.inf), where=slope != 0)
+    kept = np.isfinite(delta_h) & (delta_h > 0)
+    p_values = np.divide(1.0, 2 * n_qubits * grid * delta_h,
+                         out=np.full_like(grid, np.nan), where=kept)
+    excluded = int(np.count_nonzero(~kept))
     included = p_values[np.isfinite(p_values)]
     if excluded:
         warnings.warn(
             f"{excluded} divergent grid points excluded from the p average",
             stacklevel=2,
         )
-    hl = 1.0 / (2 * n_qubits * np.sqrt(m_shots) * grid)
-    sql = 1.0 / (2 * np.sqrt(n_qubits * m_shots) * grid)
     return TintSweep(
         n_qubits=n_qubits,
         interaction=interaction,
         t_ramp=t_ramp,
         t_sense=grid,
-        offsets=offsets,
         survival=survival,
         slope=slope,
         delta_h=delta_h,
-        hl=hl,
-        sql=sql,
+        hl=1.0 / (2 * n_qubits * grid),
+        sql=1.0 / (2 * np.sqrt(n_qubits) * grid),
         p_values=p_values,
         p_mean=float(np.mean(included)) if included.size else np.nan,
         p_std=float(np.std(included)) if included.size else np.nan,

@@ -50,7 +50,10 @@ class ModelParams:
 
 
 def build_hamiltonian(params, axis="Z"):
-    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a CollectiveOperator."""
+    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a CollectiveOperator.
+
+    Kept as the dense reference that the parity-sector solvers are tested against.
+    """
     sx, _, sz = collective_operators(params.n_qubits)
     mat = (
         -2 * params.interaction * (sz.matrix @ sz.matrix)

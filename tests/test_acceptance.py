@@ -93,7 +93,6 @@ def test_criterion_03_headline_uncertainty_index():
     start = time.perf_counter()
     n, j = 10, 0.1
     sweep = tint_sweep(n, 150 * time_unit(n, j), ramp_steps=4000)
-    assert sweep.offsets[0] == pytest.approx(np.pi / 2)  # (h_k + h_0)/JN = pi/2
     assert sweep.p_mean == pytest.approx(0.935, abs=0.02)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

@@ -2,7 +2,7 @@
 
 ``bench/tracing.py`` replaces package functions by name for one traced pass.
 A rename under ``src/`` would leave its spans and counters silently at zero,
-so this test runs it around a small scan and kernel build.
+so these tests run it around a small scan, a kernel build and a sweep.
 """
 
 import types
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spinsense import dynamics
+from spinsense import dynamics, metrology
 from spinsense.metrology import time_unit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -47,3 +47,24 @@ def test_tracer_records_scan_and_kernel():
     assert metrics["dynamics.matmul_flops"] > 0
     assert metrics["dynamics.scan_ramp_time.self_s"] > 0
     assert metrics["dynamics.protocol_kernel_s"] > 0
+
+
+def test_tracer_records_sweep():
+    # The tracer also replaces ProtocolKernel.survival; a rename there would
+    # make every traced pass fail when it installs.
+    tracing = _load_tracing()
+    original = dynamics.ProtocolKernel.survival
+    n = 6
+    grid = np.arange(1.0, 8.0, 2.0) * time_unit(n, 1.0 / n)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        metrology.tint_sweep(n, 40 * time_unit(n, 1.0 / n), tint_grid=grid, ramp_steps=20)
+    finally:
+        tracer.restore()
+    assert dynamics.ProtocolKernel.survival is original
+
+    assert tracer.counters["metrology.sweep_points"] == len(grid)
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    assert metrics["metrology.survival_evals"] >= 1
+    assert metrics["metrology.tint_sweep.self_s"] > 0

@@ -5,8 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from spinsense import (
-    MetrologyBudget,
-    TargetField,
     adiabatic_ramp_constant,
     adiabatic_time_estimate,
     calibrate_offset,
@@ -33,15 +31,12 @@ from spinsense import (
     verify_bound_samples,
     zeno_limit,
 )
-from spinsense.metrology import (
-    central_difference_slope,
-    default_sense_grid,
-    delta_h_bound_cooled,
-    slope_lower_bound,
-)
+from spinsense import dynamics
+from spinsense.dynamics import ProtocolKernel
+from spinsense.metrology import default_sense_grid, slope_lower_bound
 
 
-# -- error propagation and finite differences --------------------------------
+# -- error propagation ----------------------------------------------------------
 
 
 def test_error_propagation_substitution():
@@ -65,12 +60,6 @@ def test_ideal_heisenberg_limit_at_offset():
     slope = ideal_survival_slope(h_tot, n, t)
     dh = error_propagation(projection_noise(p), slope, shots)
     assert dh == pytest.approx(1 / (2 * n * np.sqrt(shots) * t), rel=1e-6)
-
-
-def test_central_difference_slope():
-    assert central_difference_slope(0.6, 0.4, 0.1) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        central_difference_slope(0.6, 0.4, 0.0)
 
 
 # -- offset calibration -------------------------------------------------------
@@ -111,11 +100,6 @@ def test_offset_maximizes_slope_against_random_phases(rng):
         assert abs(ideal_survival_slope(h, n, t)) <= best + 1e-12
 
 
-def test_target_field_total():
-    f = TargetField(known=0.3, unknown=1e-9, offset=0.7)
-    assert f.total == pytest.approx(0.3 + 1e-9 + 0.7, rel=1e-15)
-
-
 # -- reference limits ----------------------------------------------------------
 
 
@@ -134,13 +118,6 @@ def test_limits_ratio_and_minimized_forms():
     # the statistically honest minimized HL reduces to 1/(NT) at T_int -> T
     star = metrology_limits(n, m, total, total).hl_min_star
     assert star == pytest.approx(lim.hl_min)
-
-
-def test_budget_shot_accounting():
-    budget = MetrologyBudget(total_time=100.0, t_prep=2.0, t_sense=1.0, t_read=2.0)
-    assert budget.shots == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        MetrologyBudget(total_time=1.0).shots
 
 
 # -- dephasing -----------------------------------------------------------------
@@ -199,9 +176,9 @@ def test_dephasing_analysis_regimes():
     assert quiet.regime == "noiseless"
     assert quiet.sql_deph_min == pytest.approx(1 / (2 * np.sqrt(n) * total))
     grid = np.linspace(0.5, 5, 10)
-    curves = dephasing_analysis(n, gamma, total, t_sense_grid=grid)
-    assert curves.delta_h_curve.shape == grid.shape
-    assert curves.delta_h_curve.min() >= curves.ghz_min - 1e-12
+    curve = ghz_dephasing_uncertainty(n, gamma, grid, total)
+    assert curve.shape == grid.shape
+    assert curve.min() >= fast.ghz_min - 1e-12
 
 
 def test_sql_dephasing_min_value():
@@ -394,14 +371,6 @@ def test_bound_trivial_branch_and_preconditions():
         check_uncertainty_bound(g * 2, 0.01, n, t)  # weights not normalized
 
 
-def test_cooled_bound_value():
-    n, t, g0_sq, shots = 10, 2.0, 0.9, 4
-    hz = calibrate_offset(0.0, n, t)
-    assert delta_h_bound_cooled(g0_sq, hz, n, t, shots) == pytest.approx(
-        1 / (2 * n * 2 * t * g0_sq), rel=1e-12
-    )
-
-
 # -- sensing-time sweep --------------------------------------------------------------
 
 
@@ -433,35 +402,45 @@ def test_tint_sweep_ideal_adiabatic_reaches_heisenberg():
     cooled = parity_resolved_spectrum(ModelParams(n, j, 2.0)).even_states[0]
     kernel = protocol_kernel(n, j, 2.0, 2400 * unit, ramp_steps=20000,
                              initial_state=cooled, readout_state=cooled)
-    taus = np.arange(1, 40, 2)
-    ps = []
-    for tau in taus:
-        t = tau * unit
-        h_tot = calibrate_offset(0.0, n, t)
-        p0 = kernel.survival(t, h_tot)
-        slope = kernel.survival_slope(t, h_tot)
-        dh = error_propagation(projection_noise(p0), slope)
-        ps.append(1 / (2 * n * t * dh))
-    assert np.mean(ps) == pytest.approx(1.0, abs=1e-3)
+    t = np.arange(1, 40, 2) * unit
+    h_tot = np.array([calibrate_offset(0.0, n, x) for x in t])
+    p0 = kernel.survival(t, h_tot)
+    dh = np.sqrt(p0 * (1 - p0)) / np.abs(kernel.survival_slope(t, h_tot))
+    assert np.mean(1 / (2 * n * t * dh)) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_tint_sweep_offset_policies_and_validation():
+    # the offset is fixed at (pi/2) JN; only the grid is validated
     n, j = 10, 0.1
-    unit = time_unit(n, j)
-    calibrated = tint_sweep(n, 150 * unit, tint_grid=np.array([unit, 3 * unit]),
-                            offset_policy="calibrated", ramp_steps=1000)
-    assert calibrated.offsets[0] == pytest.approx(np.pi / 2)
-    assert calibrated.offsets[1] == pytest.approx(np.pi / 6)
     with pytest.raises(ValueError):
-        tint_sweep(n, 150 * unit, offset_policy="bogus")
-    with pytest.raises(ValueError):
-        tint_sweep(n, 150 * unit, tint_grid=np.array([]))
+        tint_sweep(n, 150 * time_unit(n, j), tint_grid=np.array([]))
 
 
-def test_tint_sweep_shots_scaling():
-    n, j = 10, 0.1
+def test_kernel_arrays_match_scalar_calls():
+    n, j = 8, 1.0 / 8
     unit = time_unit(n, j)
-    grid = np.array([5 * unit])
-    one = tint_sweep(n, 150 * unit, tint_grid=grid, ramp_steps=1000)
-    many = tint_sweep(n, 150 * unit, tint_grid=grid, ramp_steps=1000, shots=16)
-    assert many.delta_h[0] == pytest.approx(one.delta_h[0] / 4, rel=1e-9)
+    kernel = protocol_kernel(n, j, 1.0, 60 * unit, ramp_steps=200)
+    t = np.arange(1.0, 12.0, 2.0)[:, None] * unit
+    hz = np.array([0.0, 0.3, np.pi / 2, 2.1])
+    for method in (kernel.survival, kernel.survival_slope):
+        grid = method(t, hz)
+        assert grid.shape == (len(t), len(hz))
+        scalar = [[method(t[i, 0], hz[k]) for k in range(len(hz))] for i in range(len(t))]
+        assert np.array_equal(grid, np.array(scalar))
+
+
+def test_tint_sweep_divergent_points_are_excluded(monkeypatch):
+    # |N/2, 0>_Z has zero sensing energy at every h^z: P = 1 and slope 0
+    # exactly (|N/2, N/2>_Z is stationary too, but only up to round-off)
+    n = 10
+    m0 = np.zeros(n + 1, dtype=complex)
+    m0[n // 2] = 1.0
+    monkeypatch.setattr(dynamics, "protocol_kernel",
+                        lambda *args, **kwargs: ProtocolKernel(n, 1.0 / n, m0, m0))
+    with np.errstate(all="raise"), pytest.warns(UserWarning, match="10 divergent"):
+        sweep = tint_sweep(n, 1.0, tint_grid=np.arange(1.0, 11.0))
+    assert np.all(sweep.survival == 1.0)
+    assert np.all(sweep.slope == 0.0)
+    assert sweep.excluded == 10
+    assert np.all(np.isinf(sweep.delta_h)) and np.all(np.isnan(sweep.p_values))
+    assert np.isnan(sweep.p_mean) and np.isnan(sweep.p_std)
