@@ -50,27 +50,35 @@ their chords between 17 fields spanning the ramp enclose the spectrum at
 every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
 A call takes the series when its longest one satisfies
-m_max (550 + d K) < 3.75 d^2, a cost model fitted to these times per
-exponential (one BLAS thread on a shared 2-core x86 host, best of 2-5 runs;
-m is the mean series length over the ramp, at T_a = 11.6 N + 60):
+m_max (550 + d K) < 3.75 d^2, a cost model fitted to an earlier timing of
+both paths.  It still takes the faster one on these times per exponential
+of the current code (one BLAS thread on a shared 2-core x86 host, best of
+4-6 runs; m is the mean series length over the ramp, at T_a = 11.6 N + 60):
 
        N     d    K   exps      m   eigensolves   series   taken
-      50    26    2   4000    7.3       100 us    183 us   eigensolves
-      50    26    2    400   12.2       102 us    244 us   eigensolves
-     100    51    2    400   14.6       230 us    351 us   eigensolves
-     100    51    2   4000    8.3       242 us    225 us   series
-     100    51    1   4000    8.3       228 us    173 us   series
-     150    76    2    400   16.5       435 us    386 us   series
-     200   101    2    400   18.2       624 us    411 us   series
-     200   101   32    400   18.2       806 us   1700 us   eigensolves
-     600   301    2    400   27.9      3346 us    394 us   series
-     600   301    2     40  112.0      3361 us   1583 us   series
-    1000   501    2    400   35.6      9955 us    653 us   series
+      50    26    2   4000    7.3        54 us    132 us   eigensolves
+      50    26    2    400   12.2        46 us    172 us   eigensolves
+     100    51    2    400   14.6       139 us    223 us   eigensolves
+     100    51    2   4000    8.3       182 us    145 us   series
+     100    51    1   4000    8.3       169 us    134 us   series
+     150    76    2    400   16.5       292 us    212 us   series
+     200   101    2    400   18.2       502 us    247 us   series
+     200   101   32    400   18.2       637 us   1217 us   eigensolves
+     600   301    2    400   27.9      5167 us    666 us   series
+     600   301    2     40  112.0      5210 us   2321 us   series
+    1000   501    2    400   35.6     16774 us    921 us   series
 
-Every other block goes through the eigendecomposition and is carried in the
-instantaneous eigenbasis: rotated in by V_0^T, moved between exponentials
-by the real transfer matrix W_i = V_{i+1}^T V_i (one d^3 product and one
-d x d x K product each), and rotated out by the last V.
+Every other block goes through the eigendecompositions, one direct call of
+LAPACK ?stevd per exponential (``eigh_tridiagonal``), and is carried in the
+instantaneous eigenbasis: moved between exponentials by the real transfer
+matrix W_i = V_{i+1}^T V_i (one d^3 product and one d x d x K product each),
+with V_{-1} = 1 so that W_0 = V_0^T rotates it in, and rotated out by the
+last V.  The fields are walked in chunks whose stacks hold at most 2^13
+float64 each (one exponential's worth when that is more): a chunk's
+diagonals come from one broadcast, its eigenpairs fill preallocated stacks,
+its transfer matrices come from one stacked product and its phase table
+from one cos and one sin, so the loop over exponentials keeps only the
+d x d x K products and the phase multiplies.
 
 The second choice is the phase table.  When K >= 3 signed steps form an
 arithmetic progression s_k = s_0 + k delta, the phase table exp(i w s_k) is
@@ -83,7 +91,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .dicke import (
     DickeBasis,
@@ -231,6 +239,24 @@ def _phase_factors(steps):
     return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
 
 
+_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
+
+
+def eigh_tridiagonal(diag, off):
+    """Eigenvalues w and eigenvectors V of a real symmetric tridiagonal matrix.
+
+    Calls LAPACK ?stevd, the driver scipy.linalg.eigh_tridiagonal picks for
+    all eigenpairs, so w and V are the same bits, without the wrapper's
+    argument checks: the stepper checks its inputs once per call.
+    """
+    if len(diag) == 1:  # ?stevd rejects 1 x 1 input
+        return np.array(diag, dtype=float), np.ones((1, 1))
+    w, v, info = _STEVD(diag, off)
+    if info:
+        raise LinAlgError(f"?stevd failed with info = {info} (eigh_tridiagonal)")
+    return w, v
+
+
 def _real_matmul(m, z):
     """m @ z for real m and a C-ordered complex block z, on its float64 view."""
     return (m @ z.view(float)).view(complex)
@@ -243,6 +269,7 @@ _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
 _SERIES_TERM = 550.0
 _EIGEN_COST = 3.75
 _SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
+_STACK_FLOATS = 1 << 13  # float64 entries per stack of an eigenbasis chunk
 
 
 def _series_lengths(x, limit=math.inf):
@@ -301,7 +328,7 @@ def _exponential_steps(a, b, fields, durations, psi):
     table (see the module docstring).
     """
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
-    # One check here stands in for eigh_tridiagonal's per-step input scan.
+    # One check here stands in for a per-step input scan of the eigensolves.
     if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
         raise ValueError("ramp fields, durations and couplings must be finite")
     d, k = np.shape(psi)
@@ -352,28 +379,42 @@ def _exponential_steps(a, b, fields, durations, psi):
     else:  # one table holds both factors: columns [:rows] and [rows:]
         table_steps = np.concatenate(factors)
         rows, width = len(factors[0]), len(factors[0]) * len(factors[1])
-    block = np.zeros((d, width), dtype=complex)
-    block[:, :k] = psi
-    psi = block
-    phase = np.empty((d, len(table_steps)), dtype=complex)
-    basis = None  # eigenvectors that the carried coefficients refer to
-    for h in fields:
-        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1], check_finite=False)
-        if basis is None:
-            coeffs = _real_matmul(v.T, psi)
-        else:
-            coeffs = _real_matmul(v.T @ basis, coeffs)
-        theta = np.multiply.outer(w, table_steps)
-        np.cos(theta, out=phase.real)
-        np.sin(theta, out=phase.imag)
-        if factors is None:
-            coeffs *= phase
-        else:
-            grid = coeffs.reshape(d, rows, -1)
-            grid *= phase[:, :rows, None]
-            grid *= phase[:, None, rows:]
-        basis = v
-    return _real_matmul(basis, coeffs)[:, :k]
+    coeffs = np.zeros((d, width), dtype=complex)
+    coeffs[:, :k] = psi
+    t = len(table_steps)
+    chunk = max(1, _STACK_FLOATS // (d * max(d, 2 * t)))
+    # Two stacks of V^T take turns, so the last V of a chunk stays in place
+    # as the link to the next.  The carried coefficients start out referring
+    # to the identity, so the first transfer matrix is V_0^T.
+    stacks = np.empty((2, chunk, d, d))
+    prev = np.eye(d)
+    eigvals = np.empty((chunk, d))
+    transfers = np.empty((chunk, d, d))
+    phase = np.empty((chunk, d, t), dtype=complex)
+    for start in range(0, len(fields), chunk):
+        hs = fields[start:start + chunk, None]
+        n = len(hs)
+        diags, offs = a[0] + hs * b[0], a[1] + hs * b[1]
+        bases = stacks[start // chunk % 2]
+        for i in range(n):
+            w, v = eigh_tridiagonal(diags[i], offs[i])
+            eigvals[i], bases[i] = w, v.T  # LAPACK's V is column-major: a flat copy
+        np.matmul(bases[0], prev.T, out=transfers[0])
+        np.matmul(bases[1:n], bases[:n - 1].transpose(0, 2, 1), out=transfers[1:n])
+        prev = bases[n - 1]
+        tables = phase[:n]  # the angles w s first, in the imaginary parts
+        np.multiply(eigvals[:n, :, None], table_steps, out=tables.imag)
+        np.cos(tables.imag, out=tables.real)
+        np.sin(tables.imag, out=tables.imag)
+        for transfer, table in zip(transfers[:n], tables):
+            coeffs = _real_matmul(transfer, coeffs)
+            if factors is None:
+                coeffs *= table
+            else:
+                grid = coeffs.reshape(d, rows, -1)
+                grid *= table[:, :rows, None]
+                grid *= table[:, None, rows:]
+    return _real_matmul(prev.T, coeffs)[:, :k]
 
 
 def _sector_terms(n_qubits, interaction, parity):

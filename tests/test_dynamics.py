@@ -1,5 +1,7 @@
 """Propagator correctness, symmetry protection, and protocol dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -473,6 +475,19 @@ def test_phase_factors_of_arithmetic_grids():
         assert _phase_factors(np.array(steps)) is None
 
 
+def _plain_steps(a, b, fields, durations, block):
+    """The step loop through V^T and V at every exponential, scipy's eigensolves."""
+    psi = block.copy()
+    neg_dts = -np.asarray(durations) / len(fields)
+    for h in fields:
+        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1])
+        theta = w[:, None] * neg_dts
+        coeffs = (v.T @ psi.view(float)).view(complex)
+        coeffs *= np.cos(theta) + 1j * np.sin(theta)
+        psi = (v @ coeffs.view(float)).view(complex)
+    return psi
+
+
 def test_narrow_block_is_the_plain_step_loop():
     # K <= d and not arithmetic: the eigenbasis carry with a direct cos/sin
     # phase table is the loop through V^T and V at every exponential, up to
@@ -483,15 +498,58 @@ def test_narrow_block_is_the_plain_step_loop():
     durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
     rng = np.random.default_rng(4)
     block = rng.normal(size=(len(a[0]), 5)) + 1j * rng.normal(size=(len(a[0]), 5))
-    psi = block.copy()
-    neg_dts = -durations / len(fields)
-    for h in fields:
-        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1])
-        theta = w[:, None] * neg_dts
-        coeffs = (v.T @ psi.view(float)).view(complex)
-        coeffs *= np.cos(theta) + 1j * np.sin(theta)
-        psi = (v @ coeffs.view(float)).view(complex)
-    assert np.abs(_exponential_steps(a, b, fields, durations, block) - psi).max() < 1e-13
+    ref = _plain_steps(a, b, fields, durations, block)
+    assert np.abs(_exponential_steps(a, b, fields, durations, block) - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("durations", [
+    np.array([2500.0, -2500.0]),  # direct table; series far too long to take
+    np.arange(-40.0, 40.0) * 0.05,  # K = 80 > d: the factored table
+])
+def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
+    # At d = 51 a chunk holds three exponentials, so 400 of them run through
+    # 134 chunks, the last one short, each linked to the one before.
+    n = 100
+    a, b, _ = _sector_terms(n, 1.0 / n, +1)
+    fields = _down_ramp_fields("cosine-sine", 1.0, 400)
+    rng = np.random.default_rng(6)
+    block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
+    block /= np.linalg.norm(block, axis=0)
+    calls = _count_eigensolves(monkeypatch)
+    out = _exponential_steps(a, b, fields, durations, block)
+    assert len(calls) == len(fields)
+    assert np.abs(out - _plain_steps(a, b, fields, durations, block)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 600])  # d = 1, 2, 26, 301
+def test_eigh_tridiagonal_is_scipys(n):
+    diag, off, _ = sector_tridiagonal(n, 1.0 / n, 0.7, +1)
+    w, v = dynamics.eigh_tridiagonal(diag, off)
+    w_ref, v_ref = eigh_tridiagonal(diag, off)
+    assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
+    diag, off, _ = sector_tridiagonal(10, 0.1, 0.7, +1)
+    monkeypatch.setattr(dynamics, "_STEVD", lambda d, e: (d, np.eye(len(d)), 1))
+    # LinAlgError is a ValueError, so the CLI reports it in one line
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1") as err:
+        dynamics.eigh_tridiagonal(diag, off)
+    assert isinstance(err.value, ValueError)
+
+
+def test_kernel_build_memory_stays_small():
+    # The eigenbasis carry keeps fixed-size chunk stacks: stacks over the
+    # whole 4000-exponential ramp would take about 22 MB.
+    n = 50
+    tracemalloc.start()
+    try:
+        protocol_kernel(n, 1.0 / n, 1.0, 645 * time_unit(n, 1.0 / n), ramp_steps=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_stepper_rejects_bad_input():
@@ -511,10 +569,11 @@ def test_stepper_rejects_bad_input():
 
 def _count_eigensolves(monkeypatch):
     calls = []
+    solve = dynamics.eigh_tridiagonal
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eigh_tridiagonal(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "eigh_tridiagonal", counted)
     return calls
