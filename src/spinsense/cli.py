@@ -30,6 +30,8 @@ ENV_OUTDIR = "SPINSENSE_OUTDIR"
 # Linear trend of the locally optimal ramp times, in (2JN^2)^-1 units; used
 # to select one local optimum per system size in the fig5/fig6/fig8 runs.
 OPTIMUM_TREND = (11.6, 60.0)
+# Half-width of the ramp-time window scanned first, as a fraction of the trend.
+OPTIMUM_WINDOW = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +264,26 @@ def run_sz_readout(n, alpha, out):
 
 
 def _fig5_optima(ns, steps):
-    """Per-N locally optimal ramp time nearest the linear trend, in units."""
+    """Per-N locally optimal ramp time nearest the linear trend, in units.
+
+    The candidates are the local maxima on the grid T_a = 1, 2, ... up to
+    1.45 times the trend.  The grid points within OPTIMUM_WINDOW x trend of
+    the trend are scanned first, with one neighbour on each side so that each
+    of them has both of its own: a maximum among them is the full grid's
+    nearest, since any other lies farther than that half-width.  If there is
+    none, the full grid is scanned.
+    """
     slope, intercept = OPTIMUM_TREND
     optima = {}
     for n in ns:
         unit = _unit(n)
         line = slope * n + intercept
         taus = np.arange(1.0, np.ceil(1.45 * line) + 1)
-        scan = dynamics.scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=steps)
+        near = np.flatnonzero(np.abs(taus - line) <= OPTIMUM_WINDOW * line)
+        for grid in (taus[max(near[0] - 1, 0):near[-1] + 2], taus):
+            scan = dynamics.scan_ramp_time(n, 1.0 / n, 1.0, grid * unit, ramp_steps=steps)
+            if scan.optima:
+                break
         ta, fid = dynamics.select_optimum(scan, line * unit)
         i = int(np.argmin(np.abs(scan.ramp_times - ta)))
         optima[n] = (ta / unit, fid, scan.return_fidelity[i])
@@ -355,7 +369,8 @@ GRID = "a nonempty grid 'lo:hi:step' with step > 0 or a comma list, all finite"
 
 OPTS = {
     "n": Opt("--N", parse_int_list, "an integer or comma list",
-             lambda ns: len(ns) > 0 and min(ns) >= 1, "positive",
+             lambda ns: len(ns) > 0 and min(ns) >= 1 and len(set(ns)) == len(ns),
+             "positive and distinct",
              "System size(s), comma separated."),
     "h0x_over_jn": _number("--h0x-over-JN", "Initial transverse field in units of JN.",
                            math.isfinite, "finite"),
@@ -534,8 +549,8 @@ def _run(kind, config_path, flags):
     try:  # a floating-point overflow or 0/0 stops the run instead of writing inf/nan
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             _, summary = ROWS[kind].run(values, out)
-    except (ValueError, ArithmeticError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        raise click.ClickException(str(exc) or type(exc).__name__) from exc
     click.echo(summary)
 
 

@@ -25,11 +25,12 @@ protection the prepare/readout ramps rely on.  With h^z != 0 the
 Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
 off-diagonal, and is stepped there instead.
 
-A ramp-time scan steps all its durations as the columns of one block, and
-the protocol kernel steps the prepared state and the readout state together:
-the up ramp's adjoint, walked backwards, meets the down ramp's exponents in
-the same order, so preparation and readout share each exponential's
-eigendecomposition or series.
+A ramp-time scan steps all its durations as the columns of one block through
+the down ramp alone, the up ramp being its transpose.  The protocol kernel
+steps the prepared state and the readout state together: the up ramp's
+adjoint, walked backwards, meets the down ramp's exponents in the same order,
+so preparation and readout share each exponential's eigendecomposition or
+series.
 
 Two choices are made per call from what the stepper sees.  The first picks
 the Chebyshev series or the eigensolves, from the rows d, the columns K and
@@ -632,6 +633,13 @@ def run_protocol(
 # the down ramp's exponent i.  The protocol kernel uses this to step the
 # prepared state and the readout state as the two columns of one block, with
 # time steps +dt and -dt.
+#
+# The same mirror makes the up ramp the down ramp's transpose.  Each factor
+# E_i = exp(-i H_i dt) of a real symmetric H_i is complex symmetric
+# (E_i^T = E_i), and the up ramp applies the down ramp's factors in reverse,
+# so U_up = E_0 E_1 ... E_{n-1} = (E_{n-1} ... E_1 E_0)^T = U_down^T.  A scan
+# therefore steps only the down ramp: the return amplitude is
+# <e_0|U_down^T U_down|e_0> = psi^T psi with psi = U_down e_0.
 # ---------------------------------------------------------------------------
 
 
@@ -679,6 +687,9 @@ def scan_ramp_time(
     local maxima of the GHZ fidelity (see local_maxima).  The whole grid is
     propagated in one batch sharing the per-exponential eigendecompositions;
     ``ramp_steps`` counts exponentials per ramp (even, two per CF4 step).
+    Only the down ramp is stepped: the up ramp's propagator is its transpose,
+    so the return amplitude is psi^T psi with psi the state after the down
+    ramp (no complex conjugate; see the scan notes).
     """
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
@@ -689,8 +700,7 @@ def scan_ramp_time(
     start[0] = 1.0
     after_down = _exponential_steps(a, b, fields, ramp_times, start)
     fid_ghz = np.abs(_ghz_even_coords(n_qubits).conj() @ after_down) ** 2
-    after_up = _exponential_steps(a, b, fields[::-1], ramp_times, after_down)
-    fid_init = np.abs(after_up[0, :]) ** 2
+    fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
 
     return RampScan(
         ramp_times=ramp_times,

@@ -38,7 +38,7 @@ from spinsense import (
     verify_bound_samples,
     x_polarized_state,
 )
-from spinsense.cli import OPTIMUM_TREND
+from spinsense.cli import OPTIMUM_TREND, _fig5_optima
 
 from conftest import brute_force_ramp, symmetric_isometry
 
@@ -49,7 +49,8 @@ def report(num, elapsed, detail):
 
 @pytest.fixture(scope="module")
 def ramp_time_optima():
-    """Locally optimal T_a per N (nearest the linear trend), fidelities, scans."""
+    """Locally optimal T_a per N (nearest the linear trend) on the full grid,
+    with its GHZ and return fidelities."""
     slope, intercept = OPTIMUM_TREND
     optima = {}
     for n in range(10, 101, 10):
@@ -58,7 +59,8 @@ def ramp_time_optima():
         taus = np.arange(1.0, np.ceil(1.45 * line) + 1)
         scan = scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=400)
         ta, fid = select_optimum(scan, line * unit)
-        optima[n] = (ta / unit, fid)
+        fid_init = scan.return_fidelity[scan.ramp_times == ta][0]
+        optima[n] = (ta / unit, fid, fid_init)
     return optima
 
 
@@ -125,10 +127,20 @@ def test_fig5_selects_the_pinned_optima(ramp_time_optima):
     ]
 
 
+def test_fig5_window_selects_the_full_grid_optima(ramp_time_optima):
+    # fig5 scans a window around the trend first; it must pick the full
+    # grid's optimum and reproduce its fidelities.
+    windowed = _fig5_optima(range(10, 101, 10), 400)
+    for n, (ta_units, fid_ghz, fid_init) in ramp_time_optima.items():
+        assert windowed[n][0] == ta_units
+        assert abs(windowed[n][1] - fid_ghz) < 1e-13
+        assert abs(windowed[n][2] - fid_init) < 1e-13
+
+
 def test_criterion_05_index_beats_sql(ramp_time_optima):
     start = time.perf_counter()
     margins = {}
-    for n, (ta_units, _) in sorted(ramp_time_optima.items()):
+    for n, (ta_units, *_) in sorted(ramp_time_optima.items()):
         sweep = tint_sweep(n, ta_units * time_unit(n, 1.0 / n), ramp_steps=400)
         sql_line = 1 / np.sqrt(n)
         assert sweep.p_mean > sql_line, f"p fell below the SQL line at N={n}"

@@ -40,8 +40,8 @@ def test_tracer_records_scan_and_kernel():
         assert getattr(dynamics, name) is fn
 
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # two scan ramps and one kernel build, one eigensolve per exponential
-    assert metrics["dynamics.eigensolves"] == 2 * steps + steps
+    # one scan ramp and one kernel build, one eigensolve per exponential
+    assert metrics["dynamics.eigensolves"] == steps + steps
     assert metrics["dynamics.scan_points"] == len(taus)
     assert metrics["dynamics.phase_exps"] > 0
     assert metrics["dynamics.matmul_flops"] > 0

@@ -11,7 +11,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spinsense import cli, dynamics
 from spinsense.cli import COMMANDS, OPTS, ROWS, main, parse_grid, validate_config
+from spinsense.metrology import time_unit
 
 
 @pytest.fixture()
@@ -351,6 +353,7 @@ BAD_INPUTS = [
     ["limits", "--M", "0"],
     ["time-budget", "--c", "0"],
     ["uncertainty-sweep", "--h0x-over-JN", "nan"],
+    ["gap-scaling", "--N", "10,10"],
 ]
 
 
@@ -393,6 +396,61 @@ def test_validate_gives_the_command_diagnostic(runner, tmp_path, argv):
 )
 def test_numerical_failure_gives_one_line_diagnostic(runner, tmp_path, argv):
     _diagnostic(runner, tmp_path, argv)
+
+
+def test_repeated_sizes_rejected(runner, tmp_path):
+    line = _diagnostic(runner, tmp_path, ["figure", "fig5", "--N", "10,20,10"])
+    assert line == "Error: invalid configuration: n must be positive and distinct, got 10,20,10"
+    assert validate_config("fig5", {"n": "10,10"}) == [
+        "n must be positive and distinct, got 10,10"
+    ]
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 122. TiB"), MemoryError()])
+def test_memory_error_gives_one_line_diagnostic(runner, tmp_path, monkeypatch, exc):
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_fig5", out_of_memory)
+    line = _diagnostic(runner, tmp_path, ["figure", "fig5", "--N", "10"])
+    assert line == "Error: " + (str(exc) or "MemoryError")
+
+
+def _recorded_scans(monkeypatch):
+    """(N, ramp-time grid in units) of every scan_ramp_time call made from here on."""
+    calls = []
+    scan = dynamics.scan_ramp_time
+
+    def recorded(n, interaction, h0x, ramp_times, **kwargs):
+        calls.append((n, np.asarray(ramp_times) / time_unit(n, interaction)))
+        return scan(n, interaction, h0x, ramp_times, **kwargs)
+
+    monkeypatch.setattr(dynamics, "scan_ramp_time", recorded)
+    return calls
+
+
+def test_fig5_scans_only_the_window(monkeypatch):
+    calls = _recorded_scans(monkeypatch)
+    cli._fig5_optima(range(10, 41, 10), 400)
+    slope, intercept = cli.OPTIMUM_TREND
+    assert [n for n, _ in calls] == [10, 20, 30, 40]
+    for n, taus in calls:
+        assert len(taus) <= 0.2 * (slope * n + intercept) + 3
+
+
+def test_fig5_falls_back_to_the_full_grid(monkeypatch):
+    # At N = 20 the 400-exponential maxima sit at T_a = 196, 290 and 477; a
+    # trend of 380 puts none within 10 % of it, and 290 is the nearest.
+    monkeypatch.setattr(cli, "OPTIMUM_TREND", (0.0, 380.0))
+    unit = time_unit(20, 1 / 20)
+    full = dynamics.scan_ramp_time(20, 1 / 20, 1.0, np.arange(1.0, 552.0) * unit,
+                                   ramp_steps=400)
+    expected = dynamics.select_optimum(full, 380 * unit)
+    calls = _recorded_scans(monkeypatch)
+    ta, fid, _ = cli._fig5_optima([20], 400)[20]
+    assert len(calls) == 2 and len(calls[1][1]) == 551
+    assert ta == 290 and ta == expected[0] / unit
+    assert fid == expected[1]
 
 
 @pytest.mark.parametrize("kind", list(ROWS))

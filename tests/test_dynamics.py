@@ -303,6 +303,39 @@ def test_scan_matches_run_protocol():
         )
 
 
+@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_scan_steps_one_ramp_for_both(monkeypatch, n, kind):
+    # The scan steps the down ramp only and takes the return amplitude as
+    # psi^T psi (U_up = U_down^T); it must match the two-ramp protocol and
+    # the full 2^N oracle stepped through both ramps.
+    j, steps, h0 = 1.0 / n, 40, 1.0
+    taus = np.array([30.0, 70.0]) * time_unit(n, j)
+    calls = []
+    stepper = dynamics._exponential_steps
+    monkeypatch.setattr(dynamics, "_exponential_steps",
+                        lambda *args: calls.append(1) or stepper(*args))
+    scan = scan_ramp_time(n, j, h0, taus, kind=kind, ramp_steps=steps)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    if kind == "cosine-sine":
+        down, up = (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
+    else:
+        down, up = (lambda g: 1 - g), (lambda g: g)
+    q = symmetric_isometry(n)
+    start = q @ x_polarized_state(n, axis="Z").amplitudes
+    ghz = q @ ghz_state(n).amplitudes
+    for i, ta in enumerate(taus):
+        res = run_protocol(n, j, h0, ta, 0.0, 0.0, kind=kind, steps_per_ramp=steps)
+        assert abs(scan.return_fidelity[i] - res.fidelity_to_initial) < 1e-12
+        assert abs(scan.ghz_fidelity[i] - res.fidelity_to_ghz) < 1e-12
+        mid = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
+        end = brute_force_ramp(n, j, lambda t: h0 * up(t / ta), ta, 0.0, mid, steps)
+        assert abs(scan.return_fidelity[i] - abs(np.vdot(start, end)) ** 2) < 1e-12
+        assert abs(scan.ghz_fidelity[i] - abs(np.vdot(ghz, mid)) ** 2) < 1e-12
+
+
 def test_local_maxima_detection():
     y = np.array([0.0, 1.0, 0.5, 0.7, 0.2])
     opts = local_maxima(np.arange(5.0), y)
