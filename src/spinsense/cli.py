@@ -264,14 +264,16 @@ def run_sz_readout(n, alpha, out):
 
 
 def _fig5_optima(ns, steps):
-    """Per-N locally optimal ramp time nearest the linear trend, in units.
+    """Per-N locally optimal ramp time nearest the linear trend, in units,
+    with its GHZ and return fidelities and its ProtocolKernel.
 
     The candidates are the local maxima on the grid T_a = 1, 2, ... up to
     1.45 times the trend.  The grid points within OPTIMUM_WINDOW x trend of
     the trend are scanned first, with one neighbour on each side so that each
     of them has both of its own: a maximum among them is the full grid's
     nearest, since any other lies farther than that half-width.  If there is
-    none, the full grid is scanned.
+    none, the full grid is scanned.  The kernel comes from the scan's own
+    column at the optimum, so a sweep there steps no ramp again.
     """
     slope, intercept = OPTIMUM_TREND
     optima = {}
@@ -284,16 +286,17 @@ def _fig5_optima(ns, steps):
             scan = dynamics.scan_ramp_time(n, 1.0 / n, 1.0, grid * unit, ramp_steps=steps)
             if scan.optima:
                 break
-        ta, fid = dynamics.select_optimum(scan, line * unit)
+        ta, fid = optimum = dynamics.select_optimum(scan, line * unit)
         i = int(np.argmin(np.abs(scan.ramp_times - ta)))
-        optima[n] = (ta / unit, fid, scan.return_fidelity[i])
+        kernel = scan.kernels[scan.optima.index(optimum)]
+        optima[n] = (ta / unit, fid, scan.return_fidelity[i], kernel)
     return optima
 
 
 def run_fig5(ns, steps, out):
     optima = _fig5_optima(ns, steps)
     header = ["N", "T_a_opt_2JN2", "fid_ghz", "fid_init"]
-    rows = [[n, optima[n][0], optima[n][1], optima[n][2]] for n in ns]
+    rows = [[n, *optima[n][:3]] for n in ns]
     path = write_csv(out, header, rows)
     if len(ns) < 2:
         return [path], f"wrote {path}\na linear fit of the selected optima needs two or more N"
@@ -310,8 +313,8 @@ def run_fig6(ns, steps, out):
     optima = _fig5_optima(ns, steps)
     rows = []
     for n in ns:
-        ta_units, fid_ghz, fid_init = optima[n]
-        sweep = metrology.tint_sweep(n, ta_units * _unit(n), ramp_steps=steps)
+        ta_units, fid_ghz, fid_init, kernel = optima[n]
+        sweep = metrology.tint_sweep(n, ta_units * _unit(n), kernel=kernel)
         rows.append([n, sweep.p_mean, sweep.p_std, fid_ghz, fid_init])
     path = write_csv(out, ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)
     margins = [r[1] - 1 / np.sqrt(r[0]) for r in rows]
@@ -330,9 +333,9 @@ def run_fig8(ns, steps, out):
     paths = []
     lines = []
     for n in ns:
-        ta_units = optima[n][0]
+        ta_units, _, _, kernel = optima[n]
         unit = _unit(n)
-        sweep = metrology.tint_sweep(n, ta_units * unit, ramp_steps=steps)
+        sweep = metrology.tint_sweep(n, ta_units * unit, kernel=kernel)
         taus = sweep.t_sense / unit
         rows = list(zip(taus, sweep.delta_h, sweep.hl, sweep.sql))
         target = Path(out)

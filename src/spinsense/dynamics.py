@@ -26,20 +26,22 @@ Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
 off-diagonal, and is stepped there instead.
 
 A ramp-time scan steps all its durations as the columns of one block through
-the down ramp alone, the up ramp being its transpose.  The protocol kernel
-steps the prepared state and the readout state together: the up ramp's
-adjoint, walked backwards, meets the down ramp's exponents in the same order,
-so preparation and readout share each exponential's eigendecomposition or
-series.
+the down ramp alone, the up ramp being its transpose, and keeps the columns
+at its optima.  For the default start and readout state e_0 the protocol
+kernel steps one column, U_down e_0, and reads out through its conjugate
+U_up^+ e_0; a given start or readout state is stepped with the other as the
+two columns of one block: the up ramp's adjoint, walked backwards, meets the
+down ramp's exponents in the same order, so both share each exponential's
+eigendecomposition or series.
 
 Two choices are made per call from what the stepper sees.  The first picks
 the Chebyshev series or the eigensolves, from the rows d, the columns K and
 the length of the series.
 
-A block no wider than tall (the protocol kernel's two columns, a propagated
-state) skips the eigensolves when its series are short (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r] holding the spectrum
-of H and H' = (H - c) / r,
+A block no wider than tall (the protocol kernel's one or two columns, a
+propagated state) skips the eigensolves when its series are short
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r]
+holding the spectrum of H and H' = (H - c) / r,
 
     exp(-i H dt) = e^{-i c dt} sum_j (2 - delta_j0) (-i)^j J_j(r dt) T_j(H'),
 
@@ -52,22 +54,27 @@ every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
 A call takes the series when its longest one satisfies
 m_max (550 + d K) < 3.75 d^2, a cost model fitted to an earlier timing of
-both paths.  It still takes the faster one on these times per exponential
-of the current code (one BLAS thread on a shared 2-core x86 host, best of
-4-6 runs; m is the mean series length over the ramp, at T_a = 11.6 N + 60):
+both paths.  It takes the faster one, up to a tie, on these times per
+exponential of the current code (one BLAS thread on a shared 2-core x86
+host, best of 4-10 runs; m is the mean series length over the ramp, at
+T_a = 11.6 N + 60; K = 1 is the default protocol kernel, K = 2 a cooled
+one):
 
        N     d    K   exps      m   eigensolves   series   taken
-      50    26    2   4000    7.3        54 us    132 us   eigensolves
-      50    26    2    400   12.2        46 us    172 us   eigensolves
-     100    51    2    400   14.6       139 us    223 us   eigensolves
-     100    51    2   4000    8.3       182 us    145 us   series
-     100    51    1   4000    8.3       169 us    134 us   series
-     150    76    2    400   16.5       292 us    212 us   series
-     200   101    2    400   18.2       502 us    247 us   series
-     200   101   32    400   18.2       637 us   1217 us   eigensolves
-     600   301    2    400   27.9      5167 us    666 us   series
-     600   301    2     40  112.0      5210 us   2321 us   series
-    1000   501    2    400   35.6     16774 us    921 us   series
+      50    26    1   4000    7.3        59 us    115 us   eigensolves
+      50    26    1    400   12.2        67 us    189 us   eigensolves
+     100    51    1    400   14.6       213 us    208 us   eigensolves
+     100    51    1   4000    8.3       214 us    136 us   series
+     150    76    1    400   16.5       474 us    251 us   series
+     200   101    1    400   18.2       689 us    275 us   series
+     200   101    2    400   18.2       760 us    442 us   series
+     200   101   32    400   18.2       753 us   1581 us   eigensolves
+     600   301    1    400   27.9      6242 us    526 us   series
+     600   301    1     40  112.0      6236 us   2127 us   series
+    1000   501    1    400   35.6     18145 us    606 us   series
+
+The tie is N = 100 at 400 exponentials: five timings of that row spread
+over 213-252 us (eigensolves) and 208-286 us (series).
 
 Every other block goes through the eigendecompositions, one direct call of
 LAPACK ?stevd per exponential (``eigh_tridiagonal``), and is carried in the
@@ -108,6 +115,7 @@ from .model import sector_indices, sector_tridiagonal
 
 SEGMENT_KINDS = ("cosine-down", "sine-up", "linear", "constant")
 _STEPS_RULE = "steps must be even and at least 2"
+_TIMES_RULE = "times must be nonnegative"
 _GAUSS = np.sqrt(3) / 6  # Gauss points of a CF4 step sit at 1/2 -+ _GAUSS
 _CONTINUITY_TOL = 1e-12
 
@@ -562,7 +570,7 @@ def run_protocol(
         survival projector onto |N/2, N/2>_X, or global magnetization S_X.
     """
     if t_ramp < 0 or t_sense < 0:
-        raise ValueError("times must be nonnegative")
+        raise ValueError(_TIMES_RULE)
     if observable not in ("projection", "sx"):
         raise ValueError(f"unknown observable {observable!r}")
     if steps_per_ramp < 2 or steps_per_ramp % 2:
@@ -630,8 +638,8 @@ def run_protocol(
 # exponents of step p are the down ramp's two of step M - 1 - p in swapped
 # order: the up ramp runs through the down-ramp fields in reverse, and its
 # adjoint, walked backwards, meets at exponent i exactly the Hamiltonian of
-# the down ramp's exponent i.  The protocol kernel uses this to step the
-# prepared state and the readout state as the two columns of one block, with
+# the down ramp's exponent i.  The protocol kernel of a given start or
+# readout state uses this to step the two as the columns of one block, with
 # time steps +dt and -dt.
 #
 # The same mirror makes the up ramp the down ramp's transpose.  Each factor
@@ -639,7 +647,10 @@ def run_protocol(
 # (E_i^T = E_i), and the up ramp applies the down ramp's factors in reverse,
 # so U_up = E_0 E_1 ... E_{n-1} = (E_{n-1} ... E_1 E_0)^T = U_down^T.  A scan
 # therefore steps only the down ramp: the return amplitude is
-# <e_0|U_down^T U_down|e_0> = psi^T psi with psi = U_down e_0.
+# <e_0|U_down^T U_down|e_0> = psi^T psi with psi = U_down e_0.  And the
+# readout column of the default kernel, U_up^+ e_0 = conj(U_down) e_0, is
+# conj(psi): the default kernel steps psi alone, and a scan hands on the
+# kernel of each optimum from its own column psi there.
 # ---------------------------------------------------------------------------
 
 
@@ -658,6 +669,7 @@ class RampScan:
     ghz_fidelity: np.ndarray
     return_fidelity: np.ndarray
     optima: tuple  # (ramp_time, ghz_fidelity) at local maxima, see local_maxima
+    kernels: tuple  # the ProtocolKernel at each of the optima, in their order
 
 
 _ROUNDOFF_RISE = 1e-12
@@ -673,9 +685,13 @@ def local_maxima(x, y):
     """
     x = np.asarray(x)
     y = np.asarray(y)
+    return tuple((float(x[i]), float(y[i])) for i in _peak_indices(y))
+
+
+def _peak_indices(y):
+    """Indices of the points of y that local_maxima reports."""
     mid = y[1:-1]
-    hits = np.flatnonzero((mid - y[:-2] > _ROUNDOFF_RISE) & (mid - y[2:] > _ROUNDOFF_RISE)) + 1
-    return tuple((float(x[i]), float(y[i])) for i in hits)
+    return np.flatnonzero((mid - y[:-2] > _ROUNDOFF_RISE) & (mid - y[2:] > _ROUNDOFF_RISE)) + 1
 
 
 def scan_ramp_time(
@@ -689,11 +705,15 @@ def scan_ramp_time(
     ``ramp_steps`` counts exponentials per ramp (even, two per CF4 step).
     Only the down ramp is stepped: the up ramp's propagator is its transpose,
     so the return amplitude is psi^T psi with psi the state after the down
-    ramp (no complex conjugate; see the scan notes).
+    ramp (no complex conjugate; see the scan notes).  The columns psi at the
+    optima are kept, as the ProtocolKernel of each, so a sensing sweep there
+    needs no further ramp.
     """
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
         raise ValueError("empty ramp-time grid")
+    if (ramp_times < 0).any():
+        raise ValueError(_TIMES_RULE)
     fields = _down_ramp_fields(kind, h0x, ramp_steps)
     a, b, _ = _sector_terms(n_qubits, interaction, +1)
     start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
@@ -701,12 +721,14 @@ def scan_ramp_time(
     after_down = _exponential_steps(a, b, fields, ramp_times, start)
     fid_ghz = np.abs(_ghz_even_coords(n_qubits).conj() @ after_down) ** 2
     fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
+    hits = _peak_indices(fid_ghz)
 
     return RampScan(
         ramp_times=ramp_times,
         ghz_fidelity=fid_ghz,
         return_fidelity=fid_init,
-        optima=local_maxima(ramp_times, fid_ghz),
+        optima=tuple((float(ramp_times[i]), float(fid_ghz[i])) for i in hits),
+        kernels=_default_kernels(n_qubits, interaction, after_down[:, hits]),
     )
 
 
@@ -737,8 +759,9 @@ class ProtocolKernel:
     factorizes as <readout| D(T_int, h^z) |prep> with D the diagonal sensing
     evolution in the Z basis.  ``prep_z`` is the initial state after the
     down ramp and ``read_z`` the up-ramp adjoint applied to the readout
-    projector state, so each (T_int, h^z) evaluation costs O(N).  Both
-    methods take arrays of T_int and h^z that broadcast against each other.
+    projector state, its complex conjugate for the default states (see the
+    scan notes), so each (T_int, h^z) evaluation costs O(N).  Both methods
+    take arrays of T_int and h^z that broadcast against each other.
     """
 
     n_qubits: int
@@ -778,6 +801,25 @@ def _even_coords(state):
     return amp_x[sector_indices(n, +1)].astype(complex)
 
 
+def _even_to_z(n_qubits, columns):
+    """Z-basis amplitudes of a (d, K) block of even-sector X coordinates."""
+    full = np.zeros((n_qubits + 1, columns.shape[1]), dtype=complex)
+    full[sector_indices(n_qubits, +1)] = columns
+    return _real_matmul(rotation_matrix(n_qubits), full)
+
+
+def _default_kernels(n_qubits, interaction, prepared):
+    """A ProtocolKernel per column U_down e_0 of ``prepared``, as a tuple.
+
+    The readout column U_up^+ e_0 is conj(U_down e_0) (see the scan notes),
+    and the Z-basis rotation is real, so it commutes with the conjugate.
+    """
+    return tuple(
+        ProtocolKernel(n_qubits, interaction, prep_z, prep_z.conj())
+        for prep_z in _even_to_z(n_qubits, prepared).T
+    )
+
+
 def protocol_kernel(
     n_qubits,
     interaction,
@@ -795,19 +837,26 @@ def protocol_kernel(
     the cooled preparation read out in its own basis.  Both must be
     even-parity (the ramps never leave the even sector).  ``ramp_steps``
     counts exponentials per ramp (even, two per CF4 step).
+
+    With both states at their default one column is stepped, the down ramp
+    from |N/2, N/2>_X, and the readout column is its complex conjugate;
+    otherwise the two columns are stepped as one block (see the scan notes).
     """
+    if t_ramp < 0:
+        raise ValueError(_TIMES_RULE)
     a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
+    fields = _down_ramp_fields(kind, h0x, ramp_steps)
     e0 = np.zeros(len(even_idx), dtype=complex)
     e0[0] = 1.0
+    if initial_state is None and readout_state is None:
+        prepared = _exponential_steps(a, b, fields, [t_ramp], e0[:, None])
+        return _default_kernels(n_qubits, interaction, prepared)[0]
     init_even = e0 if initial_state is None else _even_coords(initial_state)
     read_even = e0 if readout_state is None else _even_coords(readout_state)
     # Column 0 runs the down ramp forward; column 1 runs the up ramp's
     # adjoint backwards, which meets the same exponents (see the scan notes).
     ends = _exponential_steps(
-        a, b, _down_ramp_fields(kind, h0x, ramp_steps), [t_ramp, -t_ramp],
-        np.column_stack([init_even, read_even]),
+        a, b, fields, [t_ramp, -t_ramp], np.column_stack([init_even, read_even])
     )
-    ends_x = np.zeros((n_qubits + 1, 2), dtype=complex)
-    ends_x[even_idx] = ends
-    prep_z, read_z = (rotation_matrix(n_qubits) @ ends_x).T
+    prep_z, read_z = _even_to_z(n_qubits, ends).T
     return ProtocolKernel(n_qubits, interaction, prep_z, read_z)

@@ -529,7 +529,7 @@ class TintSweep:
     excluded: int  # divergent (zero-slope) points left out of the average
 
 
-def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400):
+def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kernel=None):
     """Estimation uncertainty of the simulated protocol over sensing times.
 
     The protocol runs at J = 1/N with cosine/sine ramps from h0x (default
@@ -543,7 +543,13 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400):
 
     Divergent points (vanishing slope) are excluded from the p average and
     counted in ``excluded``.
+
+    ``kernel`` is the ProtocolKernel of these ramps when one is at hand, as
+    RampScan.kernels holds at a scan's optima; no ramp is then stepped, and
+    h0x and ramp_steps are not used.
     """
+    if t_ramp < 0:
+        raise ValueError("times must be nonnegative")
     interaction = 1.0 / n_qubits
     jn = interaction * n_qubits
     h0x = jn if h0x is None else h0x
@@ -555,7 +561,11 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400):
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("sensing-time grid must be positive and nonempty")
 
-    kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps=ramp_steps)
+    if kernel is None:
+        kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp,
+                                          ramp_steps=ramp_steps)
+    elif (kernel.n_qubits, kernel.interaction) != (n_qubits, interaction):
+        raise ValueError("kernel is for another N or coupling")
     h_tot = (np.pi / 2) * jn
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)

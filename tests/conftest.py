@@ -104,3 +104,23 @@ def brute_force_ramp(n_qubits, interaction, field_of_t, duration, hz, psi_full, 
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def stepper_widths(monkeypatch):
+    """Width K of the block of every ramp-stepper call made from here on.
+
+    The length of the list counts the calls, so one scan or one kernel build
+    reads as one entry: its number of columns.
+    """
+    from spinsense import dynamics
+
+    widths = []
+    step = dynamics._exponential_steps
+
+    def recorded(a, b, fields, durations, psi):
+        widths.append(np.shape(psi)[1])
+        return step(a, b, fields, durations, psi)
+
+    monkeypatch.setattr(dynamics, "_exponential_steps", recorded)
+    return widths

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinsense import cli, dynamics
+from spinsense import cli, dynamics, metrology
 from spinsense.cli import COMMANDS, OPTS, ROWS, main, parse_grid, validate_config
 from spinsense.metrology import time_unit
 
@@ -447,10 +447,35 @@ def test_fig5_falls_back_to_the_full_grid(monkeypatch):
                                    ramp_steps=400)
     expected = dynamics.select_optimum(full, 380 * unit)
     calls = _recorded_scans(monkeypatch)
-    ta, fid, _ = cli._fig5_optima([20], 400)[20]
+    ta, fid, *_ = cli._fig5_optima([20], 400)[20]
     assert len(calls) == 2 and len(calls[1][1]) == 551
     assert ta == 290 and ta == expected[0] / unit
     assert fid == expected[1]
+
+
+def test_fig6_fig8_take_the_kernel_from_the_scan(monkeypatch, stepper_widths, tmp_path):
+    # fig6 and fig8 sweep at the fig5 optima with the kernel the scan kept:
+    # one stepper call per N (the scan) and no kernel build of their own.
+    builds = []
+    monkeypatch.setattr(dynamics, "protocol_kernel", lambda *args, **kw: builds.append(1))
+    ns = [10, 20, 30, 40]
+    cli.run_fig6(ns, 400, tmp_path / "f6.csv")
+    assert len(stepper_widths) == len(ns) and min(stepper_widths) > 1
+    _, summary = cli.run_fig8(ns, 400, tmp_path / "f8.csv")
+    assert len(stepper_widths) == 2 * len(ns) and min(stepper_widths) > 1
+    assert not builds
+    monkeypatch.undo()
+
+    tas = [float(line.split()[3]) for line in summary.splitlines()[1:]]
+    assert tas == [166, 290, 430, 510]
+    _, fig6 = _read_csv(tmp_path / "f6.csv")
+    for (n, p, p_std, *_), ta in zip(fig6, tas):
+        n = int(n)
+        sweep = metrology.tint_sweep(n, ta * time_unit(n, 1 / n), ramp_steps=400)
+        assert p == pytest.approx(sweep.p_mean, rel=1e-12, abs=0)
+        assert p_std == pytest.approx(sweep.p_std, rel=1e-12, abs=0)
+        _, fig8 = _read_csv(tmp_path / f"f8_N{n}.csv")
+        assert fig8[:, 1] == pytest.approx(sweep.delta_h, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(ROWS))

@@ -305,24 +305,17 @@ def test_scan_matches_run_protocol():
 
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [4, 6])
-def test_scan_steps_one_ramp_for_both(monkeypatch, n, kind):
+def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
     # The scan steps the down ramp only and takes the return amplitude as
     # psi^T psi (U_up = U_down^T); it must match the two-ramp protocol and
     # the full 2^N oracle stepped through both ramps.
     j, steps, h0 = 1.0 / n, 40, 1.0
     taus = np.array([30.0, 70.0]) * time_unit(n, j)
-    calls = []
-    stepper = dynamics._exponential_steps
-    monkeypatch.setattr(dynamics, "_exponential_steps",
-                        lambda *args: calls.append(1) or stepper(*args))
     scan = scan_ramp_time(n, j, h0, taus, kind=kind, ramp_steps=steps)
-    assert len(calls) == 1
+    assert stepper_widths == [len(taus)]
     monkeypatch.undo()
 
-    if kind == "cosine-sine":
-        down, up = (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
-    else:
-        down, up = (lambda g: 1 - g), (lambda g: g)
+    down, up = _ramp_profiles(kind)
     q = symmetric_isometry(n)
     start = q @ x_polarized_state(n, axis="Z").amplitudes
     ghz = q @ ghz_state(n).amplitudes
@@ -334,6 +327,80 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, n, kind):
         end = brute_force_ramp(n, j, lambda t: h0 * up(t / ta), ta, 0.0, mid, steps)
         assert abs(scan.return_fidelity[i] - abs(np.vdot(start, end)) ** 2) < 1e-12
         assert abs(scan.ghz_fidelity[i] - abs(np.vdot(ghz, mid)) ** 2) < 1e-12
+
+
+def _ramp_profiles(kind):
+    """(down, up) field profiles over the fraction of the ramp elapsed."""
+    if kind == "cosine-sine":
+        return (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
+    return (lambda g: 1 - g), (lambda g: g)
+
+
+@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_default_kernel_reads_out_the_conjugate(stepper_widths, n, kind):
+    # The default kernel steps one column U_down e_0 and reads out through
+    # its conjugate; the full 2^N oracle must find U_up^+ e_0 there.  The
+    # adjoint up ramp is the oracle run backwards: negative duration, the
+    # field sampled at T_a + t for t in [-T_a, 0].
+    j, steps, h0 = 1.0 / n, 40, 1.0
+    ta = 50 * time_unit(n, j)
+    kernel = protocol_kernel(n, j, h0, ta, kind=kind, ramp_steps=steps)
+    assert stepper_widths == [1]
+    assert np.array_equal(kernel.read_z, kernel.prep_z.conj())
+
+    down, up = _ramp_profiles(kind)
+    q = symmetric_isometry(n)
+    start = q @ x_polarized_state(n, axis="Z").amplitudes
+    prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
+    read = brute_force_ramp(n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps)
+    assert np.abs(kernel.prep_z - q.T @ prep).max() < 1e-12
+    assert np.abs(kernel.read_z - q.T @ read).max() < 1e-12
+
+
+def test_cooled_kernel_still_steps_two_columns(stepper_widths):
+    n, j = 6, 1.0 / 6
+    cooled = parity_resolved_spectrum(ModelParams(n, j, 1.0)).even_states[0]
+    protocol_kernel(n, j, 1.0, 40 * time_unit(n, j), ramp_steps=40,
+                    initial_state=cooled, readout_state=cooled)
+    assert stepper_widths == [2]
+
+
+def test_one_column_kernel_matches_two_columns_at_large_n():
+    # At N = 600 the kernel takes the Chebyshev series; the default start
+    # given explicitly (exactly, in the X basis) is stepped as two columns.
+    n, j = 600, 1.0 / 600
+    ta = (11.6 * n + 60) * time_unit(n, j)
+    e0 = np.zeros(n + 1)
+    e0[0] = 1.0
+    top = DickeState(DickeBasis(n, "X"), e0)
+    one = protocol_kernel(n, j, 1.0, ta)
+    two = protocol_kernel(n, j, 1.0, ta, initial_state=top, readout_state=top)
+    assert np.abs(one.prep_z - two.prep_z).max() < 1e-13
+    assert np.abs(one.read_z - two.read_z).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
+def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths, kind):
+    n, j = 10, 0.1
+    unit = time_unit(n, j)
+    scan = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit, kind=kind)
+    assert stepper_widths == [300]
+    assert len(scan.kernels) == len(scan.optima) >= 3
+    for (ta, _), kernel in zip(scan.optima, scan.kernels):
+        built = protocol_kernel(n, j, 1.0, ta, kind=kind)
+        assert np.array_equal(kernel.read_z, kernel.prep_z.conj())
+        assert np.abs(kernel.prep_z - built.prep_z).max() < 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda: protocol_kernel(10, 0.1, 1.0, -1.0),
+    lambda: scan_ramp_time(10, 0.1, 1.0, np.array([1.0, -1.0, 2.0])),
+    lambda: run_protocol(10, 0.1, 1.0, -1.0, 0.0, 0.0),
+])
+def test_negative_ramp_times_rejected(build):
+    with pytest.raises(ValueError, match="^times must be nonnegative$"):
+        build()
 
 
 def test_local_maxima_detection():
@@ -427,10 +494,7 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
     # adjoint backwards, each from its own CF4 exponents, must agree.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n, j)
-    if kind == "cosine-sine":
-        down, up = (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
-    else:
-        down, up = (lambda g: 1 - g), (lambda g: g)
+    down, up = _ramp_profiles(kind)
     rng = np.random.default_rng(n)
     d = n // 2 + 1
     start = rng.normal(size=d) + 1j * rng.normal(size=d)

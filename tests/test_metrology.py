@@ -416,6 +416,26 @@ def test_tint_sweep_offset_policies_and_validation():
         tint_sweep(n, 150 * time_unit(n, j), tint_grid=np.array([]))
 
 
+def test_tint_sweep_rejects_negative_ramp_time():
+    n, j = 10, 0.1
+    kernel = protocol_kernel(n, j, 1.0, 1.0, ramp_steps=20)
+    for extra in ({}, {"kernel": kernel}):
+        with pytest.raises(ValueError, match="^times must be nonnegative$"):
+            tint_sweep(n, -5.0, **extra)
+
+
+def test_tint_sweep_takes_a_kernel_of_these_ramps(stepper_widths):
+    n, j = 10, 0.1
+    ta = 150 * time_unit(n, j)
+    built = tint_sweep(n, ta, ramp_steps=400)
+    assert stepper_widths == [1]
+    given = tint_sweep(n, ta, kernel=protocol_kernel(n, j, 1.0, ta))
+    assert stepper_widths == [1, 1]
+    assert np.array_equal(given.delta_h, built.delta_h)
+    with pytest.raises(ValueError, match="another N"):
+        tint_sweep(12, ta, kernel=protocol_kernel(n, j, 1.0, ta))
+
+
 def test_kernel_arrays_match_scalar_calls():
     n, j = 8, 1.0 / 8
     unit = time_unit(n, j)
