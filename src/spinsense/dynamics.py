@@ -45,36 +45,43 @@ holding the spectrum of H and H' = (H - c) / r,
 
     exp(-i H dt) = e^{-i c dt} sum_j (2 - delta_j0) (-i)^j J_j(r dt) T_j(H'),
 
-the Bessel coefficients of all columns come from one FFT per exponential,
-and T_j(H') psi from the three-term recurrence on the block's float64 view,
-O(d K) per term.
+and T_j(H') psi = 2 H' T_{j-1} psi - T_{j-2} psi.  The fields are walked in
+chunks whose stacks hold at most 2^13 float64 each: a chunk's bands of H'
+come from one broadcast and the Bessel coefficients of all its exponentials
+and columns, with (-i)^j and e^{-i c dt} folded in, from one FFT.  Each
+term is one BLAS banded product (zhbmv) per column, and each column ends as
+one product of its coefficients with its terms.
 The interval is Gershgorin's: its ends are concave and convex in h, so
 their chords between 17 fields spanning the ramp enclose the spectrum at
 every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
-A call takes the series when its longest one satisfies
-m_max (550 + d K) < 3.75 d^2, a cost model fitted to an earlier timing of
-both paths.  It takes the faster one, up to a tie, on these times per
-exponential of the current code (one BLAS thread on a shared 2-core x86
-host, best of 4-10 runs; m is the mean series length over the ramp, at
-T_a = 11.6 N + 60; K = 1 is the default protocol kernel, K = 2 a cooled
-one):
+A term costs about one call into BLAS (2.2 us) plus 0.028 us per row and
+column, so a call takes the series when its longest one satisfies
+m_max K (80 + d) < 4.5 d^2, a cost model fitted to these times per
+exponential (one BLAS thread on a shared 2-core x86 host, median of 7
+interleaved runs, the eigensolves at N >= 600 over 40 exponentials; m is
+the mean series length over the ramp, at T_a = 11.6 N + 60; K = 1 is the
+default protocol kernel, K = 2 a cooled one):
 
        N     d    K   exps      m   eigensolves   series   taken
-      50    26    1   4000    7.3        59 us    115 us   eigensolves
-      50    26    1    400   12.2        67 us    189 us   eigensolves
-     100    51    1    400   14.6       213 us    208 us   eigensolves
-     100    51    1   4000    8.3       214 us    136 us   series
-     150    76    1    400   16.5       474 us    251 us   series
-     200   101    1    400   18.2       689 us    275 us   series
-     200   101    2    400   18.2       760 us    442 us   series
-     200   101   32    400   18.2       753 us   1581 us   eigensolves
-     600   301    1    400   27.9      6242 us    526 us   series
-     600   301    1     40  112.0      6236 us   2127 us   series
-    1000   501    1    400   35.6     18145 us    606 us   series
+      10     6    1   4000    5.8        11 us     16 us   eigensolves
+      20    11    1   4000    6.5        20 us     21 us   eigensolves
+      30    16    1   4000    6.7        36 us     21 us   series
+      30    16    2   4000    6.7        35 us     42 us   eigensolves
+      40    21    1   4000    7.0        58 us     24 us   series
+      50    26    1   4000    7.3        73 us     26 us   series
+      50    26    2   4000    7.3        76 us     51 us   series
+      50    26    1    400   12.2        76 us     42 us   series
+     100    51    1    400   14.6       227 us     73 us   series
+     150    76    1    400   16.5       510 us     85 us   series
+     200   101    2    400   18.2       827 us    207 us   series
+     200   101   32    400   18.2       916 us   3053 us   eigensolves
+     600   301    1    400   27.9      5711 us    337 us   series
+     600   301    1     40  112.0      6322 us   1409 us   series
+    1000   501    1    400   35.6     16721 us    662 us   series
 
-The tie is N = 100 at 400 exponentials: five timings of that row spread
-over 213-252 us (eigensolves) and 208-286 us (series).
+It takes the faster path on every row; N = 20 is a tie, its seven timings
+spreading over 17-27 us (eigensolves) and 19-24 us (series).
 
 Every other block goes through the eigendecompositions, one direct call of
 LAPACK ?stevd per exponential (``eigh_tridiagonal``), and is carried in the
@@ -100,6 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg.blas import zhbmv
 
 from .dicke import (
     DickeBasis,
@@ -272,13 +280,13 @@ def _real_matmul(m, z):
 
 
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
-# Cost model of the path choice, in units of one series term's work per row
-# and column: a term costs _SERIES_TERM + d K, an eigensolve with its two
-# products about _EIGEN_COST d^2 (see the module docstring for the table).
-_SERIES_TERM = 550.0
-_EIGEN_COST = 3.75
+# Cost model of the path choice, in units of a series term's work per row
+# (about 0.028 us): a term costs _SERIES_TERM + d per column, an eigensolve
+# with its two products about _EIGEN_COST d^2 (table: module docstring).
+_SERIES_TERM = 80.0
+_EIGEN_COST = 4.5
 _SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
-_STACK_FLOATS = 1 << 13  # float64 entries per stack of an eigenbasis chunk
+_STACK_FLOATS = 1 << 13  # float64 entries per stack of a chunk of exponentials
 
 
 def _series_lengths(x, limit=math.inf):
@@ -317,15 +325,6 @@ def _bessel_table(x, m):
     return np.fft.fft(waves, axis=-1)[..., : m + 1].real / size
 
 
-def _gershgorin(diag, off):
-    """Ends (lo, hi) of an interval holding the tridiagonal's spectrum."""
-    size = np.abs(off)
-    rad = np.zeros(len(diag))
-    rad[1:] = size
-    rad[:-1] += size
-    return (diag - rad).min(), (diag + rad).max()
-
-
 def _exponential_steps(a, b, fields, durations, psi):
     """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
@@ -343,45 +342,45 @@ def _exponential_steps(a, b, fields, durations, psi):
     d, k = np.shape(psi)
     lengths = None
     if k <= d:
-        # Gershgorin's lo(h) is concave and hi(h) convex in h, so their chords
-        # between knots spanning the fields enclose the spectrum at every field.
-        knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)
-        ends = np.array([_gershgorin(a[0] + h * b[0], a[1] + h * b[1]) for h in knots])
-        lo, hi = np.interp(fields, knots, ends[:, 0]), np.interp(fields, knots, ends[:, 1])
+        # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
+        # convex, have chords between knots that enclose the spectrum at every field.
+        knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
+        diags, offs = a[0] + knots * b[0], np.abs(a[1] + knots * b[1])
+        rad = np.pad(offs, ((0, 0), (1, 0))) + np.pad(offs, ((0, 0), (0, 1)))
+        lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
+        hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
         centres, radii = (hi + lo) / 2, (hi - lo) / 2
-        limit = _EIGEN_COST * d * d / (_SERIES_TERM + d * k)
+        limit = _EIGEN_COST * d * d / (k * (_SERIES_TERM + d))
         lengths = _series_lengths(radii * np.abs(neg_dts).max(), limit)
     if lengths is not None:
-        # exp(i x y) = sum_j (2 - delta_j0) i^j J_j(x) T_j(y): real weights
-        # here, the i of the odd terms applied where the two sums meet.
-        weights = 2.0 - 4.0 * (np.arange(lengths.max() + 1) // 2 % 2)
+        # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
+        # complex weights w_j, so each column ends as one product w @ [T_j].
+        weights = np.array([2, 2j, -2, -2j])[np.arange(lengths.max() + 1) % 4]
         weights[0] = 1.0
-        # Rows are the columns of psi, each an interleaved (re, im) float64
-        # row, so H' = (H - c) / r acts along the rows on repeated diagonals.
-        a2, b2 = [np.repeat(x, 2) for x in a], [np.repeat(x, 2) for x in b]
-        psi = np.ascontiguousarray(np.transpose(psi), dtype=complex)
-        for h, centre, radius, m in zip(fields, centres, radii, lengths):
-            coef = (_bessel_table(radius * neg_dts, m) * weights[: m + 1])[..., None]
-            cur = psi.view(float)
-            sums = [coef[:, 0] * cur, np.zeros_like(cur)]  # even and odd j
-            if m:
-                diag = (a2[0] + h * b2[0] - centre) * (2 / radius)
-                off = (a2[1] + h * b2[1]) * (2 / radius)
-            prev = None
-            for j in range(1, m + 1):
-                # T_j = 2 H' T_{j-1} - T_{j-2}, and T_1 = H' T_0
-                nxt = diag * cur
-                nxt[:, :-2] += off * cur[:, 2:]
-                nxt[:, 2:] += off * cur[:, :-2]
-                if prev is None:
-                    nxt *= 0.5
-                else:
-                    nxt -= prev
-                sums[j % 2] += coef[:, j] * nxt
-                prev, cur = cur, nxt
-            psi = sums[0].view(complex) + 1j * sums[1].view(complex)
-            psi *= np.exp(1j * centre * neg_dts)[:, None]
-        return np.transpose(psi)
+        size = 1 << int(2 * lengths.max() + 1).bit_length()  # the widest FFT
+        chunk = max(1, _STACK_FLOATS // max(2 * k * size, 4 * d))
+        # bands[i].T is H' in BLAS's upper band storage, superdiagonal over
+        # diagonal, as a Fortran (2, d) array that f2py passes on uncopied.
+        bands = np.zeros((chunk, d, 2), dtype=complex)
+        cols = list(np.array(np.transpose(psi), dtype=complex))
+        for start in range(0, len(fields), chunk):
+            part = slice(start, start + chunk)
+            hs, cs, rs = fields[part, None], centres[part, None], radii[part, None]
+            ms = lengths[part]
+            scale = 1 / np.where(rs > 0, rs, 1)  # r = 0 only where m = 0
+            bands.real[: len(ms), :, 1] = (a[0] + hs * b[0] - cs) * scale
+            bands.real[: len(ms), 1:, 0] = (a[1] + hs * b[1]) * scale
+            coefs = _bessel_table(rs * neg_dts, ms.max()) * weights[: ms.max() + 1]
+            coefs *= np.exp(1j * cs * neg_dts)[..., None]
+            for band, m, coef in zip(bands.transpose(0, 2, 1), ms, coefs):
+                for c, col in enumerate(cols):
+                    # T_1 = H' T_0 and T_j = 2 H' T_{j-1} - T_{j-2}, by zhbmv(k, alpha,
+                    # a, x, incx, offx, beta, y) = alpha A x + beta y (keywords cost more)
+                    terms = [col, zhbmv(1, 1.0, band, col)] if m else [col]
+                    for _ in range(1, m):
+                        terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
+                    cols[c] = coef[c, : m + 1] @ terms
+        return np.transpose(cols)
     factors = _phase_factors(neg_dts)
     if factors is None:
         table_steps, width = neg_dts, k

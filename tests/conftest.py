@@ -8,8 +8,15 @@ written out from the angular-momentum ladder elements, and is usable up to a
 few hundred qubits.
 """
 
+import os
 from itertools import combinations
 from math import comb
+
+# One BLAS thread, as the benchmark runs: set before numpy loads OpenBLAS,
+# which reads these once.  Two threads on a 2-core host made the small dense
+# oracle tests about 15 times slower.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -21,6 +21,7 @@ from spinsense import (
     parity_resolved_spectrum,
     propagate,
     protocol_kernel,
+    rotate_basis,
     run_protocol,
     scan_ramp_time,
     select_optimum,
@@ -636,17 +637,20 @@ def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
     assert isinstance(err.value, ValueError)
 
 
-def test_kernel_build_memory_stays_small():
-    # The eigenbasis carry keeps fixed-size chunk stacks: stacks over the
-    # whole 4000-exponential ramp would take about 22 MB.
+def test_kernel_build_memory_stays_small(monkeypatch):
+    # Both paths keep fixed-size chunk stacks: the eigenbasis carry's over
+    # the whole 4000-exponential ramp would take about 22 MB.  This kernel
+    # takes the series; priced at zero, the eigensolves take it.
     n = 50
-    tracemalloc.start()
-    try:
-        protocol_kernel(n, 1.0 / n, 1.0, 645 * time_unit(n, 1.0 / n), ramp_steps=4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    for eigen_cost in (dynamics._EIGEN_COST, 0.0):
+        monkeypatch.setattr(dynamics, "_EIGEN_COST", eigen_cost)
+        tracemalloc.start()
+        try:
+            protocol_kernel(n, 1.0 / n, 1.0, 645 * time_unit(n, 1.0 / n), ramp_steps=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_stepper_rejects_bad_input():
@@ -686,16 +690,23 @@ def _carried(a, b, fields, durations, block):
 
 
 @pytest.mark.parametrize("durations", [[1.0], [-1.0], [1.0, -1.0], [0.7, 0.0]])
-@pytest.mark.parametrize("n, n_exps", [(200, 400), (600, 40)])
+@pytest.mark.parametrize("n, n_exps", [(30, 4000), (50, 4000), (200, 400), (600, 40)])
 def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations):
     # Narrow blocks whose series is short skip the eigensolves; the ramp is
-    # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.
+    # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
+    # 50 at 4000 exponentials are sensing-sweep kernels, K = 1 or the +-T
+    # block of a cooled one.
     a, b, _ = _sector_terms(n, 1.0 / n, +1)
     fields = _down_ramp_fields("cosine-sine", 1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n, 1.0 / n)
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
     block /= np.linalg.norm(block, axis=0)
+    if n == 30 and len(durations) == 2:
+        # At d = 16 the eigensolves are the cheaper path for two columns
+        # (see the table in the dynamics docstring); price them out so the
+        # series is checked there too.
+        monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
     calls = _count_eigensolves(monkeypatch)
     out = _exponential_steps(a, b, fields, durations, block)
     assert not calls
@@ -741,11 +752,45 @@ def test_bessel_table_and_series_tail():
     assert _series_lengths(np.array([0.5, 30.0]), limit=20) is None
 
 
-@pytest.mark.parametrize("n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4), (50, 4000, 4000)])
+@pytest.mark.parametrize(
+    "n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4), (50, 4000, 0), (10, 4000, 4000)]
+)
 def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolves):
     # The choice follows the series length, not the size alone: at N = 600
-    # four exponentials need a series of about 2600 terms.
+    # four exponentials need a series of about 2600 terms.  At N = 10
+    # (d = 6) an eigensolve costs less than a series of six terms.
     calls = _count_eigensolves(monkeypatch)
     t_ramp = (11.6 * n + 60) * time_unit(n, 1.0 / n)
     protocol_kernel(n, 1.0 / n, 1.0, t_ramp, ramp_steps=n_exps)
     assert len(calls) == eigensolves
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_series_kernels_match_the_oracle(monkeypatch, n):
+    # With the eigensolves priced out, the default kernel column and the
+    # cooled two-column block take the series even at d = 3..5; both must
+    # match the full 2^N oracle, which steps the two start states as columns
+    # through the down ramp and, run backwards, the adjoint up ramp.
+    monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
+    calls = _count_eigensolves(monkeypatch)
+    j, steps, h0 = 1.0 / n, 10, 1.0
+    ta = 50 * time_unit(n, j)
+    cooled = parity_resolved_spectrum(ModelParams(n, j, h0)).even_states[0]
+    kernels = [
+        protocol_kernel(n, j, h0, ta, ramp_steps=steps, initial_state=state,
+                        readout_state=state)
+        for state in (None, cooled)
+    ]
+    assert not calls
+    q = symmetric_isometry(n)
+    start = q @ np.column_stack(
+        [x_polarized_state(n, axis="Z").amplitudes, rotate_basis(cooled, "Z").amplitudes]
+    )
+    down, up = _ramp_profiles("cosine-sine")
+    prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
+    read = q.T @ brute_force_ramp(
+        n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps
+    )
+    for kernel, prep_z, read_z in zip(kernels, prep.T, read.T):
+        assert np.abs(kernel.prep_z - prep_z).max() < 1e-12
+        assert np.abs(kernel.read_z - read_z).max() < 1e-12
