@@ -11,17 +11,68 @@ tridiagonal S_X with a sign gauge fixed by the X-frame lowering operator, so
 it is built in O(N^2) from one tridiagonal eigensolve rather than a dense
 matrix exponential (see `rotation_matrix`).
 
+The compiled LAPACK and BLAS wrappers the package calls (``dstevd`` here,
+``zhbmv`` in the ramp stepper) are taken from scipy's own f2py extension
+modules, loaded from their files: importing the scipy.linalg package would
+also import numpy.f2py and numpy.testing, about half of the CLI's start-up.
+
 Objects are immutable after construction and all functions are pure, so
 states and operators can be shared freely across threads or sweep workers.
 """
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy
 
 AXES = ("Z", "X")
+
+
+def _linalg_extension(name):
+    """scipy's compiled module scipy.linalg.<name>, without importing scipy.linalg.
+
+    The module is registered under its own name, so a later import of
+    scipy.linalg uses it and its functions are the very same objects.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
+    if spec is None:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no extension module "
+            f"{os.path.join(directory, name)}{EXTENSION_SUFFIXES[0]}",
+            name=fullname,
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+dstevd = _linalg_extension("_flapack").dstevd
+zhbmv = _linalg_extension("_fblas").zhbmv
+
+
+def eigh_tridiagonal(diag, off):
+    """Eigenvalues w and eigenvectors V of a real symmetric tridiagonal matrix.
+
+    Calls LAPACK ?stevd, the driver scipy.linalg.eigh_tridiagonal picks for
+    all eigenpairs, so w and V are the same bits, without the wrapper's
+    argument checks: callers pass float arrays of matching lengths.
+    """
+    if len(diag) == 1:  # ?stevd rejects 1 x 1 input
+        return np.array(diag, dtype=float), np.ones((1, 1))
+    w, v, info = dstevd(diag, off)
+    if info:
+        raise np.linalg.LinAlgError(f"?stevd failed with info = {info} (eigh_tridiagonal)")
+    return w, v
 
 
 def _readonly(a):

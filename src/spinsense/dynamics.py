@@ -83,8 +83,8 @@ default protocol kernel, K = 2 a cooled one):
 It takes the faster path on every row; N = 20 is a tie, its seven timings
 spreading over 17-27 us (eigensolves) and 19-24 us (series).
 
-Every other block goes through the eigendecompositions, one direct call of
-LAPACK ?stevd per exponential (``eigh_tridiagonal``), and is carried in the
+Every other block goes through the eigendecompositions, one call of LAPACK
+?stevd per exponential (``dicke.eigh_tridiagonal``), and is carried in the
 instantaneous eigenbasis: moved between exponentials by the real transfer
 matrix W_i = V_{i+1}^T V_i (one d^3 product and one d x d x K product each),
 with V_{-1} = 1 so that W_0 = V_0^T rotates it in, and rotated out by the
@@ -106,18 +106,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.linalg.blas import zhbmv
 
 from .dicke import (
     DickeBasis,
     DickeState,
     collective_operators,
+    eigh_tridiagonal,
     ghz_state,
     ladder_elements,
     rotate_basis,
     rotation_matrix,
     x_polarized_state,
+    zhbmv,
 )
 from .model import sector_indices, sector_tridiagonal
 
@@ -254,24 +254,6 @@ def _phase_factors(steps):
     width = int(np.ceil(np.sqrt(k)))
     rows = -(-k // width)
     return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
-
-
-_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
-
-
-def eigh_tridiagonal(diag, off):
-    """Eigenvalues w and eigenvectors V of a real symmetric tridiagonal matrix.
-
-    Calls LAPACK ?stevd, the driver scipy.linalg.eigh_tridiagonal picks for
-    all eigenpairs, so w and V are the same bits, without the wrapper's
-    argument checks: the stepper checks its inputs once per call.
-    """
-    if len(diag) == 1:  # ?stevd rejects 1 x 1 input
-        return np.array(diag, dtype=float), np.ones((1, 1))
-    w, v, info = _STEVD(diag, off)
-    if info:
-        raise LinAlgError(f"?stevd failed with info = {info} (eigh_tridiagonal)")
-    return w, v
 
 
 def _real_matmul(m, z):

@@ -17,13 +17,13 @@ set J = 1/N so that JN = 1.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .dicke import (
     CollectiveOperator,
     DickeBasis,
     DickeState,
     collective_operators,
+    eigh_tridiagonal,
     ladder_elements,
     rotate_basis,
     rotation_matrix,
@@ -104,8 +104,6 @@ def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
 def sector_eigh(n_qubits, interaction, transverse_field, parity):
     """Eigenpairs of one parity sector, ascending, vectors in sector coords."""
     diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)
-    if len(diag) == 1:
-        return diag.copy(), np.ones((1, 1))
     return eigh_tridiagonal(diag, off)
 
 
@@ -177,6 +175,8 @@ def ground_overlap(n_qubits, fields_over_jn):
     The overlap is scale free: it depends on the field only through h^x/JN.
     Monotone increasing in the field, approaching 1 as h^x -> infinity.
     """
+    from scipy.linalg import eigh_tridiagonal  # slow to import; select= needs stebz/stein
+
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")
@@ -191,6 +191,8 @@ def ground_overlap(n_qubits, fields_over_jn):
 
 def even_gap_at(n_qubits, field_over_jn):
     """E(psi_1) - E(psi_0) in units of JN at the given h^x / JN."""
+    from scipy.linalg import eigh_tridiagonal  # slow to import; select= needs stebz/stein
+
     j = 1.0 / n_qubits
     diag, off, _ = sector_tridiagonal(n_qubits, j, field_over_jn, +1)
     w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[0]

@@ -1,9 +1,15 @@
 """Collective operators, parity, and basis rotation against brute force."""
 
+import os
+import subprocess
+import sys
 from math import comb, lgamma, log
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+import scipy.linalg
 
 from spinsense import (
     DickeBasis,
@@ -16,6 +22,7 @@ from spinsense import (
     rotation_matrix,
     x_polarized_state,
 )
+from spinsense import dicke, model
 from spinsense.dicke import ladder_elements
 
 from conftest import dense_rotation, full_collective, full_parity, symmetric_isometry, _X, _Z
@@ -159,6 +166,42 @@ def test_rotation_structure_large_n(n):
 def test_rotation_matrix_rejects_bad_n(n):
     with pytest.raises(ValueError, match="n_qubits must be an even integer >= 2"):
         rotation_matrix(n)
+
+
+def test_linalg_wrappers_are_scipys():
+    # Loaded from scipy's extension files, the wrappers are the objects
+    # scipy.linalg exposes, whichever of the two is imported first.
+    assert dicke.dstevd is scipy.linalg.lapack.dstevd
+    assert dicke.zhbmv is scipy.linalg.blas.zhbmv
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import spinsense.dicke as d, scipy.linalg as s; "
+        "print(d.dstevd is s.lapack.dstevd and d.zhbmv is s.blas.zhbmv)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("n", [2, 600, 2000])
+def test_rotation_matrix_bits_match_scipy_solver(monkeypatch, n):
+    u = rotation_matrix.__wrapped__(n)
+    monkeypatch.setattr(dicke, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
+    assert np.array_equal(u, rotation_matrix.__wrapped__(n))
+
+
+def test_sector_eigh_bits_match_scipy_solver(monkeypatch):
+    w, v = model.sector_eigh(50, 1.0 / 50, 0.7, +1)
+    monkeypatch.setattr(model, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
+    w_ref, v_ref = model.sector_eigh(50, 1.0 / 50, 0.7, +1)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_missing_linalg_extension_names_file_and_version():
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__} .*/_no_such_module"):
+        dicke._linalg_extension("_no_such_module")
+    assert "scipy.linalg._no_such_module" not in sys.modules
 
 
 def test_rotation_cache_is_bounded():

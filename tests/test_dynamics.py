@@ -28,7 +28,7 @@ from spinsense import (
     sine_ramp_up,
     x_polarized_state,
 )
-from spinsense import dynamics
+from spinsense import dicke, dynamics
 from spinsense.dicke import ladder_elements, rotation_matrix
 from spinsense.dynamics import (
     _bessel_table,
@@ -630,7 +630,7 @@ def test_eigh_tridiagonal_is_scipys(n):
 
 def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
     diag, off, _ = sector_tridiagonal(10, 0.1, 0.7, +1)
-    monkeypatch.setattr(dynamics, "_STEVD", lambda d, e: (d, np.eye(len(d)), 1))
+    monkeypatch.setattr(dicke, "dstevd", lambda d, e: (d, np.eye(len(d)), 1))
     # LinAlgError is a ValueError, so the CLI reports it in one line
     with pytest.raises(np.linalg.LinAlgError, match="info = 1") as err:
         dynamics.eigh_tridiagonal(diag, off)
