@@ -21,7 +21,9 @@ ramp (two per CF4 step), so it is even.
 For h^z = 0 the evolution is computed inside the two parity sectors of the
 X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m is
 diagonal; parity is then conserved identically, which is the symmetry
-protection the prepare/readout ramps rely on.  With h^z != 0 the
+protection the prepare/readout ramps rely on.  Their results reach the Z
+basis through the even parity block of S_X alone (``dicke.parity_block``),
+unfolded, never through the dense (N+1) x (N+1) rotation.  With h^z != 0 the
 Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
 off-diagonal, and is stepped there instead.
 
@@ -110,16 +112,20 @@ import numpy as np
 from .dicke import (
     DickeBasis,
     DickeState,
+    _block_product,
+    _real_matmul,
     collective_operators,
     eigh_tridiagonal,
+    fold,
     ghz_state,
     ladder_elements,
+    parity_block,
     rotate_basis,
-    rotation_matrix,
+    unfold,
     x_polarized_state,
     zhbmv,
 )
-from .model import sector_indices, sector_tridiagonal
+from .model import sector_tridiagonal
 
 SEGMENT_KINDS = ("cosine-down", "sine-up", "linear", "constant")
 _STEPS_RULE = "steps must be even and at least 2"
@@ -254,11 +260,6 @@ def _phase_factors(steps):
     width = int(np.ceil(np.sqrt(k)))
     rows = -(-k // width)
     return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
-
-
-def _real_matmul(m, z):
-    """m @ z for real m and a C-ordered complex block z, on its float64 view."""
-    return (m @ z.view(float)).view(complex)
 
 
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
@@ -463,11 +464,9 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
     if abs(state.norm - 1) > 1e-10:
         raise ValueError(f"input state is not normalized (norm = {state.norm})")
     n = state.basis.n_qubits
-    in_axis = state.basis.axis
-    u = rotation_matrix(n)
     if hz == 0.0:
         # Each parity sector is stepped on its own, so parity is exact.
-        amp_x = state.amplitudes if in_axis == "X" else u.T @ state.amplitudes
+        amp_x = rotate_basis(state, "X").amplitudes
         out_x = np.zeros(n + 1, dtype=complex)
         for parity in (+1, -1):
             a, b, idx = _sector_terms(n, interaction, parity)
@@ -475,14 +474,14 @@ def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
                 out_x[idx] = _propagate_segments(
                     a, b, schedule.segments, steps_per_unit, amp_x[idx]
                 )
-        out = out_x if in_axis == "X" else u @ out_x
+        out = DickeState(DickeBasis(n, "X"), out_x)
     else:
-        amp_z = state.amplitudes if in_axis == "Z" else u @ state.amplitudes
+        amp_z = rotate_basis(state, "Z").amplitudes
         a = (_z_diagonal(n, interaction, hz), np.zeros(n))
         b = (np.zeros(n + 1), -ladder_elements(n))
         out_z = _propagate_segments(a, b, schedule.segments, steps_per_unit, amp_z)
-        out = out_z if in_axis == "Z" else u.T @ out_z
-    return DickeState(DickeBasis(n, in_axis), out)
+        out = DickeState(DickeBasis(n, "Z"), out_z)
+    return rotate_basis(out, state.basis.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +713,12 @@ def scan_ramp_time(
 
 
 def _ghz_even_coords(n_qubits):
-    """Even-sector X coordinates of the even GHZ state."""
-    u = rotation_matrix(n_qubits)
-    ghz_z = ghz_state(n_qubits).amplitudes
-    return (u.T @ ghz_z)[sector_indices(n_qubits, +1)]
+    """Even-sector X coordinates of the even GHZ state.
+
+    Folded, the even GHZ state is the first symmetric coordinate (see
+    dicke.fold), so its X coordinates are row 0 of the even parity block.
+    """
+    return parity_block(n_qubits, +1)[0]
 
 
 def select_optimum(scan, target):
@@ -773,27 +774,33 @@ class ProtocolKernel:
 
 
 def _even_coords(state):
-    """Even-sector X coordinates of an even-parity DickeState."""
-    n = state.basis.n_qubits
-    amp_x = rotate_basis(state, "X").amplitudes
-    odd = amp_x[sector_indices(n, -1)]
+    """Even-sector X coordinates of an even-parity DickeState.
+
+    A Z-basis state's odd part is its antisymmetric fold (see dicke.fold),
+    checked without a rotation; the symmetric fold goes through the even block.
+    """
+    amp = state.amplitudes
+    if state.basis.axis == "X":
+        even, odd = amp[0::2], amp[1::2]
+    else:
+        sym, odd = fold(amp)
+        even = _block_product(state.basis.n_qubits, +1, sym, transpose=True)
     if np.linalg.norm(odd) > 1e-12:
         raise ValueError("kernel states must have even parity")
-    return amp_x[sector_indices(n, +1)].astype(complex)
+    return even.astype(complex)
 
 
 def _even_to_z(n_qubits, columns):
     """Z-basis amplitudes of a (d, K) block of even-sector X coordinates."""
-    full = np.zeros((n_qubits + 1, columns.shape[1]), dtype=complex)
-    full[sector_indices(n_qubits, +1)] = columns
-    return _real_matmul(rotation_matrix(n_qubits), full)
+    return unfold(_block_product(n_qubits, +1, columns))
 
 
 def _default_kernels(n_qubits, interaction, prepared):
     """A ProtocolKernel per column U_down e_0 of ``prepared``, as a tuple.
 
     The readout column U_up^+ e_0 is conj(U_down e_0) (see the scan notes),
-    and the Z-basis rotation is real, so it commutes with the conjugate.
+    and the even parity block that takes it to the Z basis is real, so it
+    commutes with the conjugate.
     """
     return tuple(
         ProtocolKernel(n_qubits, interaction, prep_z, prep_z.conj())

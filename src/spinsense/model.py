@@ -25,8 +25,9 @@ from .dicke import (
     collective_operators,
     eigh_tridiagonal,
     ladder_elements,
+    parity_block,
     rotate_basis,
-    rotation_matrix,
+    unfold,
 )
 
 
@@ -121,41 +122,32 @@ class SpectrumData:
     full_gap: float  # E_1 - E_0 of the merged spectrum
 
 
-def _gauge_fix(amp):
-    k = np.argmax(np.abs(amp))
-    phase = amp[k] / abs(amp[k])
-    return amp / phase
-
-
 def parity_resolved_spectrum(params):
     """Diagonalize each parity sector of H (requires h^z = 0).
 
     Eigenstates are returned as Z-basis DickeStates with the gauge fixed by
     making each state's largest-magnitude amplitude real positive, which
-    pins the overlap phases gamma_n reproducibly.
+    pins the overlap phases gamma_n reproducibly.  An odd state's amplitudes
+    at m and -m are exact negatives, and the one at m > 0 is made positive.
     """
     if params.longitudinal_field != 0:
         raise ValueError("parity sectors are only defined for h^z = 0")
     n = params.n_qubits
-    u = rotation_matrix(n)
     basis_z = DickeBasis(n, "Z")
 
     def solve(parity):
         w, v = sector_eigh(n, params.interaction, params.transverse_field, parity)
-        idx = sector_indices(n, parity)
-        states, amps_x = [], []
-        for col in range(v.shape[1]):
-            full_x = np.zeros(n + 1, dtype=complex)
-            full_x[idx] = v[:, col]
-            amp_z = _gauge_fix(u @ full_x)
-            states.append(DickeState(basis_z, amp_z))
-            amps_x.append(u.T @ amp_z)
-        return w, tuple(states), amps_x
+        # Sector coordinates are X coordinates, so the parity block folds them.
+        folded = parity_block(n, parity) @ v
+        amps = unfold(folded) if parity == +1 else unfold(np.zeros((len(v) + 1, len(v))), folded)
+        # The largest-magnitude amplitude of each (real) state made positive.
+        signs = np.sign(amps[np.argmax(np.abs(amps), axis=0), np.arange(len(v))])
+        states = tuple(DickeState(basis_z, a) for a in (amps * signs).T)
+        # g_n = <psi_n | psi_0(inf)>, and |psi_0(inf)> = |+>^N is e_0 of the even sector
+        return w, states, (v[0] * signs).astype(complex)
 
-    even_w, even_states, even_x = solve(+1)
+    even_w, even_states, overlaps = solve(+1)
     odd_w, odd_states, _ = solve(-1)
-    # g_n = <psi_n | psi_0(inf)> with |psi_0(inf)> = e_0 in the X basis
-    overlaps = np.array([np.conj(ax[0]) for ax in even_x])
     merged = np.sort(np.concatenate([even_w, odd_w]))
     return SpectrumData(
         params=params,

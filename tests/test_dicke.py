@@ -23,7 +23,7 @@ from spinsense import (
     x_polarized_state,
 )
 from spinsense import dicke, model
-from spinsense.dicke import ladder_elements
+from spinsense.dicke import ladder_elements, parity_block
 
 from conftest import dense_rotation, full_collective, full_parity, symmetric_isometry, _X, _Z
 
@@ -186,9 +186,15 @@ def test_linalg_wrappers_are_scipys():
 
 @pytest.mark.parametrize("n", [2, 600, 2000])
 def test_rotation_matrix_bits_match_scipy_solver(monkeypatch, n):
+    # The parity blocks are cached too: clear them, so both solvers run.
+    parity_block.cache_clear()
     u = rotation_matrix.__wrapped__(n)
+    parity_block.cache_clear()
     monkeypatch.setattr(dicke, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
-    assert np.array_equal(u, rotation_matrix.__wrapped__(n))
+    try:
+        assert np.array_equal(u, rotation_matrix.__wrapped__(n))
+    finally:
+        parity_block.cache_clear()
 
 
 def test_sector_eigh_bits_match_scipy_solver(monkeypatch):
@@ -206,6 +212,59 @@ def test_missing_linalg_extension_names_file_and_version():
 
 def test_rotation_cache_is_bounded():
     assert rotation_matrix.cache_info().maxsize == 8
+    assert parity_block.cache_info().maxsize == 8
+
+
+def _folding(n):
+    """Isometries onto the folded Z basis: columns (e_k +- e_{N-k})/sqrt(2), and e_{N/2}."""
+    h, eye = n // 2, np.eye(n + 1)
+    sym = np.column_stack([(eye[k] + eye[n - k]) / np.sqrt(2) for k in range(h)] + [eye[h]])
+    antisym = np.column_stack([(eye[k] - eye[n - k]) / np.sqrt(2) for k in range(h)])
+    return sym, antisym
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_fold_is_the_parity_isometry(n, rng):
+    q_sym, q_anti = _folding(n)
+    z = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+    sym, antisym = dicke.fold(z)
+    assert np.abs(sym - q_sym.T @ z).max() < 1e-15
+    assert np.abs(antisym - q_anti.T @ z).max() < 1e-15
+    assert np.abs(dicke.unfold(sym, antisym) - z).max() < 1e-15
+    assert np.abs(dicke.unfold(sym) - q_sym @ sym).max() < 1e-15
+    # The folded bases are the two eigenspaces of the spin-flip parity.
+    flip = parity_operator(DickeBasis(n)).matrix.real
+    assert np.array_equal(flip @ q_sym, q_sym) and np.array_equal(flip @ q_anti, -q_anti)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 100, 600])
+def test_parity_blocks_carry_the_sector_hamiltonians(n):
+    # The invariant that ties the X-sector stepper to the Z amplitudes: each
+    # block takes H on its folded Z basis to the tridiagonal sector_tridiagonal
+    # matrix, signs of the off-diagonal included.
+    j, hx = 1.0 / n, 0.7
+    sx, _, sz = (op.matrix.real for op in collective_operators(n))
+    h_z = -2 * j * sz @ sz - 2 * hx * sx
+    for parity, fold_basis in zip((+1, -1), _folding(n)):
+        block = parity_block(n, parity)
+        diag, off, _ = model.sector_tridiagonal(n, j, hx, parity)
+        sector = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert block.dtype == np.float64 and not block.flags.writeable
+        assert np.abs(block.T @ (fold_basis.T @ h_z @ fold_basis) @ block - sector).max() < 1e-12 * n
+
+
+@pytest.mark.parametrize("n", [2, 10, 600])
+def test_rotation_matrix_interleaves_the_parity_blocks(n):
+    u = rotation_matrix(n)
+    for parity, fold_basis, columns in zip((+1, -1), _folding(n), (u[:, 0::2], u[:, 1::2])):
+        assert np.abs(fold_basis.T @ columns - parity_block(n, parity)).max() < 1e-15
+
+
+def test_parity_block_rejects_bad_input():
+    with pytest.raises(ValueError, match="n_qubits must be an even integer >= 2"):
+        parity_block(3, +1)
+    with pytest.raises(ValueError, match="parity must be"):
+        parity_block(4, 0)
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -214,6 +273,15 @@ def test_x_polarized_state_is_binomial(n):
     amp = x_polarized_state(n, axis="Z").amplitudes
     expected = np.array([np.sqrt(comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)])
     assert np.abs(amp - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 600, 2000])
+def test_x_polarized_state_is_the_rotation_column(n):
+    amp = x_polarized_state(n, axis="Z").amplitudes
+    assert amp.imag.max() == 0 and amp.real.min() >= 0
+    assert np.abs(amp - rotation_matrix(n)[:, 0]).max() < 1e-12
+    x = x_polarized_state(n)
+    assert x.basis.axis == "X" and np.array_equal(x.amplitudes, np.eye(n + 1)[0])
 
 
 def test_rotation_of_m0_state_n2():

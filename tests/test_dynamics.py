@@ -381,6 +381,76 @@ def test_one_column_kernel_matches_two_columns_at_large_n():
     assert np.abs(one.read_z - two.read_z).max() < 1e-13
 
 
+def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
+    # The even parity block and the unfold take the stepped column to the Z
+    # basis as the full rotation did, at 400 exponentials on the series path.
+    n, j, steps = 600, 1.0 / 600, 400
+    ta = (11.6 * n + 60) * time_unit(n, j)
+    columns = []
+    step = dynamics._exponential_steps
+
+    def recorded(a, b, fields, durations, psi):
+        columns.append(step(a, b, fields, durations, psi))
+        return columns[-1]
+
+    monkeypatch.setattr(dynamics, "_exponential_steps", recorded)
+    kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=steps)
+    full = np.zeros(n + 1, dtype=complex)
+    full[sector_indices(n, +1)] = columns[0][:, 0]
+    dense = rotation_matrix(n) @ full
+    scale = np.abs(dense).max()
+    assert np.abs(kernel.prep_z - dense).max() < 1e-13 * scale
+    assert np.abs(kernel.read_z - dense.conj()).max() < 1e-13 * scale
+
+
+def test_default_kernel_keeps_the_dense_rotation_out():
+    # One (N+1)^2 float64 array at N = 600 is 2.89 MB; the kernel build,
+    # with the cached parity blocks rebuilt, stays below that.
+    n, j = 600, 1.0 / 600
+    ta = (11.6 * n + 60) * time_unit(n, j)
+    protocol_kernel(n, j, 1.0, ta, ramp_steps=4)  # first calls into numpy and BLAS
+    dicke.rotation_matrix.cache_clear()
+    dicke.parity_block.cache_clear()
+    tracemalloc.start()
+    try:
+        protocol_kernel(n, j, 1.0, ta, ramp_steps=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 1) ** 2
+
+
+@pytest.mark.parametrize("axis", ["Z", "X"])
+def test_kernel_states_must_have_even_parity(axis):
+    n, j = 10, 0.1
+    even = ghz_state(n, +1).amplitudes
+    odd = ghz_state(n, -1).amplitudes
+    for amp in (odd, even + 1e-9 * odd):
+        state = rotate_basis(DickeState(DickeBasis(n, "Z"), amp).normalized(), axis)
+        for which in ("initial_state", "readout_state"):
+            with pytest.raises(ValueError, match="kernel states must have even parity"):
+                protocol_kernel(n, j, 1.0, 1.0, ramp_steps=4, **{which: state})
+
+
+def test_ramps_never_build_the_rotation_matrix(monkeypatch):
+    def refused(n_qubits):
+        raise AssertionError("the dense rotation was built")
+
+    monkeypatch.setattr(dicke, "rotation_matrix", refused)
+    n, j = 10, 0.1
+    unit = time_unit(n, j)
+    cooled = parity_resolved_spectrum(ModelParams(n, j, 1.0)).even_states[0]
+    scan_ramp_time(n, j, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
+    protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40)
+    protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40,
+                    initial_state=rotate_basis(cooled, "X"), readout_state=cooled)
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40)
+    ramp = Schedule((cosine_ramp_down(1.0, 10 * unit),))
+    for state in (cooled, rotate_basis(ghz_state(n, -1), "X")):
+        for hz in (0.0, 0.3):
+            propagate(state, ramp, j, hz=hz, steps_per_unit=4 / unit)
+
+
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths, kind):
     n, j = 10, 0.1

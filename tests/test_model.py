@@ -95,6 +95,18 @@ def test_sector_dimensions_and_parity_labels():
     assert np.all(np.diff(spec.odd_energies) >= 0)
 
 
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_eigenstate_gauge_is_reproducible(n):
+    # The largest-magnitude amplitude is real positive; an odd state's come
+    # as an exact pair at m and -m, and the one at m > 0 is taken.
+    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.7))
+    for state in spec.even_states + spec.odd_states:
+        amp = state.amplitudes
+        assert amp.imag.max() == 0 and amp[np.argmax(np.abs(amp))].real > 0
+    for state in spec.odd_states:
+        assert np.array_equal(state.amplitudes, -state.amplitudes[::-1])
+
+
 def test_sector_vs_full_diagonalization():
     n = 8
     params = ModelParams(n, 1.0 / n, 0.9)
@@ -117,6 +129,17 @@ def test_overlaps_unit_weight_and_phase_gauge():
     assert abs(spec.overlaps[0]) ** 2 == pytest.approx(
         ground_overlap(n, [1.3])[0], abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_overlaps_are_the_returned_states_projections(n):
+    # g_n = <psi_n | +>^N, for the Z-basis states exactly as returned, so the
+    # overlap phases follow the eigenstates' gauge.
+    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.8))
+    plus = x_polarized_state(n, axis="Z")
+    expected = [state.overlap(plus) for state in spec.even_states]
+    assert spec.overlaps.dtype == complex
+    assert np.abs(spec.overlaps - expected).max() < 1e-13
 
 
 def test_ground_overlap_monotone_and_limits():
