@@ -11,8 +11,8 @@ tridiagonal S_X with a sign gauge fixed by the X-frame lowering operator.
 S_X commutes with the spin-flip parity, so on the Z basis folded into
 (|m> + |-m>)/sqrt(2) and (|m> - |-m>)/sqrt(2) it splits into two tridiagonal
 blocks of half the size; the rotation is built from their eigenvectors (see
-`parity_block`), and states are rotated block by block, so a state of one
-parity never needs the other block or the dense (N+1) x (N+1) matrix.
+`parity_block`), and states are rotated block by block (`sector_to_z`,
+`z_to_sector`), never through the dense (N+1) x (N+1) matrix.
 
 The compiled LAPACK and BLAS wrappers the package calls (``dstevd`` here,
 ``zhbmv`` in the ramp stepper) are taken from scipy's own f2py extension
@@ -229,7 +229,9 @@ def fold(z):
 
 
 def unfold(sym, antisym=None):
-    """Z-basis amplitudes of folded coordinates (see fold); None is a zero antisym."""
+    """Z-basis amplitudes of folded coordinates (see fold); None stands for zeros."""
+    if sym is None:
+        sym = np.zeros((len(antisym) + 1,) + antisym.shape[1:], antisym.dtype)
     h = len(sym) - 1
     top = sym[:h] * _SQRT_HALF
     bottom = top.copy()
@@ -240,7 +242,7 @@ def unfold(sym, antisym=None):
     return np.concatenate([top, sym[h:], bottom[::-1]])
 
 
-def _real_matmul(m, z):
+def real_matmul(m, z):
     """m @ z for real m and a C-ordered complex block z, on its float64 view."""
     return (m @ z.view(float)).view(complex)
 
@@ -298,31 +300,48 @@ def rotation_matrix(n_qubits):
     matrix serves operators.  The returned array is float64 and read-only;
     a few recent N are cached.
     """
-    even, odd = parity_block(n_qubits, +1), parity_block(n_qubits, -1)
+    # Solved uncached, so an operator rotation does not also pin both blocks.
+    even, odd = parity_block.__wrapped__(n_qubits, +1), parity_block.__wrapped__(n_qubits, -1)
     u = np.empty((n_qubits + 1, n_qubits + 1))
     u[:, 0::2] = unfold(even)
-    u[:, 1::2] = unfold(np.zeros((len(even), len(odd))), odd)
+    u[:, 1::2] = unfold(None, odd)
     return _readonly(u)
 
 
-def _block_product(n_qubits, parity, coords, transpose=False):
-    """B @ coords (or B^T @ coords) for the parity block B and complex coords.
-
-    ``coords`` is a vector or a block of columns; zero coords skip building B.
-    """
-    if not coords.any():
-        return np.zeros_like(coords)
-    block = parity_block(n_qubits, parity)
+def _block_product(block, coords):
+    """block @ coords for real or complex coords, a vector or a block of columns."""
+    if not np.iscomplexobj(coords):
+        return block @ coords
     columns = np.ascontiguousarray(coords).reshape(len(coords), -1)
-    return _real_matmul(block.T if transpose else block, columns).reshape(coords.shape)
+    return real_matmul(block, columns).reshape(coords.shape)
+
+
+def sector_to_z(n_qubits, parity, coords):
+    """Z-basis amplitudes of coordinates over one parity sector's X states.
+
+    ``coords`` runs over column i of parity_block(n_qubits, parity), that is
+    X state 2i (parity +1) or 2i + 1 (parity -1); it is real or complex, a
+    vector or a block of columns along axis 0.
+    """
+    folded = _block_product(parity_block(n_qubits, parity), coords)
+    return unfold(folded) if parity == +1 else unfold(None, folded)
+
+
+def z_to_sector(n_qubits, parity, amp):
+    """Coordinates over one parity sector's X states of Z-basis amplitudes.
+
+    The inverse of sector_to_z on states of that parity; the other parity's
+    part of ``amp`` is dropped.
+    """
+    sym, antisym = fold(amp)
+    return _block_product(parity_block(n_qubits, parity).T, sym if parity == +1 else antisym)
 
 
 def rotate_basis(obj, to_axis):
     """Re-express a DickeState or CollectiveOperator in the Z or X basis.
 
-    A state goes through the two parity blocks (see parity_block), one of
-    them only if the state has that parity, an operator through the full
-    rotation_matrix.
+    A state goes through the two parity blocks (see parity_block), an
+    operator through the full rotation_matrix.
     """
     if to_axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {to_axis!r}")
@@ -333,12 +352,11 @@ def rotate_basis(obj, to_axis):
     if isinstance(obj, DickeState):
         amp = obj.amplitudes
         if to_axis == "X":
-            sym, antisym = fold(amp)
             out = np.empty_like(amp)
-            out[0::2] = _block_product(n, +1, sym, transpose=True)
-            out[1::2] = _block_product(n, -1, antisym, transpose=True)
+            out[0::2] = z_to_sector(n, +1, amp)
+            out[1::2] = z_to_sector(n, -1, amp)
         else:
-            out = unfold(_block_product(n, +1, amp[0::2]), _block_product(n, -1, amp[1::2]))
+            out = sector_to_z(n, +1, amp[0::2]) + sector_to_z(n, -1, amp[1::2])
         return DickeState(target, out)
     u = rotation_matrix(n)
     if isinstance(obj, CollectiveOperator):
@@ -359,21 +377,9 @@ def basis_state(basis, index):
 
 
 def x_polarized_state(n_qubits, axis="X"):
-    """|N/2, N/2>_X, the ground state in the strong transverse-field limit.
-
-    Over the Z basis this is |+>^N, with amplitudes 2^{-N/2} sqrt(binom(N, k)):
-    their logarithms are summed outward from k = N/2, where they are largest,
-    and the mirrored vector is normalized, so no power of 2 under- or overflows.
-    """
-    if axis != "Z":
-        return rotate_basis(basis_state(DickeBasis(n_qubits, "X"), 0), axis)
-    basis = DickeBasis(n_qubits, "Z")
-    h = n_qubits // 2
-    k = np.arange(h)
-    # binom(N, h + k + 1) / binom(N, h + k) = (h - k) / (h + k + 1)
-    tail = np.exp(0.5 * np.cumsum(np.log((h - k) / (h + k + 1.0))))
-    amp = np.concatenate([tail[::-1], [1.0], tail])
-    return DickeState(basis, amp / np.linalg.norm(amp))
+    """|N/2, N/2>_X, the ground state in the strong transverse-field limit."""
+    state = basis_state(DickeBasis(n_qubits, "X"), 0)
+    return rotate_basis(state, axis)
 
 
 def ghz_state(n_qubits, parity=+1, axis="Z"):

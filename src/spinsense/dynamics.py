@@ -22,8 +22,8 @@ For h^z = 0 the evolution is computed inside the two parity sectors of the
 X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m is
 diagonal; parity is then conserved identically, which is the symmetry
 protection the prepare/readout ramps rely on.  Their results reach the Z
-basis through the even parity block of S_X alone (``dicke.parity_block``),
-unfolded, never through the dense (N+1) x (N+1) rotation.  With h^z != 0 the
+basis through the even parity block of S_X alone (``dicke.sector_to_z``),
+never through the dense (N+1) x (N+1) rotation.  With h^z != 0 the
 Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
 off-diagonal, and is stepped there instead.
 
@@ -112,17 +112,16 @@ import numpy as np
 from .dicke import (
     DickeBasis,
     DickeState,
-    _block_product,
-    _real_matmul,
     collective_operators,
     eigh_tridiagonal,
     fold,
     ghz_state,
     ladder_elements,
-    parity_block,
+    real_matmul,
     rotate_basis,
-    unfold,
+    sector_to_z,
     x_polarized_state,
+    z_to_sector,
     zhbmv,
 )
 from .model import sector_tridiagonal
@@ -398,14 +397,14 @@ def _exponential_steps(a, b, fields, durations, psi):
         np.cos(tables.imag, out=tables.real)
         np.sin(tables.imag, out=tables.imag)
         for transfer, table in zip(transfers[:n], tables):
-            coeffs = _real_matmul(transfer, coeffs)
+            coeffs = real_matmul(transfer, coeffs)
             if factors is None:
                 coeffs *= table
             else:
                 grid = coeffs.reshape(d, rows, -1)
                 grid *= table[:, :rows, None]
                 grid *= table[:, None, rows:]
-    return _real_matmul(prev.T, coeffs)[:, :k]
+    return real_matmul(prev.T, coeffs)[:, :k]
 
 
 def _sector_terms(n_qubits, interaction, parity):
@@ -699,7 +698,8 @@ def scan_ramp_time(
     start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
     start[0] = 1.0
     after_down = _exponential_steps(a, b, fields, ramp_times, start)
-    fid_ghz = np.abs(_ghz_even_coords(n_qubits).conj() @ after_down) ** 2
+    ghz_even = z_to_sector(n_qubits, +1, ghz_state(n_qubits).amplitudes)
+    fid_ghz = np.abs(ghz_even.conj() @ after_down) ** 2
     fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
     hits = _peak_indices(fid_ghz)
 
@@ -710,15 +710,6 @@ def scan_ramp_time(
         optima=tuple((float(ramp_times[i]), float(fid_ghz[i])) for i in hits),
         kernels=_default_kernels(n_qubits, interaction, after_down[:, hits]),
     )
-
-
-def _ghz_even_coords(n_qubits):
-    """Even-sector X coordinates of the even GHZ state.
-
-    Folded, the even GHZ state is the first symmetric coordinate (see
-    dicke.fold), so its X coordinates are row 0 of the even parity block.
-    """
-    return parity_block(n_qubits, +1)[0]
 
 
 def select_optimum(scan, target):
@@ -777,22 +768,17 @@ def _even_coords(state):
     """Even-sector X coordinates of an even-parity DickeState.
 
     A Z-basis state's odd part is its antisymmetric fold (see dicke.fold),
-    checked without a rotation; the symmetric fold goes through the even block.
+    checked without a rotation.
     """
     amp = state.amplitudes
     if state.basis.axis == "X":
         even, odd = amp[0::2], amp[1::2]
     else:
-        sym, odd = fold(amp)
-        even = _block_product(state.basis.n_qubits, +1, sym, transpose=True)
+        odd = fold(amp)[1]
+        even = z_to_sector(state.basis.n_qubits, +1, amp)
     if np.linalg.norm(odd) > 1e-12:
         raise ValueError("kernel states must have even parity")
     return even.astype(complex)
-
-
-def _even_to_z(n_qubits, columns):
-    """Z-basis amplitudes of a (d, K) block of even-sector X coordinates."""
-    return unfold(_block_product(n_qubits, +1, columns))
 
 
 def _default_kernels(n_qubits, interaction, prepared):
@@ -804,7 +790,7 @@ def _default_kernels(n_qubits, interaction, prepared):
     """
     return tuple(
         ProtocolKernel(n_qubits, interaction, prep_z, prep_z.conj())
-        for prep_z in _even_to_z(n_qubits, prepared).T
+        for prep_z in sector_to_z(n_qubits, +1, prepared).T
     )
 
 
@@ -846,5 +832,5 @@ def protocol_kernel(
     ends = _exponential_steps(
         a, b, fields, [t_ramp, -t_ramp], np.column_stack([init_even, read_even])
     )
-    prep_z, read_z = _even_to_z(n_qubits, ends).T
+    prep_z, read_z = sector_to_z(n_qubits, +1, ends).T
     return ProtocolKernel(n_qubits, interaction, prep_z, read_z)

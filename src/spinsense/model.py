@@ -25,9 +25,8 @@ from .dicke import (
     collective_operators,
     eigh_tridiagonal,
     ladder_elements,
-    parity_block,
     rotate_basis,
-    unfold,
+    sector_to_z,
 )
 
 
@@ -137,9 +136,7 @@ def parity_resolved_spectrum(params):
 
     def solve(parity):
         w, v = sector_eigh(n, params.interaction, params.transverse_field, parity)
-        # Sector coordinates are X coordinates, so the parity block folds them.
-        folded = parity_block(n, parity) @ v
-        amps = unfold(folded) if parity == +1 else unfold(np.zeros((len(v) + 1, len(v))), folded)
+        amps = sector_to_z(n, parity, v)  # sector coordinates are X coordinates
         # The largest-magnitude amplitude of each (real) state made positive.
         signs = np.sign(amps[np.argmax(np.abs(amps), axis=0), np.arange(len(v))])
         states = tuple(DickeState(basis_z, a) for a in (amps * signs).T)

@@ -186,15 +186,9 @@ def test_linalg_wrappers_are_scipys():
 
 @pytest.mark.parametrize("n", [2, 600, 2000])
 def test_rotation_matrix_bits_match_scipy_solver(monkeypatch, n):
-    # The parity blocks are cached too: clear them, so both solvers run.
-    parity_block.cache_clear()
     u = rotation_matrix.__wrapped__(n)
-    parity_block.cache_clear()
     monkeypatch.setattr(dicke, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
-    try:
-        assert np.array_equal(u, rotation_matrix.__wrapped__(n))
-    finally:
-        parity_block.cache_clear()
+    assert np.array_equal(u, rotation_matrix.__wrapped__(n))
 
 
 def test_sector_eigh_bits_match_scipy_solver(monkeypatch):
@@ -232,6 +226,7 @@ def test_fold_is_the_parity_isometry(n, rng):
     assert np.abs(antisym - q_anti.T @ z).max() < 1e-15
     assert np.abs(dicke.unfold(sym, antisym) - z).max() < 1e-15
     assert np.abs(dicke.unfold(sym) - q_sym @ sym).max() < 1e-15
+    assert np.abs(dicke.unfold(None, antisym) - q_anti @ antisym).max() < 1e-15
     # The folded bases are the two eigenspaces of the spin-flip parity.
     flip = parity_operator(DickeBasis(n)).matrix.real
     assert np.array_equal(flip @ q_sym, q_sym) and np.array_equal(flip @ q_anti, -q_anti)
@@ -258,6 +253,25 @@ def test_rotation_matrix_interleaves_the_parity_blocks(n):
     u = rotation_matrix(n)
     for parity, fold_basis, columns in zip((+1, -1), _folding(n), (u[:, 0::2], u[:, 1::2])):
         assert np.abs(fold_basis.T @ columns - parity_block(n, parity)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_sector_maps_are_the_rotation_columns(n, rng):
+    u = rotation_matrix(n)
+    z = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+    for parity, columns in ((+1, u[:, 0::2]), (-1, u[:, 1::2])):
+        coords = dicke.z_to_sector(n, parity, z)
+        assert np.abs(coords - columns.T @ z).max() < 1e-14
+        assert np.abs(dicke.sector_to_z(n, parity, coords) - columns @ coords).max() < 1e-14
+        real = coords.real[:, 0]
+        assert np.abs(dicke.sector_to_z(n, parity, real) - columns @ real).max() < 1e-14
+
+
+def test_rotation_matrix_leaves_the_block_cache_alone():
+    # The dense matrix serves operators; it should not also hold both blocks.
+    parity_block.cache_clear()
+    rotation_matrix.__wrapped__(12)
+    assert parity_block.cache_info().currsize == 0
 
 
 def test_parity_block_rejects_bad_input():
