@@ -1,12 +1,12 @@
-"""Time-dependent dynamics: field schedules, propagation, protocol runs.
+"""Time-dependent dynamics: ramps, protocol runs, ramp-time scans, kernels.
 
 Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
 exponentials exp(-i H(h) dt) of the frozen Hamiltonian, either exactly
 through its eigendecomposition or as a Chebyshev series whose dropped terms
 weigh at most 1e-16.  Either way every step is unitary to that bound plus
 round-off, whatever the step size.  The kernel writes
-H(h^x) = A + h^x B with A and B real symmetric tridiagonal and advances a
-(d, K) block of states, each column by its own signed time step.
+H(h^x) = A + h^x B with A real symmetric tridiagonal and B diagonal and
+advances a (d, K) block of states, each column by its own signed time step.
 
 The fields come from the fourth-order commutator-free Magnus rule CF4
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930, 2011):
@@ -18,14 +18,12 @@ so a CF4 step is two exponentials of half the step length, each of the same
 tridiagonal form.  Every step count in this module counts exponentials per
 ramp (two per CF4 step), so it is even.
 
-For h^z = 0 the evolution is computed inside the two parity sectors of the
-X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m is
-diagonal; parity is then conserved identically, which is the symmetry
+The ramps run at h^z = 0, and are computed inside the two parity sectors of
+the X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m
+is diagonal; parity is then conserved identically, which is the symmetry
 protection the prepare/readout ramps rely on.  Their results reach the Z
-basis through the even parity block of S_X alone (``dicke.sector_to_z``),
-never through the dense (N+1) x (N+1) rotation.  With h^z != 0 the
-Hamiltonian is real symmetric tridiagonal in the Z basis, with h^x on the
-off-diagonal, and is stepped there instead.
+basis through the parity blocks of S_X (``dicke.sector_to_z``), never
+through the dense (N+1) x (N+1) rotation.
 
 A ramp-time scan steps all its durations as the columns of one block through
 the down ramp alone, the up ramp being its transpose, and keeps the columns
@@ -41,7 +39,7 @@ the Chebyshev series or the eigensolves, from the rows d, the columns K and
 the length of the series.
 
 A block no wider than tall (the protocol kernel's one or two columns, a
-propagated state) skips the eigensolves when its series are short
+protocol run's sector) skips the eigensolves when its series are short
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r]
 holding the spectrum of H and H' = (H - c) / r,
 
@@ -110,13 +108,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import (
-    DickeBasis,
     DickeState,
     collective_operators,
     eigh_tridiagonal,
     fold,
     ghz_state,
-    ladder_elements,
     real_matmul,
     rotate_basis,
     sector_to_z,
@@ -126,117 +122,14 @@ from .dicke import (
 )
 from .model import sector_tridiagonal
 
-SEGMENT_KINDS = ("cosine-down", "sine-up", "linear", "constant")
 _STEPS_RULE = "steps must be even and at least 2"
 _TIMES_RULE = "times must be nonnegative"
 _GAUSS = np.sqrt(3) / 6  # Gauss points of a CF4 step sit at 1/2 -+ _GAUSS
-_CONTINUITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One piece of the transverse-field profile h^x(t)."""
-
-    kind: str
-    duration: float
-    field_start: float
-    field_end: float
-
-    def __post_init__(self):
-        if self.kind not in SEGMENT_KINDS:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if not self.duration > 0:
-            raise ValueError("segment duration must be positive")
-        if self.kind == "cosine-down" and abs(self.field_end) > _CONTINUITY_TOL:
-            raise ValueError("cosine-down must end at zero field")
-        if self.kind == "sine-up" and abs(self.field_start) > _CONTINUITY_TOL:
-            raise ValueError("sine-up must start at zero field")
-        if self.kind == "constant" and self.field_start != self.field_end:
-            raise ValueError("constant segment must have equal endpoint fields")
-
-    def field_at(self, t):
-        """Field at local time t in [0, duration]."""
-        if self.kind == "cosine-down":
-            return self.field_start * np.cos(np.pi * t / (2 * self.duration))
-        if self.kind == "sine-up":
-            return self.field_end * np.sin(np.pi * t / (2 * self.duration))
-        if self.kind == "linear":
-            return self.field_start + (self.field_end - self.field_start) * t / self.duration
-        return self.field_start
-
-
-def cosine_ramp_down(field, duration):
-    """h^x(t) = h0 cos(pi t / 2T): field -> 0 over the given duration."""
-    return Segment("cosine-down", duration, field, 0.0)
-
-
-def sine_ramp_up(field, duration):
-    """h^x(t) = h0 sin(pi t / 2T): 0 -> field over the given duration."""
-    return Segment("sine-up", duration, 0.0, field)
-
-
-def linear_ramp(field_start, field_end, duration):
-    return Segment("linear", duration, field_start, field_end)
-
-
-def hold(field, duration):
-    return Segment("constant", duration, field, field)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered transverse-field segments, continuous across boundaries."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValueError("schedule needs at least one segment")
-        for a, b in zip(segs, segs[1:]):
-            if abs(a.field_end - b.field_start) > _CONTINUITY_TOL:
-                raise ValueError(
-                    f"field jump {a.field_end} -> {b.field_start} between segments"
-                )
-        object.__setattr__(self, "segments", segs)
-
-    @property
-    def total_duration(self):
-        return sum(s.duration for s in self.segments)
-
-    def field(self, t):
-        """Field at global time t."""
-        if t < 0 or t > self.total_duration + _CONTINUITY_TOL:
-            raise ValueError(f"time {t} outside schedule [0, {self.total_duration}]")
-        for seg in self.segments:
-            if t <= seg.duration:
-                return seg.field_at(t)
-            t -= seg.duration
-        return self.segments[-1].field_at(self.segments[-1].duration)
 
 
 # ---------------------------------------------------------------------------
 # The ramp stepper (see the module docstring).
 # ---------------------------------------------------------------------------
-
-
-def _cf4_fields(profile, n_exps):
-    """CF4 exponent fields of a ramp over [0, 1] in ``n_exps`` exponentials.
-
-    ``profile`` maps the fraction of the ramp elapsed to the field.  Step j of
-    the n_exps / 2 steps samples it at the Gauss fractions g_1,2 and yields
-    2 (a_2 h(g_1) + a_1 h(g_2)), applied first, then 2 (a_1 h(g_1) + a_2 h(g_2)).
-    """
-    if n_exps < 2 or n_exps % 2:
-        raise ValueError(_STEPS_RULE)
-    m = n_exps // 2
-    h1 = profile((np.arange(m) + 0.5 - _GAUSS) / m)
-    h2 = profile((np.arange(m) + 0.5 + _GAUSS) / m)
-    a1, a2 = 0.25 - _GAUSS, 0.25 + _GAUSS
-    fields = np.empty(n_exps)
-    fields[0::2] = 2 * (a2 * h1 + a1 * h2)
-    fields[1::2] = 2 * (a1 * h1 + a2 * h2)
-    return fields
 
 
 _ARITHMETIC_TOL = 1e-13  # relative; any np.arange(...) * unit grid passes
@@ -310,7 +203,8 @@ def _bessel_table(x, m):
 def _exponential_steps(a, b, fields, durations, psi):
     """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
-    Column k of ``psi`` spans the signed duration ``durations[k]`` in
+    ``a`` is the pair (diagonal, off-diagonal) of A and ``b`` the diagonal
+    of B.  Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
     Returns the evolved block as a new array.  A block no wider than tall
     whose Chebyshev series are short takes the series, any other is carried
@@ -319,7 +213,7 @@ def _exponential_steps(a, b, fields, durations, psi):
     """
     neg_dts = -np.asarray(durations, dtype=float) / len(fields)
     # One check here stands in for a per-step input scan of the eigensolves.
-    if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, *b)):
+    if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, b)):
         raise ValueError("ramp fields, durations and couplings must be finite")
     d, k = np.shape(psi)
     lengths = None
@@ -327,8 +221,9 @@ def _exponential_steps(a, b, fields, durations, psi):
         # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
         # convex, have chords between knots that enclose the spectrum at every field.
         knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
-        diags, offs = a[0] + knots * b[0], np.abs(a[1] + knots * b[1])
-        rad = np.pad(offs, ((0, 0), (1, 0))) + np.pad(offs, ((0, 0), (0, 1)))
+        offs = np.abs(a[1])
+        rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))
+        diags = a[0] + knots * b
         lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
         hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
         centres, radii = (hi + lo) / 2, (hi - lo) / 2
@@ -350,8 +245,8 @@ def _exponential_steps(a, b, fields, durations, psi):
             hs, cs, rs = fields[part, None], centres[part, None], radii[part, None]
             ms = lengths[part]
             scale = 1 / np.where(rs > 0, rs, 1)  # r = 0 only where m = 0
-            bands.real[: len(ms), :, 1] = (a[0] + hs * b[0] - cs) * scale
-            bands.real[: len(ms), 1:, 0] = (a[1] + hs * b[1]) * scale
+            bands.real[: len(ms), :, 1] = (a[0] + hs * b - cs) * scale
+            bands.real[: len(ms), 1:, 0] = a[1] * scale
             coefs = _bessel_table(rs * neg_dts, ms.max()) * weights[: ms.max() + 1]
             coefs *= np.exp(1j * cs * neg_dts)[..., None]
             for band, m, coef in zip(bands.transpose(0, 2, 1), ms, coefs):
@@ -384,10 +279,10 @@ def _exponential_steps(a, b, fields, durations, psi):
     for start in range(0, len(fields), chunk):
         hs = fields[start:start + chunk, None]
         n = len(hs)
-        diags, offs = a[0] + hs * b[0], a[1] + hs * b[1]
+        diags = a[0] + hs * b
         bases = stacks[start // chunk % 2]
         for i in range(n):
-            w, v = eigh_tridiagonal(diags[i], offs[i])
+            w, v = eigh_tridiagonal(diags[i], a[1])
             eigvals[i], bases[i] = w, v.T  # LAPACK's V is column-major: a flat copy
         np.matmul(bases[0], prev.T, out=transfers[0])
         np.matmul(bases[1:n], bases[:n - 1].transpose(0, 2, 1), out=transfers[1:n])
@@ -408,79 +303,15 @@ def _exponential_steps(a, b, fields, durations, psi):
 
 
 def _sector_terms(n_qubits, interaction, parity):
-    """(A, B, X indices) of one parity sector, H = A + h^x B."""
+    """(A, B, X indices) of one parity sector, H = A + h^x B with B = -2 m diagonal."""
     diag, off, idx = sector_tridiagonal(n_qubits, interaction, 0.0, parity)
-    return (diag, off), (2.0 * idx - n_qubits, np.zeros_like(off)), idx
+    return (diag, off), 2.0 * idx - n_qubits, idx
 
 
 def _z_diagonal(n_qubits, interaction, hz):
     """Z-basis diagonal of H at h^x = 0."""
     m = n_qubits / 2 - np.arange(n_qubits + 1)
     return -2 * interaction * m**2 - 2 * hz * m
-
-
-def _segment_fields(segment, steps_per_unit):
-    """Exponent fields of one segment; a constant one is a single exact exponential."""
-    if segment.kind == "constant":
-        return np.array([segment.field_start])
-    if steps_per_unit is None:
-        raise ValueError(f"a {segment.kind} segment needs steps_per_unit")
-    # the 1e-9 absorbs roundoff in steps_per_unit = steps / duration
-    n_exps = 2 * max(1, int(np.ceil(segment.duration * steps_per_unit / 2 - 1e-9)))
-    return _cf4_fields(lambda frac: segment.field_at(frac * segment.duration), n_exps)
-
-
-def _propagate_segments(a, b, segments, steps_per_unit, psi):
-    """Step one state vector through every segment of a schedule."""
-    block = psi[:, None]
-    for seg in segments:
-        fields = _segment_fields(seg, steps_per_unit)
-        block = _exponential_steps(a, b, fields, [seg.duration], block)
-    return block[:, 0]
-
-
-def propagate(state, schedule, interaction, hz=0.0, steps_per_unit=None):
-    """Propagate a DickeState through a transverse-field schedule.
-
-    Parameters
-    ----------
-    state : DickeState
-        Normalized input state (Z or X basis).
-    schedule : Schedule
-        Transverse-field profile h^x(t).
-    interaction : float
-        Ising coupling J.
-    hz : float
-        Longitudinal field held during the whole schedule.
-    steps_per_unit : float or None
-        Exponentials per unit time; each non-constant segment takes that
-        many rounded up to an even count (two per CF4 step).  Constant
-        segments are always evolved exactly in a single exponential, so None
-        is valid only for a schedule of constant segments.
-
-    Returns the final state in the same basis as the input.
-    """
-    if abs(state.norm - 1) > 1e-10:
-        raise ValueError(f"input state is not normalized (norm = {state.norm})")
-    n = state.basis.n_qubits
-    if hz == 0.0:
-        # Each parity sector is stepped on its own, so parity is exact.
-        amp_x = rotate_basis(state, "X").amplitudes
-        out_x = np.zeros(n + 1, dtype=complex)
-        for parity in (+1, -1):
-            a, b, idx = _sector_terms(n, interaction, parity)
-            if np.any(amp_x[idx]):
-                out_x[idx] = _propagate_segments(
-                    a, b, schedule.segments, steps_per_unit, amp_x[idx]
-                )
-        out = DickeState(DickeBasis(n, "X"), out_x)
-    else:
-        amp_z = rotate_basis(state, "Z").amplitudes
-        a = (_z_diagonal(n, interaction, hz), np.zeros(n))
-        b = (np.zeros(n + 1), -ladder_elements(n))
-        out_z = _propagate_segments(a, b, schedule.segments, steps_per_unit, amp_z)
-        out = DickeState(DickeBasis(n, "Z"), out_z)
-    return rotate_basis(out, state.basis.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +337,20 @@ class ProtocolResult:
     variance: float
 
 
-def _ramp_schedules(h0x, t_ramp, kind):
-    if kind == "cosine-sine":
-        return Schedule((cosine_ramp_down(h0x, t_ramp),)), Schedule(
-            (sine_ramp_up(h0x, t_ramp),)
-        )
-    if kind == "linear":
-        return Schedule((linear_ramp(h0x, 0.0, t_ramp),)), Schedule(
-            (linear_ramp(0.0, h0x, t_ramp),)
-        )
-    raise ValueError(f"unknown schedule kind {kind!r}")
+def _sector_ramp(n_qubits, interaction, fields, t_ramp, amp):
+    """Z amplitudes ``amp`` after one ramp, each parity sector stepped on its own.
+
+    Only the sectors whose folded part of ``amp`` is nonzero are stepped, so
+    parity is conserved identically.
+    """
+    out = np.zeros(n_qubits + 1, dtype=complex)
+    for parity, part in zip((+1, -1), fold(amp)):
+        if np.any(part):
+            a, b, _ = _sector_terms(n_qubits, interaction, parity)
+            coords = z_to_sector(n_qubits, parity, amp)
+            stepped = _exponential_steps(a, b, fields, [t_ramp], coords[:, None])
+            out += sector_to_z(n_qubits, parity, stepped[:, 0])
+    return out
 
 
 def run_protocol(
@@ -533,9 +368,11 @@ def run_protocol(
     """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
 
     The ramps are evolved with h^z = 0 (the target field acts only during
-    the sensing window) so the spin-flip symmetry protects both transforms.
-    At h^x = 0 the Hamiltonian is diagonal in the Z basis and the sensing
-    evolution is applied as exact phases, with the interaction term left on.
+    the sensing window) so the spin-flip symmetry protects both transforms:
+    each parity sector is stepped on its own, and the up ramp runs the down
+    ramp's CF4 fields reversed (see the scan notes).  At h^x = 0 the
+    Hamiltonian is diagonal in the Z basis and the sensing evolution is
+    applied as exact phases, with the interaction term left on.
 
     Parameters
     ----------
@@ -548,34 +385,32 @@ def run_protocol(
         Readout statistics reported in ``expectation``/``variance``: the
         survival projector onto |N/2, N/2>_X, or global magnetization S_X.
     """
+    if not np.isfinite([t_ramp, t_sense, hz_total]).all():
+        raise ValueError("t_ramp, t_sense and hz_total must be finite")
     if t_ramp < 0 or t_sense < 0:
         raise ValueError(_TIMES_RULE)
     if observable not in ("projection", "sx"):
         raise ValueError(f"unknown observable {observable!r}")
-    if steps_per_ramp < 2 or steps_per_ramp % 2:
-        raise ValueError(_STEPS_RULE)
+    fields = _down_ramp_fields(kind, h0x, steps_per_ramp)
     init = x_polarized_state(n_qubits, axis="Z") if initial_state is None else initial_state
     psi = rotate_basis(init, "Z")
+    if abs(psi.norm - 1) > 1e-10:
+        raise ValueError(f"input state is not normalized (norm = {psi.norm})")
 
-    def ramp(state, schedule):
-        spu = steps_per_ramp / schedule.total_duration
-        return propagate(state, schedule, interaction, 0.0, spu)
-
+    after_prep = psi
     if t_ramp > 0:
-        down, up = _ramp_schedules(h0x, t_ramp, kind)
-        after_prep = ramp(psi, down)
-    else:
-        after_prep = psi
-
+        amp = _sector_ramp(n_qubits, interaction, fields, t_ramp, psi.amplitudes)
+        after_prep = DickeState(psi.basis, amp)
+    after_sense = after_prep
     if t_sense > 0:
         amp = after_prep.amplitudes * sensing_phases(
             n_qubits, interaction, hz_total, t_sense
         )
-        after_sense = DickeState(after_prep.basis, amp)
-    else:
-        after_sense = after_prep
-
-    final = ramp(after_sense, up) if t_ramp > 0 else after_sense
+        after_sense = DickeState(psi.basis, amp)
+    final = after_sense
+    if t_ramp > 0:
+        amp = _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, after_sense.amplitudes)
+        final = DickeState(psi.basis, amp)
 
     ref = x_polarized_state(n_qubits, axis="Z")
     survival = final.fidelity(ref)
@@ -605,10 +440,10 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 # Batched ramp-time scans.
 #
-# For a one-segment cosine (or sine, or linear) ramp the CF4 fields depend
-# only on the fraction of the ramp elapsed, not on the ramp duration.  A whole
-# grid of ramp times therefore shares every per-exponential
-# eigendecomposition, each grid column advancing with its own dt.
+# For a cosine (or sine, or linear) ramp the CF4 fields depend only on the
+# fraction of the ramp elapsed, not on the ramp duration.  A whole grid of
+# ramp times therefore shares every per-exponential eigendecomposition, each
+# grid column advancing with its own dt.
 #
 # The up ramp mirrors the down ramp: its field at fraction g is the down
 # ramp's at 1 - g (sin(pi g / 2) = cos(pi (1 - g) / 2), and g against 1 - g
@@ -634,12 +469,28 @@ def run_protocol(
 
 
 def _down_ramp_fields(kind, h0x, n_exps):
-    """CF4 exponent fields of the down ramp; the up ramp's are these reversed."""
+    """CF4 exponent fields of the down ramp; the up ramp's are these reversed.
+
+    Step j of the n_exps / 2 steps samples the profile h at the Gauss
+    fractions g_1,2 of the ramp and yields 2 (a_2 h(g_1) + a_1 h(g_2)),
+    applied first, then 2 (a_1 h(g_1) + a_2 h(g_2)).
+    """
     if kind == "cosine-sine":
-        return _cf4_fields(lambda frac: h0x * np.cos(np.pi * frac / 2), n_exps)
-    if kind == "linear":
-        return _cf4_fields(lambda frac: h0x * (1 - frac), n_exps)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+        profile = lambda frac: h0x * np.cos(np.pi * frac / 2)
+    elif kind == "linear":
+        profile = lambda frac: h0x * (1 - frac)
+    else:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if n_exps < 2 or n_exps % 2:
+        raise ValueError(_STEPS_RULE)
+    m = n_exps // 2
+    h1 = profile((np.arange(m) + 0.5 - _GAUSS) / m)
+    h2 = profile((np.arange(m) + 0.5 + _GAUSS) / m)
+    a1, a2 = 0.25 - _GAUSS, 0.25 + _GAUSS
+    fields = np.empty(n_exps)
+    fields[0::2] = 2 * (a2 * h1 + a1 * h2)
+    fields[1::2] = 2 * (a1 * h1 + a2 * h2)
+    return fields
 
 
 @dataclass(frozen=True)

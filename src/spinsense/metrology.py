@@ -558,8 +558,8 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kerne
         if tint_grid is None
         else np.asarray(tint_grid, dtype=float)
     )
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("sensing-time grid must be positive and nonempty")
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("sensing-time grid must be finite, positive and nonempty")
 
     if kernel is None:
         kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp,

@@ -108,6 +108,31 @@ def brute_force_ramp(n_qubits, interaction, field_of_t, duration, hz, psi_full, 
     return psi
 
 
+def ramp_profiles(kind):
+    """(down, up) field profiles over the fraction of the ramp elapsed."""
+    if kind == "cosine-sine":
+        return (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
+    return (lambda g: 1 - g), (lambda g: g)
+
+
+def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, psi_full,
+                         steps):
+    """The full protocol in the 2^N space: (after prep, after sensing, final).
+
+    The down ramp from h0x and the up ramp back to it run at h^z = 0 with
+    ``steps`` exponentials each; sensing runs at h^x = 0 with h^z on, where H
+    is constant and one CF4 step is exact.  All three go through
+    brute_force_ramp.
+    """
+    down, up = ramp_profiles(kind)
+    prep = brute_force_ramp(n_qubits, interaction, lambda t: h0x * down(t / t_ramp), t_ramp,
+                            0.0, psi_full, steps)
+    sensed = brute_force_ramp(n_qubits, interaction, lambda t: 0.0, t_sense, hz, prep, 2)
+    final = brute_force_ramp(n_qubits, interaction, lambda t: h0x * up(t / t_ramp), t_ramp,
+                             0.0, sensed, steps)
+    return prep, sensed, final
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)

@@ -14,23 +14,17 @@ from spinsense import (
     DickeBasis,
     DickeState,
     ModelParams,
-    Schedule,
     adiabatic_ramp_constant,
-    cosine_ramp_down,
     ghz_dephasing_uncertainty,
     ground_overlap,
     gap_scaling,
-    hold,
-    linear_ramp,
     optimal_sense_time,
     parity_operator,
     parity_resolved_spectrum,
-    propagate,
     protocol_kernel,
     run_protocol,
     scan_ramp_time,
     select_optimum,
-    sine_ramp_up,
     sql_beating_window,
     time_budget,
     time_unit,
@@ -40,7 +34,7 @@ from spinsense import (
 )
 from spinsense.cli import OPTIMUM_TREND, _fig5_optima
 
-from conftest import brute_force_ramp, symmetric_isometry
+from conftest import brute_force_protocol, symmetric_isometry
 
 
 def report(num, elapsed, detail):
@@ -199,31 +193,25 @@ def test_criterion_09_invariants():
     rng = np.random.default_rng(99)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    schedules = [
-        Schedule((cosine_ramp_down(1.0, 40 * unit),)),
-        Schedule((sine_ramp_up(2.0, 60 * unit),)),
-        Schedule((linear_ramp(2.0, 0.0, 30 * unit), hold(0.0, 10 * unit),
-                  linear_ramp(0.0, 2.0, 30 * unit))),
-        Schedule((cosine_ramp_down(1.0, 50 * unit), hold(0.0, 20 * unit),
-                  sine_ramp_up(1.0, 50 * unit))),
-    ]
-    for sched in schedules:
-        out = propagate(state, sched, j, steps_per_unit=400 / unit)
-        assert abs(out.norm - 1) <= 1e-12
-        assert abs(out.expectation(pi) - state.expectation(pi)) <= 1e-12
+    # each ramp keeps norm and parity, also after sensing with h^z on mixes them
+    for kind, h0, ta, tau in [("cosine-sine", 1.0, 40, 20), ("cosine-sine", 2.0, 60, 0),
+                              ("linear", 2.0, 30, 10), ("linear", 1.0, 50, 20)]:
+        res = run_protocol(n, j, h0, ta * unit, tau * unit, 0.3, kind=kind,
+                           initial_state=state)
+        for before, out in [(state, res.state_after_prep),
+                            (res.state_after_sense, res.final_state)]:
+            assert abs(out.norm - 1) <= 1e-12
+            assert abs(out.expectation(pi) - before.expectation(pi)) <= 1e-12
 
-    # brute-force 2^N oracle at N = 2 and 4
+    # brute-force 2^N oracle of the whole protocol at N = 2 and 4
     for n_small in (2, 4):
-        j_small, h0, hz, duration, steps = 1.0 / n_small, 1.0, 0.2, 3.0, 2500
+        j_small, h0, hz, duration, t_sense, steps = 1.0 / n_small, 1.0, 0.2, 3.0, 0.7, 400
         q = symmetric_isometry(n_small)
         init = x_polarized_state(n_small, axis="Z")
-        ref = brute_force_ramp(
-            n_small, j_small,
-            lambda t: h0 * np.cos(np.pi * t / (2 * duration)),
-            duration, hz, q @ init.amplitudes, steps,
-        )
-        ours = propagate(init, Schedule((cosine_ramp_down(h0, duration),)),
-                         j_small, hz=hz, steps_per_unit=steps / duration)
+        ref = brute_force_protocol(n_small, j_small, h0, duration, t_sense, hz, "cosine-sine",
+                                   q @ init.amplitudes, steps)[-1]
+        ours = run_protocol(n_small, j_small, h0, duration, t_sense, hz,
+                            steps_per_ramp=steps).final_state
         fid = abs(np.vdot(q @ ours.amplitudes, ref)) ** 2
         assert fid > 1 - 1e-8, f"oracle disagreement at N={n_small}"
 

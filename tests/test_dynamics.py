@@ -10,26 +10,20 @@ from spinsense import (
     DickeBasis,
     DickeState,
     ModelParams,
-    Schedule,
     basis_state,
-    cosine_ramp_down,
     ghz_state,
-    hold,
-    linear_ramp,
     local_maxima,
     parity_operator,
     parity_resolved_spectrum,
-    propagate,
     protocol_kernel,
     rotate_basis,
     run_protocol,
     scan_ramp_time,
     select_optimum,
-    sine_ramp_up,
     x_polarized_state,
 )
 from spinsense import dicke, dynamics
-from spinsense.dicke import ladder_elements, rotation_matrix
+from spinsense.dicke import rotation_matrix
 from spinsense.dynamics import (
     _bessel_table,
     _down_ramp_fields,
@@ -37,45 +31,25 @@ from spinsense.dynamics import (
     _phase_factors,
     _sector_terms,
     _series_lengths,
-    _z_diagonal,
 )
 from spinsense.metrology import time_unit
 from spinsense.model import sector_indices, sector_tridiagonal
 
-from conftest import brute_force_ramp, symmetric_isometry
+from conftest import brute_force_protocol, brute_force_ramp, ramp_profiles, symmetric_isometry
 
 
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        cosine_ramp_down(1.0, 0.0)
-    with pytest.raises(ValueError):
-        Schedule(())
-    with pytest.raises(ValueError):
-        # discontinuous field across the boundary
-        Schedule((cosine_ramp_down(1.0, 1.0), hold(0.5, 1.0)))
-    sched = Schedule((cosine_ramp_down(2.0, 4.0), hold(0.0, 1.0), sine_ramp_up(2.0, 4.0)))
-    assert sched.total_duration == pytest.approx(9.0)
-    assert sched.field(0.0) == pytest.approx(2.0)
-    assert sched.field(4.5) == pytest.approx(0.0)
-    assert sched.field(9.0) == pytest.approx(2.0)
-
-
-def test_segment_profiles():
-    ta = 3.0
-    down = cosine_ramp_down(1.5, ta)
-    up = sine_ramp_up(1.5, ta)
-    t = 1.234
-    assert down.field_at(t) == pytest.approx(1.5 * np.cos(np.pi * t / (2 * ta)))
-    assert up.field_at(t) == pytest.approx(1.5 * np.sin(np.pi * t / (2 * ta)))
-    lin = linear_ramp(2.0, 1.0, 4.0)
-    assert lin.field_at(1.0) == pytest.approx(1.75)
+def _random_state(n, seed):
+    """A normalized Z-basis state with both parity sectors filled."""
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
 
 
 def test_stationary_state_picks_up_phase_only():
     # h^x = 0 keeps the Hamiltonian diagonal: |N/2, N/2>_Z is stationary.
     n, j = 4, 0.25
     state = basis_state(DickeBasis(n, "Z"), 0)
-    out = propagate(state, Schedule((hold(0.0, 2.3),)), j)
+    out = run_protocol(n, j, 1.0, 0.0, 2.3, 0.0, initial_state=state).final_state
     overlap = state.overlap(out)
     assert abs(abs(overlap) - 1) < 1e-12
     # e^{-iEt} with E = -2J (N/2)^2
@@ -88,7 +62,7 @@ def test_sensing_phase_accumulation_matches_closed_form():
     # readout superposition with relative weight cos/sin(h N T).
     n, j, hz, t = 6, 1.0 / 6, 0.37, 1.9
     psi0 = ghz_state(n, +1)
-    out = propagate(psi0, Schedule((hold(0.0, t),)), j, hz=hz)
+    out = run_protocol(n, j, 1.0, 0.0, t, hz, initial_state=psi0).final_state
     c_even = out.overlap(ghz_state(n, +1))
     c_odd = out.overlap(ghz_state(n, -1))
     assert abs(c_even) == pytest.approx(abs(np.cos(hz * n * t)), abs=1e-12)
@@ -96,77 +70,77 @@ def test_sensing_phase_accumulation_matches_closed_form():
 
 
 def test_integrator_matches_exact_sensing():
-    # The stepped integrator agrees with the exact diagonal evolution.
+    # The exact sensing phases agree with the 2^N oracle's exponentials at
+    # h^x = 0, here through 2000 of them.
     n, j, hz, t = 4, 0.25, 0.21, 1.3
     amp = np.arange(1.0, n + 2) + 0.3j
     state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    exact = propagate(state, Schedule((hold(0.0, t),)), j, hz=hz)
-    # force stepped evolution through a linear "ramp" at zero field
-    stepped = propagate(state, Schedule((linear_ramp(0.0, 0.0, t),)), j, hz=hz,
-                        steps_per_unit=2000 / t)
-    assert np.abs(exact.amplitudes - stepped.amplitudes).max() < 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_brute_force_oracle_agreement(n):
-    # Full 2^N propagation of the symmetric initial state vs the collective
-    # propagator, through half a cosine ramp with the longitudinal field on.
-    j, h0, hz, duration, steps = 1.0 / n, 1.0, 0.15, 2.0, 3000
+    exact = run_protocol(n, j, 1.0, 0.0, t, hz, initial_state=state).final_state
     q = symmetric_isometry(n)
-    psi_full = q @ x_polarized_state(n, axis="Z").amplitudes
-    ref = brute_force_ramp(
-        n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
-        psi_full, steps,
-    )
-    ours = propagate(
-        x_polarized_state(n, axis="Z"),
-        Schedule((cosine_ramp_down(h0, duration),)),
-        j,
-        hz=hz,
-        steps_per_unit=steps / duration,
-    )
-    fidelity = abs(np.vdot(q @ ours.amplitudes, ref)) ** 2
-    assert fidelity > 1 - 1e-8
+    stepped = q.T @ brute_force_ramp(n, j, lambda _: 0.0, t, hz, q @ state.amplitudes, 2000)
+    assert np.abs(exact.amplitudes - stepped).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_brute_force_oracle_agreement(n):
+    # Full 2^N protocol of a start with both parity sectors filled (N = 2
+    # has a one-dimensional odd sector) against the collective one: the
+    # state after each stage, for both ramp kinds.
+    j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
+    unit = time_unit(n, j)
+    ta, t_sense = 30 * unit, 3 * unit
+    state = _random_state(n, n)
+    q = symmetric_isometry(n)
+    for kind in ("cosine-sine", "linear"):
+        res = run_protocol(n, j, h0, ta, t_sense, hz, kind=kind, initial_state=state,
+                           steps_per_ramp=steps)
+        refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, kind, q @ state.amplitudes,
+                                    steps)
+        ours = (res.state_after_prep, res.state_after_sense, res.final_state)
+        for out, ref in zip(ours, refs):
+            assert np.abs(q @ out.amplitudes - ref).max() < 1e-12
 
 
 def test_norm_and_parity_conservation():
+    # Each ramp keeps the norm and the parity of a start with both sectors
+    # filled; the sensing between them, with h^z on, mixes the sectors.
     n = 10
-    sched = Schedule(
-        (cosine_ramp_down(1.0, 5.0), hold(0.0, 1.0), sine_ramp_up(1.0, 5.0))
-    )
     pi = parity_operator(DickeBasis(n, "Z"))
-    rng = np.random.default_rng(7)
-    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    out = propagate(state, sched, 1.0 / n, steps_per_unit=500)
-    assert abs(out.norm - 1) < 1e-12
-    assert abs(out.expectation(pi) - state.expectation(pi)) < 1e-12
+    state = _random_state(n, 7)
+    for kind in ("cosine-sine", "linear"):
+        res = run_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, kind=kind, initial_state=state,
+                           steps_per_ramp=2500)
+        stages = [(state, res.state_after_prep), (res.state_after_sense, res.final_state)]
+        for before, after in stages:
+            assert abs(after.norm - 1) < 1e-12
+            assert abs(after.expectation(pi) - before.expectation(pi)) < 1e-12
+        assert abs(res.state_after_sense.expectation(pi) - state.expectation(pi)) > 1e-3
 
 
-def test_propagate_rejects_unnormalized_input():
+def test_run_protocol_rejects_unnormalized_input():
     n = 4
     state = DickeState(DickeBasis(n, "Z"), np.ones(n + 1))
-    with pytest.raises(ValueError):
-        propagate(state, Schedule((hold(0.0, 1.0),)), 0.25)
+    for t_ramp in (0.0, 1.0):
+        with pytest.raises(ValueError, match="input state is not normalized"):
+            run_protocol(n, 0.25, 1.0, t_ramp, 1.0, 0.0, initial_state=state)
 
 
-def test_propagate_needs_a_count_for_ramps():
-    # a constant segment is one exact exponential; a ramp has no default count
-    state = x_polarized_state(4, axis="Z")
-    with pytest.raises(ValueError, match="cosine-down segment needs steps_per_unit"):
-        propagate(state, Schedule((cosine_ramp_down(1.0, 1.0), hold(0.0, 1.0))), 0.25)
+@pytest.mark.parametrize("times", [
+    (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 0.0), (1.0, np.inf, 0.0),
+    (1.0, 1.0, np.nan), (1.0, 1.0, -np.inf),
+])
+def test_run_protocol_rejects_non_finite_times(times):
+    # A NaN ramp time used to skip both ramps and report survival 1.
+    with pytest.raises(ValueError, match="^t_ramp, t_sense and hz_total must be finite$"):
+        run_protocol(10, 0.1, 1.0, *times)
 
 
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
     n, j = 8, 1.0 / 8
-    sched = Schedule((cosine_ramp_down(1.0, 3.0),))
-    state = x_polarized_state(n, axis="Z")
-    ref = x_polarized_state(n, axis="Z")
     steps = [200, 400, 800, 1600, 3200]
-    surv = [
-        propagate(state, sched, j, steps_per_unit=s / 3.0).fidelity(ref) for s in steps
-    ]
+    surv = [run_protocol(n, j, 1.0, 3.0, 0.0, 0.0, steps_per_ramp=s).survival_probability
+            for s in steps]
     deltas = np.abs(np.diff(surv))
     assert np.all(np.diff(deltas) < 0)
 
@@ -187,15 +161,27 @@ def test_cf4_fourth_order_convergence(kind):
     ]
     assert scan_err[0] / scan_err[1] >= 12
 
-    ta = 150 * unit
-    ramp = cosine_ramp_down(1.0, ta) if kind == "cosine-sine" else linear_ramp(1.0, 0.0, ta)
-    rng = np.random.default_rng(5)
-    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    finals = {s: propagate(state, Schedule((ramp,)), j, hz=0.3,
-                           steps_per_unit=s / ta).amplitudes for s in (100, 200, 3200)}
+    state = _random_state(n, 5)
+    finals = {
+        s: run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, kind=kind, initial_state=state,
+                        steps_per_ramp=s).final_state.amplitudes
+        for s in (100, 200, 3200)
+    }
     state_err = [np.linalg.norm(finals[s] - finals[3200]) for s in (100, 200)]
     assert state_err[0] / state_err[1] >= 12
+
+
+@pytest.mark.parametrize("hz, widths", [(0.0, [1, 1]), (0.3, [1, 1, 1])])
+def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, widths):
+    # The default start is even: each ramp steps the even sector as one
+    # column, until sensing with h^z on fills the odd sector for the up ramp.
+    n, j = 10, 0.1
+    unit = time_unit(n, j)
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz, steps_per_ramp=40)
+    assert stepper_widths == widths
+    stepper_widths.clear()
+    run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.3, steps_per_ramp=40)
+    assert stepper_widths == [1, 1]
 
 
 def test_protocol_headline_fidelities():
@@ -316,7 +302,7 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
     assert stepper_widths == [len(taus)]
     monkeypatch.undo()
 
-    down, up = _ramp_profiles(kind)
+    down, up = ramp_profiles(kind)
     q = symmetric_isometry(n)
     start = q @ x_polarized_state(n, axis="Z").amplitudes
     ghz = q @ ghz_state(n).amplitudes
@@ -328,13 +314,6 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
         end = brute_force_ramp(n, j, lambda t: h0 * up(t / ta), ta, 0.0, mid, steps)
         assert abs(scan.return_fidelity[i] - abs(np.vdot(start, end)) ** 2) < 1e-12
         assert abs(scan.ghz_fidelity[i] - abs(np.vdot(ghz, mid)) ** 2) < 1e-12
-
-
-def _ramp_profiles(kind):
-    """(down, up) field profiles over the fraction of the ramp elapsed."""
-    if kind == "cosine-sine":
-        return (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
-    return (lambda g: 1 - g), (lambda g: g)
 
 
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
@@ -350,7 +329,7 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n, kind):
     assert stepper_widths == [1]
     assert np.array_equal(kernel.read_z, kernel.prep_z.conj())
 
-    down, up = _ramp_profiles(kind)
+    down, up = ramp_profiles(kind)
     q = symmetric_isometry(n)
     start = q @ x_polarized_state(n, axis="Z").amplitudes
     prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
@@ -445,10 +424,8 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40,
                     initial_state=rotate_basis(cooled, "X"), readout_state=cooled)
     run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40)
-    ramp = Schedule((cosine_ramp_down(1.0, 10 * unit),))
-    for state in (cooled, rotate_basis(ghz_state(n, -1), "X")):
-        for hz in (0.0, 0.3):
-            propagate(state, ramp, j, hz=hz, steps_per_unit=4 / unit)
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40,
+                 initial_state=_random_state(n, 8))
 
 
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
@@ -565,7 +542,7 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
     # adjoint backwards, each from its own CF4 exponents, must agree.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n, j)
-    down, up = _ramp_profiles(kind)
+    down, up = ramp_profiles(kind)
     rng = np.random.default_rng(n)
     d = n // 2 + 1
     start = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -582,24 +559,6 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
         expected = np.zeros(n + 1, dtype=complex)
         expected[idx] = _loop_ramp(n, j, profile, ta, steps, start, adjoint)
         assert np.abs(column - u @ expected).max() < 1e-12
-
-
-@pytest.mark.parametrize("hz", [0.0, 0.3])
-@pytest.mark.parametrize("n", [2, 4])
-def test_propagate_matches_brute_force_amplitudes(n, hz):
-    # N = 2 has a one-dimensional odd sector; the random start fills both.
-    j, h0, duration, steps = 1.0 / n, 1.0, 1.5, 400
-    rng = np.random.default_rng(n)
-    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    q = symmetric_isometry(n)
-    ref = brute_force_ramp(
-        n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
-        q @ state.amplitudes, steps,
-    )
-    ours = propagate(state, Schedule((cosine_ramp_down(h0, duration),)), j, hz=hz,
-                     steps_per_unit=steps / duration)
-    assert np.abs(q @ ours.amplitudes - ref).max() < 1e-12
 
 
 def test_block_columns_match_single_columns():
@@ -648,7 +607,7 @@ def _plain_steps(a, b, fields, durations, block):
     psi = block.copy()
     neg_dts = -np.asarray(durations) / len(fields)
     for h in fields:
-        w, v = eigh_tridiagonal(a[0] + h * b[0], a[1] + h * b[1])
+        w, v = eigh_tridiagonal(a[0] + h * b, a[1])
         theta = w[:, None] * neg_dts
         coeffs = (v.T @ psi.view(float)).view(complex)
         coeffs *= np.cos(theta) + 1j * np.sin(theta)
@@ -784,25 +743,6 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
 
 
-def test_series_path_in_the_z_basis(monkeypatch):
-    # With h^z != 0 propagate steps the whole Z basis, d = N + 1, where the
-    # transverse field sits on the off-diagonal.
-    n, j, hz, duration, steps = 200, 1.0 / 200, 0.3, 2.0, 200
-    rng = np.random.default_rng(5)
-    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    calls = _count_eigensolves(monkeypatch)
-    out = propagate(state, Schedule((cosine_ramp_down(1.0, duration),)), j, hz=hz,
-                    steps_per_unit=steps / duration)
-    assert not calls
-    a = (_z_diagonal(n, j, hz), np.zeros(n))
-    b = (np.zeros(n + 1), -ladder_elements(n))
-    fields = dynamics._segment_fields(cosine_ramp_down(1.0, duration), steps / duration)
-    ref = _carried(a, b, fields, [duration], state.amplitudes[:, None])[:, 0]
-    assert np.abs(out.amplitudes - ref).max() <= 1e-12
-    assert abs(out.norm - 1) <= 1e-12
-
-
 def test_bessel_table_and_series_tail():
     from scipy.special import jv
 
@@ -856,7 +796,7 @@ def test_series_kernels_match_the_oracle(monkeypatch, n):
     start = q @ np.column_stack(
         [x_polarized_state(n, axis="Z").amplitudes, rotate_basis(cooled, "Z").amplitudes]
     )
-    down, up = _ramp_profiles("cosine-sine")
+    down, up = ramp_profiles("cosine-sine")
     prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
     read = q.T @ brute_force_ramp(
         n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps

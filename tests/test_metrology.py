@@ -416,6 +416,15 @@ def test_tint_sweep_offset_policies_and_validation():
         tint_sweep(n, 150 * time_unit(n, j), tint_grid=np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+def test_tint_sweep_rejects_bad_grid_entries(bad):
+    # A NaN entry used to count as a divergent point beside a valid p average.
+    n, j = 10, 0.1
+    grid = np.array([bad, 3.0]) * time_unit(n, j)
+    with pytest.raises(ValueError, match="^sensing-time grid must be finite, positive and "):
+        tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid)
+
+
 def test_tint_sweep_rejects_negative_ramp_time():
     n, j = 10, 0.1
     kernel = protocol_kernel(n, j, 1.0, 1.0, ramp_steps=20)
