@@ -101,6 +101,26 @@ def test_brute_force_oracle_agreement(n):
             assert np.abs(q @ out.amplitudes - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("hz", [0.0])
+@pytest.mark.parametrize("n", [2, 4])
+def test_propagate_matches_brute_force_amplitudes(n, hz):
+    # One cosine down ramp against the 2^N oracle's exponentials, amplitude
+    # by amplitude.  Ramps run at h^z = 0, the only field they are stepped
+    # at; N = 2 has a one-dimensional odd sector; the random start fills both.
+    j, h0, duration, steps = 1.0 / n, 1.0, 1.5, 400
+    rng = np.random.default_rng(n)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    q = symmetric_isometry(n)
+    ref = brute_force_ramp(
+        n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
+        q @ state.amplitudes, steps,
+    )
+    ours = run_protocol(n, j, h0, duration, 0.0, hz, kind="cosine-sine",
+                        initial_state=state, steps_per_ramp=steps).state_after_prep
+    assert np.abs(q @ ours.amplitudes - ref).max() < 1e-12
+
+
 def test_norm_and_parity_conservation():
     # Each ramp keeps the norm and the parity of a start with both sectors
     # filled; the sensing between them, with h^z on, mixes the sectors.
