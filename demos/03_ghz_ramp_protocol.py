@@ -23,7 +23,7 @@ print(f"optimum near 150: T_a = {ta_opt / unit:.0f} units, fidelity {fid_opt:.4f
 
 res = run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.0, steps_per_ramp=400)
 print(f"\nT_a = 150 units: GHZ fidelity {res.fidelity_to_ghz:.4f}, "
-      f"return fidelity {res.fidelity_to_initial:.4f}")
+      f"return fidelity {res.survival_probability:.4f}")
 
 # Parity is conserved by the ramps (symmetry protection): the protocol
 # starts and ends in the even sector.

@@ -27,19 +27,15 @@ through the dense (N+1) x (N+1) rotation.
 
 A ramp-time scan steps all its durations as the columns of one block through
 the down ramp alone, the up ramp being its transpose, and keeps the columns
-at its optima.  For the default start and readout state e_0 the protocol
-kernel steps one column, U_down e_0, and reads out through its conjugate
-U_up^+ e_0; a given start or readout state is stepped with the other as the
-two columns of one block: the up ramp's adjoint, walked backwards, meets the
-down ramp's exponents in the same order, so both share each exponential's
-eigendecomposition or series.
+at its optima.  The protocol kernel steps one column, U_down e_0 from the
+strong-field state e_0, and reads out through its conjugate U_up^+ e_0.
 
 Two choices are made per call from what the stepper sees.  The first picks
 the Chebyshev series or the eigensolves, from the rows d, the columns K and
 the length of the series.
 
-A block no wider than tall (the protocol kernel's one or two columns, a
-protocol run's sector) skips the eigensolves when its series are short
+A block no wider than tall (the protocol kernel's column, a protocol run's
+sector) skips the eigensolves when its series are short
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r]
 holding the spectrum of H and H' = (H - c) / r,
 
@@ -60,8 +56,8 @@ column, so a call takes the series when its longest one satisfies
 m_max K (80 + d) < 4.5 d^2, a cost model fitted to these times per
 exponential (one BLAS thread on a shared 2-core x86 host, median of 7
 interleaved runs, the eigensolves at N >= 600 over 40 exponentials; m is
-the mean series length over the ramp, at T_a = 11.6 N + 60; K = 1 is the
-default protocol kernel, K = 2 a cooled one):
+the mean series length over the ramp, at T_a = 11.6 N + 60; K counts the
+columns, one for a protocol kernel):
 
        N     d    K   exps      m   eigensolves   series   taken
       10     6    1   4000    5.8        11 us     16 us   eigensolves
@@ -108,15 +104,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import (
+    DickeBasis,
     DickeState,
-    collective_operators,
     eigh_tridiagonal,
     fold,
     ghz_state,
     real_matmul,
-    rotate_basis,
     sector_to_z,
-    x_polarized_state,
     z_to_sector,
     zhbmv,
 )
@@ -331,10 +325,7 @@ class ProtocolResult:
     state_after_sense: DickeState
     final_state: DickeState
     fidelity_to_ghz: float
-    fidelity_to_initial: float
     survival_probability: float
-    expectation: float
-    variance: float
 
 
 def _sector_ramp(n_qubits, interaction, fields, t_ramp, amp):
@@ -361,79 +352,52 @@ def run_protocol(
     t_sense,
     hz_total,
     kind="cosine-sine",
-    initial_state=None,
     steps_per_ramp=400,
-    observable="projection",
 ):
     """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
 
+    The protocol starts from the projected strong-field state |N/2, N/2>_X.
     The ramps are evolved with h^z = 0 (the target field acts only during
     the sensing window) so the spin-flip symmetry protects both transforms:
-    each parity sector is stepped on its own, and the up ramp runs the down
-    ramp's CF4 fields reversed (see the scan notes).  At h^x = 0 the
-    Hamiltonian is diagonal in the Z basis and the sensing evolution is
-    applied as exact phases, with the interaction term left on.
-
-    Parameters
-    ----------
-    steps_per_ramp : int
-        Exponentials per ramp, even (two per CF4 step).
-    initial_state : DickeState or None
-        None starts from the projected strong-field state |N/2, N/2>_X;
-        pass a finite-field ground state to model a cooled preparation.
-    observable : "projection" or "sx"
-        Readout statistics reported in ``expectation``/``variance``: the
-        survival projector onto |N/2, N/2>_X, or global magnetization S_X.
+    the down ramp is the protocol kernel's column, stepped in the even
+    sector, and the up ramp steps each parity sector that sensing has filled
+    on its own, through the down ramp's CF4 fields reversed (see the scan
+    notes).  At h^x = 0 the Hamiltonian is diagonal in the Z basis and the
+    sensing evolution is applied as exact phases, with the interaction term
+    left on.  ``steps_per_ramp`` counts exponentials per ramp, even (two
+    per CF4 step).
     """
     if not np.isfinite([t_ramp, t_sense, hz_total]).all():
         raise ValueError("t_ramp, t_sense and hz_total must be finite")
     if t_ramp < 0 or t_sense < 0:
         raise ValueError(_TIMES_RULE)
-    if observable not in ("projection", "sx"):
-        raise ValueError(f"unknown observable {observable!r}")
     fields = _down_ramp_fields(kind, h0x, steps_per_ramp)
-    init = x_polarized_state(n_qubits, axis="Z") if initial_state is None else initial_state
-    psi = rotate_basis(init, "Z")
-    if abs(psi.norm - 1) > 1e-10:
-        raise ValueError(f"input state is not normalized (norm = {psi.norm})")
+    basis = DickeBasis(n_qubits, "Z")
+    e0 = np.zeros(n_qubits // 2 + 1)
+    e0[0] = 1.0
+    start = DickeState(basis, sector_to_z(n_qubits, +1, e0))
 
-    after_prep = psi
+    after_prep = start
     if t_ramp > 0:
-        amp = _sector_ramp(n_qubits, interaction, fields, t_ramp, psi.amplitudes)
-        after_prep = DickeState(psi.basis, amp)
+        kernel = protocol_kernel(n_qubits, interaction, h0x, t_ramp, kind, steps_per_ramp)
+        after_prep = DickeState(basis, kernel.prep_z)
     after_sense = after_prep
     if t_sense > 0:
         amp = after_prep.amplitudes * sensing_phases(
             n_qubits, interaction, hz_total, t_sense
         )
-        after_sense = DickeState(psi.basis, amp)
+        after_sense = DickeState(basis, amp)
     final = after_sense
     if t_ramp > 0:
         amp = _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, after_sense.amplitudes)
-        final = DickeState(psi.basis, amp)
+        final = DickeState(basis, amp)
 
-    ref = x_polarized_state(n_qubits, axis="Z")
-    survival = final.fidelity(ref)
-    fid_ghz = after_prep.fidelity(ghz_state(n_qubits))
-    fid_init = final.fidelity(psi)
-    if observable == "projection":
-        expectation, variance = survival, survival * (1 - survival)
-    else:
-        sx = collective_operators(n_qubits)[0]
-        expectation = final.expectation(sx)
-        second = float(
-            np.vdot(final.amplitudes, sx.matrix @ (sx.matrix @ final.amplitudes)).real
-        )
-        variance = second - expectation**2
     return ProtocolResult(
         state_after_prep=after_prep,
         state_after_sense=after_sense,
         final_state=final,
-        fidelity_to_ghz=fid_ghz,
-        fidelity_to_initial=fid_init,
-        survival_probability=survival,
-        expectation=expectation,
-        variance=variance,
+        fidelity_to_ghz=after_prep.fidelity(ghz_state(n_qubits)),
+        survival_probability=final.fidelity(start),
     )
 
 
@@ -450,11 +414,7 @@ def run_protocol(
 # for the linear profile), and the Gauss fractions of step p are those of
 # step M - 1 - p mirrored with g_1 and g_2 swapped.  So the up ramp's two
 # exponents of step p are the down ramp's two of step M - 1 - p in swapped
-# order: the up ramp runs through the down-ramp fields in reverse, and its
-# adjoint, walked backwards, meets at exponent i exactly the Hamiltonian of
-# the down ramp's exponent i.  The protocol kernel of a given start or
-# readout state uses this to step the two as the columns of one block, with
-# time steps +dt and -dt.
+# order: the up ramp runs through the down-ramp fields in reverse.
 #
 # The same mirror makes the up ramp the down ramp's transpose.  Each factor
 # E_i = exp(-i H_i dt) of a real symmetric H_i is complex symmetric
@@ -462,9 +422,9 @@ def run_protocol(
 # so U_up = E_0 E_1 ... E_{n-1} = (E_{n-1} ... E_1 E_0)^T = U_down^T.  A scan
 # therefore steps only the down ramp: the return amplitude is
 # <e_0|U_down^T U_down|e_0> = psi^T psi with psi = U_down e_0.  And the
-# readout column of the default kernel, U_up^+ e_0 = conj(U_down) e_0, is
-# conj(psi): the default kernel steps psi alone, and a scan hands on the
-# kernel of each optimum from its own column psi there.
+# readout column U_up^+ e_0 = conj(U_down) e_0 is conj(psi): the protocol
+# kernel steps psi alone, and a scan hands on the kernel of each optimum
+# from its own column psi there.
 # ---------------------------------------------------------------------------
 
 
@@ -559,7 +519,10 @@ def scan_ramp_time(
         ghz_fidelity=fid_ghz,
         return_fidelity=fid_init,
         optima=tuple((float(ramp_times[i]), float(fid_ghz[i])) for i in hits),
-        kernels=_default_kernels(n_qubits, interaction, after_down[:, hits]),
+        kernels=tuple(
+            ProtocolKernel(n_qubits, interaction, prep_z)
+            for prep_z in sector_to_z(n_qubits, +1, after_down[:, hits]).T
+        ),
     )
 
 
@@ -580,25 +543,25 @@ class ProtocolKernel:
     """Precomputed ramps of the protocol, leaving (T_int, h^z) free.
 
     Because the ramps carry no longitudinal field, the survival amplitude
-    factorizes as <readout| D(T_int, h^z) |prep> with D the diagonal sensing
-    evolution in the Z basis.  ``prep_z`` is the initial state after the
-    down ramp and ``read_z`` the up-ramp adjoint applied to the readout
-    projector state, its complex conjugate for the default states (see the
-    scan notes), so each (T_int, h^z) evaluation costs O(N).  Both methods
-    take arrays of T_int and h^z that broadcast against each other.
+    factorizes as <e_0| U_up D(T_int, h^z) U_down |e_0> with D the diagonal
+    sensing evolution in the Z basis.  ``prep_z`` is U_down e_0, the
+    strong-field state after the down ramp, in the Z basis; the readout
+    column U_up^+ e_0 is its complex conjugate (see the scan notes), so the
+    amplitude is prep_z^T D prep_z and each (T_int, h^z) evaluation costs
+    O(N).  Both methods take arrays of T_int and h^z that broadcast against
+    each other.
     """
 
     n_qubits: int
     interaction: float
     prep_z: np.ndarray
-    read_z: np.ndarray
 
     def _terms(self, t_sense, hz):
         """(..., d) summands of the survival amplitude; T_int and h^z broadcast."""
         hz = np.asarray(hz, dtype=float)[..., None]
         diag = _z_diagonal(self.n_qubits, self.interaction, hz)
         t = np.asarray(t_sense, dtype=float)[..., None]
-        return self.read_z.conj() * np.exp(-1j * diag * t) * self.prep_z
+        return self.prep_z * np.exp(-1j * diag * t) * self.prep_z
 
     def survival(self, t_sense, hz):
         """P = |<N/2, N/2|_X final>|^2 for the given sensing windows."""
@@ -615,73 +578,18 @@ class ProtocolKernel:
         return 2 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
 
 
-def _even_coords(state):
-    """Even-sector X coordinates of an even-parity DickeState.
+def protocol_kernel(n_qubits, interaction, h0x, t_ramp, kind="cosine-sine", ramp_steps=400):
+    """Build the ProtocolKernel of fixed ramps of the standard protocol.
 
-    A Z-basis state's odd part is its antisymmetric fold (see dicke.fold),
-    checked without a rotation.
-    """
-    amp = state.amplitudes
-    if state.basis.axis == "X":
-        even, odd = amp[0::2], amp[1::2]
-    else:
-        odd = fold(amp)[1]
-        even = z_to_sector(state.basis.n_qubits, +1, amp)
-    if np.linalg.norm(odd) > 1e-12:
-        raise ValueError("kernel states must have even parity")
-    return even.astype(complex)
-
-
-def _default_kernels(n_qubits, interaction, prepared):
-    """A ProtocolKernel per column U_down e_0 of ``prepared``, as a tuple.
-
-    The readout column U_up^+ e_0 is conj(U_down e_0) (see the scan notes),
-    and the even parity block that takes it to the Z basis is real, so it
-    commutes with the conjugate.
-    """
-    return tuple(
-        ProtocolKernel(n_qubits, interaction, prep_z, prep_z.conj())
-        for prep_z in sector_to_z(n_qubits, +1, prepared).T
-    )
-
-
-def protocol_kernel(
-    n_qubits,
-    interaction,
-    h0x,
-    t_ramp,
-    kind="cosine-sine",
-    ramp_steps=400,
-    initial_state=None,
-    readout_state=None,
-):
-    """Build a ProtocolKernel for fixed ramps of the standard protocol.
-
-    ``initial_state``/``readout_state`` default to the projected strong-field
-    state |N/2, N/2>_X; passing the finite-field ground state for both models
-    the cooled preparation read out in its own basis.  Both must be
-    even-parity (the ramps never leave the even sector).  ``ramp_steps``
-    counts exponentials per ramp (even, two per CF4 step).
-
-    With both states at their default one column is stepped, the down ramp
-    from |N/2, N/2>_X, and the readout column is its complex conjugate;
-    otherwise the two columns are stepped as one block (see the scan notes).
+    One column is stepped, the down ramp from |N/2, N/2>_X, the first state
+    of the even sector; ``ramp_steps`` counts exponentials per ramp (even,
+    two per CF4 step).
     """
     if t_ramp < 0:
         raise ValueError(_TIMES_RULE)
     a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
     fields = _down_ramp_fields(kind, h0x, ramp_steps)
-    e0 = np.zeros(len(even_idx), dtype=complex)
+    e0 = np.zeros((len(even_idx), 1), dtype=complex)
     e0[0] = 1.0
-    if initial_state is None and readout_state is None:
-        prepared = _exponential_steps(a, b, fields, [t_ramp], e0[:, None])
-        return _default_kernels(n_qubits, interaction, prepared)[0]
-    init_even = e0 if initial_state is None else _even_coords(initial_state)
-    read_even = e0 if readout_state is None else _even_coords(readout_state)
-    # Column 0 runs the down ramp forward; column 1 runs the up ramp's
-    # adjoint backwards, which meets the same exponents (see the scan notes).
-    ends = _exponential_steps(
-        a, b, fields, [t_ramp, -t_ramp], np.column_stack([init_even, read_even])
-    )
-    prep_z, read_z = sector_to_z(n_qubits, +1, ends).T
-    return ProtocolKernel(n_qubits, interaction, prep_z, read_z)
+    prepared = _exponential_steps(a, b, fields, [t_ramp], e0)
+    return ProtocolKernel(n_qubits, interaction, sector_to_z(n_qubits, +1, prepared)[:, 0])

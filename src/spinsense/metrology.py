@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dicke import DickeBasis, DickeState, rotate_basis
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +315,6 @@ class SzReadout:
     delta_h_closed: float | None = None
 
 
-def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):
-    """The post-protocol state cos(theta)|psi0(inf)> + e^{i alpha} sin(theta)|phi0(inf)>.
-
-    theta = h^z N T_int.  alpha is quoted in the gauge where alpha = 0
-    maximizes <S_Z>; relative phases are convention dependent while all
-    probabilities are not.
-
-    Kept as the exact state on which sz_readout_state checks sz_readout_ideal.
-    """
-    theta = hz * n_qubits * t_sense
-    amp = np.zeros(n_qubits + 1, dtype=complex)
-    amp[0] = np.cos(theta)
-    # the sign makes <S_Z> = +(sqrt(N)/2) cos(alpha) sin(2 theta) at alpha = 0
-    amp[1] = -np.exp(1j * alpha) * np.sin(theta)
-    return DickeState(DickeBasis(n_qubits, "X"), amp)
-
-
 def sz_readout_ideal(n_qubits, hz, t_sense, alpha=0.0, shots=1):
     """Closed-form S_Z readout statistics of the ideal two-level state.
 
@@ -361,25 +343,6 @@ def sz_readout_ideal(n_qubits, hz, t_sense, alpha=0.0, shots=1):
         else 1.0 / (2 * n_qubits * np.sqrt(shots) * t_sense * denom)
     )
     return SzReadout(float(exp_sz), float(std), float(delta_h), float(closed))
-
-
-def sz_readout_state(state, slope=None, shots=1):
-    """Numerically exact S_Z statistics of an arbitrary DickeState.
-
-    S_Z is diagonal in the Z basis, so moments are plain weighted sums.  A
-    known d<S_Z>/dh^z must be supplied to turn the deviation into an
-    uncertainty; otherwise ``delta_h`` is reported as infinite.
-
-    Kept as the exact-state check of the closed forms in sz_readout_ideal.
-    """
-    state_z = rotate_basis(state, "Z")
-    m = state_z.basis.m_values
-    w = np.abs(state_z.amplitudes) ** 2
-    exp_sz = float(np.sum(m * w))
-    second = float(np.sum(m**2 * w))
-    std = np.sqrt(max(second - exp_sz**2, 0.0))
-    delta_h = np.inf if slope is None else error_propagation(std, slope, shots)
-    return SzReadout(exp_sz, float(std), float(delta_h))
 
 
 # ---------------------------------------------------------------------------

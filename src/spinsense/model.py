@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import (
-    CollectiveOperator,
-    DickeBasis,
-    DickeState,
-    collective_operators,
-    eigh_tridiagonal,
-    ladder_elements,
-    rotate_basis,
-    sector_to_z,
-)
+from .dicke import DickeBasis, DickeState, eigh_tridiagonal, ladder_elements, sector_to_z
 
 
 @dataclass(frozen=True)
@@ -47,21 +38,6 @@ class ModelParams:
     @property
     def jn(self):
         return self.interaction * self.n_qubits
-
-
-def build_hamiltonian(params, axis="Z"):
-    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a CollectiveOperator.
-
-    Kept as the dense reference that the parity-sector solvers are tested against.
-    """
-    sx, _, sz = collective_operators(params.n_qubits)
-    mat = (
-        -2 * params.interaction * (sz.matrix @ sz.matrix)
-        - 2 * params.transverse_field * sx.matrix
-        - 2 * params.longitudinal_field * sz.matrix
-    )
-    op = CollectiveOperator(DickeBasis(params.n_qubits, "Z"), mat)
-    return rotate_basis(op, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Shared fixtures and brute-force full-Hilbert-space oracles.
+"""Shared fixtures, brute-force full-Hilbert-space oracles and dense references.
 
 The oracles build operators and dynamics in the full 2^N qubit space and
 project onto the symmetric subspace, completely independently of the
 collective-spin code under test.  Only usable for small N.  The Z -> X
 rotation oracle is the dense matrix exponential of its definition instead,
 written out from the angular-momentum ladder elements, and is usable up to a
-few hundred qubits.
+few hundred qubits.  The dense references (the (N+1)^2 Hamiltonian, the
+exact S_Z statistics of a state) use the package's dense collective
+operators, which its fast paths never build.
 """
 
 import os
@@ -21,6 +23,19 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from spinsense import (
+    CollectiveOperator,
+    DickeBasis,
+    DickeState,
+    ModelParams,
+    ProtocolKernel,
+    collective_operators,
+    parity_resolved_spectrum,
+    rotate_basis,
+)
+from spinsense.dynamics import _down_ramp_fields, _sector_ramp, sensing_phases
+from spinsense.metrology import SzReadout
 
 
 def _kron_chain(ops):
@@ -131,6 +146,78 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, 
     final = brute_force_ramp(n_qubits, interaction, lambda t: h0x * up(t / t_ramp), t_ramp,
                              0.0, sensed, steps)
     return prep, sensed, final
+
+
+def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, amp, steps):
+    """Z amplitudes (after prep, after sensing, final) of the protocol from any start.
+
+    Not an oracle: the stages of run_protocol through dynamics' own ramp
+    (``_sector_ramp``) and sensing functions, for starts other than
+    |N/2, N/2>_X, such as ones with both parity sectors filled.
+    """
+    fields = _down_ramp_fields(kind, h0x, steps)
+    prep = _sector_ramp(n_qubits, interaction, fields, t_ramp, amp)
+    sensed = prep * sensing_phases(n_qubits, interaction, hz, t_sense)
+    return prep, sensed, _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, sensed)
+
+
+def cooled_start(n_qubits, interaction, h0x):
+    """Z amplitudes of the even ground state at h^x = h0x, a real vector."""
+    spectrum = parity_resolved_spectrum(ModelParams(n_qubits, interaction, h0x))
+    return spectrum.even_states[0].amplitudes
+
+
+def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
+    """ProtocolKernel of the cooled preparation, read out in its own basis.
+
+    The cosine down ramp steps the real cooled start c to U_down c.  The
+    matched readout column U_up^+ c is conj(U_down c), as U_up = U_down^T,
+    so the kernel of the column U_down c projects onto c itself.
+    """
+    fields = _down_ramp_fields("cosine-sine", h0x, steps)
+    prep = _sector_ramp(n_qubits, interaction, fields, t_ramp,
+                        cooled_start(n_qubits, interaction, h0x))
+    return ProtocolKernel(n_qubits, interaction, prep)
+
+
+def build_hamiltonian(params):
+    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a dense Z-basis CollectiveOperator."""
+    sx, _, sz = collective_operators(params.n_qubits)
+    mat = (
+        -2 * params.interaction * (sz.matrix @ sz.matrix)
+        - 2 * params.transverse_field * sx.matrix
+        - 2 * params.longitudinal_field * sz.matrix
+    )
+    return CollectiveOperator(DickeBasis(params.n_qubits, "Z"), mat)
+
+
+def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):
+    """The post-protocol state cos(theta)|psi0(inf)> + e^{i alpha} sin(theta)|phi0(inf)>.
+
+    theta = h^z N T_int.  alpha is quoted in the gauge where alpha = 0
+    maximizes <S_Z>; relative phases are convention dependent while all
+    probabilities are not.
+    """
+    theta = hz * n_qubits * t_sense
+    amp = np.zeros(n_qubits + 1, dtype=complex)
+    amp[0] = np.cos(theta)
+    # the sign makes <S_Z> = +(sqrt(N)/2) cos(alpha) sin(2 theta) at alpha = 0
+    amp[1] = -np.exp(1j * alpha) * np.sin(theta)
+    return DickeState(DickeBasis(n_qubits, "X"), amp)
+
+
+def sz_readout_state(state):
+    """Numerically exact S_Z statistics of an arbitrary DickeState.
+
+    S_Z is diagonal in the Z basis, so moments are plain weighted sums.
+    Without a known slope ``delta_h`` is reported as infinite.
+    """
+    state_z = rotate_basis(state, "Z")
+    m = state_z.basis.m_values
+    w = np.abs(state_z.amplitudes) ** 2
+    exp_sz = float(np.sum(m * w))
+    second = float(np.sum(m**2 * w))
+    return SzReadout(exp_sz, float(np.sqrt(max(second - exp_sz**2, 0.0))), np.inf)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
-"""Every demo runs to completion without a warning."""
+"""Every demo and the README quickstart run to completion without a warning."""
 
+import re
 import runpy
 import warnings
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -14,4 +16,14 @@ def test_demo_runs(path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

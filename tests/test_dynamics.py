@@ -9,14 +9,11 @@ from scipy.linalg import eigh_tridiagonal
 from spinsense import (
     DickeBasis,
     DickeState,
-    ModelParams,
     basis_state,
     ghz_state,
     local_maxima,
     parity_operator,
-    parity_resolved_spectrum,
     protocol_kernel,
-    rotate_basis,
     run_protocol,
     scan_ramp_time,
     select_optimum,
@@ -29,13 +26,23 @@ from spinsense.dynamics import (
     _down_ramp_fields,
     _exponential_steps,
     _phase_factors,
+    _sector_ramp,
     _sector_terms,
     _series_lengths,
+    sensing_phases,
 )
 from spinsense.metrology import time_unit
 from spinsense.model import sector_indices, sector_tridiagonal
 
-from conftest import brute_force_protocol, brute_force_ramp, ramp_profiles, symmetric_isometry
+from conftest import (
+    brute_force_protocol,
+    brute_force_ramp,
+    cooled_kernel,
+    cooled_start,
+    ramp_profiles,
+    sector_protocol,
+    symmetric_isometry,
+)
 
 
 def _random_state(n, seed):
@@ -49,7 +56,7 @@ def test_stationary_state_picks_up_phase_only():
     # h^x = 0 keeps the Hamiltonian diagonal: |N/2, N/2>_Z is stationary.
     n, j = 4, 0.25
     state = basis_state(DickeBasis(n, "Z"), 0)
-    out = run_protocol(n, j, 1.0, 0.0, 2.3, 0.0, initial_state=state).final_state
+    out = DickeState(state.basis, state.amplitudes * sensing_phases(n, j, 0.0, 2.3))
     overlap = state.overlap(out)
     assert abs(abs(overlap) - 1) < 1e-12
     # e^{-iEt} with E = -2J (N/2)^2
@@ -62,7 +69,7 @@ def test_sensing_phase_accumulation_matches_closed_form():
     # readout superposition with relative weight cos/sin(h N T).
     n, j, hz, t = 6, 1.0 / 6, 0.37, 1.9
     psi0 = ghz_state(n, +1)
-    out = run_protocol(n, j, 1.0, 0.0, t, hz, initial_state=psi0).final_state
+    out = DickeState(psi0.basis, psi0.amplitudes * sensing_phases(n, j, hz, t))
     c_even = out.overlap(ghz_state(n, +1))
     c_odd = out.overlap(ghz_state(n, -1))
     assert abs(c_even) == pytest.approx(abs(np.cos(hz * n * t)), abs=1e-12)
@@ -74,31 +81,36 @@ def test_integrator_matches_exact_sensing():
     # h^x = 0, here through 2000 of them.
     n, j, hz, t = 4, 0.25, 0.21, 1.3
     amp = np.arange(1.0, n + 2) + 0.3j
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    exact = run_protocol(n, j, 1.0, 0.0, t, hz, initial_state=state).final_state
+    state = amp / np.linalg.norm(amp)
+    exact = state * sensing_phases(n, j, hz, t)
     q = symmetric_isometry(n)
-    stepped = q.T @ brute_force_ramp(n, j, lambda _: 0.0, t, hz, q @ state.amplitudes, 2000)
-    assert np.abs(exact.amplitudes - stepped).max() < 1e-12
+    stepped = q.T @ brute_force_ramp(n, j, lambda _: 0.0, t, hz, q @ state, 2000)
+    assert np.abs(exact - stepped).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_brute_force_oracle_agreement(n):
-    # Full 2^N protocol of a start with both parity sectors filled (N = 2
-    # has a one-dimensional odd sector) against the collective one: the
-    # state after each stage, for both ramp kinds.
+    # Full 2^N protocol against the collective one, the state after each
+    # stage, for both ramp kinds: run_protocol from |N/2, N/2>_X, and the
+    # collective ramps and sensing from a start with both parity sectors
+    # filled (N = 2 has a one-dimensional odd sector).
     j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
     unit = time_unit(n, j)
     ta, t_sense = 30 * unit, 3 * unit
-    state = _random_state(n, n)
+    start = x_polarized_state(n, axis="Z").amplitudes
+    state = _random_state(n, n).amplitudes
     q = symmetric_isometry(n)
     for kind in ("cosine-sine", "linear"):
-        res = run_protocol(n, j, h0, ta, t_sense, hz, kind=kind, initial_state=state,
-                           steps_per_ramp=steps)
-        refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, kind, q @ state.amplitudes,
-                                    steps)
-        ours = (res.state_after_prep, res.state_after_sense, res.final_state)
-        for out, ref in zip(ours, refs):
-            assert np.abs(q @ out.amplitudes - ref).max() < 1e-12
+        res = run_protocol(n, j, h0, ta, t_sense, hz, kind=kind, steps_per_ramp=steps)
+        stages = (res.state_after_prep, res.state_after_sense, res.final_state)
+        runs = [
+            (start, [stage.amplitudes for stage in stages]),
+            (state, sector_protocol(n, j, h0, ta, t_sense, hz, kind, state, steps)),
+        ]
+        for amp, ours in runs:
+            refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, kind, q @ amp, steps)
+            for out, ref in zip(ours, refs):
+                assert np.abs(q @ out - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("hz", [0.0])
@@ -110,15 +122,14 @@ def test_propagate_matches_brute_force_amplitudes(n, hz):
     j, h0, duration, steps = 1.0 / n, 1.0, 1.5, 400
     rng = np.random.default_rng(n)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    state = amp / np.linalg.norm(amp)
     q = symmetric_isometry(n)
     ref = brute_force_ramp(
         n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
-        q @ state.amplitudes, steps,
+        q @ state, steps,
     )
-    ours = run_protocol(n, j, h0, duration, 0.0, hz, kind="cosine-sine",
-                        initial_state=state, steps_per_ramp=steps).state_after_prep
-    assert np.abs(q @ ours.amplitudes - ref).max() < 1e-12
+    ours = _sector_ramp(n, j, _down_ramp_fields("cosine-sine", h0, steps), duration, state)
+    assert np.abs(q @ ours - ref).max() < 1e-12
 
 
 def test_norm_and_parity_conservation():
@@ -128,21 +139,15 @@ def test_norm_and_parity_conservation():
     pi = parity_operator(DickeBasis(n, "Z"))
     state = _random_state(n, 7)
     for kind in ("cosine-sine", "linear"):
-        res = run_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, kind=kind, initial_state=state,
-                           steps_per_ramp=2500)
-        stages = [(state, res.state_after_prep), (res.state_after_sense, res.final_state)]
-        for before, after in stages:
+        prep, sensed, final = (
+            DickeState(state.basis, amp)
+            for amp in sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, kind,
+                                       state.amplitudes, 2500)
+        )
+        for before, after in [(state, prep), (sensed, final)]:
             assert abs(after.norm - 1) < 1e-12
             assert abs(after.expectation(pi) - before.expectation(pi)) < 1e-12
-        assert abs(res.state_after_sense.expectation(pi) - state.expectation(pi)) > 1e-3
-
-
-def test_run_protocol_rejects_unnormalized_input():
-    n = 4
-    state = DickeState(DickeBasis(n, "Z"), np.ones(n + 1))
-    for t_ramp in (0.0, 1.0):
-        with pytest.raises(ValueError, match="input state is not normalized"):
-            run_protocol(n, 0.25, 1.0, t_ramp, 1.0, 0.0, initial_state=state)
+        assert abs(sensed.expectation(pi) - state.expectation(pi)) > 1e-3
 
 
 @pytest.mark.parametrize("times", [
@@ -181,10 +186,9 @@ def test_cf4_fourth_order_convergence(kind):
     ]
     assert scan_err[0] / scan_err[1] >= 12
 
-    state = _random_state(n, 5)
+    state = _random_state(n, 5).amplitudes
     finals = {
-        s: run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, kind=kind, initial_state=state,
-                        steps_per_ramp=s).final_state.amplitudes
+        s: sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, kind, state, s)[-1]
         for s in (100, 200, 3200)
     }
     state_err = [np.linalg.norm(finals[s] - finals[3200]) for s in (100, 200)]
@@ -204,14 +208,24 @@ def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, 
     assert stepper_widths == [1, 1]
 
 
+@pytest.mark.parametrize("hz, blocks", [(0.0, 1), (0.3, 2)])
+def test_run_protocol_solves_the_odd_block_only_once_sensing_fills_it(hz, blocks):
+    # The start and the down ramp are even; the odd parity block is solved
+    # only when sensing with h^z on leaves the up ramp an odd part to step.
+    n, j = 20, 0.05
+    unit = time_unit(n, j)
+    dicke.parity_block.cache_clear()
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz)
+    assert dicke.parity_block.cache_info().currsize == blocks
+
+
 def test_protocol_headline_fidelities():
     # N=10, JN=1, cosine/sine ramps at T_a = 150 (2JN^2)^-1.
     n, j = 10, 0.1
     ta = 150 * time_unit(n, j)
     res = run_protocol(n, j, 1.0, ta, 0.0, 0.0, steps_per_ramp=3000)
     assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
-    assert res.fidelity_to_initial == pytest.approx(0.91, abs=0.01)
-    assert res.survival_probability == pytest.approx(res.fidelity_to_initial, abs=1e-12)
+    assert res.survival_probability == pytest.approx(0.91, abs=0.01)
 
 
 def test_adiabatic_round_trip():
@@ -220,11 +234,8 @@ def test_adiabatic_round_trip():
     # saturates near |g_0|^4 instead; that imperfection is the point of the
     # finite-field analysis.)
     n, j = 4, 0.25
-    ta = 2400 * time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 2.0)).even_states[0]
-    res = run_protocol(n, j, 2.0, ta, 0.0, 0.0, initial_state=cooled,
-                       steps_per_ramp=20000)
-    assert res.fidelity_to_initial >= 1 - 1e-3
+    kernel = cooled_kernel(n, j, 2.0, 2400 * time_unit(n, j), 20000)
+    assert kernel.survival(0.0, 0.0) >= 1 - 1e-3
 
 
 def test_ideal_protocol_survival_cosine_squared():
@@ -232,9 +243,7 @@ def test_ideal_protocol_survival_cosine_squared():
     # the full-contrast fringe P = cos^2(h^z N T_int).
     n, j = 4, 0.25
     unit = time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 2.0)).even_states[0]
-    kernel = protocol_kernel(n, j, 2.0, 2400 * unit, ramp_steps=20000,
-                             initial_state=cooled, readout_state=cooled)
+    kernel = cooled_kernel(n, j, 2.0, 2400 * unit, 20000)
     for hz, tu in [(0.4, 3), (0.7, 11)]:
         t_sense = tu * unit
         assert kernel.survival(t_sense, hz) == pytest.approx(
@@ -249,36 +258,29 @@ def test_cooled_start_strong_field_survival_is_damped_fringe():
 
     n, j = 4, 0.25
     unit = time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 2.0)).even_states[0]
     g0_sq = ground_overlap(n, [2.0])[0]
     hz, t_sense = 0.5, 7 * unit
-    res = run_protocol(n, j, 2.0, 2400 * unit, t_sense, hz,
-                       initial_state=cooled, steps_per_ramp=20000)
-    assert res.survival_probability == pytest.approx(
-        g0_sq * np.cos(hz * n * t_sense) ** 2, abs=2e-3
-    )
+    final = sector_protocol(n, j, 2.0, 2400 * unit, t_sense, hz, "cosine-sine",
+                            cooled_start(n, j, 2.0), 20000)[-1]
+    survival = abs(np.vdot(x_polarized_state(n, axis="Z").amplitudes, final)) ** 2
+    assert survival == pytest.approx(g0_sq * np.cos(hz * n * t_sense) ** 2, abs=2e-3)
 
 
 def test_protocol_parity_protection_and_cooled_start():
     n, j = 8, 1.0 / 8
     ta = 50 * time_unit(n, j)
     # cooled first-approach start: the finite-field ground state
-    start = parity_resolved_spectrum(ModelParams(n, j, 1.0)).even_states[0]
-    res = run_protocol(n, j, 1.0, ta, 0.0, 0.0, initial_state=start,
-                       steps_per_ramp=2000)
+    start = DickeState(DickeBasis(n, "Z"), cooled_start(n, j, 1.0))
+    final = DickeState(start.basis, sector_protocol(n, j, 1.0, ta, 0.0, 0.0, "cosine-sine",
+                                                    start.amplitudes, 2000)[-1])
     pi = parity_operator(DickeBasis(n, "Z"))
-    assert res.final_state.expectation(pi) == pytest.approx(
-        start.expectation(pi), abs=1e-12
+    assert final.expectation(pi) == pytest.approx(start.expectation(pi), abs=1e-12)
+    back = final.fidelity(start)
+    assert back == pytest.approx(final.fidelity(x_polarized_state(n, axis="Z")), abs=0.2)
+    # the kernel of the cooled column reads out through the cooled start
+    assert cooled_kernel(n, j, 1.0, ta, 2000).survival(0.0, 0.0) == pytest.approx(
+        back, abs=1e-12
     )
-    assert res.fidelity_to_initial == pytest.approx(res.survival_probability, abs=0.2)
-
-
-def test_protocol_sx_observable():
-    n, j = 4, 0.25
-    res = run_protocol(n, j, 1.0, 10 * time_unit(n, j), 0.0, 0.0,
-                       steps_per_ramp=500, observable="sx")
-    assert res.expectation <= n / 2 + 1e-9
-    assert res.variance >= -1e-9
 
 
 def test_scan_ramp_time_headline_and_oscillations():
@@ -306,7 +308,7 @@ def test_scan_matches_run_protocol():
         res = run_protocol(n, j, 1.0, tau * unit, 0.0, 0.0, steps_per_ramp=2000)
         assert scan.ghz_fidelity[i] == pytest.approx(res.fidelity_to_ghz, abs=1e-9)
         assert scan.return_fidelity[i] == pytest.approx(
-            res.fidelity_to_initial, abs=1e-9
+            res.survival_probability, abs=1e-9
         )
 
 
@@ -328,7 +330,7 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
     ghz = q @ ghz_state(n).amplitudes
     for i, ta in enumerate(taus):
         res = run_protocol(n, j, h0, ta, 0.0, 0.0, kind=kind, steps_per_ramp=steps)
-        assert abs(scan.return_fidelity[i] - res.fidelity_to_initial) < 1e-12
+        assert abs(scan.return_fidelity[i] - res.survival_probability) < 1e-12
         assert abs(scan.ghz_fidelity[i] - res.fidelity_to_ghz) < 1e-12
         mid = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
         end = brute_force_ramp(n, j, lambda t: h0 * up(t / ta), ta, 0.0, mid, steps)
@@ -339,45 +341,44 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [4, 6])
 def test_default_kernel_reads_out_the_conjugate(stepper_widths, n, kind):
-    # The default kernel steps one column U_down e_0 and reads out through
-    # its conjugate; the full 2^N oracle must find U_up^+ e_0 there.  The
-    # adjoint up ramp is the oracle run backwards: negative duration, the
-    # field sampled at T_a + t for t in [-T_a, 0].
+    # The kernel steps one column U_down e_0 and reads out through its
+    # conjugate; the full 2^N oracle must find U_up^+ e_0 there.  The same
+    # holds for any real start c, here also the cooled even ground state:
+    # U_up^+ c = conj(U_down c).  The adjoint up ramp is the oracle run
+    # backwards: negative duration, the field sampled at T_a + t for t in
+    # [-T_a, 0].
     j, steps, h0 = 1.0 / n, 40, 1.0
     ta = 50 * time_unit(n, j)
     kernel = protocol_kernel(n, j, h0, ta, kind=kind, ramp_steps=steps)
     assert stepper_widths == [1]
-    assert np.array_equal(kernel.read_z, kernel.prep_z.conj())
 
+    cooled = cooled_start(n, j, h0)
+    columns = [kernel.prep_z, _sector_ramp(n, j, _down_ramp_fields(kind, h0, steps), ta, cooled)]
     down, up = ramp_profiles(kind)
     q = symmetric_isometry(n)
-    start = q @ x_polarized_state(n, axis="Z").amplitudes
-    prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
-    read = brute_force_ramp(n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps)
-    assert np.abs(kernel.prep_z - q.T @ prep).max() < 1e-12
-    assert np.abs(kernel.read_z - q.T @ read).max() < 1e-12
-
-
-def test_cooled_kernel_still_steps_two_columns(stepper_widths):
-    n, j = 6, 1.0 / 6
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 1.0)).even_states[0]
-    protocol_kernel(n, j, 1.0, 40 * time_unit(n, j), ramp_steps=40,
-                    initial_state=cooled, readout_state=cooled)
-    assert stepper_widths == [2]
+    for start, column in zip([x_polarized_state(n, axis="Z").amplitudes, cooled], columns):
+        prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, q @ start, steps)
+        read = brute_force_ramp(n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, q @ start,
+                                steps)
+        assert np.abs(column - q.T @ prep).max() < 1e-12
+        assert np.abs(column.conj() - q.T @ read).max() < 1e-12
 
 
 def test_one_column_kernel_matches_two_columns_at_large_n():
-    # At N = 600 the kernel takes the Chebyshev series; the default start
-    # given explicitly (exactly, in the X basis) is stepped as two columns.
+    # At N = 600 the kernel takes the Chebyshev series.  Stepped beside it
+    # with duration -T_a, e_0 meets the up ramp's adjoint (its exponents
+    # are the down ramp's, walked backwards), so that second column is
+    # U_up^+ e_0: the conjugate the kernel reads out through.
     n, j = 600, 1.0 / 600
     ta = (11.6 * n + 60) * time_unit(n, j)
-    e0 = np.zeros(n + 1)
+    kernel = protocol_kernel(n, j, 1.0, ta)
+    a, b, _ = _sector_terms(n, j, +1)
+    e0 = np.zeros((len(a[0]), 2), dtype=complex)
     e0[0] = 1.0
-    top = DickeState(DickeBasis(n, "X"), e0)
-    one = protocol_kernel(n, j, 1.0, ta)
-    two = protocol_kernel(n, j, 1.0, ta, initial_state=top, readout_state=top)
-    assert np.abs(one.prep_z - two.prep_z).max() < 1e-13
-    assert np.abs(one.read_z - two.read_z).max() < 1e-13
+    ends = _exponential_steps(a, b, _down_ramp_fields("cosine-sine", 1.0, 400), [ta, -ta], e0)
+    prep_z, read_z = dicke.sector_to_z(n, +1, ends).T
+    assert np.abs(kernel.prep_z - prep_z).max() < 1e-13
+    assert np.abs(kernel.prep_z.conj() - read_z).max() < 1e-13
 
 
 def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
@@ -399,7 +400,6 @@ def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
     dense = rotation_matrix(n) @ full
     scale = np.abs(dense).max()
     assert np.abs(kernel.prep_z - dense).max() < 1e-13 * scale
-    assert np.abs(kernel.read_z - dense.conj()).max() < 1e-13 * scale
 
 
 def test_default_kernel_keeps_the_dense_rotation_out():
@@ -419,18 +419,6 @@ def test_default_kernel_keeps_the_dense_rotation_out():
     assert peak < 8 * (n + 1) ** 2
 
 
-@pytest.mark.parametrize("axis", ["Z", "X"])
-def test_kernel_states_must_have_even_parity(axis):
-    n, j = 10, 0.1
-    even = ghz_state(n, +1).amplitudes
-    odd = ghz_state(n, -1).amplitudes
-    for amp in (odd, even + 1e-9 * odd):
-        state = rotate_basis(DickeState(DickeBasis(n, "Z"), amp).normalized(), axis)
-        for which in ("initial_state", "readout_state"):
-            with pytest.raises(ValueError, match="kernel states must have even parity"):
-                protocol_kernel(n, j, 1.0, 1.0, ramp_steps=4, **{which: state})
-
-
 def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     def refused(n_qubits):
         raise AssertionError("the dense rotation was built")
@@ -438,14 +426,11 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     monkeypatch.setattr(dicke, "rotation_matrix", refused)
     n, j = 10, 0.1
     unit = time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 1.0)).even_states[0]
     scan_ramp_time(n, j, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
     protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40)
-    protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40,
-                    initial_state=rotate_basis(cooled, "X"), readout_state=cooled)
     run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40)
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40,
-                 initial_state=_random_state(n, 8))
+    for start in (cooled_start(n, j, 1.0), _random_state(n, 8).amplitudes):
+        sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, "cosine-sine", start, 40)
 
 
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
@@ -457,7 +442,6 @@ def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths, kind):
     assert len(scan.kernels) == len(scan.optima) >= 3
     for (ta, _), kernel in zip(scan.optima, scan.kernels):
         built = protocol_kernel(n, j, 1.0, ta, kind=kind)
-        assert np.array_equal(kernel.read_z, kernel.prep_z.conj())
         assert np.abs(kernel.prep_z - built.prep_z).max() < 1e-13
 
 
@@ -557,9 +541,11 @@ def _loop_ramp(n, j, profile, duration, steps, psi, adjoint=False):
 @pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [6, 20])
 def test_kernel_shared_steps_match_separate_ramps(n, kind):
-    # The kernel steps preparation and adjoint readout through the same
-    # eigendecompositions; stepping the down ramp forward and the up ramp's
-    # adjoint backwards, each from its own CF4 exponents, must agree.
+    # The kernel's one column serves both ramps: it is the down ramp from
+    # e_0, and its conjugate the up ramp's adjoint applied to e_0, each
+    # stepped here from its own CF4 exponents.  A complex even start goes
+    # through both ramps of the protocol run, the up ramp on the down
+    # ramp's fields reversed.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n, j)
     down, up = ramp_profiles(kind)
@@ -567,18 +553,26 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
     d = n // 2 + 1
     start = rng.normal(size=d) + 1j * rng.normal(size=d)
     start /= np.linalg.norm(start)
+    e0 = np.eye(d)[0]
     idx = sector_indices(n, +1)
-    full_x = np.zeros(n + 1, dtype=complex)
-    full_x[idx] = start
-    state = DickeState(DickeBasis(n, "X"), full_x)
-
-    kernel = protocol_kernel(n, j, 1.0, ta, kind=kind, ramp_steps=steps,
-                             initial_state=state, readout_state=state)
     u = rotation_matrix(n)
-    for column, profile, adjoint in [(kernel.prep_z, down, False), (kernel.read_z, up, True)]:
-        expected = np.zeros(n + 1, dtype=complex)
-        expected[idx] = _loop_ramp(n, j, profile, ta, steps, start, adjoint)
-        assert np.abs(column - u @ expected).max() < 1e-12
+
+    def z_amplitudes(even):
+        full_x = np.zeros(n + 1, dtype=complex)
+        full_x[idx] = even
+        return u @ full_x
+
+    kernel = protocol_kernel(n, j, 1.0, ta, kind=kind, ramp_steps=steps)
+    fields = _down_ramp_fields(kind, 1.0, steps)
+    start_z = z_amplitudes(start)
+    checks = [
+        (kernel.prep_z, _loop_ramp(n, j, down, ta, steps, e0)),
+        (kernel.prep_z.conj(), _loop_ramp(n, j, up, ta, steps, e0, adjoint=True)),
+        (_sector_ramp(n, j, fields, ta, start_z), _loop_ramp(n, j, down, ta, steps, start)),
+        (_sector_ramp(n, j, fields[::-1], ta, start_z), _loop_ramp(n, j, up, ta, steps, start)),
+    ]
+    for column, expected in checks:
+        assert np.abs(column - z_amplitudes(expected)).max() < 1e-12
 
 
 def test_block_columns_match_single_columns():
@@ -743,8 +737,8 @@ def _carried(a, b, fields, durations, block):
 def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations):
     # Narrow blocks whose series is short skip the eigensolves; the ramp is
     # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
-    # 50 at 4000 exponentials are sensing-sweep kernels, K = 1 or the +-T
-    # block of a cooled one.
+    # 50 at 4000 exponentials are sensing-sweep kernels; K = 2 blocks
+    # take the series too.
     a, b, _ = _sector_terms(n, 1.0 / n, +1)
     fields = _down_ramp_fields("cosine-sine", 1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n, 1.0 / n)
@@ -797,30 +791,27 @@ def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolv
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_series_kernels_match_the_oracle(monkeypatch, n):
-    # With the eigensolves priced out, the default kernel column and the
-    # cooled two-column block take the series even at d = 3..5; both must
-    # match the full 2^N oracle, which steps the two start states as columns
-    # through the down ramp and, run backwards, the adjoint up ramp.
+    # With the eigensolves priced out, the kernel column and the cooled
+    # column take the series even at d = 3..5; both and their conjugates
+    # must match the full 2^N oracle, which steps the two start states as
+    # columns through the down ramp and, run backwards, the adjoint up ramp.
     monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
     calls = _count_eigensolves(monkeypatch)
     j, steps, h0 = 1.0 / n, 10, 1.0
     ta = 50 * time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, h0)).even_states[0]
-    kernels = [
-        protocol_kernel(n, j, h0, ta, ramp_steps=steps, initial_state=state,
-                        readout_state=state)
-        for state in (None, cooled)
+    cooled = cooled_start(n, j, h0)
+    columns = [
+        protocol_kernel(n, j, h0, ta, ramp_steps=steps).prep_z,
+        _sector_ramp(n, j, _down_ramp_fields("cosine-sine", h0, steps), ta, cooled),
     ]
     assert not calls
     q = symmetric_isometry(n)
-    start = q @ np.column_stack(
-        [x_polarized_state(n, axis="Z").amplitudes, rotate_basis(cooled, "Z").amplitudes]
-    )
+    start = q @ np.column_stack([x_polarized_state(n, axis="Z").amplitudes, cooled])
     down, up = ramp_profiles("cosine-sine")
     prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
     read = q.T @ brute_force_ramp(
         n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps
     )
-    for kernel, prep_z, read_z in zip(kernels, prep.T, read.T):
-        assert np.abs(kernel.prep_z - prep_z).max() < 1e-12
-        assert np.abs(kernel.read_z - read_z).max() < 1e-12
+    for column, prep_z, read_z in zip(columns, prep.T, read.T):
+        assert np.abs(column - prep_z).max() < 1e-12
+        assert np.abs(column.conj() - read_z).max() < 1e-12

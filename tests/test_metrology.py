@@ -12,7 +12,6 @@ from spinsense import (
     dephasing_analysis,
     error_propagation,
     ghz_dephasing_uncertainty,
-    ideal_readout_state,
     ideal_survival,
     ideal_survival_slope,
     metrology_limits,
@@ -24,7 +23,6 @@ from spinsense import (
     survival_from_overlaps,
     survival_slope_from_overlaps,
     sz_readout_ideal,
-    sz_readout_state,
     time_budget,
     time_unit,
     tint_sweep,
@@ -34,6 +32,8 @@ from spinsense import (
 from spinsense import dynamics
 from spinsense.dynamics import ProtocolKernel
 from spinsense.metrology import default_sense_grid, slope_lower_bound
+
+from conftest import cooled_kernel, ideal_readout_state, sz_readout_state
 
 
 # -- error propagation ----------------------------------------------------------
@@ -395,13 +395,9 @@ def test_tint_sweep_headline_index():
 
 def test_tint_sweep_ideal_adiabatic_reaches_heisenberg():
     # with matched cooled preparation/readout the index p is 1 up to leakage
-    from spinsense import ModelParams, parity_resolved_spectrum
-
     n, j = 4, 0.25
     unit = time_unit(n, j)
-    cooled = parity_resolved_spectrum(ModelParams(n, j, 2.0)).even_states[0]
-    kernel = protocol_kernel(n, j, 2.0, 2400 * unit, ramp_steps=20000,
-                             initial_state=cooled, readout_state=cooled)
+    kernel = cooled_kernel(n, j, 2.0, 2400 * unit, 20000)
     t = np.arange(1, 40, 2) * unit
     h_tot = np.array([calibrate_offset(0.0, n, x) for x in t])
     p0 = kernel.survival(t, h_tot)
@@ -465,7 +461,7 @@ def test_tint_sweep_divergent_points_are_excluded(monkeypatch):
     m0 = np.zeros(n + 1, dtype=complex)
     m0[n // 2] = 1.0
     monkeypatch.setattr(dynamics, "protocol_kernel",
-                        lambda *args, **kwargs: ProtocolKernel(n, 1.0 / n, m0, m0))
+                        lambda *args, **kwargs: ProtocolKernel(n, 1.0 / n, m0))
     with np.errstate(all="raise"), pytest.warns(UserWarning, match="10 divergent"):
         sweep = tint_sweep(n, 1.0, tint_grid=np.arange(1.0, 11.0))
     assert np.all(sweep.survival == 1.0)

@@ -6,7 +6,6 @@ import pytest
 from spinsense import (
     DickeBasis,
     ModelParams,
-    build_hamiltonian,
     even_gap_at,
     gap_scaling,
     ghz_state,
@@ -18,7 +17,7 @@ from spinsense import (
     x_polarized_state,
 )
 
-from conftest import full_hamiltonian, symmetric_isometry
+from conftest import build_hamiltonian, full_hamiltonian, symmetric_isometry
 
 
 def test_params_validation():
