@@ -14,7 +14,6 @@ naming the config keys it reads; ``OPTS`` turns the raw text of each key, from
 a flag, a config file or a default, into a checked value.
 """
 
-import configparser
 import math
 import os
 from pathlib import Path
@@ -84,6 +83,8 @@ def parse_grid(text):
 
 
 def load_config(path):
+    import configparser  # only --config reads a file; a plain run need not import it
+
     cp = configparser.ConfigParser()
     if not Path(path).is_file():
         raise click.ClickException(f"config file not found: {path}")
@@ -120,8 +121,9 @@ def run_overlap(ns, field_grid, out):
     rows = [[field_grid[i]] + [c[i] for c in columns] for i in range(len(field_grid))]
     path = write_csv(out, header, rows)
     lines = [f"wrote {path}"]
+    hits = np.flatnonzero(np.asarray(field_grid) == 2.0)  # read h^x/JN = 2 off the grid if there
     for n, col in zip(ns, columns):
-        at2 = model.ground_overlap(n, [2.0])[0]
+        at2 = col[hits[0]] if hits.size else model.ground_overlap(n, [2.0])[0]
         lines.append(f"N={n}: |g0|^2 at h^x/JN=2 is {at2:.6f} (|g0|^4 = {at2**2:.6f})")
     return [path], "\n".join(lines)
 

@@ -14,10 +14,12 @@ blocks of half the size; the rotation is built from their eigenvectors (see
 `parity_block`), and states are rotated block by block (`sector_to_z`,
 `z_to_sector`), never through the dense (N+1) x (N+1) matrix.
 
-The compiled LAPACK and BLAS wrappers the package calls (``dstevd`` here,
-``zhbmv`` in the ramp stepper) are taken from scipy's own f2py extension
-modules, loaded from their files: importing the scipy.linalg package would
-also import numpy.f2py and numpy.testing, about half of the CLI's start-up.
+scipy is used only through its compiled LAPACK and BLAS wrappers: ``dstevd``
+for all eigenpairs of a tridiagonal matrix, ``dstebz`` and ``dstein`` for its
+lowest ones (`lowest_eigenpairs`), and ``zhbmv`` in the ramp stepper.  They
+are loaded from the files of scipy's own f2py extension modules, without
+importing the scipy package itself: the scipy.linalg package would also
+import numpy.f2py and numpy.testing, about half of the CLI's start-up.
 
 Objects are immutable after construction and all functions are pure, so
 states and operators can be shared freely across threads or sweep workers.
@@ -28,16 +30,15 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 
 AXES = ("Z", "X")
 
 
 def _linalg_extension(name):
-    """scipy's compiled module scipy.linalg.<name>, without importing scipy.linalg.
+    """scipy's compiled module scipy.linalg.<name>, without importing the scipy package.
 
     The module is registered under its own name, so a later import of
     scipy.linalg uses it and its functions are the very same objects.
@@ -45,11 +46,16 @@ def _linalg_extension(name):
     fullname = f"scipy.linalg.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    package = find_spec("scipy")  # locates the package without running its __init__
+    if package is None:
+        raise ImportError("spinsense needs scipy's compiled LAPACK/BLAS wrappers", name="scipy")
+    directory = os.path.join(package.submodule_search_locations[0], "linalg")
     spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
     if spec is None:
+        from importlib.metadata import version
+
         raise ImportError(
-            f"scipy {scipy.__version__} has no extension module "
+            f"scipy {version('scipy')} has no extension module "
             f"{os.path.join(directory, name)}{EXTENSION_SUFFIXES[0]}",
             name=fullname,
         )
@@ -59,7 +65,8 @@ def _linalg_extension(name):
     return module
 
 
-dstevd = _linalg_extension("_flapack").dstevd
+_flapack = _linalg_extension("_flapack")
+dstevd, dstebz, dstein = _flapack.dstevd, _flapack.dstebz, _flapack.dstein
 zhbmv = _linalg_extension("_fblas").zhbmv
 
 
@@ -76,6 +83,27 @@ def eigh_tridiagonal(diag, off):
     if info:
         raise np.linalg.LinAlgError(f"?stevd failed with info = {info} (eigh_tridiagonal)")
     return w, v
+
+
+def lowest_eigenpairs(diag, off, count):
+    """The ``count`` lowest eigenpairs (w, V) of a real symmetric tridiagonal matrix.
+
+    LAPACK ?stebz (bisection, block order) and then ?stein (inverse
+    iteration) on its eigenvalues, sorted ascending: the calls and the order
+    of scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, count - 1)),
+    so w and V are the same bits.  Callers pass float arrays of matching
+    lengths and 1 <= count <= len(diag), with len(diag) >= 2.
+    """
+    # range 2 selects eigenvalues il..iu (1-based); vl and vu are then unused
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0, "B")
+    if info:
+        raise np.linalg.LinAlgError(f"?stebz failed with info = {info} (lowest_eigenpairs)")
+    w = w[:m]
+    v, info = dstein(diag, off, w, iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"?stein failed with info = {info} (lowest_eigenpairs)")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _readonly(a):

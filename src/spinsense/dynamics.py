@@ -99,7 +99,7 @@ entries each instead of d K cos/sin evaluations.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,14 +313,33 @@ def _z_diagonal(n_qubits, interaction, hz):
 # ---------------------------------------------------------------------------
 
 
+_PHASE_LIMIT = 1e8  # rad; float64 round-off of a larger phase exceeds 1e-8 rad
+
+
+def check_sensing_time(n_qubits, interaction, hz, t_sense):
+    """ValueError unless every phase E_m T_int of the sensing window is at most 1e8 rad.
+
+    A float64 phase carries round-off of about 1e-16 of itself, so past this
+    bound the sensing phases, and any survival computed from them, lose
+    their last eight digits, and from about 1e16 rad on they are round-off.
+    ``t_sense`` is a time or an array of times.
+    """
+    top = float(np.abs(_z_diagonal(n_qubits, interaction, hz)).max())
+    phase = top * float(np.max(t_sense))  # Python floats: overflow gives inf, not an error
+    if phase > _PHASE_LIMIT:
+        raise ValueError(
+            f"largest sensing phase max_m |E_m| T_int is {phase:.3g} rad, above 1e8 rad, "
+            "where its float64 round-off exceeds 1e-8 rad"
+        )
+
+
 def sensing_phases(n_qubits, interaction, hz, t_sense):
     """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
     diag = _z_diagonal(n_qubits, interaction, hz)
     return np.exp(-1j * diag * t_sense)
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     state_after_prep: DickeState
     state_after_sense: DickeState
     final_state: DickeState
@@ -364,13 +383,15 @@ def run_protocol(
     on its own, through the down ramp's CF4 fields reversed (see the scan
     notes).  At h^x = 0 the Hamiltonian is diagonal in the Z basis and the
     sensing evolution is applied as exact phases, with the interaction term
-    left on.  ``steps_per_ramp`` counts exponentials per ramp, even (two
-    per CF4 step).
+    left on, and a sensing time whose largest phase passes 1e8 rad is
+    rejected (see check_sensing_time).  ``steps_per_ramp`` counts
+    exponentials per ramp, even (two per CF4 step).
     """
     if not np.isfinite([t_ramp, t_sense, hz_total]).all():
         raise ValueError("t_ramp, t_sense and hz_total must be finite")
     if t_ramp < 0 or t_sense < 0:
         raise ValueError(_TIMES_RULE)
+    check_sensing_time(n_qubits, interaction, hz_total, t_sense)
     fields = _down_ramp_fields(kind, h0x, steps_per_ramp)
     basis = DickeBasis(n_qubits, "Z")
     e0 = np.zeros(n_qubits // 2 + 1)
@@ -453,8 +474,7 @@ def _down_ramp_fields(kind, h0x, n_exps):
     return fields
 
 
-@dataclass(frozen=True)
-class RampScan:
+class RampScan(NamedTuple):
     ramp_times: np.ndarray
     ghz_fidelity: np.ndarray
     return_fidelity: np.ndarray
@@ -538,8 +558,7 @@ def select_optimum(scan, target):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProtocolKernel:
+class ProtocolKernel(NamedTuple):
     """Precomputed ramps of the protocol, leaving (T_int, h^z) free.
 
     Because the ramps carry no longitudinal field, the survival amplitude

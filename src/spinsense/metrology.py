@@ -9,7 +9,7 @@ measured in JN and times in (2 J N^2)^(-1).
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def calibrate_offset(h_known, n_qubits, t_sense, branch=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitSet:
+class LimitSet(NamedTuple):
     hl: float
     sql: float
     hl_min: float | None
@@ -139,8 +138,7 @@ def optimal_sense_time(n_qubits, gamma, prep_read_negligible=True):
     return 1.0 / (gamma * np.sqrt(scale * n_qubits))
 
 
-@dataclass(frozen=True)
-class DephasingAnalysis:
+class DephasingAnalysis(NamedTuple):
     regime: str  # "zeno", "slow-prep", or "noiseless"
     sql_deph_min: float
     t_sense_opt: float
@@ -172,8 +170,7 @@ def dephasing_analysis(n_qubits, gamma, total_time, t_prep=0.0, t_read=0.0):
     )
 
 
-@dataclass(frozen=True)
-class WindowResult:
+class WindowResult(NamedTuple):
     gamma_c: float
     n_values: np.ndarray
     lhs: np.ndarray
@@ -202,8 +199,7 @@ def sql_beating_window(gamma_c, n_values=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeBudget:
+class TimeBudget(NamedTuple):
     variant: str
     n_qubits: int
     t_ramp: float  # T_a; prep and read each take one T_a
@@ -274,8 +270,7 @@ def time_budget(n_qubits, c, epsilon, c_tilde=None, variant="main"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdiabaticEstimate:
+class AdiabaticEstimate(NamedTuple):
     cbar: float  # dimensionless ramp constant
     jn_c: float  # JN C = (h0x/JN) cbar
     t_prep: float  # from 2 JN T_prep ~ eps^{-4/3} (h0x/JN) N^{2/3}
@@ -307,8 +302,7 @@ def adiabatic_time_estimate(h0x_over_jn, ground_probability, n_qubits, jn=1.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SzReadout:
+class SzReadout(NamedTuple):
     expectation: float
     deviation: float
     delta_h: float
@@ -392,8 +386,7 @@ def slope_lower_bound(g0_sq, hz, n_qubits, t_sense):
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     slope_abs: float
     bound: float
     satisfied: bool
@@ -440,8 +433,7 @@ def random_overlap_instances(n_qubits, count, seed):
     return out
 
 
-@dataclass(frozen=True)
-class BoundSample:
+class BoundSample(NamedTuple):
     checked: int
     violations: int
     min_margin: float  # smallest slope_abs - bound over nontrivial draws
@@ -475,8 +467,7 @@ def default_sense_grid(n_qubits, interaction):
     return np.arange(1, 200, 2) * time_unit(n_qubits, interaction)
 
 
-@dataclass(frozen=True)
-class TintSweep:
+class TintSweep(NamedTuple):
     n_qubits: int
     interaction: float
     t_ramp: float
@@ -505,7 +496,8 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kerne
     (p = 1).
 
     Divergent points (vanishing slope) are excluded from the p average and
-    counted in ``excluded``.
+    counted in ``excluded``.  A grid whose largest sensing phase passes
+    1e8 rad is rejected (see dynamics.check_sensing_time).
 
     ``kernel`` is the ProtocolKernel of these ramps when one is at hand, as
     RampScan.kernels holds at a scan's optima; no ramp is then stepped, and
@@ -523,13 +515,14 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kerne
     )
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError("sensing-time grid must be finite, positive and nonempty")
+    h_tot = (np.pi / 2) * jn
+    dynamics.check_sensing_time(n_qubits, interaction, h_tot, grid)
 
     if kernel is None:
         kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp,
                                           ramp_steps=ramp_steps)
     elif (kernel.n_qubits, kernel.interaction) != (n_qubits, interaction):
         raise ValueError("kernel is for another N or coupling")
-    h_tot = (np.pi / 2) * jn
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.

@@ -15,10 +15,18 @@ set J = 1/N so that JN = 1.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import DickeBasis, DickeState, eigh_tridiagonal, ladder_elements, sector_to_z
+from .dicke import (
+    DickeBasis,
+    DickeState,
+    eigh_tridiagonal,
+    ladder_elements,
+    lowest_eigenpairs,
+    sector_to_z,
+)
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,7 @@ def sector_eigh(n_qubits, interaction, transverse_field, parity):
     return eigh_tridiagonal(diag, off)
 
 
-@dataclass(frozen=True)
-class SpectrumData:
+class SpectrumData(NamedTuple):
     """Parity-resolved eigenpairs and overlaps with the strong-field ground state."""
 
     params: ModelParams
@@ -140,8 +147,6 @@ def ground_overlap(n_qubits, fields_over_jn):
     The overlap is scale free: it depends on the field only through h^x/JN.
     Monotone increasing in the field, approaching 1 as h^x -> infinity.
     """
-    from scipy.linalg import eigh_tridiagonal  # slow to import; select= needs stebz/stein
-
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")
@@ -149,19 +154,23 @@ def ground_overlap(n_qubits, fields_over_jn):
     out = np.empty(fields.shape)
     for i, h in enumerate(fields):
         diag, off, _ = sector_tridiagonal(n_qubits, j, h, +1)
-        _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        _, v = lowest_eigenpairs(diag, off, 1)
         out[i] = abs(v[0, 0]) ** 2
     return out
 
 
+def _gap_and_slope(n_qubits, field_over_jn):
+    """Even-sector gap E(psi_1) - E(psi_0) and its h^x derivative, units of JN."""
+    diag, off, idx = sector_tridiagonal(n_qubits, 1.0 / n_qubits, field_over_jn, +1)
+    w, v = lowest_eigenpairs(diag, off, 2)
+    # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x = -2 m = 2 k - N diagonal
+    slope = (v[:, 1] ** 2 - v[:, 0] ** 2) @ (2.0 * idx - n_qubits)
+    return float(w[1] - w[0]), float(slope)
+
+
 def even_gap_at(n_qubits, field_over_jn):
     """E(psi_1) - E(psi_0) in units of JN at the given h^x / JN."""
-    from scipy.linalg import eigh_tridiagonal  # slow to import; select= needs stebz/stein
-
-    j = 1.0 / n_qubits
-    diag, off, _ = sector_tridiagonal(n_qubits, j, field_over_jn, +1)
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[0]
-    return float(w[1] - w[0])
+    return _gap_and_slope(n_qubits, field_over_jn)[0]
 
 
 def critical_gap(n_qubits):
@@ -169,8 +178,7 @@ def critical_gap(n_qubits):
     return even_gap_at(n_qubits, 1.0)
 
 
-@dataclass(frozen=True)
-class GapMinimum:
+class GapMinimum(NamedTuple):
     field_over_jn: float
     gap_over_jn: float
 
@@ -179,26 +187,30 @@ def minimum_gap(n_qubits, bracket=(0.3, 1.5)):
     """Location and value of the minimum even-sector gap over a field range.
 
     The bracket (in units of JN) must contain the critical point h^x/JN = 1;
-    for growing N the minimum moves toward it.
+    for growing N the minimum moves toward it.  The minimum is the root of
+    the analytic slope of the gap, found by bisection down to adjacent
+    floats; where the slope keeps one sign over the bracket, the minimum is
+    the endpoint it points to.
     """
     lo, hi = bracket
     if not (0 <= lo < hi):
         raise ValueError(f"invalid field range {bracket}")
     if not (lo < 1.0 < hi):
         raise ValueError("field range must bracket the critical point h^x/JN = 1")
-    from scipy.optimize import minimize_scalar  # slow to import; used only here
+    slope = lambda h: _gap_and_slope(n_qubits, h)[1]
+    if slope(lo) >= 0:
+        hi = lo
+    elif slope(hi) <= 0:
+        lo = hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return GapMinimum(float(lo), even_gap_at(n_qubits, lo))
 
-    res = minimize_scalar(
-        lambda h: even_gap_at(n_qubits, h),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return GapMinimum(float(res.x), float(res.fun))
 
-
-@dataclass(frozen=True)
-class GapScaling:
+class GapScaling(NamedTuple):
     n_values: np.ndarray
     min_gaps: np.ndarray
     min_locations: np.ndarray

@@ -28,24 +28,41 @@ def _read_csv(path):
     return header, np.array(rows)
 
 
-def test_cli_import_leaves_slow_scipy_modules_out():
-    # scipy.optimize is slow to import and only gap-scaling needs it; the
-    # ramp stepper computes its Bessel table with numpy.  The LAPACK/BLAS
-    # wrappers come from scipy's extension modules directly: the scipy.linalg
-    # package (about half of start-up, through the numpy.f2py and
-    # numpy.testing imports it triggers) is imported only for the selected
-    # eigenpairs of overlap, fig1 and gap-scaling.
+def _run_python(code):
+    """stdout of ``python -c code`` in a fresh interpreter that imports from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # scipy is used only through its compiled LAPACK/BLAS wrappers, which
+    # spinsense.dicke loads from the files of scipy.linalg._flapack and _fblas
+    # without running the scipy package: importing scipy itself, scipy.linalg
+    # (which also imports numpy.f2py and numpy.testing) or scipy.optimize took
+    # most of the start-up of every command.
     for module in ("spinsense.cli", "spinsense"):
-        probe = (
-            f"import sys, {module}; print(sorted(m for m in sys.modules if m in "
-            "('scipy.linalg', 'numpy.f2py', 'numpy.testing') "
-            "or m.startswith(('scipy.optimize', 'scipy.special'))))"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]", module
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _run_python(probe) == "['scipy.linalg._fblas', 'scipy.linalg._flapack']", module
+
+
+def test_eigensolver_commands_leave_slow_modules_out(tmp_path):
+    # overlap, fig1 and gap-scaling take selected eigenpairs (?stebz + ?stein)
+    # and gap-scaling a minimum; none of them needs scipy.linalg or scipy.optimize.
+    probe = "\n".join([
+        "import sys",
+        "from spinsense.cli import main",
+        "for argv in (['overlap'], ['figure', 'fig1'], ['gap-scaling']):",
+        f"    main(argv + ['--out', {str(tmp_path)!r}], standalone_mode=False)",
+        "slow = {'scipy.linalg', 'scipy.optimize', 'numpy.f2py', 'numpy.testing'}",
+        "print(sorted(slow & set(sys.modules)))",
+    ])
+    assert _run_python(probe).splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.csv", "gap_scaling.csv",
+                                                          "overlap.csv"]
 
 
 def test_parse_grid_forms():
@@ -413,6 +430,16 @@ def test_repeated_sizes_rejected(runner, tmp_path):
     assert validate_config("fig5", {"n": "10,10"}) == [
         "n must be positive and distinct, got 10,10"
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty-sweep", "--N", "10", "--tint-grid", "1e20"],  # printed p = 0.9490 +- 0.0000
+    ["figure", "fig4", "--tint-grid", "1,3,1e300"],  # printed p = 0.8890 on all three
+])
+def test_sensing_phase_past_round_off_is_rejected(runner, tmp_path, argv):
+    line = _diagnostic(runner, tmp_path, argv)
+    assert line.startswith("Error: largest sensing phase max_m |E_m| T_int is ")
+    assert line.endswith(" rad, above 1e8 rad, where its float64 round-off exceeds 1e-8 rad")
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 122. TiB"), MemoryError()])

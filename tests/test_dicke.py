@@ -198,10 +198,27 @@ def test_sector_eigh_bits_match_scipy_solver(monkeypatch):
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
 
+@pytest.mark.parametrize("d, count", [(2, 1), (2, 2), (7, 3), (51, 2), (301, 1)])
+def test_lowest_eigenpairs_are_scipys_bits(d, count):
+    rng = np.random.default_rng(d + count)
+    diag, off = rng.normal(size=d), rng.normal(size=d - 1)
+    w, v = dicke.lowest_eigenpairs(diag, off, count)
+    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                                 select_range=(0, count - 1))
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert w.shape == (count,) and v.shape == (d, count)
+
+
 def test_missing_linalg_extension_names_file_and_version():
     with pytest.raises(ImportError, match=rf"scipy {scipy.__version__} .*/_no_such_module"):
         dicke._linalg_extension("_no_such_module")
     assert "scipy.linalg._no_such_module" not in sys.modules
+
+
+def test_missing_scipy_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(dicke, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="^spinsense needs scipy's compiled LAPACK/BLAS wrappers$"):
+        dicke._linalg_extension("_no_such_module")
 
 
 def test_rotation_cache_is_bounded():

@@ -160,6 +160,13 @@ def test_run_protocol_rejects_non_finite_times(times):
         run_protocol(10, 0.1, 1.0, *times)
 
 
+def test_run_protocol_rejects_phases_past_round_off():
+    # Largest |E_m| at h^z = 0.5, J = 0.1, N = 10: 2 J 25 + 2 h^z 5 = 10.
+    run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, steps_per_ramp=4)
+    with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is 1e[+]08"):
+        run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, steps_per_ramp=4)
+
+
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
     n, j = 8, 1.0 / 8

@@ -421,6 +421,27 @@ def test_tint_sweep_rejects_bad_grid_entries(bad):
         tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid)
 
 
+def test_tint_sweep_rejects_phases_past_round_off():
+    # At (pi/2) JN the largest |E_m| is (1 + pi) N / 2: 20.7 at N = 10.  A
+    # grid of 1e20 units used to print p = 0.9490 +- 0.0000 from pure round-off.
+    n, j = 10, 0.1
+    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20)
+    t_bound = 1e8 / ((1 + np.pi) * n / 2)
+    tint_sweep(n, 150 * time_unit(n, j), tint_grid=[t_bound * (1 - 1e-12)], kernel=kernel)
+    for grid in ([t_bound * (1 + 1e-12)], [1.0, 1e20 * time_unit(n, j)], [1e300]):
+        with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is "):
+            tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid, kernel=kernel)
+
+
+def test_default_sensing_phases_stay_far_below_the_bound():
+    # About 206 rad at N = 1000, T_int = 199 (2JN^2)^-1: 5e5 times below 1e8.
+    n, j = 1000, 1e-3
+    t_max = default_sense_grid(n, j).max()
+    phase = (1 + np.pi) * n / 2 * t_max
+    assert 200 < phase < 210
+    dynamics.check_sensing_time(n, j, (np.pi / 2) * n * j, t_max)
+
+
 def test_tint_sweep_rejects_negative_ramp_time():
     n, j = 10, 0.1
     kernel = protocol_kernel(n, j, 1.0, 1.0, ramp_steps=20)

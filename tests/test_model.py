@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize_scalar
 
 from spinsense import (
     DickeBasis,
@@ -16,6 +18,8 @@ from spinsense import (
     rotate_basis,
     x_polarized_state,
 )
+from spinsense import model
+from spinsense.model import _gap_and_slope, sector_tridiagonal
 
 from conftest import build_hamiltonian, full_hamiltonian, symmetric_isometry
 
@@ -196,3 +200,60 @@ def test_gap_minimum_location_approaches_critical_point():
 def test_critical_gap_scaling_slope():
     scaling = gap_scaling(range(10, 101, 10))
     assert scaling.critical_fit[0] == pytest.approx(-1 / 3, abs=0.05)
+
+
+FIG1_GRID = np.round(np.arange(0, 3.0 + 1e-9, 0.02), 10)
+
+
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_selected_eigenpairs_are_scipys_bits(n):
+    # ground_overlap and even_gap_at call ?stebz + ?stein as
+    # scipy.linalg.eigh_tridiagonal(select="i") does, so the bits agree.
+    overlaps = ground_overlap(n, FIG1_GRID)
+    for h, overlap in zip(FIG1_GRID, overlaps):
+        diag, off, _ = sector_tridiagonal(n, 1.0 / n, h, +1)
+        _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[0]
+        assert overlap == abs(v[0, 0]) ** 2
+        assert even_gap_at(n, h) == float(w[1] - w[0])
+
+
+@pytest.mark.parametrize("n", [2, 4] + list(range(10, 101, 10)))
+def test_minimum_gap_matches_bounded_brent(n):
+    # The bisection on the analytic slope against scipy's bounded Brent at
+    # xatol = 1e-10, which itself stops within about sqrt(eps) of the minimum.
+    ref = minimize_scalar(lambda h: even_gap_at(n, h), bounds=(0.3, 1.5), method="bounded",
+                          options={"xatol": 1e-10})
+    gm = minimum_gap(n)
+    assert abs(gm.field_over_jn - ref.x) < 5e-8
+    if n >= 10:  # an interior minimum, where the gap is flat
+        assert gm.gap_over_jn == pytest.approx(ref.fun, rel=1e-12, abs=0)
+    else:  # the left end: Brent stops 8.5e-9 inside it, on a higher gap
+        assert gm.field_over_jn == 0.3
+        assert gm.gap_over_jn < ref.fun
+        assert gm.gap_over_jn == even_gap_at(n, 0.3)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_minimum_gap_returns_the_endpoint_of_a_one_signed_slope(n):
+    # The gap rises across 0.95:1.05 (its minimum lies below 0.9 up to N = 100).
+    gm = minimum_gap(n, bracket=(0.95, 1.05))
+    assert gm == (0.95, even_gap_at(n, 0.95))
+
+
+@pytest.mark.parametrize("centre, expected", [(0.7, 0.7), (-1.0, 0.3), (2.0, 1.5)])
+def test_minimum_gap_bisects_the_slope(monkeypatch, centre, expected):
+    # On a parabola the slope's root is the minimum; a slope of one sign
+    # over the bracket puts it exactly on the endpoint it points to.
+    monkeypatch.setattr(model, "_gap_and_slope", lambda n, h: ((h - centre) ** 2, 2 * (h - centre)))
+    gm = minimum_gap(10, bracket=(0.3, 1.5))
+    assert gm.field_over_jn == pytest.approx(expected, abs=1e-15)
+    if expected != centre:
+        assert gm.field_over_jn == expected
+
+
+def test_gap_slope_is_the_derivative_of_the_gap():
+    n, h, dh = 40, 0.8, 1e-5
+    slope = _gap_and_slope(n, h)[1]
+    fd = (even_gap_at(n, h + dh) - even_gap_at(n, h - dh)) / (2 * dh)
+    assert slope == pytest.approx(fd, rel=1e-7)
