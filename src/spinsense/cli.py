@@ -121,9 +121,8 @@ def run_overlap(ns, field_grid, out):
     rows = [[field_grid[i]] + [c[i] for c in columns] for i in range(len(field_grid))]
     path = write_csv(out, header, rows)
     lines = [f"wrote {path}"]
-    hits = np.flatnonzero(np.asarray(field_grid) == 2.0)  # read h^x/JN = 2 off the grid if there
-    for n, col in zip(ns, columns):
-        at2 = col[hits[0]] if hits.size else model.ground_overlap(n, [2.0])[0]
+    for n in ns:
+        at2 = model.ground_overlap(n, [2.0])[0]
         lines.append(f"N={n}: |g0|^2 at h^x/JN=2 is {at2:.6f} (|g0|^4 = {at2**2:.6f})")
     return [path], "\n".join(lines)
 

@@ -20,6 +20,8 @@ lowest ones (`lowest_eigenpairs`), and ``zhbmv`` in the ramp stepper.  They
 are loaded from the files of scipy's own f2py extension modules, without
 importing the scipy package itself: the scipy.linalg package would also
 import numpy.f2py and numpy.testing, about half of the CLI's start-up.
+Only when a file will not load is the scipy package imported, once, and
+the load retried (see `_linalg_extension`).
 
 Objects are immutable after construction and all functions are pure, so
 states and operators can be shared freely across threads or sweep workers.
@@ -59,7 +61,14 @@ def _linalg_extension(name):
             f"{os.path.join(directory, name)}{EXTENSION_SUFFIXES[0]}",
             name=fullname,
         )
-    module = module_from_spec(spec)
+    try:
+        module = module_from_spec(spec)  # loads the shared library
+    except ImportError:
+        # A wheel that bundles its BLAS (delvewheel on Windows) adds that
+        # library's folder to the DLL search path in scipy/__init__.py.
+        import scipy  # noqa: F401
+
+        module = module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[fullname] = module
     return module

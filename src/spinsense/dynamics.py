@@ -324,6 +324,7 @@ def check_sensing_time(n_qubits, interaction, hz, t_sense):
     their last eight digits, and from about 1e16 rad on they are round-off.
     ``t_sense`` is a time or an array of times.
     """
+    DickeBasis(n_qubits)  # validates N
     top = float(np.abs(_z_diagonal(n_qubits, interaction, hz)).max())
     phase = top * float(np.max(t_sense))  # Python floats: overflow gives inf, not an error
     if phase > _PHASE_LIMIT:

@@ -167,6 +167,13 @@ def test_run_protocol_rejects_phases_past_round_off():
         run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, steps_per_ramp=4)
 
 
+@pytest.mark.parametrize("n", [-2, 0, 3, 10.0, "10"])
+def test_run_protocol_rejects_bad_n(n):
+    # The sensing-time check must not reach numpy with a bad N first.
+    with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
+        run_protocol(n, 0.1, 1.0, 1.0, 1.0, 0.5, steps_per_ramp=4)
+
+
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
     n, j = 8, 1.0 / 8

@@ -433,6 +433,12 @@ def test_tint_sweep_rejects_phases_past_round_off():
             tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid, kernel=kernel)
 
 
+@pytest.mark.parametrize("n", [-2, 3])
+def test_tint_sweep_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
+        tint_sweep(n, 1.0, tint_grid=[1.0])
+
+
 def test_default_sensing_phases_stay_far_below_the_bound():
     # About 206 rad at N = 1000, T_int = 199 (2JN^2)^-1: 5e5 times below 1e8.
     n, j = 1000, 1e-3
