@@ -160,13 +160,8 @@ def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps, out):
 
 def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps, out):
     unit = _unit(n)
-    sweep = metrology.tint_sweep(
-        n,
-        ta_units * unit,
-        tint_grid=np.asarray(tint_units) * unit,
-        h0x=h0x_over_jn,
-        ramp_steps=steps,
-    )
+    kernel = dynamics.protocol_kernel(n, 1.0 / n, h0x_over_jn, ta_units * unit, ramp_steps=steps)
+    sweep = metrology.tint_sweep(kernel, np.asarray(tint_units) * unit)
     header = ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
     rows = list(zip(tint_units, sweep.delta_h, sweep.hl, sweep.sql))
     path = write_csv(out, header, rows)
@@ -314,8 +309,8 @@ def run_fig6(ns, steps, out):
     optima = _fig5_optima(ns, steps)
     rows = []
     for n in ns:
-        ta_units, fid_ghz, fid_init, kernel = optima[n]
-        sweep = metrology.tint_sweep(n, ta_units * _unit(n), kernel=kernel)
+        _, fid_ghz, fid_init, kernel = optima[n]
+        sweep = metrology.tint_sweep(kernel)
         rows.append([n, sweep.p_mean, sweep.p_std, fid_ghz, fid_init])
     path = write_csv(out, ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)
     margins = [r[1] - 1 / np.sqrt(r[0]) for r in rows]
@@ -335,9 +330,8 @@ def run_fig8(ns, steps, out):
     lines = []
     for n in ns:
         ta_units, _, _, kernel = optima[n]
-        unit = _unit(n)
-        sweep = metrology.tint_sweep(n, ta_units * unit, kernel=kernel)
-        taus = sweep.t_sense / unit
+        sweep = metrology.tint_sweep(kernel)
+        taus = sweep.t_sense / _unit(n)
         rows = list(zip(taus, sweep.delta_h, sweep.hl, sweep.sql))
         target = Path(out)
         p = target.with_name(f"{target.stem}_N{n}{target.suffix}")

@@ -364,16 +364,7 @@ def _sector_ramp(n_qubits, interaction, fields, t_ramp, amp):
     return out
 
 
-def run_protocol(
-    n_qubits,
-    interaction,
-    h0x,
-    t_ramp,
-    t_sense,
-    hz_total,
-    kind="cosine-sine",
-    steps_per_ramp=400,
-):
+def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_steps=400):
     """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
 
     The protocol starts from the projected strong-field state |N/2, N/2>_X.
@@ -385,15 +376,15 @@ def run_protocol(
     notes).  At h^x = 0 the Hamiltonian is diagonal in the Z basis and the
     sensing evolution is applied as exact phases, with the interaction term
     left on, and a sensing time whose largest phase passes 1e8 rad is
-    rejected (see check_sensing_time).  ``steps_per_ramp`` counts
-    exponentials per ramp, even (two per CF4 step).
+    rejected (see check_sensing_time).  ``ramp_steps`` counts exponentials
+    per ramp, even (two per CF4 step).
     """
     if not np.isfinite([t_ramp, t_sense, hz_total]).all():
         raise ValueError("t_ramp, t_sense and hz_total must be finite")
     if t_ramp < 0 or t_sense < 0:
         raise ValueError(_TIMES_RULE)
     check_sensing_time(n_qubits, interaction, hz_total, t_sense)
-    fields = _down_ramp_fields(kind, h0x, steps_per_ramp)
+    fields = _down_ramp_fields(h0x, ramp_steps)
     basis = DickeBasis(n_qubits, "Z")
     e0 = np.zeros(n_qubits // 2 + 1)
     e0[0] = 1.0
@@ -401,7 +392,7 @@ def run_protocol(
 
     after_prep = start
     if t_ramp > 0:
-        kernel = protocol_kernel(n_qubits, interaction, h0x, t_ramp, kind, steps_per_ramp)
+        kernel = protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps)
         after_prep = DickeState(basis, kernel.prep_z)
     after_sense = after_prep
     if t_sense > 0:
@@ -426,17 +417,17 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 # Batched ramp-time scans.
 #
-# For a cosine (or sine, or linear) ramp the CF4 fields depend only on the
-# fraction of the ramp elapsed, not on the ramp duration.  A whole grid of
+# The CF4 fields of the cosine down ramp and the sine up ramp depend only on
+# the fraction of the ramp elapsed, not on the ramp duration.  A whole grid of
 # ramp times therefore shares every per-exponential eigendecomposition, each
 # grid column advancing with its own dt.
 #
 # The up ramp mirrors the down ramp: its field at fraction g is the down
-# ramp's at 1 - g (sin(pi g / 2) = cos(pi (1 - g) / 2), and g against 1 - g
-# for the linear profile), and the Gauss fractions of step p are those of
-# step M - 1 - p mirrored with g_1 and g_2 swapped.  So the up ramp's two
-# exponents of step p are the down ramp's two of step M - 1 - p in swapped
-# order: the up ramp runs through the down-ramp fields in reverse.
+# ramp's at 1 - g (sin(pi g / 2) = cos(pi (1 - g) / 2)), and the Gauss
+# fractions of step p are those of step M - 1 - p mirrored with g_1 and g_2
+# swapped.  So the up ramp's two exponents of step p are the down ramp's two
+# of step M - 1 - p in swapped order: the up ramp runs through the down-ramp
+# fields in reverse.
 #
 # The same mirror makes the up ramp the down ramp's transpose.  Each factor
 # E_i = exp(-i H_i dt) of a real symmetric H_i is complex symmetric
@@ -450,22 +441,17 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _down_ramp_fields(kind, h0x, n_exps):
+def _down_ramp_fields(h0x, n_exps):
     """CF4 exponent fields of the down ramp; the up ramp's are these reversed.
 
-    Step j of the n_exps / 2 steps samples the profile h at the Gauss
-    fractions g_1,2 of the ramp and yields 2 (a_2 h(g_1) + a_1 h(g_2)),
+    Step j of the n_exps / 2 steps samples h(g) = h0x cos(pi g / 2) at the
+    Gauss fractions g_1,2 of the ramp and yields 2 (a_2 h(g_1) + a_1 h(g_2)),
     applied first, then 2 (a_1 h(g_1) + a_2 h(g_2)).
     """
-    if kind == "cosine-sine":
-        profile = lambda frac: h0x * np.cos(np.pi * frac / 2)
-    elif kind == "linear":
-        profile = lambda frac: h0x * (1 - frac)
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
     if n_exps < 2 or n_exps % 2:
         raise ValueError(_STEPS_RULE)
     m = n_exps // 2
+    profile = lambda frac: h0x * np.cos(np.pi * frac / 2)
     h1 = profile((np.arange(m) + 0.5 - _GAUSS) / m)
     h2 = profile((np.arange(m) + 0.5 + _GAUSS) / m)
     a1, a2 = 0.25 - _GAUSS, 0.25 + _GAUSS
@@ -479,39 +465,30 @@ class RampScan(NamedTuple):
     ramp_times: np.ndarray
     ghz_fidelity: np.ndarray
     return_fidelity: np.ndarray
-    optima: tuple  # (ramp_time, ghz_fidelity) at local maxima, see local_maxima
+    optima: tuple  # (ramp_time, ghz_fidelity) at local maxima, see _peak_indices
     kernels: tuple  # the ProtocolKernel at each of the optima, in their order
 
 
 _ROUNDOFF_RISE = 1e-12
 
 
-def local_maxima(x, y):
-    """Grid points exceeding both neighbors by more than 1e-12.
+def _peak_indices(y):
+    """Indices of the points of y exceeding both neighbors by more than 1e-12.
 
     A rise of at most 1e-12 is round-off, not a maximum: at N = 100 the GHZ
     fidelity of the shortest ramps is below 1e-28 and its strict "maxima"
     flip under any 1e-16 change of the inputs.  Real maxima rise by 1e-6
     and more.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return tuple((float(x[i]), float(y[i])) for i in _peak_indices(y))
-
-
-def _peak_indices(y):
-    """Indices of the points of y that local_maxima reports."""
     mid = y[1:-1]
     return np.flatnonzero((mid - y[:-2] > _ROUNDOFF_RISE) & (mid - y[2:] > _ROUNDOFF_RISE)) + 1
 
 
-def scan_ramp_time(
-    n_qubits, interaction, h0x, ramp_times, kind="cosine-sine", ramp_steps=400
-):
+def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
     """GHZ and return fidelities of the T_int = 0 protocol over a T_a grid.
 
     Evaluates the protocol with h^z = 0 at every grid point and reports the
-    local maxima of the GHZ fidelity (see local_maxima).  The whole grid is
+    local maxima of the GHZ fidelity (see _peak_indices).  The whole grid is
     propagated in one batch sharing the per-exponential eigendecompositions;
     ``ramp_steps`` counts exponentials per ramp (even, two per CF4 step).
     Only the down ramp is stepped: the up ramp's propagator is its transpose,
@@ -525,7 +502,7 @@ def scan_ramp_time(
         raise ValueError("empty ramp-time grid")
     if (ramp_times < 0).any():
         raise ValueError(_TIMES_RULE)
-    fields = _down_ramp_fields(kind, h0x, ramp_steps)
+    fields = _down_ramp_fields(h0x, ramp_steps)
     a, b, _ = _sector_terms(n_qubits, interaction, +1)
     start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
     start[0] = 1.0
@@ -598,7 +575,7 @@ class ProtocolKernel(NamedTuple):
         return 2 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
 
 
-def protocol_kernel(n_qubits, interaction, h0x, t_ramp, kind="cosine-sine", ramp_steps=400):
+def protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps=400):
     """Build the ProtocolKernel of fixed ramps of the standard protocol.
 
     One column is stepped, the down ramp from |N/2, N/2>_X, the first state
@@ -608,7 +585,7 @@ def protocol_kernel(n_qubits, interaction, h0x, t_ramp, kind="cosine-sine", ramp
     if t_ramp < 0:
         raise ValueError(_TIMES_RULE)
     a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
-    fields = _down_ramp_fields(kind, h0x, ramp_steps)
+    fields = _down_ramp_fields(h0x, ramp_steps)
     e0 = np.zeros((len(even_idx), 1), dtype=complex)
     e0[0] = 1.0
     prepared = _exponential_steps(a, b, fields, [t_ramp], e0)

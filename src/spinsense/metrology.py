@@ -45,20 +45,15 @@ def ideal_survival_slope(hz, n_qubits, t_sense):
     return -n_qubits * t_sense * np.sin(2 * hz * n_qubits * t_sense)
 
 
-def calibrate_offset(h_known, n_qubits, t_sense, branch=None):
+def calibrate_offset(h_known, n_qubits, t_sense):
     """Offset h^z_0 placing the interferometer phase at maximum slope.
 
-    Solves 2 (h_k + h_0) N T_int = (2n + 1) pi/2.  With branch None the
-    smallest n >= 0 keeping h_0 >= -h_k is used; since the resulting total
-    field is positive that is n = 0.  Larger branches pick higher odd
-    multiples of pi/2.
+    Solves 2 (h_k + h_0) N T_int = (2n + 1) pi/2 on the branch n = 0, the
+    smallest n >= 0 keeping h_0 >= -h_k, as the total field is positive.
     """
     if t_sense <= 0:
         raise ValueError("t_sense must be positive")
-    n = 0 if branch is None else int(branch)
-    if n < 0:
-        raise ValueError("branch must be nonnegative")
-    return (2 * n + 1) * np.pi / (4 * n_qubits * t_sense) - h_known
+    return np.pi / (4 * n_qubits * t_sense) - h_known
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +74,14 @@ def metrology_limits(n_qubits, shots=1, t_sense=1.0, total_time=None):
 
     hl = 1/(N sqrt(M) T_int) and sql = 1/sqrt(NM)/T_int.  When a total time
     is supplied the minimized variants 1/(NT), 1/(sqrt(N) T) and the
-    statistically honest 1/(N sqrt(T_int T)) are filled in as well.
+    statistically honest 1/(N sqrt(T_int T)) are filled in as well.  A total
+    time shorter than one sensing window holds no measurement and is rejected.
     """
     if n_qubits < 1 or shots < 1 or t_sense <= 0:
         raise ValueError("need n_qubits >= 1, shots >= 1, t_sense > 0")
+    if total_time is not None and not total_time >= t_sense:
+        raise ValueError(f"total time {total_time:g} is shorter than the sensing time "
+                         f"{t_sense:g}")
     hl = 1.0 / (n_qubits * np.sqrt(shots) * t_sense)
     sql = 1.0 / (np.sqrt(n_qubits * shots) * t_sense)
     if total_time is None:
@@ -289,11 +288,11 @@ def adiabatic_ramp_constant(ground_probability):
     return eps ** (-4.0 / 3.0) / 2
 
 
-def adiabatic_time_estimate(h0x_over_jn, ground_probability, n_qubits, jn=1.0):
-    """Ramp constant and preparation-time estimate for a linear ramp."""
+def adiabatic_time_estimate(h0x_over_jn, ground_probability, n_qubits):
+    """Ramp constant and preparation-time estimate for a linear ramp, in units of 1/(JN)."""
     cbar = adiabatic_ramp_constant(ground_probability)
     eps = np.sqrt(1 - ground_probability)
-    t_prep = eps ** (-4.0 / 3.0) * h0x_over_jn * n_qubits ** (2.0 / 3.0) / (2 * jn)
+    t_prep = eps ** (-4.0 / 3.0) * h0x_over_jn * n_qubits ** (2.0 / 3.0) / 2
     return AdiabaticEstimate(float(cbar), float(h0x_over_jn * cbar), float(t_prep))
 
 
@@ -470,7 +469,6 @@ def default_sense_grid(n_qubits, interaction):
 class TintSweep(NamedTuple):
     n_qubits: int
     interaction: float
-    t_ramp: float
     t_sense: np.ndarray
     survival: np.ndarray
     slope: np.ndarray
@@ -483,31 +481,26 @@ class TintSweep(NamedTuple):
     excluded: int  # divergent (zero-slope) points left out of the average
 
 
-def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kernel=None):
+def tint_sweep(kernel, tint_grid=None):
     """Estimation uncertainty of the simulated protocol over sensing times.
 
-    The protocol runs at J = 1/N with cosine/sine ramps from h0x (default
-    JN).  The total longitudinal field is held at (pi/2) JN, which sits at
-    an odd multiple of pi/2 in interferometer phase for every odd grid point
-    (2 J N^2) T_int = 1, 3, ...  At that field the survival probability and
-    its analytic h^z slope are evaluated for every T_int, and the per-shot
-    uncertainty follows from error propagation with Bernoulli readout noise.  The index
+    ``kernel`` is the ProtocolKernel of the protocol's ramps, from
+    dynamics.protocol_kernel or a scan's RampScan.kernels; N and J are its
+    own, and no ramp is stepped here.  The total longitudinal field is held
+    at (pi/2) JN, which sits at an odd multiple of pi/2 in interferometer
+    phase for every odd point (2 J N^2) T_int = 1, 3, ... of the default
+    grid.  At that field the survival probability and its analytic h^z slope
+    are evaluated for every T_int, and the per-shot uncertainty follows from
+    error propagation with Bernoulli readout noise.  The index
     p = 1/(2 N T_int delta_h) measures the distance to the Heisenberg limit
     (p = 1).
 
     Divergent points (vanishing slope) are excluded from the p average and
     counted in ``excluded``.  A grid whose largest sensing phase passes
     1e8 rad is rejected (see dynamics.check_sensing_time).
-
-    ``kernel`` is the ProtocolKernel of these ramps when one is at hand, as
-    RampScan.kernels holds at a scan's optima; no ramp is then stepped, and
-    h0x and ramp_steps are not used.
     """
-    if t_ramp < 0:
-        raise ValueError("times must be nonnegative")
-    interaction = 1.0 / n_qubits
+    n_qubits, interaction = kernel.n_qubits, kernel.interaction
     jn = interaction * n_qubits
-    h0x = jn if h0x is None else h0x
     grid = (
         default_sense_grid(n_qubits, interaction)
         if tint_grid is None
@@ -517,12 +510,6 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kerne
         raise ValueError("sensing-time grid must be finite, positive and nonempty")
     h_tot = (np.pi / 2) * jn
     dynamics.check_sensing_time(n_qubits, interaction, h_tot, grid)
-
-    if kernel is None:
-        kernel = dynamics.protocol_kernel(n_qubits, interaction, h0x, t_ramp,
-                                          ramp_steps=ramp_steps)
-    elif (kernel.n_qubits, kernel.interaction) != (n_qubits, interaction):
-        raise ValueError("kernel is for another N or coupling")
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.
@@ -541,7 +528,6 @@ def tint_sweep(n_qubits, t_ramp, tint_grid=None, h0x=None, ramp_steps=400, kerne
     return TintSweep(
         n_qubits=n_qubits,
         interaction=interaction,
-        t_ramp=t_ramp,
         t_sense=grid,
         survival=survival,
         slope=slope,

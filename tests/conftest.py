@@ -123,15 +123,12 @@ def brute_force_ramp(n_qubits, interaction, field_of_t, duration, hz, psi_full, 
     return psi
 
 
-def ramp_profiles(kind):
-    """(down, up) field profiles over the fraction of the ramp elapsed."""
-    if kind == "cosine-sine":
-        return (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
-    return (lambda g: 1 - g), (lambda g: g)
+def ramp_profiles():
+    """(down, up) field profiles over the fraction of the ramp elapsed: cosine, sine."""
+    return (lambda g: np.cos(np.pi * g / 2)), (lambda g: np.sin(np.pi * g / 2))
 
 
-def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, psi_full,
-                         steps):
+def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, psi_full, steps):
     """The full protocol in the 2^N space: (after prep, after sensing, final).
 
     The down ramp from h0x and the up ramp back to it run at h^z = 0 with
@@ -139,7 +136,7 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, 
     is constant and one CF4 step is exact.  All three go through
     brute_force_ramp.
     """
-    down, up = ramp_profiles(kind)
+    down, up = ramp_profiles()
     prep = brute_force_ramp(n_qubits, interaction, lambda t: h0x * down(t / t_ramp), t_ramp,
                             0.0, psi_full, steps)
     sensed = brute_force_ramp(n_qubits, interaction, lambda t: 0.0, t_sense, hz, prep, 2)
@@ -148,14 +145,14 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, 
     return prep, sensed, final
 
 
-def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, kind, amp, steps):
+def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, amp, steps):
     """Z amplitudes (after prep, after sensing, final) of the protocol from any start.
 
     Not an oracle: the stages of run_protocol through dynamics' own ramp
     (``_sector_ramp``) and sensing functions, for starts other than
     |N/2, N/2>_X, such as ones with both parity sectors filled.
     """
-    fields = _down_ramp_fields(kind, h0x, steps)
+    fields = _down_ramp_fields(h0x, steps)
     prep = _sector_ramp(n_qubits, interaction, fields, t_ramp, amp)
     sensed = prep * sensing_phases(n_qubits, interaction, hz, t_sense)
     return prep, sensed, _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, sensed)
@@ -174,7 +171,7 @@ def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
     matched readout column U_up^+ c is conj(U_down c), as U_up = U_down^T,
     so the kernel of the column U_down c projects onto c itself.
     """
-    fields = _down_ramp_fields("cosine-sine", h0x, steps)
+    fields = _down_ramp_fields(h0x, steps)
     prep = _sector_ramp(n_qubits, interaction, fields, t_ramp,
                         cooled_start(n_qubits, interaction, h0x))
     return ProtocolKernel(n_qubits, interaction, prep)

@@ -59,7 +59,9 @@ def test_tracer_records_sweep():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        metrology.tint_sweep(n, 40 * time_unit(n, 1.0 / n), tint_grid=grid, ramp_steps=20)
+        kernel = dynamics.protocol_kernel(n, 1.0 / n, 1.0, 40 * time_unit(n, 1.0 / n),
+                                          ramp_steps=20)
+        metrology.tint_sweep(kernel, tint_grid=grid)
     finally:
         tracer.restore()
     assert dynamics.ProtocolKernel.survival is original

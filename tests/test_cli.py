@@ -84,6 +84,15 @@ def test_limits_single_qubit(runner, tmp_path):
     assert rows[0][4] == 1.0 and rows[0][5] == 1.0
 
 
+def test_limits_reject_a_budget_shorter_than_one_window(runner, tmp_path):
+    # exited 0 with HL_min = 0.5, worse than HL = 0.125; T = T_int stays valid
+    line = _diagnostic(runner, tmp_path, ["limits", "--N", "4", "--T-int", "2", "--T", "0.5"])
+    assert line == "Error: total time 0.5 is shorter than the sensing time 2"
+    result = runner.invoke(main, ["limits", "--N", "4", "--T-int", "2", "--T", "2",
+                                  "--out", str(tmp_path / "lim.csv")])
+    assert result.exit_code == 0, result.output
+
+
 def test_fig1_crossing(runner, tmp_path):
     out = tmp_path / "fig1.csv"
     result = runner.invoke(main, ["figure", "fig1", "--out", str(out)])
@@ -507,7 +516,8 @@ def test_fig6_fig8_take_the_kernel_from_the_scan(monkeypatch, stepper_widths, tm
     _, fig6 = _read_csv(tmp_path / "f6.csv")
     for (n, p, p_std, *_), ta in zip(fig6, tas):
         n = int(n)
-        sweep = metrology.tint_sweep(n, ta * time_unit(n, 1 / n), ramp_steps=400)
+        kernel = dynamics.protocol_kernel(n, 1 / n, 1.0, ta * time_unit(n, 1 / n))
+        sweep = metrology.tint_sweep(kernel)
         assert p == pytest.approx(sweep.p_mean, rel=1e-12, abs=0)
         assert p_std == pytest.approx(sweep.p_std, rel=1e-12, abs=0)
         _, fig8 = _read_csv(tmp_path / f"f8_N{n}.csv")

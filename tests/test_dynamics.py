@@ -11,7 +11,6 @@ from spinsense import (
     DickeState,
     basis_state,
     ghz_state,
-    local_maxima,
     parity_operator,
     protocol_kernel,
     run_protocol,
@@ -25,6 +24,7 @@ from spinsense.dynamics import (
     _bessel_table,
     _down_ramp_fields,
     _exponential_steps,
+    _peak_indices,
     _phase_factors,
     _sector_ramp,
     _sector_terms,
@@ -91,26 +91,25 @@ def test_integrator_matches_exact_sensing():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_brute_force_oracle_agreement(n):
     # Full 2^N protocol against the collective one, the state after each
-    # stage, for both ramp kinds: run_protocol from |N/2, N/2>_X, and the
-    # collective ramps and sensing from a start with both parity sectors
-    # filled (N = 2 has a one-dimensional odd sector).
+    # stage: run_protocol from |N/2, N/2>_X, and the collective ramps and
+    # sensing from a start with both parity sectors filled (N = 2 has a
+    # one-dimensional odd sector).
     j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
     unit = time_unit(n, j)
     ta, t_sense = 30 * unit, 3 * unit
     start = x_polarized_state(n, axis="Z").amplitudes
     state = _random_state(n, n).amplitudes
     q = symmetric_isometry(n)
-    for kind in ("cosine-sine", "linear"):
-        res = run_protocol(n, j, h0, ta, t_sense, hz, kind=kind, steps_per_ramp=steps)
-        stages = (res.state_after_prep, res.state_after_sense, res.final_state)
-        runs = [
-            (start, [stage.amplitudes for stage in stages]),
-            (state, sector_protocol(n, j, h0, ta, t_sense, hz, kind, state, steps)),
-        ]
-        for amp, ours in runs:
-            refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, kind, q @ amp, steps)
-            for out, ref in zip(ours, refs):
-                assert np.abs(q @ out - ref).max() < 1e-12
+    res = run_protocol(n, j, h0, ta, t_sense, hz, ramp_steps=steps)
+    stages = (res.state_after_prep, res.state_after_sense, res.final_state)
+    runs = [
+        (start, [stage.amplitudes for stage in stages]),
+        (state, sector_protocol(n, j, h0, ta, t_sense, hz, state, steps)),
+    ]
+    for amp, ours in runs:
+        refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, q @ amp, steps)
+        for out, ref in zip(ours, refs):
+            assert np.abs(q @ out - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("hz", [0.0])
@@ -128,7 +127,7 @@ def test_propagate_matches_brute_force_amplitudes(n, hz):
         n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
         q @ state, steps,
     )
-    ours = _sector_ramp(n, j, _down_ramp_fields("cosine-sine", h0, steps), duration, state)
+    ours = _sector_ramp(n, j, _down_ramp_fields(h0, steps), duration, state)
     assert np.abs(q @ ours - ref).max() < 1e-12
 
 
@@ -138,16 +137,14 @@ def test_norm_and_parity_conservation():
     n = 10
     pi = parity_operator(DickeBasis(n, "Z"))
     state = _random_state(n, 7)
-    for kind in ("cosine-sine", "linear"):
-        prep, sensed, final = (
-            DickeState(state.basis, amp)
-            for amp in sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, kind,
-                                       state.amplitudes, 2500)
-        )
-        for before, after in [(state, prep), (sensed, final)]:
-            assert abs(after.norm - 1) < 1e-12
-            assert abs(after.expectation(pi) - before.expectation(pi)) < 1e-12
-        assert abs(sensed.expectation(pi) - state.expectation(pi)) > 1e-3
+    prep, sensed, final = (
+        DickeState(state.basis, amp)
+        for amp in sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, state.amplitudes, 2500)
+    )
+    for before, after in [(state, prep), (sensed, final)]:
+        assert abs(after.norm - 1) < 1e-12
+        assert abs(after.expectation(pi) - before.expectation(pi)) < 1e-12
+    assert abs(sensed.expectation(pi) - state.expectation(pi)) > 1e-3
 
 
 @pytest.mark.parametrize("times", [
@@ -162,36 +159,35 @@ def test_run_protocol_rejects_non_finite_times(times):
 
 def test_run_protocol_rejects_phases_past_round_off():
     # Largest |E_m| at h^z = 0.5, J = 0.1, N = 10: 2 J 25 + 2 h^z 5 = 10.
-    run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, steps_per_ramp=4)
+    run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, ramp_steps=4)
     with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is 1e[+]08"):
-        run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, steps_per_ramp=4)
+        run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, ramp_steps=4)
 
 
 @pytest.mark.parametrize("n", [-2, 0, 3, 10.0, "10"])
 def test_run_protocol_rejects_bad_n(n):
     # The sensing-time check must not reach numpy with a bad N first.
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
-        run_protocol(n, 0.1, 1.0, 1.0, 1.0, 0.5, steps_per_ramp=4)
+        run_protocol(n, 0.1, 1.0, 1.0, 1.0, 0.5, ramp_steps=4)
 
 
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
     n, j = 8, 1.0 / 8
     steps = [200, 400, 800, 1600, 3200]
-    surv = [run_protocol(n, j, 1.0, 3.0, 0.0, 0.0, steps_per_ramp=s).survival_probability
+    surv = [run_protocol(n, j, 1.0, 3.0, 0.0, 0.0, ramp_steps=s).survival_probability
             for s in steps]
     deltas = np.abs(np.diff(surv))
     assert np.all(np.diff(deltas) < 0)
 
 
-@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
-def test_cf4_fourth_order_convergence(kind):
+def test_cf4_fourth_order_convergence():
     # Halving the exponential count must cut the error about 16-fold; a
     # second-order rule (such as CF4 with its two exponents swapped) gives 4.
     n, j = 10, 0.1
     unit = time_unit(n, j)
     taus = np.array([50.0, 150.0, 280.0]) * unit
-    scans = {s: scan_ramp_time(n, j, 1.0, taus, kind=kind, ramp_steps=s)
+    scans = {s: scan_ramp_time(n, j, 1.0, taus, ramp_steps=s)
              for s in (100, 200, 3200)}
     scan_err = [
         max(np.abs(scans[s].ghz_fidelity - scans[3200].ghz_fidelity).max(),
@@ -202,7 +198,7 @@ def test_cf4_fourth_order_convergence(kind):
 
     state = _random_state(n, 5).amplitudes
     finals = {
-        s: sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, kind, state, s)[-1]
+        s: sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, state, s)[-1]
         for s in (100, 200, 3200)
     }
     state_err = [np.linalg.norm(finals[s] - finals[3200]) for s in (100, 200)]
@@ -215,10 +211,10 @@ def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, 
     # column, until sensing with h^z on fills the odd sector for the up ramp.
     n, j = 10, 0.1
     unit = time_unit(n, j)
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz, steps_per_ramp=40)
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz, ramp_steps=40)
     assert stepper_widths == widths
     stepper_widths.clear()
-    run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.3, steps_per_ramp=40)
+    run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.3, ramp_steps=40)
     assert stepper_widths == [1, 1]
 
 
@@ -237,7 +233,7 @@ def test_protocol_headline_fidelities():
     # N=10, JN=1, cosine/sine ramps at T_a = 150 (2JN^2)^-1.
     n, j = 10, 0.1
     ta = 150 * time_unit(n, j)
-    res = run_protocol(n, j, 1.0, ta, 0.0, 0.0, steps_per_ramp=3000)
+    res = run_protocol(n, j, 1.0, ta, 0.0, 0.0, ramp_steps=3000)
     assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
     assert res.survival_probability == pytest.approx(0.91, abs=0.01)
 
@@ -274,8 +270,8 @@ def test_cooled_start_strong_field_survival_is_damped_fringe():
     unit = time_unit(n, j)
     g0_sq = ground_overlap(n, [2.0])[0]
     hz, t_sense = 0.5, 7 * unit
-    final = sector_protocol(n, j, 2.0, 2400 * unit, t_sense, hz, "cosine-sine",
-                            cooled_start(n, j, 2.0), 20000)[-1]
+    final = sector_protocol(n, j, 2.0, 2400 * unit, t_sense, hz, cooled_start(n, j, 2.0),
+                            20000)[-1]
     survival = abs(np.vdot(x_polarized_state(n, axis="Z").amplitudes, final)) ** 2
     assert survival == pytest.approx(g0_sq * np.cos(hz * n * t_sense) ** 2, abs=2e-3)
 
@@ -285,8 +281,8 @@ def test_protocol_parity_protection_and_cooled_start():
     ta = 50 * time_unit(n, j)
     # cooled first-approach start: the finite-field ground state
     start = DickeState(DickeBasis(n, "Z"), cooled_start(n, j, 1.0))
-    final = DickeState(start.basis, sector_protocol(n, j, 1.0, ta, 0.0, 0.0, "cosine-sine",
-                                                    start.amplitudes, 2000)[-1])
+    final = DickeState(start.basis, sector_protocol(n, j, 1.0, ta, 0.0, 0.0, start.amplitudes,
+                                                    2000)[-1])
     pi = parity_operator(DickeBasis(n, "Z"))
     assert final.expectation(pi) == pytest.approx(start.expectation(pi), abs=1e-12)
     back = final.fidelity(start)
@@ -319,31 +315,30 @@ def test_scan_matches_run_protocol():
     taus = np.array([40.0, 80.0])
     scan = scan_ramp_time(n, j, 1.0, taus * unit, ramp_steps=2000)
     for i, tau in enumerate(taus):
-        res = run_protocol(n, j, 1.0, tau * unit, 0.0, 0.0, steps_per_ramp=2000)
+        res = run_protocol(n, j, 1.0, tau * unit, 0.0, 0.0, ramp_steps=2000)
         assert scan.ghz_fidelity[i] == pytest.approx(res.fidelity_to_ghz, abs=1e-9)
         assert scan.return_fidelity[i] == pytest.approx(
             res.survival_probability, abs=1e-9
         )
 
 
-@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [4, 6])
-def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
+def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
     # The scan steps the down ramp only and takes the return amplitude as
     # psi^T psi (U_up = U_down^T); it must match the two-ramp protocol and
     # the full 2^N oracle stepped through both ramps.
     j, steps, h0 = 1.0 / n, 40, 1.0
     taus = np.array([30.0, 70.0]) * time_unit(n, j)
-    scan = scan_ramp_time(n, j, h0, taus, kind=kind, ramp_steps=steps)
+    scan = scan_ramp_time(n, j, h0, taus, ramp_steps=steps)
     assert stepper_widths == [len(taus)]
     monkeypatch.undo()
 
-    down, up = ramp_profiles(kind)
+    down, up = ramp_profiles()
     q = symmetric_isometry(n)
     start = q @ x_polarized_state(n, axis="Z").amplitudes
     ghz = q @ ghz_state(n).amplitudes
     for i, ta in enumerate(taus):
-        res = run_protocol(n, j, h0, ta, 0.0, 0.0, kind=kind, steps_per_ramp=steps)
+        res = run_protocol(n, j, h0, ta, 0.0, 0.0, ramp_steps=steps)
         assert abs(scan.return_fidelity[i] - res.survival_probability) < 1e-12
         assert abs(scan.ghz_fidelity[i] - res.fidelity_to_ghz) < 1e-12
         mid = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
@@ -352,9 +347,8 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n, kind):
         assert abs(scan.ghz_fidelity[i] - abs(np.vdot(ghz, mid)) ** 2) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [4, 6])
-def test_default_kernel_reads_out_the_conjugate(stepper_widths, n, kind):
+def test_default_kernel_reads_out_the_conjugate(stepper_widths, n):
     # The kernel steps one column U_down e_0 and reads out through its
     # conjugate; the full 2^N oracle must find U_up^+ e_0 there.  The same
     # holds for any real start c, here also the cooled even ground state:
@@ -363,12 +357,12 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n, kind):
     # [-T_a, 0].
     j, steps, h0 = 1.0 / n, 40, 1.0
     ta = 50 * time_unit(n, j)
-    kernel = protocol_kernel(n, j, h0, ta, kind=kind, ramp_steps=steps)
+    kernel = protocol_kernel(n, j, h0, ta, ramp_steps=steps)
     assert stepper_widths == [1]
 
     cooled = cooled_start(n, j, h0)
-    columns = [kernel.prep_z, _sector_ramp(n, j, _down_ramp_fields(kind, h0, steps), ta, cooled)]
-    down, up = ramp_profiles(kind)
+    columns = [kernel.prep_z, _sector_ramp(n, j, _down_ramp_fields(h0, steps), ta, cooled)]
+    down, up = ramp_profiles()
     q = symmetric_isometry(n)
     for start, column in zip([x_polarized_state(n, axis="Z").amplitudes, cooled], columns):
         prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, q @ start, steps)
@@ -389,7 +383,7 @@ def test_one_column_kernel_matches_two_columns_at_large_n():
     a, b, _ = _sector_terms(n, j, +1)
     e0 = np.zeros((len(a[0]), 2), dtype=complex)
     e0[0] = 1.0
-    ends = _exponential_steps(a, b, _down_ramp_fields("cosine-sine", 1.0, 400), [ta, -ta], e0)
+    ends = _exponential_steps(a, b, _down_ramp_fields(1.0, 400), [ta, -ta], e0)
     prep_z, read_z = dicke.sector_to_z(n, +1, ends).T
     assert np.abs(kernel.prep_z - prep_z).max() < 1e-13
     assert np.abs(kernel.prep_z.conj() - read_z).max() < 1e-13
@@ -442,20 +436,19 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     unit = time_unit(n, j)
     scan_ramp_time(n, j, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
     protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40)
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, steps_per_ramp=40)
+    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, ramp_steps=40)
     for start in (cooled_start(n, j, 1.0), _random_state(n, 8).amplitudes):
-        sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, "cosine-sine", start, 40)
+        sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, start, 40)
 
 
-@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
-def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths, kind):
+def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths):
     n, j = 10, 0.1
     unit = time_unit(n, j)
-    scan = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit, kind=kind)
+    scan = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit)
     assert stepper_widths == [300]
     assert len(scan.kernels) == len(scan.optima) >= 3
     for (ta, _), kernel in zip(scan.optima, scan.kernels):
-        built = protocol_kernel(n, j, 1.0, ta, kind=kind)
+        built = protocol_kernel(n, j, 1.0, ta)
         assert np.abs(kernel.prep_z - built.prep_z).max() < 1e-13
 
 
@@ -471,11 +464,10 @@ def test_negative_ramp_times_rejected(build):
 
 def test_local_maxima_detection():
     y = np.array([0.0, 1.0, 0.5, 0.7, 0.2])
-    opts = local_maxima(np.arange(5.0), y)
-    assert opts == ((1.0, 1.0), (3.0, 0.7))
+    assert _peak_indices(y).tolist() == [1, 3]
     # a rise of at most 1e-12 over either neighbor is round-off
     y = np.array([0.0, 3e-13, 1e-13, 0.5, 0.5 - 1e-12, 0.1])
-    assert local_maxima(np.arange(6.0), y) == ()
+    assert _peak_indices(y).tolist() == []
 
 
 def test_scan_drops_roundoff_maxima():
@@ -494,7 +486,7 @@ def test_kernel_matches_run_protocol():
     ta = 100 * unit
     kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=2000)
     for tau, hz in [(5.0, 0.3), (27.0, np.pi / 2)]:
-        res = run_protocol(n, j, 1.0, ta, tau * unit, hz, steps_per_ramp=2000)
+        res = run_protocol(n, j, 1.0, ta, tau * unit, hz, ramp_steps=2000)
         assert kernel.survival(tau * unit, hz) == pytest.approx(
             res.survival_probability, abs=1e-8
         )
@@ -507,15 +499,6 @@ def test_kernel_analytic_slope_matches_finite_difference():
     t, hz, eps = 11 * unit, 0.8, 1e-7
     fd = (kernel.survival(t, hz + eps) - kernel.survival(t, hz - eps)) / (2 * eps)
     assert kernel.survival_slope(t, hz) == pytest.approx(fd, rel=1e-5)
-
-
-def test_linear_schedule_kind():
-    n, j = 6, 1.0 / 6
-    res = run_protocol(n, j, 1.0, 30 * time_unit(n, j), 0.0, 0.0,
-                       kind="linear", steps_per_ramp=1500)
-    assert 0 <= res.fidelity_to_ghz <= 1
-    with pytest.raises(ValueError):
-        run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, kind="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +535,8 @@ def _loop_ramp(n, j, profile, duration, steps, psi, adjoint=False):
     return psi
 
 
-@pytest.mark.parametrize("kind", ["cosine-sine", "linear"])
 @pytest.mark.parametrize("n", [6, 20])
-def test_kernel_shared_steps_match_separate_ramps(n, kind):
+def test_kernel_shared_steps_match_separate_ramps(n):
     # The kernel's one column serves both ramps: it is the down ramp from
     # e_0, and its conjugate the up ramp's adjoint applied to e_0, each
     # stepped here from its own CF4 exponents.  A complex even start goes
@@ -562,7 +544,7 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
     # ramp's fields reversed.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n, j)
-    down, up = ramp_profiles(kind)
+    down, up = ramp_profiles()
     rng = np.random.default_rng(n)
     d = n // 2 + 1
     start = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -576,8 +558,8 @@ def test_kernel_shared_steps_match_separate_ramps(n, kind):
         full_x[idx] = even
         return u @ full_x
 
-    kernel = protocol_kernel(n, j, 1.0, ta, kind=kind, ramp_steps=steps)
-    fields = _down_ramp_fields(kind, 1.0, steps)
+    kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=steps)
+    fields = _down_ramp_fields(1.0, steps)
     start_z = z_amplitudes(start)
     checks = [
         (kernel.prep_z, _loop_ramp(n, j, down, ta, steps, e0)),
@@ -666,7 +648,7 @@ def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
     # 134 chunks, the last one short, each linked to the one before.
     n = 100
     a, b, _ = _sector_terms(n, 1.0 / n, +1)
-    fields = _down_ramp_fields("cosine-sine", 1.0, 400)
+    fields = _down_ramp_fields(1.0, 400)
     rng = np.random.default_rng(6)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
     block /= np.linalg.norm(block, axis=0)
@@ -722,7 +704,7 @@ def test_stepper_rejects_bad_input():
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
             protocol_kernel(n, j, 1.0, 1.0, ramp_steps=steps)
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
-            run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, steps_per_ramp=steps)
+            run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, ramp_steps=steps)
 
 
 def _count_eigensolves(monkeypatch):
@@ -754,7 +736,7 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     # 50 at 4000 exponentials are sensing-sweep kernels; K = 2 blocks
     # take the series too.
     a, b, _ = _sector_terms(n, 1.0 / n, +1)
-    fields = _down_ramp_fields("cosine-sine", 1.0, n_exps)
+    fields = _down_ramp_fields(1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n, 1.0 / n)
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
@@ -816,12 +798,12 @@ def test_series_kernels_match_the_oracle(monkeypatch, n):
     cooled = cooled_start(n, j, h0)
     columns = [
         protocol_kernel(n, j, h0, ta, ramp_steps=steps).prep_z,
-        _sector_ramp(n, j, _down_ramp_fields("cosine-sine", h0, steps), ta, cooled),
+        _sector_ramp(n, j, _down_ramp_fields(h0, steps), ta, cooled),
     ]
     assert not calls
     q = symmetric_isometry(n)
     start = q @ np.column_stack([x_polarized_state(n, axis="Z").amplitudes, cooled])
-    down, up = ramp_profiles("cosine-sine")
+    down, up = ramp_profiles()
     prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
     read = q.T @ brute_force_ramp(
         n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, start, steps

@@ -85,9 +85,8 @@ def test_calibrate_offset_scaling_and_branches():
     assert calibrate_offset(0.0, n, 2.0) == pytest.approx(
         calibrate_offset(0.0, n, 1.0) / 2
     )
-    assert calibrate_offset(0.0, n, 1.0, branch=1) == pytest.approx(
-        3 * calibrate_offset(0.0, n, 1.0)
-    )
+    # the branch n = 0: the phase 2 h N T_int is pi/2 itself, not a higher odd multiple
+    assert 2 * calibrate_offset(0.0, n, 1.0) * n == pytest.approx(np.pi / 2, rel=1e-12)
     with pytest.raises(ValueError):
         calibrate_offset(0.0, n, 0.0)
 
@@ -118,6 +117,13 @@ def test_limits_ratio_and_minimized_forms():
     # the statistically honest minimized HL reduces to 1/(NT) at T_int -> T
     star = metrology_limits(n, m, total, total).hl_min_star
     assert star == pytest.approx(lim.hl_min)
+
+
+def test_limits_reject_a_budget_shorter_than_one_window():
+    # T = 0.5 < T_int = 2 used to give HL_min = 1/(NT) = 0.5, worse than HL = 0.125.
+    for total in (0.5, np.nan):
+        with pytest.raises(ValueError, match="^total time .* is shorter than the sensing time 2$"):
+            metrology_limits(4, 1, 2.0, total)
 
 
 # -- dephasing -----------------------------------------------------------------
@@ -276,7 +282,7 @@ def test_ramp_constants_reference_values():
 
 
 def test_adiabatic_time_estimate_fields():
-    est = adiabatic_time_estimate(2.0, 0.95, 100, jn=1.0)
+    est = adiabatic_time_estimate(2.0, 0.95, 100)
     assert est.cbar == pytest.approx(3.68, abs=0.01)
     assert est.jn_c == pytest.approx(2 * est.cbar)
     assert est.t_prep == pytest.approx(
@@ -383,7 +389,7 @@ def test_default_grid_is_odd_units():
 
 def test_tint_sweep_headline_index():
     n, j = 10, 0.1
-    sweep = tint_sweep(n, 150 * time_unit(n, j), ramp_steps=3000)
+    sweep = tint_sweep(protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=3000))
     assert sweep.p_mean == pytest.approx(1 / 1.07, abs=0.02)
     assert sweep.excluded == 0
     assert np.all(sweep.p_values <= 1 + 1e-6)
@@ -409,7 +415,8 @@ def test_tint_sweep_offset_policies_and_validation():
     # the offset is fixed at (pi/2) JN; only the grid is validated
     n, j = 10, 0.1
     with pytest.raises(ValueError):
-        tint_sweep(n, 150 * time_unit(n, j), tint_grid=np.array([]))
+        tint_sweep(protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20),
+                   tint_grid=np.array([]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
@@ -417,8 +424,9 @@ def test_tint_sweep_rejects_bad_grid_entries(bad):
     # A NaN entry used to count as a divergent point beside a valid p average.
     n, j = 10, 0.1
     grid = np.array([bad, 3.0]) * time_unit(n, j)
+    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20)
     with pytest.raises(ValueError, match="^sensing-time grid must be finite, positive and "):
-        tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid)
+        tint_sweep(kernel, tint_grid=grid)
 
 
 def test_tint_sweep_rejects_phases_past_round_off():
@@ -427,16 +435,18 @@ def test_tint_sweep_rejects_phases_past_round_off():
     n, j = 10, 0.1
     kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20)
     t_bound = 1e8 / ((1 + np.pi) * n / 2)
-    tint_sweep(n, 150 * time_unit(n, j), tint_grid=[t_bound * (1 - 1e-12)], kernel=kernel)
+    tint_sweep(kernel, tint_grid=[t_bound * (1 - 1e-12)])
     for grid in ([t_bound * (1 + 1e-12)], [1.0, 1e20 * time_unit(n, j)], [1e300]):
         with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is "):
-            tint_sweep(n, 150 * time_unit(n, j), tint_grid=grid, kernel=kernel)
+            tint_sweep(kernel, tint_grid=grid)
 
 
 @pytest.mark.parametrize("n", [-2, 3])
 def test_tint_sweep_rejects_bad_n(n):
+    # the sweep reads N from the kernel; one made by hand for a bad N is refused
+    kernel = ProtocolKernel(n, 0.1, np.ones(abs(n) + 1, dtype=complex))
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
-        tint_sweep(n, 1.0, tint_grid=[1.0])
+        tint_sweep(kernel, tint_grid=[1.0])
 
 
 def test_default_sensing_phases_stay_far_below_the_bound():
@@ -448,24 +458,19 @@ def test_default_sensing_phases_stay_far_below_the_bound():
     dynamics.check_sensing_time(n, j, (np.pi / 2) * n * j, t_max)
 
 
-def test_tint_sweep_rejects_negative_ramp_time():
-    n, j = 10, 0.1
-    kernel = protocol_kernel(n, j, 1.0, 1.0, ramp_steps=20)
-    for extra in ({}, {"kernel": kernel}):
-        with pytest.raises(ValueError, match="^times must be nonnegative$"):
-            tint_sweep(n, -5.0, **extra)
-
-
 def test_tint_sweep_takes_a_kernel_of_these_ramps(stepper_widths):
-    n, j = 10, 0.1
-    ta = 150 * time_unit(n, j)
-    built = tint_sweep(n, ta, ramp_steps=400)
+    # The sweep steps no ramp: it evaluates the kernel it is given, with the
+    # N and J of that kernel, at (pi/2) JN over the default grid.
+    n, j = 12, 0.25
+    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j))
     assert stepper_widths == [1]
-    given = tint_sweep(n, ta, kernel=protocol_kernel(n, j, 1.0, ta))
-    assert stepper_widths == [1, 1]
-    assert np.array_equal(given.delta_h, built.delta_h)
-    with pytest.raises(ValueError, match="another N"):
-        tint_sweep(12, ta, kernel=protocol_kernel(n, j, 1.0, ta))
+    sweep = tint_sweep(kernel)
+    assert stepper_widths == [1]
+    assert (sweep.n_qubits, sweep.interaction) == (n, j)
+    grid = default_sense_grid(n, j)
+    assert np.array_equal(sweep.t_sense, grid)
+    assert np.array_equal(sweep.survival, kernel.survival(grid, (np.pi / 2) * (j * n)))
+    assert np.array_equal(sweep.slope, kernel.survival_slope(grid, (np.pi / 2) * (j * n)))
 
 
 def test_kernel_arrays_match_scalar_calls():
@@ -481,16 +486,14 @@ def test_kernel_arrays_match_scalar_calls():
         assert np.array_equal(grid, np.array(scalar))
 
 
-def test_tint_sweep_divergent_points_are_excluded(monkeypatch):
+def test_tint_sweep_divergent_points_are_excluded():
     # |N/2, 0>_Z has zero sensing energy at every h^z: P = 1 and slope 0
     # exactly (|N/2, N/2>_Z is stationary too, but only up to round-off)
     n = 10
     m0 = np.zeros(n + 1, dtype=complex)
     m0[n // 2] = 1.0
-    monkeypatch.setattr(dynamics, "protocol_kernel",
-                        lambda *args, **kwargs: ProtocolKernel(n, 1.0 / n, m0))
     with np.errstate(all="raise"), pytest.warns(UserWarning, match="10 divergent"):
-        sweep = tint_sweep(n, 1.0, tint_grid=np.arange(1.0, 11.0))
+        sweep = tint_sweep(ProtocolKernel(n, 1.0 / n, m0), tint_grid=np.arange(1.0, 11.0))
     assert np.all(sweep.survival == 1.0)
     assert np.all(sweep.slope == 0.0)
     assert sweep.excluded == 10
