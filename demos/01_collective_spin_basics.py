@@ -40,7 +40,7 @@ print(f"<GHZ|parity|GHZ> = {ghz.expectation(parity_operator(DickeBasis(n, 'Z')))
 
 # The fully X-polarized state (the strong-field ground state) has binomial
 # amplitudes over the Z basis.
-plus = x_polarized_state(n, axis="Z")
+plus = x_polarized_state(n)
 print("x-polarized state amplitudes over m:", np.round(plus.amplitudes.real, 4))
 
 # Basis changes are unitary; a round trip is the identity.

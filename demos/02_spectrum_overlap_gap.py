@@ -7,7 +7,6 @@ initial state it captures at finite field is the overlap |g_0|^2.
 """
 
 from spinsense import (
-    ModelParams,
     gap_scaling,
     ghz_state,
     ground_overlap,
@@ -16,8 +15,7 @@ from spinsense import (
 )
 
 n = 10
-params = ModelParams(n_qubits=n, interaction=1.0 / n, transverse_field=0.0)
-spec = parity_resolved_spectrum(params)
+spec = parity_resolved_spectrum(n, 1.0 / n, 0.0)
 print(f"N = {n}, h^x = 0:")
 print(f"  ground pair degenerate: E0(even) = {spec.even_energies[0]:.6f}, "
       f"E0(odd) = {spec.odd_energies[0]:.6f}")

@@ -58,9 +58,7 @@ from .metrology import (
 from .model import (
     GapMinimum,
     GapScaling,
-    ModelParams,
     SpectrumData,
-    critical_gap,
     even_gap_at,
     gap_scaling,
     ground_overlap,

@@ -111,6 +111,7 @@ from .dicke import (
     ghz_state,
     real_matmul,
     sector_to_z,
+    x_polarized_state,
     z_to_sector,
     zhbmv,
 )
@@ -385,10 +386,8 @@ def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_ste
         raise ValueError(_TIMES_RULE)
     check_sensing_time(n_qubits, interaction, hz_total, t_sense)
     fields = _down_ramp_fields(h0x, ramp_steps)
-    basis = DickeBasis(n_qubits, "Z")
-    e0 = np.zeros(n_qubits // 2 + 1)
-    e0[0] = 1.0
-    start = DickeState(basis, sector_to_z(n_qubits, +1, e0))
+    start = x_polarized_state(n_qubits)
+    basis = start.basis
 
     after_prep = start
     if t_ramp > 0:
@@ -461,6 +460,20 @@ def _down_ramp_fields(h0x, n_exps):
     return fields
 
 
+def _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps):
+    """Even-sector columns U_down e_0 after the down ramp, one per ramp time.
+
+    All columns go through one stepper call; ``ramp_times`` is a float array.
+    """
+    if (ramp_times < 0).any():
+        raise ValueError(_TIMES_RULE)
+    fields = _down_ramp_fields(h0x, ramp_steps)
+    a, b, _ = _sector_terms(n_qubits, interaction, +1)
+    start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
+    start[0] = 1.0
+    return _exponential_steps(a, b, fields, ramp_times, start)
+
+
 class RampScan(NamedTuple):
     ramp_times: np.ndarray
     ghz_fidelity: np.ndarray
@@ -500,13 +513,7 @@ def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
         raise ValueError("empty ramp-time grid")
-    if (ramp_times < 0).any():
-        raise ValueError(_TIMES_RULE)
-    fields = _down_ramp_fields(h0x, ramp_steps)
-    a, b, _ = _sector_terms(n_qubits, interaction, +1)
-    start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
-    start[0] = 1.0
-    after_down = _exponential_steps(a, b, fields, ramp_times, start)
+    after_down = _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps)
     ghz_even = z_to_sector(n_qubits, +1, ghz_state(n_qubits).amplitudes)
     fid_ghz = np.abs(ghz_even.conj() @ after_down) ** 2
     fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
@@ -582,11 +589,6 @@ def protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps=400):
     of the even sector; ``ramp_steps`` counts exponentials per ramp (even,
     two per CF4 step).
     """
-    if t_ramp < 0:
-        raise ValueError(_TIMES_RULE)
-    a, b, even_idx = _sector_terms(n_qubits, interaction, +1)
-    fields = _down_ramp_fields(h0x, ramp_steps)
-    e0 = np.zeros((len(even_idx), 1), dtype=complex)
-    e0[0] = 1.0
-    prepared = _exponential_steps(a, b, fields, [t_ramp], e0)
+    prepared = _down_ramp(n_qubits, interaction, h0x, np.array([t_ramp], dtype=float),
+                          ramp_steps)
     return ProtocolKernel(n_qubits, interaction, sector_to_z(n_qubits, +1, prepared)[:, 0])

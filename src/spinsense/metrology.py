@@ -23,7 +23,7 @@ from . import dynamics
 
 def error_propagation(std_observable, slope, shots=1):
     """delta = ΔA / (|d<A>/dparam| sqrt(M)); infinite when the slope vanishes."""
-    if shots < 1:
+    if not shots >= 1:
         raise ValueError("shots must be >= 1")
     if slope == 0:
         return np.inf
@@ -51,7 +51,7 @@ def calibrate_offset(h_known, n_qubits, t_sense):
     Solves 2 (h_k + h_0) N T_int = (2n + 1) pi/2 on the branch n = 0, the
     smallest n >= 0 keeping h_0 >= -h_k, as the total field is positive.
     """
-    if t_sense <= 0:
+    if not t_sense > 0:
         raise ValueError("t_sense must be positive")
     return np.pi / (4 * n_qubits * t_sense) - h_known
 
@@ -77,7 +77,7 @@ def metrology_limits(n_qubits, shots=1, t_sense=1.0, total_time=None):
     statistically honest 1/(N sqrt(T_int T)) are filled in as well.  A total
     time shorter than one sensing window holds no measurement and is rejected.
     """
-    if n_qubits < 1 or shots < 1 or t_sense <= 0:
+    if not (n_qubits >= 1 and shots >= 1 and t_sense > 0):
         raise ValueError("need n_qubits >= 1, shots >= 1, t_sense > 0")
     if total_time is not None and not total_time >= t_sense:
         raise ValueError(f"total time {total_time:g} is shorter than the sensing time "
@@ -131,7 +131,7 @@ def optimal_sense_time(n_qubits, gamma, prep_read_negligible=True):
     T_int^2 = 1/(2 Gamma^2 N) when preparation and readout are negligible;
     T_int^2 = 1/(Gamma^2 N) when they dominate the cycle time.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive for a finite optimum")
     scale = 2.0 if prep_read_negligible else 1.0
     return 1.0 / (gamma * np.sqrt(scale * n_qubits))
@@ -151,7 +151,7 @@ def dephasing_analysis(n_qubits, gamma, total_time, t_prep=0.0, t_read=0.0):
     With gamma = 0 the analysis degenerates to the noiseless minimized
     limits (sensing fills the whole budget).
     """
-    if gamma < 0 or total_time <= 0:
+    if not (gamma >= 0 and total_time > 0):
         raise ValueError("need gamma >= 0 and total_time > 0")
     if gamma == 0:
         hl_min_h = 1.0 / (2 * n_qubits * total_time)
@@ -183,7 +183,7 @@ def sql_beating_window(gamma_c, n_values=None):
     This is the condition for the dephased GHZ scheme with adiabatic-scaling
     prep/read time to beat the minimized dephased SQL.
     """
-    if gamma_c < 0:
+    if not gamma_c >= 0:
         raise ValueError("gamma_c must be nonnegative")
     if n_values is None:
         n_values = np.arange(2, 2001, 2)
@@ -228,11 +228,11 @@ def time_budget(n_qubits, c, epsilon, c_tilde=None, variant="main"):
     """
     if not 0 <= epsilon <= 0.5:
         raise ValueError("epsilon must lie in [0, 1/2]")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("C must be positive")
     t_ramp = c * n_qubits ** (2.0 / 3.0) / 2
     if variant == "main":
-        if c_tilde is None or c_tilde <= 0:
+        if c_tilde is None or not c_tilde > 0:
             raise ValueError("main variant needs a positive C~")
         total = c_tilde * n_qubits ** (2.0 / 3.0)
         t_sense = np.sqrt(c * c_tilde) * n_qubits ** (1.0 / 6.0 + epsilon)
@@ -346,7 +346,7 @@ def sz_readout_ideal(n_qubits, hz, t_sense, alpha=0.0, shots=1):
 def _check_overlaps(overlaps):
     g = np.asarray(overlaps, dtype=complex)
     total = np.sum(np.abs(g) ** 2)
-    if abs(total - 1) > 1e-8:
+    if not abs(total - 1) <= 1e-8:
         raise ValueError(f"overlap weights must sum to 1, got {total}")
     return g
 
@@ -510,6 +510,9 @@ def tint_sweep(kernel, tint_grid=None):
         raise ValueError("sensing-time grid must be finite, positive and nonempty")
     h_tot = (np.pi / 2) * jn
     dynamics.check_sensing_time(n_qubits, interaction, h_tot, grid)
+    if np.shape(kernel.prep_z) != (n_qubits + 1,):
+        raise ValueError(f"kernel column must hold N + 1 = {n_qubits + 1} amplitudes, "
+                         f"got shape {np.shape(kernel.prep_z)}")
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.

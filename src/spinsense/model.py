@@ -1,4 +1,4 @@
-"""Infinite-range Ising model: Hamiltonian, parity-resolved spectra, gaps.
+"""Infinite-range Ising model: parity sectors, spectra, overlaps and gaps.
 
 The sensing Hamiltonian in collective-spin form is
 
@@ -10,11 +10,12 @@ longitudinal field h^z.  For h^z = 0 the spin-flip parity is conserved and
 the spectrum splits into an even sector {psi_n} of dimension N/2 + 1 and an
 odd sector {phi_n} of dimension N/2, each sorted by ascending energy.
 
-Fields are quoted in units of JN where noted; all sector solvers internally
-set J = 1/N so that JN = 1.
+The spectrum takes plain (n_qubits, interaction, transverse_field)
+arguments; the overlap and gap functions take N and fields in units of JN,
+and set J = 1/N so that JN = 1.  Every one of them builds its sector
+matrices through `sector_tridiagonal`, which validates N.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,25 +28,6 @@ from .dicke import (
     lowest_eigenpairs,
     sector_to_z,
 )
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Couplings of the sensing Hamiltonian (energy units)."""
-
-    n_qubits: int
-    interaction: float
-    transverse_field: float
-    longitudinal_field: float = 0.0
-
-    def __post_init__(self):
-        DickeBasis(self.n_qubits)  # validates N even >= 2
-        if self.interaction <= 0:
-            raise ValueError("interaction J must be positive (ferromagnetic)")
-
-    @property
-    def jn(self):
-        return self.interaction * self.n_qubits
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +51,7 @@ def sector_indices(n_qubits, parity):
 
 def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
     """(diag, offdiag, X indices) of H restricted to one parity sector."""
+    DickeBasis(n_qubits)  # validates N
     lad = ladder_elements(n_qubits)
     m = n_qubits / 2 - np.arange(n_qubits + 1)
     # In the X basis S_Z acts as minus the S_X ladder matrix, so S_Z^2 has
@@ -85,41 +68,32 @@ def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
     return diag, off, idx
 
 
-def sector_eigh(n_qubits, interaction, transverse_field, parity):
-    """Eigenpairs of one parity sector, ascending, vectors in sector coords."""
-    diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)
-    return eigh_tridiagonal(diag, off)
-
-
 class SpectrumData(NamedTuple):
     """Parity-resolved eigenpairs and overlaps with the strong-field ground state."""
 
-    params: ModelParams
     even_energies: np.ndarray
     even_states: tuple
     odd_energies: np.ndarray
     odd_states: tuple
     overlaps: np.ndarray  # g_n = <psi_n | N/2, N/2>_X, complex, even sector
-    even_gap: float  # E(psi_1) - E(psi_0) at this field
-    full_gap: float  # E_1 - E_0 of the merged spectrum
 
 
-def parity_resolved_spectrum(params):
-    """Diagonalize each parity sector of H (requires h^z = 0).
+def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
+    """Diagonalize each parity sector of H at h^z = 0.
 
     Eigenstates are returned as Z-basis DickeStates with the gauge fixed by
     making each state's largest-magnitude amplitude real positive, which
     pins the overlap phases gamma_n reproducibly.  An odd state's amplitudes
     at m and -m are exact negatives, and the one at m > 0 is made positive.
     """
-    if params.longitudinal_field != 0:
-        raise ValueError("parity sectors are only defined for h^z = 0")
-    n = params.n_qubits
-    basis_z = DickeBasis(n, "Z")
+    basis_z = DickeBasis(n_qubits, "Z")
+    if not interaction > 0:
+        raise ValueError("interaction J must be positive (ferromagnetic)")
 
     def solve(parity):
-        w, v = sector_eigh(n, params.interaction, params.transverse_field, parity)
-        amps = sector_to_z(n, parity, v)  # sector coordinates are X coordinates
+        diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)
+        w, v = eigh_tridiagonal(diag, off)
+        amps = sector_to_z(n_qubits, parity, v)  # sector coordinates are X coordinates
         # The largest-magnitude amplitude of each (real) state made positive.
         signs = np.sign(amps[np.argmax(np.abs(amps), axis=0), np.arange(len(v))])
         states = tuple(DickeState(basis_z, a) for a in (amps * signs).T)
@@ -128,17 +102,7 @@ def parity_resolved_spectrum(params):
 
     even_w, even_states, overlaps = solve(+1)
     odd_w, odd_states, _ = solve(-1)
-    merged = np.sort(np.concatenate([even_w, odd_w]))
-    return SpectrumData(
-        params=params,
-        even_energies=even_w,
-        even_states=even_states,
-        odd_energies=odd_w,
-        odd_states=odd_states,
-        overlaps=overlaps,
-        even_gap=float(even_w[1] - even_w[0]),
-        full_gap=float(merged[1] - merged[0]),
-    )
+    return SpectrumData(even_w, even_states, odd_w, odd_states, overlaps)
 
 
 def ground_overlap(n_qubits, fields_over_jn):
@@ -150,6 +114,7 @@ def ground_overlap(n_qubits, fields_over_jn):
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")
+    DickeBasis(n_qubits)  # validates N before J = 1/N
     j = 1.0 / n_qubits  # JN = 1
     out = np.empty(fields.shape)
     for i, h in enumerate(fields):
@@ -161,6 +126,7 @@ def ground_overlap(n_qubits, fields_over_jn):
 
 def _gap_and_slope(n_qubits, field_over_jn):
     """Even-sector gap E(psi_1) - E(psi_0) and its h^x derivative, units of JN."""
+    DickeBasis(n_qubits)  # validates N before J = 1/N
     diag, off, idx = sector_tridiagonal(n_qubits, 1.0 / n_qubits, field_over_jn, +1)
     w, v = lowest_eigenpairs(diag, off, 2)
     # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x = -2 m = 2 k - N diagonal
@@ -171,11 +137,6 @@ def _gap_and_slope(n_qubits, field_over_jn):
 def even_gap_at(n_qubits, field_over_jn):
     """E(psi_1) - E(psi_0) in units of JN at the given h^x / JN."""
     return _gap_and_slope(n_qubits, field_over_jn)[0]
-
-
-def critical_gap(n_qubits):
-    """Even-sector gap at the critical point h^x / JN = 1, in units of JN."""
-    return even_gap_at(n_qubits, 1.0)
 
 
 class GapMinimum(NamedTuple):
@@ -235,7 +196,7 @@ def gap_scaling(n_values, bracket=(0.3, 1.5)):
         gm = minimum_gap(int(n), bracket)
         mins.append(gm.gap_over_jn)
         locs.append(gm.field_over_jn)
-        crits.append(critical_gap(int(n)))
+        crits.append(even_gap_at(int(n), 1.0))
     mins = np.array(mins)
     locs = np.array(locs)
     crits = np.array(crits)

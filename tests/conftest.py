@@ -28,7 +28,6 @@ from spinsense import (
     CollectiveOperator,
     DickeBasis,
     DickeState,
-    ModelParams,
     ProtocolKernel,
     collective_operators,
     parity_resolved_spectrum,
@@ -160,7 +159,7 @@ def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, amp, steps)
 
 def cooled_start(n_qubits, interaction, h0x):
     """Z amplitudes of the even ground state at h^x = h0x, a real vector."""
-    spectrum = parity_resolved_spectrum(ModelParams(n_qubits, interaction, h0x))
+    spectrum = parity_resolved_spectrum(n_qubits, interaction, h0x)
     return spectrum.even_states[0].amplitudes
 
 
@@ -177,15 +176,15 @@ def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
     return ProtocolKernel(n_qubits, interaction, prep)
 
 
-def build_hamiltonian(params):
+def build_hamiltonian(n_qubits, interaction, hx, hz=0.0):
     """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a dense Z-basis CollectiveOperator."""
-    sx, _, sz = collective_operators(params.n_qubits)
+    sx, _, sz = collective_operators(n_qubits)
     mat = (
-        -2 * params.interaction * (sz.matrix @ sz.matrix)
-        - 2 * params.transverse_field * sx.matrix
-        - 2 * params.longitudinal_field * sz.matrix
+        -2 * interaction * (sz.matrix @ sz.matrix)
+        - 2 * hx * sx.matrix
+        - 2 * hz * sz.matrix
     )
-    return CollectiveOperator(DickeBasis(params.n_qubits, "Z"), mat)
+    return CollectiveOperator(DickeBasis(n_qubits, "Z"), mat)
 
 
 def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):

@@ -206,7 +206,7 @@ def test_criterion_09_invariants():
     for n_small in (2, 4):
         j_small, h0, hz, duration, t_sense, steps = 1.0 / n_small, 1.0, 0.2, 3.0, 0.7, 400
         q = symmetric_isometry(n_small)
-        init = x_polarized_state(n_small, axis="Z")
+        init = x_polarized_state(n_small)
         ref = brute_force_protocol(n_small, j_small, h0, duration, t_sense, hz,
                                    q @ init.amplitudes, steps)[-1]
         ours = run_protocol(n_small, j_small, h0, duration, t_sense, hz,

@@ -101,8 +101,9 @@ def test_parity_involution_and_rotation_consistency(n):
         evals = np.linalg.eigvalsh(pi.matrix)
         assert np.abs(np.abs(evals) - 1).max() < 1e-12
     # the Z form equals the rotated X form
-    rotated = rotate_basis(parity_operator(DickeBasis(n, "X")), "Z")
-    assert np.abs(rotated.matrix - parity_operator(DickeBasis(n, "Z")).matrix).max() < 1e-12
+    u = rotation_matrix(n)
+    rotated = u @ parity_operator(DickeBasis(n, "X")).matrix @ u.T
+    assert np.abs(rotated - parity_operator(DickeBasis(n, "Z")).matrix).max() < 1e-12
 
 
 def test_parity_commutes_with_sx():
@@ -114,8 +115,9 @@ def test_parity_commutes_with_sx():
     pi = parity_operator(basis)
     assert np.abs(sx_diag @ pi.matrix - pi.matrix @ sx_diag).max() == 0.0
     # and the numerically rotated S_X agrees with that diagonal
-    sx_rot = rotate_basis(collective_operators(n)[0], "X")
-    assert np.abs(sx_rot.matrix - sx_diag).max() < 1e-12
+    u = rotation_matrix(n)
+    sx_rot = u.T @ collective_operators(n)[0].matrix @ u
+    assert np.abs(sx_rot - sx_diag).max() < 1e-12
 
 
 def test_ghz_even_parity_expectation_n4():
@@ -191,11 +193,14 @@ def test_rotation_matrix_bits_match_scipy_solver(monkeypatch, n):
     assert np.array_equal(u, rotation_matrix.__wrapped__(n))
 
 
-def test_sector_eigh_bits_match_scipy_solver(monkeypatch):
-    w, v = model.sector_eigh(50, 1.0 / 50, 0.7, +1)
+def test_spectrum_bits_match_scipy_solver(monkeypatch):
+    spec = model.parity_resolved_spectrum(50, 1.0 / 50, 0.7)
     monkeypatch.setattr(model, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
-    w_ref, v_ref = model.sector_eigh(50, 1.0 / 50, 0.7, +1)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    ref = model.parity_resolved_spectrum(50, 1.0 / 50, 0.7)
+    for field in ("even_energies", "odd_energies", "overlaps"):
+        assert np.array_equal(getattr(spec, field), getattr(ref, field))
+    for got, want in zip(spec.even_states + spec.odd_states, ref.even_states + ref.odd_states):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
 @pytest.mark.parametrize("d, count", [(2, 1), (2, 2), (7, 3), (51, 2), (301, 1)])
@@ -332,18 +337,25 @@ def test_parity_block_rejects_bad_input():
 @pytest.mark.parametrize("n", [4, 10])
 def test_x_polarized_state_is_binomial(n):
     # |N/2, N/2>_X = |+>^N: amplitudes 2^{-N/2} sqrt(binom(N, k)) over Z states.
-    amp = x_polarized_state(n, axis="Z").amplitudes
+    amp = x_polarized_state(n).amplitudes
     expected = np.array([np.sqrt(comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)])
     assert np.abs(amp - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 600, 2000])
 def test_x_polarized_state_is_the_rotation_column(n):
-    amp = x_polarized_state(n, axis="Z").amplitudes
+    amp = x_polarized_state(n).amplitudes
     assert amp.imag.max() == 0 and amp.real.min() >= 0
     assert np.abs(amp - rotation_matrix(n)[:, 0]).max() < 1e-12
-    x = x_polarized_state(n)
-    assert x.basis.axis == "X" and np.array_equal(x.amplitudes, np.eye(n + 1)[0])
+
+
+def test_x_polarized_state_solves_the_even_block_only():
+    # |+>^N is e_0 of the even sector; the odd block is not needed for it.
+    parity_block.cache_clear()
+    x_polarized_state(20)
+    parity_block(20, +1)
+    info = parity_block.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_rotation_of_m0_state_n2():
@@ -369,6 +381,5 @@ def test_hermiticity_flag_enforced():
     from spinsense import CollectiveOperator
 
     mat = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ValueError):
-        CollectiveOperator(DickeBasis(2), mat, hermitian=True)
-    CollectiveOperator(DickeBasis(2), mat, hermitian=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        CollectiveOperator(DickeBasis(2), mat)

@@ -1,5 +1,7 @@
 """Uncertainty operations, limits, dephasing, budgets, bounds, and sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -34,6 +36,34 @@ from spinsense.dynamics import ProtocolKernel
 from spinsense.metrology import default_sense_grid, slope_lower_bound
 
 from conftest import cooled_kernel, ideal_readout_state, sz_readout_state
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    pytest.param(metrology_limits, (4, 1, NAN), "need n_qubits >= 1, shots >= 1, t_sense > 0",
+                 id="limits-t_sense"),
+    pytest.param(calibrate_offset, (0.0, 4, NAN), "t_sense must be positive", id="offset-t_sense"),
+    pytest.param(dephasing_analysis, (4, 0.1, NAN), "need gamma >= 0 and total_time > 0",
+                 id="dephasing-total_time"),
+    pytest.param(dephasing_analysis, (4, NAN, 10.0), "need gamma >= 0 and total_time > 0",
+                 id="dephasing-gamma"),
+    pytest.param(optimal_sense_time, (4, NAN), "gamma must be positive for a finite optimum",
+                 id="optimal-gamma"),
+    pytest.param(sql_beating_window, (NAN,), "gamma_c must be nonnegative", id="window-gamma_c"),
+    pytest.param(time_budget, (10, NAN, 0.5, 100.0), "C must be positive", id="budget-c"),
+    pytest.param(time_budget, (10, 1.0, 0.5, NAN), "main variant needs a positive C~",
+                 id="budget-c_tilde"),
+    pytest.param(error_propagation, (1.0, 1.0, NAN), "shots must be >= 1", id="propagation-shots"),
+    pytest.param(survival_from_overlaps, ([NAN, 1.0], 0.1, 2, 1.0),
+                 "overlap weights must sum to 1", id="overlaps-weights"),
+])
+def test_closed_forms_reject_nan(fn, args, message):
+    # A guard written as `x <= 0` is false for NaN, so these calls used to
+    # return NaN results (or an empty window, or regime "zeno") instead.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        fn(*args)
 
 
 # -- error propagation ----------------------------------------------------------
@@ -447,6 +477,13 @@ def test_tint_sweep_rejects_bad_n(n):
     kernel = ProtocolKernel(n, 0.1, np.ones(abs(n) + 1, dtype=complex))
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
         tint_sweep(kernel, tint_grid=[1.0])
+
+
+def test_tint_sweep_rejects_a_kernel_of_the_wrong_length():
+    # A hand-made column of 3 amplitudes at N = 10 used to fail inside numpy's broadcast.
+    with pytest.raises(ValueError, match=r"^kernel column must hold N \+ 1 = 11 amplitudes, "
+                                         r"got shape \(3,\)$"):
+        tint_sweep(ProtocolKernel(10, 0.1, np.ones(3)), [1.0])
 
 
 def test_default_sensing_phases_stay_far_below_the_bound():

@@ -7,7 +7,6 @@ from scipy.optimize import minimize_scalar
 
 from spinsense import (
     DickeBasis,
-    ModelParams,
     even_gap_at,
     gap_scaling,
     ghz_state,
@@ -15,7 +14,9 @@ from spinsense import (
     minimum_gap,
     parity_operator,
     parity_resolved_spectrum,
+    protocol_kernel,
     rotate_basis,
+    scan_ramp_time,
     x_polarized_state,
 )
 from spinsense import model
@@ -26,15 +27,35 @@ from conftest import build_hamiltonian, full_hamiltonian, symmetric_isometry
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(3, 1.0, 0.0)
+        parity_resolved_spectrum(3, 1.0, 0.0)
     with pytest.raises(ValueError):
-        ModelParams(4, -1.0, 0.0)
-    assert ModelParams(4, 0.25, 0.0).jn == pytest.approx(1.0)
+        parity_resolved_spectrum(4, -1.0, 0.0)
+    with pytest.raises(ValueError, match="^interaction J must be positive"):
+        parity_resolved_spectrum(4, float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("n", [-2, 0, 3, 2.0])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda n: sector_tridiagonal(n, 0.1, 1.0, +1), id="sector_tridiagonal"),
+    pytest.param(lambda n: parity_resolved_spectrum(n, 0.1, 1.0), id="spectrum"),
+    pytest.param(lambda n: ground_overlap(n, [1.0]), id="ground_overlap"),
+    pytest.param(lambda n: even_gap_at(n, 1.0), id="even_gap_at"),
+    pytest.param(lambda n: minimum_gap(n), id="minimum_gap"),
+    pytest.param(lambda n: scan_ramp_time(n, 0.1, 1.0, [1.0, 2.0, 3.0], ramp_steps=4),
+                 id="scan_ramp_time"),
+    pytest.param(lambda n: protocol_kernel(n, 0.1, 1.0, 10.0, ramp_steps=4), id="protocol_kernel"),
+])
+def test_entry_points_reject_bad_n(entry, n):
+    # Each builds its sector matrices through sector_tridiagonal, which checks
+    # N.  A negative N used to fail inside numpy, N = 0 to divide by zero and
+    # an odd N to return numbers.
+    with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
+        entry(n)
 
 
 def test_hand_diagonalization_n2():
     # H = -2 S_Z^2 at J=1: eigenvalues {-2, 0, -2} on m = {1, 0, -1}.
-    h = build_hamiltonian(ModelParams(2, 1.0, 0.0, 0.0))
+    h = build_hamiltonian(2, 1.0, 0.0, 0.0)
     assert np.abs(h.matrix - np.diag([-2.0, 0.0, -2.0])).max() < 1e-14
 
 
@@ -43,7 +64,7 @@ def test_hamiltonian_matches_full_space(n, rng):
     j, hx, hz = 0.7, 0.4, 0.13
     q = symmetric_isometry(n)
     oracle = q.T @ full_hamiltonian(n, j, hx, hz) @ q
-    ours = build_hamiltonian(ModelParams(n, j, hx, hz)).matrix
+    ours = build_hamiltonian(n, j, hx, hz).matrix
     assert np.abs(ours - oracle).max() < 1e-12
 
 
@@ -51,20 +72,20 @@ def test_parity_conservation(rng):
     n = 8
     pi = parity_operator(DickeBasis(n, "Z")).matrix
     for hx in rng.uniform(0, 5, 5):
-        h = build_hamiltonian(ModelParams(n, 1.0 / n, hx)).matrix
+        h = build_hamiltonian(n, 1.0 / n, hx).matrix
         assert np.abs(h @ pi - pi @ h).max() < 1e-12
 
 
 def test_strong_field_ground_state():
     n = 10
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 1e6))
-    assert spec.even_states[0].fidelity(x_polarized_state(n, axis="Z")) > 1 - 1e-8
+    spec = parity_resolved_spectrum(n, 1.0 / n, 1e6)
+    assert spec.even_states[0].fidelity(x_polarized_state(n)) > 1 - 1e-8
 
 
 def test_strong_field_ordering():
     # psi_n -> m = N/2 - 2n and phi_n -> m = N/2 - (2n + 1) as h^x -> inf.
     n = 6
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 1e6))
+    spec = parity_resolved_spectrum(n, 1.0 / n, 1e6)
     basis_x = DickeBasis(n, "X")
     from spinsense import basis_state
 
@@ -78,7 +99,7 @@ def test_strong_field_ordering():
 
 def test_zero_field_ghz_pair():
     n = 8
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.0))
+    spec = parity_resolved_spectrum(n, 1.0 / n, 0.0)
     assert spec.even_states[0].fidelity(ghz_state(n, +1)) > 1 - 1e-8
     assert spec.odd_states[0].fidelity(ghz_state(n, -1)) > 1 - 1e-8
     assert spec.even_energies[0] == pytest.approx(spec.odd_energies[0], abs=1e-12)
@@ -86,7 +107,7 @@ def test_zero_field_ghz_pair():
 
 def test_sector_dimensions_and_parity_labels():
     n = 10
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.7))
+    spec = parity_resolved_spectrum(n, 1.0 / n, 0.7)
     assert len(spec.even_states) == n // 2 + 1
     assert len(spec.odd_states) == n // 2
     pi = parity_operator(DickeBasis(n, "Z"))
@@ -102,7 +123,7 @@ def test_sector_dimensions_and_parity_labels():
 def test_eigenstate_gauge_is_reproducible(n):
     # The largest-magnitude amplitude is real positive; an odd state's come
     # as an exact pair at m and -m, and the one at m > 0 is taken.
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.7))
+    spec = parity_resolved_spectrum(n, 1.0 / n, 0.7)
     for state in spec.even_states + spec.odd_states:
         amp = state.amplitudes
         assert amp.imag.max() == 0 and amp[np.argmax(np.abs(amp))].real > 0
@@ -112,21 +133,15 @@ def test_eigenstate_gauge_is_reproducible(n):
 
 def test_sector_vs_full_diagonalization():
     n = 8
-    params = ModelParams(n, 1.0 / n, 0.9)
-    spec = parity_resolved_spectrum(params)
+    spec = parity_resolved_spectrum(n, 1.0 / n, 0.9)
     merged = np.sort(np.concatenate([spec.even_energies, spec.odd_energies]))
-    full = np.linalg.eigvalsh(build_hamiltonian(params).matrix)
+    full = np.linalg.eigvalsh(build_hamiltonian(n, 1.0 / n, 0.9).matrix)
     assert np.abs(merged - full).max() < 1e-10
-
-
-def test_spectrum_rejects_longitudinal_field():
-    with pytest.raises(ValueError):
-        parity_resolved_spectrum(ModelParams(4, 1.0, 0.5, 0.1))
 
 
 def test_overlaps_unit_weight_and_phase_gauge():
     n = 10
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 1.3))
+    spec = parity_resolved_spectrum(n, 1.0 / n, 1.3)
     assert np.sum(np.abs(spec.overlaps) ** 2) == pytest.approx(1.0, abs=1e-10)
     # survival amplitudes reproduce |g_0|^2 from the dedicated routine
     assert abs(spec.overlaps[0]) ** 2 == pytest.approx(
@@ -138,8 +153,8 @@ def test_overlaps_unit_weight_and_phase_gauge():
 def test_overlaps_are_the_returned_states_projections(n):
     # g_n = <psi_n | +>^N, for the Z-basis states exactly as returned, so the
     # overlap phases follow the eigenstates' gauge.
-    spec = parity_resolved_spectrum(ModelParams(n, 1.0 / n, 0.8))
-    plus = x_polarized_state(n, axis="Z")
+    spec = parity_resolved_spectrum(n, 1.0 / n, 0.8)
+    plus = x_polarized_state(n)
     expected = [state.overlap(plus) for state in spec.even_states]
     assert spec.overlaps.dtype == complex
     assert np.abs(spec.overlaps - expected).max() < 1e-13
