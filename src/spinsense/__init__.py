@@ -44,15 +44,14 @@ from .metrology import (
     metrology_limits,
     optimal_sense_time,
     projection_noise,
+    random_overlap_instances,
     sql_beating_window,
     sql_dephasing_min,
-    survival_from_overlaps,
     survival_slope_from_overlaps,
     sz_readout_ideal,
     time_budget,
     time_unit,
     tint_sweep,
-    verify_bound_samples,
     zeno_limit,
 )
 from .model import (

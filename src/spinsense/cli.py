@@ -16,6 +16,7 @@ a flag, a config file or a default, into a checked value.
 
 import math
 import os
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -224,33 +225,26 @@ def run_time_budget(ns, c, c_tilde, eps, variant, out):
 
 
 def run_bounds_check(n, draws, seed, out):
-    instances = metrology.random_overlap_instances(n, draws, seed)
-    rows = []
-    for i, (overlaps, hz, t_sense) in enumerate(instances):
-        res = metrology.check_uncertainty_bound(overlaps, hz, n, t_sense)
-        rows.append(
-            [i, abs(overlaps[0]) ** 2, 2 * hz * n * t_sense, res.slope_abs,
-             res.bound, res.satisfied]
-        )
+    overlaps, hz, t_sense = metrology.random_overlap_instances(n, draws, seed)
+    check = metrology.check_uncertainty_bound(overlaps, hz, n, t_sense)
+    rows = zip(range(draws), check.g0_sq, 2 * hz * n * t_sense, check.slope_abs, check.bound,
+               check.satisfied)
     header = ["draw", "g0_sq", "two_hNT", "slope_abs", "lower_bound", "satisfied"]
     path = write_csv(out, header, rows)
-    violations = sum(not row[-1] for row in rows)
     summary = (
         f"wrote {path}\n"
-        f"{draws} seeded draws (seed {seed}), violations of the slope bound: {violations}"
+        f"{draws} seeded draws (seed {seed}), violations of the slope bound: "
+        f"{np.count_nonzero(~check.satisfied)}"
     )
     return [path], summary
 
 
 def run_sz_readout(n, alpha, out):
-    rows = []
     t_sense = 1.0
-    for phase in np.round(np.arange(0, 2 * np.pi + 1e-9, np.pi / 50), 12):  # 2 h^z N T_int
-        hz = phase / (2 * n * t_sense)
-        r = metrology.sz_readout_ideal(n, hz, t_sense, alpha=alpha)
-        rows.append([phase, r.expectation, r.deviation, r.delta_h, r.delta_h_closed])
+    phases = np.round(np.arange(0, 2 * np.pi + 1e-9, np.pi / 50), 12)  # 2 h^z N T_int
+    r = metrology.sz_readout_ideal(n, phases / (2 * n * t_sense), t_sense, alpha=alpha)
     header = ["two_hNT", "exp_sz", "std_sz", "delta_h_est", "delta_h_closed"]
-    path = write_csv(out, header, rows)
+    path = write_csv(out, header, zip(phases, *r))
     summary = (
         f"wrote {path}\n"
         f"alpha = {alpha:g}: the slope carries cos(2 h N T), so the estimator "
@@ -545,11 +539,15 @@ def _run(kind, config_path, flags):
         raise click.ClickException(f"invalid configuration: {diags[0]}")
     out = resolve_out(raw.get("out"), kind.replace("-", "_") + ".csv")
     try:  # a floating-point overflow or 0/0 stops the run instead of writing inf/nan
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with np.errstate(divide="raise", over="raise", invalid="raise"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
             _, summary = ROWS[kind].run(values, out)
     except (ValueError, ArithmeticError, MemoryError) as exc:
         raise click.ClickException(str(exc) or type(exc).__name__) from exc
     click.echo(summary)
+    for caught_warning in caught:  # one line on stderr, not a Python warning with its source line
+        click.echo(f"warning: {caught_warning.message}", err=True)
 
 
 # ---------------------------------------------------------------------------

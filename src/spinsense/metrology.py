@@ -22,17 +22,21 @@ from . import dynamics
 
 
 def error_propagation(std_observable, slope, shots=1):
-    """delta = ΔA / (|d<A>/dparam| sqrt(M)); infinite when the slope vanishes."""
+    """delta = ΔA / (|d<A>/dparam| sqrt(M)), elementwise over arrays.
+
+    Infinite where the slope vanishes: the division is masked there, so it
+    raises no floating-point warning even under np.errstate(all="raise").
+    """
     if not shots >= 1:
         raise ValueError("shots must be >= 1")
-    if slope == 0:
-        return np.inf
-    return std_observable / (abs(slope) * np.sqrt(shots))
+    std, slope = np.broadcast_arrays(std_observable, slope)
+    out = np.full(std.shape, np.inf)
+    return np.divide(std, np.abs(slope) * np.sqrt(shots), out=out, where=slope != 0)[()]
 
 
 def projection_noise(p):
-    """Bernoulli standard deviation sqrt(P(1-P)) of a projection readout."""
-    return np.sqrt(max(p * (1.0 - p), 0.0))
+    """Bernoulli standard deviation sqrt(P(1-P)) of a projection readout, elementwise."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.0))
 
 
 def ideal_survival(hz, n_qubits, t_sense):
@@ -226,6 +230,8 @@ def time_budget(n_qubits, c, epsilon, c_tilde=None, variant="main"):
     Heisenberg-limit scaling (eta' = 1/2 exactly in the single-shot
     accounting).
     """
+    if not n_qubits >= 1:
+        raise ValueError("n_qubits must be >= 1")
     if not 0 <= epsilon <= 0.5:
         raise ValueError("epsilon must lie in [0, 1/2]")
     if not c > 0:
@@ -291,6 +297,8 @@ def adiabatic_ramp_constant(ground_probability):
 def adiabatic_time_estimate(h0x_over_jn, ground_probability, n_qubits):
     """Ramp constant and preparation-time estimate for a linear ramp, in units of 1/(JN)."""
     cbar = adiabatic_ramp_constant(ground_probability)
+    if not (h0x_over_jn > 0 and n_qubits >= 1):
+        raise ValueError("need h0x_over_jn > 0 and n_qubits >= 1")
     eps = np.sqrt(1 - ground_probability)
     t_prep = eps ** (-4.0 / 3.0) * h0x_over_jn * n_qubits ** (2.0 / 3.0) / 2
     return AdiabaticEstimate(float(cbar), float(h0x_over_jn * cbar), float(t_prep))
@@ -302,77 +310,76 @@ def adiabatic_time_estimate(h0x_over_jn, ground_probability, n_qubits):
 
 
 class SzReadout(NamedTuple):
-    expectation: float
-    deviation: float
-    delta_h: float
-    delta_h_closed: float | None = None
+    expectation: np.ndarray  # each field has the shape of the h^z given
+    deviation: np.ndarray
+    delta_h: np.ndarray
+    delta_h_closed: np.ndarray | None = None
 
 
-def sz_readout_ideal(n_qubits, hz, t_sense, alpha=0.0, shots=1):
+def sz_readout_ideal(n_qubits, hz, t_sense, alpha=0.0):
     """Closed-form S_Z readout statistics of the ideal two-level state.
 
     The exact matrix elements between the top two X eigenstates give
     <S_Z> = (sqrt(N)/2) cos(alpha) sin(2 h N T) and second moment
     cos^2(theta) N/4 + sin^2(theta) (3N - 2)/4.  ``delta_h_closed`` is the
-    two-level reference form 1/(2 N sqrt(M) T |cos(alpha) cos(2 h N T)|),
-    which exposes the limited dynamic range: the slope carries cos(2hNT),
-    so the estimator diverges at the phase quadrature points and whenever
-    the ramp phase alpha is not compensated.
+    two-level reference form 1/(2 N T |cos(alpha) cos(2 h N T)|), which
+    exposes the limited dynamic range: the slope carries cos(2hNT), so the
+    estimator diverges at the phase quadrature points and whenever the ramp
+    phase alpha is not compensated.  ``hz`` may be an array; every field of
+    the result then has its shape.
     """
-    theta = hz * n_qubits * t_sense
+    if not (np.all(np.isfinite(hz)) and np.isfinite(t_sense) and np.isfinite(alpha)):
+        raise ValueError("h^z, t_sense and alpha must be finite")
+    theta = np.asarray(hz, dtype=float) * n_qubits * t_sense
     root_n = np.sqrt(n_qubits)
     exp_sz = (root_n / 2) * np.cos(alpha) * np.sin(2 * theta)
     second = (
         np.cos(theta) ** 2 * n_qubits / 4
         + np.sin(theta) ** 2 * (3 * n_qubits - 2) / 4
     )
-    std = np.sqrt(max(second - exp_sz**2, 0.0))
+    std = np.sqrt(np.maximum(second - exp_sz**2, 0.0))
     slope = (root_n / 2) * np.cos(alpha) * 2 * n_qubits * t_sense * np.cos(2 * theta)
-    delta_h = error_propagation(std, slope, shots)
-    denom = abs(np.cos(alpha) * np.cos(2 * theta))
-    closed = (
-        np.inf
-        if denom == 0
-        else 1.0 / (2 * n_qubits * np.sqrt(shots) * t_sense * denom)
-    )
-    return SzReadout(float(exp_sz), float(std), float(delta_h), float(closed))
+    denom = np.abs(np.cos(alpha) * np.cos(2 * theta))
+    closed = np.divide(1.0, 2 * n_qubits * t_sense * denom, out=np.full(theta.shape, np.inf),
+                       where=denom != 0)
+    return SzReadout(exp_sz, std, error_propagation(std, slope), closed[()])
 
 
 # ---------------------------------------------------------------------------
-# Survival probability from sector overlaps and the slope lower bound.
+# Survival slope from sector overlaps and its lower bound.  Each function
+# takes one instance or a block of them: overlaps of shape (..., N/2 + 1)
+# with h^z and T_int broadcast over the leading axes.
 # ---------------------------------------------------------------------------
+
+
+def _first_failure(ok, values, message):
+    """ValueError naming the first entry where ``ok`` fails, if any does."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        raise ValueError(f"{message}, got {np.ravel(values)[bad[0]]} at entry {bad[0]}")
 
 
 def _check_overlaps(overlaps):
     g = np.asarray(overlaps, dtype=complex)
-    total = np.sum(np.abs(g) ** 2)
-    if not abs(total - 1) <= 1e-8:
-        raise ValueError(f"overlap weights must sum to 1, got {total}")
+    total = np.sum(np.abs(g) ** 2, axis=-1)
+    _first_failure(np.abs(total - 1) <= 1e-8, total, "overlap weights must sum to 1")
     return g
 
 
-def survival_from_overlaps(overlaps, hz, n_qubits, t_sense):
-    """P = |sum_n |g_n|^2 e^{i gamma_n} cos(h^z (N - 2n) T_int)|^2.
+def survival_slope_from_overlaps(overlaps, hz, n_qubits, t_sense):
+    """d/dh^z of P = |sum_n |g_n|^2 e^{i gamma_n} cos(h^z (N - 2n) T_int)|^2.
 
     ``overlaps`` are the complex amplitudes g_n of the initial state on the
     even-sector eigenstates; their phases are the gamma_n.
     """
     g = _check_overlaps(overlaps)
-    n_idx = np.arange(len(g))
+    hz, t_sense = (np.asarray(x, dtype=float)[..., None] for x in (hz, t_sense))
     w = np.abs(g) * g  # |g_n|^2 e^{i gamma_n}
-    phases = np.cos(hz * (n_qubits - 2 * n_idx) * t_sense)
-    return float(abs(np.sum(w * phases)) ** 2)
-
-
-def survival_slope_from_overlaps(overlaps, hz, n_qubits, t_sense):
-    """Analytic d/dh^z of survival_from_overlaps."""
-    g = _check_overlaps(overlaps)
-    n_idx = np.arange(len(g))
-    w = np.abs(g) * g
-    freq = (n_qubits - 2 * n_idx) * t_sense
-    s = np.sum(w * np.cos(hz * freq))
-    ds = np.sum(w * (-freq * np.sin(hz * freq)))
-    return float(2 * np.real(np.conj(s) * ds))
+    freq = (n_qubits - 2 * np.arange(g.shape[-1])) * t_sense
+    s = np.sum(w * np.cos(hz * freq), axis=-1)
+    ds = np.sum(w * (-freq * np.sin(hz * freq)), axis=-1)
+    # 2 Re(conj(s) ds) in real arithmetic, as ProtocolKernel.survival_slope takes it
+    return 2 * (s.real * ds.real + s.imag * ds.imag)
 
 
 def slope_lower_bound(g0_sq, hz, n_qubits, t_sense):
@@ -386,69 +393,58 @@ def slope_lower_bound(g0_sq, hz, n_qubits, t_sense):
 
 
 class BoundCheck(NamedTuple):
-    slope_abs: float
-    bound: float
-    satisfied: bool
-    trivial: bool  # |g_0|^4 <= 1/2: only the vacuous bound delta_h <= inf holds
-    delta_h_bound: float
+    g0_sq: np.ndarray  # |g_0|^2, the weight the bound is built from
+    slope_abs: np.ndarray
+    bound: np.ndarray
+    satisfied: np.ndarray
+    trivial: np.ndarray  # |g_0|^4 <= 1/2: only the vacuous bound delta_h <= inf holds
+    delta_h_bound: np.ndarray
 
 
-def check_uncertainty_bound(overlaps, hz, n_qubits, t_sense, shots=1):
-    """Verify |dP/dh^z| >= N T (2|g_0|^4 - 1) sin(2 h N T) on one instance.
+def check_uncertainty_bound(overlaps, hz, n_qubits, t_sense):
+    """Verify |dP/dh^z| >= N T (2|g_0|^4 - 1) sin(2 h N T) on every instance.
 
-    Requires 0 <= 2 h^z N T_int <= pi/2.  When |g_0|^4 <= 1/2 the bound is
-    reported as trivial (infinite uncertainty bound) and counts as satisfied.
+    Requires 0 <= 2 h^z N T_int <= pi/2 and unit overlap weight; the first
+    entry that breaks either is named in the error.  Where |g_0|^4 <= 1/2 the
+    bound is reported as trivial (infinite uncertainty bound) and counts as
+    satisfied, as does a bound <= 0.
     """
-    phase = 2 * hz * n_qubits * t_sense
-    if not 0 <= phase <= np.pi / 2 + 1e-12:
-        raise ValueError(f"need 0 <= 2 h N T <= pi/2, got {phase}")
+    phase = 2 * np.asarray(hz, dtype=float) * n_qubits * t_sense
+    _first_failure((0 <= phase) & (phase <= np.pi / 2 + 1e-12), phase,
+                   "need 0 <= 2 h N T <= pi/2")
     g = _check_overlaps(overlaps)
-    g0_sq = abs(g[0]) ** 2
-    slope = abs(survival_slope_from_overlaps(g, hz, n_qubits, t_sense))
+    g0_sq = np.hypot(g[..., 0].real, g[..., 0].imag) ** 2
+    slope = np.abs(survival_slope_from_overlaps(g, hz, n_qubits, t_sense))
     bound = slope_lower_bound(g0_sq, hz, n_qubits, t_sense)
     trivial = g0_sq**2 <= 0.5
-    if trivial or bound <= 0:
-        return BoundCheck(slope, bound, True, trivial, np.inf)
-    delta_h = 1.0 / (2 * np.sqrt(shots) * bound)  # uses sqrt(P(1-P)) <= 1/2
-    return BoundCheck(slope, bound, bool(slope >= bound - 1e-12), trivial, delta_h)
+    vacuous = trivial | (bound <= 0)
+    # uses sqrt(P(1-P)) <= 1/2
+    delta_h = np.divide(1.0, 2 * bound, out=np.full(bound.shape, np.inf), where=~vacuous)
+    return BoundCheck(g0_sq, slope, bound, vacuous | (slope >= bound - 1e-12), trivial, delta_h)
 
 
 def random_overlap_instances(n_qubits, count, seed):
-    """Seeded random (overlaps, h^z, T_int) triples satisfying the bound's
-    preconditions: |g_0|^4 > 1/2, unit weight, and 0 <= 2 h N T <= pi/2."""
+    """Seeded random instances satisfying the bound's preconditions:
+    |g_0|^4 > 1/2, unit weight, and 0 <= 2 h N T <= pi/2.
+
+    Returns (overlaps, hz, t_sense) of shapes (count, N/2 + 1), (count,) and
+    (count,).
+    """
     rng = np.random.default_rng(seed)
     n_levels = n_qubits // 2 + 1
-    out = []
-    for _ in range(count):
+    overlaps = np.empty((count, n_levels), dtype=complex)
+    hz = np.empty(count)
+    t_sense = np.empty(count)
+    for i in range(count):  # one draw at a time: the seeded stream interleaves them
         g0_sq = rng.uniform(2**-0.5, 1.0)
         rest = rng.dirichlet(np.ones(n_levels - 1)) * (1 - g0_sq)
         weights = np.concatenate([[g0_sq], rest])
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n_levels))
-        overlaps = np.sqrt(weights) * phases
-        t_sense = rng.uniform(0.1, 10.0)
+        overlaps[i] = np.sqrt(weights) * phases
+        t_sense[i] = rng.uniform(0.1, 10.0)
         theta = rng.uniform(0, np.pi / 2)
-        hz = theta / (2 * n_qubits * t_sense)
-        out.append((overlaps, hz, t_sense))
-    return out
-
-
-class BoundSample(NamedTuple):
-    checked: int
-    violations: int
-    min_margin: float  # smallest slope_abs - bound over nontrivial draws
-
-
-def verify_bound_samples(n_qubits, count, seed):
-    """Monte-Carlo check of the slope lower bound on seeded random instances."""
-    violations = 0
-    min_margin = np.inf
-    for overlaps, hz, t_sense in random_overlap_instances(n_qubits, count, seed):
-        res = check_uncertainty_bound(overlaps, hz, n_qubits, t_sense)
-        if not res.satisfied:
-            violations += 1
-        if not res.trivial:
-            min_margin = min(min_margin, res.slope_abs - res.bound)
-    return BoundSample(count, violations, float(min_margin))
+        hz[i] = theta / (2 * n_qubits * t_sense[i])
+    return overlaps, hz, t_sense
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +512,7 @@ def tint_sweep(kernel, tint_grid=None):
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.
-    noise = np.sqrt(np.maximum(survival * (1.0 - survival), 0.0))
-    delta_h = np.divide(noise, np.abs(slope), out=np.full_like(grid, np.inf), where=slope != 0)
+    delta_h = error_propagation(projection_noise(survival), slope)
     kept = np.isfinite(delta_h) & (delta_h > 0)
     p_values = np.divide(1.0, 2 * n_qubits * grid * delta_h,
                          out=np.full_like(grid, np.nan), where=kept)

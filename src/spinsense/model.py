@@ -13,7 +13,7 @@ odd sector {phi_n} of dimension N/2, each sorted by ascending energy.
 The spectrum takes plain (n_qubits, interaction, transverse_field)
 arguments; the overlap and gap functions take N and fields in units of JN,
 and set J = 1/N so that JN = 1.  Every one of them builds its sector
-matrices through `sector_tridiagonal`, which validates N.
+matrices through `sector_tridiagonal`, which validates N, J and the field.
 """
 
 from typing import NamedTuple
@@ -52,6 +52,10 @@ def sector_indices(n_qubits, parity):
 def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
     """(diag, offdiag, X indices) of H restricted to one parity sector."""
     DickeBasis(n_qubits)  # validates N
+    if not interaction > 0:
+        raise ValueError("interaction J must be positive (ferromagnetic)")
+    if not np.isfinite(transverse_field):
+        raise ValueError(f"transverse field must be finite, got {transverse_field}")
     lad = ladder_elements(n_qubits)
     m = n_qubits / 2 - np.arange(n_qubits + 1)
     # In the X basis S_Z acts as minus the S_X ladder matrix, so S_Z^2 has
@@ -87,8 +91,6 @@ def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
     at m and -m are exact negatives, and the one at m > 0 is made positive.
     """
     basis_z = DickeBasis(n_qubits, "Z")
-    if not interaction > 0:
-        raise ValueError("interaction J must be positive (ferromagnetic)")
 
     def solve(parity):
         diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)

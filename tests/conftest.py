@@ -202,6 +202,18 @@ def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):
     return DickeState(DickeBasis(n_qubits, "X"), amp)
 
 
+def survival_from_overlaps(overlaps, hz, n_qubits, t_sense):
+    """P = |sum_n |g_n|^2 e^{i gamma_n} cos(h^z (N - 2n) T_int)|^2 of one instance.
+
+    The closed form whose h^z derivative metrology.survival_slope_from_overlaps
+    gives, kept here as the oracle for that slope's finite difference.
+    """
+    g = np.asarray(overlaps, dtype=complex)
+    w = np.abs(g) * g  # |g_n|^2 e^{i gamma_n}
+    phases = np.cos(hz * (n_qubits - 2 * np.arange(len(g))) * t_sense)
+    return float(abs(np.sum(w * phases)) ** 2)
+
+
 def sz_readout_state(state):
     """Numerically exact S_Z statistics of an arbitrary DickeState.
 

@@ -14,12 +14,14 @@ from spinsense import (
     DickeBasis,
     DickeState,
     adiabatic_ramp_constant,
+    check_uncertainty_bound,
     ghz_dephasing_uncertainty,
     ground_overlap,
     gap_scaling,
     optimal_sense_time,
     parity_operator,
     protocol_kernel,
+    random_overlap_instances,
     run_protocol,
     scan_ramp_time,
     select_optimum,
@@ -27,7 +29,6 @@ from spinsense import (
     time_budget,
     time_unit,
     tint_sweep,
-    verify_bound_samples,
     x_polarized_state,
 )
 from spinsense.cli import OPTIMUM_TREND, _fig5_optima
@@ -174,13 +175,16 @@ def test_criterion_07_dephasing_windows():
 
 def test_criterion_08_slope_bound_monte_carlo():
     start = time.perf_counter()
-    sample = verify_bound_samples(10, 10_000, seed=2024)
-    assert sample.checked == 10_000
-    assert sample.violations == 0
+    overlaps, hz, t_sense = random_overlap_instances(10, 10_000, seed=2024)
+    check = check_uncertainty_bound(overlaps, hz, 10, t_sense)
+    assert check.satisfied.shape == (10_000,)
+    assert np.count_nonzero(~check.satisfied) == 0
+    min_margin = np.min((check.slope_abs - check.bound)[~check.trivial], initial=np.inf)
+    assert min_margin >= -1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(8, elapsed,
-           f"10^4 seeded draws, 0 violations (min margin {sample.min_margin:.3e})")
+           f"10^4 seeded draws, 0 violations (min margin {min_margin:.3e})")
 
 
 def test_criterion_09_invariants():

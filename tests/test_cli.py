@@ -212,6 +212,50 @@ def test_sz_readout_command(runner, tmp_path):
     assert rows[0][1] == pytest.approx(0.0, abs=1e-12)  # sin(0) = 0
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["sz-readout"], "sz_readout.csv"),
+    (["sz-readout", "--N", "20", "--alpha", "0.3"], "sz_readout_N20_alpha0.3.csv"),
+    (["bounds-check", "--N", "6", "--draws", "200", "--seed", "3"],
+     "bounds_check_N6_draws200_seed3.csv"),
+])
+def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
+    # The files were written by the per-row loops that the array calls
+    # replaced.  sz-readout is byte-for-byte the same; bounds-check squares
+    # |g_0| as x * x instead of a scalar pow, which may move g0_sq by 1 ulp
+    # and, through the cancelling 2|g_0|^4 - 1, lower_bound by 1e-13 relative.
+    out = tmp_path / pinned
+    result = runner.invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    if argv[0] == "sz-readout":
+        assert out.read_bytes() == (DATA / pinned).read_bytes()
+        return
+    header, rows = _read_csv(out)
+    ref_header, ref = _read_csv(DATA / pinned)
+    assert header == ref_header
+    col = {name: i for i, name in enumerate(header)}
+    for name in ("draw", "two_hNT", "slope_abs", "satisfied"):
+        assert np.array_equal(rows[:, col[name]], ref[:, col[name]]), name
+    g0_sq = ref[:, col["g0_sq"]]
+    assert np.all(np.abs(rows[:, col["g0_sq"]] - g0_sq) <= np.spacing(g0_sq))
+    bound = ref[:, col["lower_bound"]]
+    assert np.all(np.abs(rows[:, col["lower_bound"]] - bound) <= 1e-13 * np.abs(bound))
+
+
+def test_sweep_warning_is_one_line_on_stderr(runner, tmp_path):
+    # At T_int = 1e-300 the slope rounds to 0, so the point is excluded.  The
+    # sweep's UserWarning used to escape the command as a Python warning (an
+    # exception under warnings-as-errors).
+    result = runner.invoke(main, ["uncertainty-sweep", "--N", "2", "--steps", "2",
+                                  "--tint-grid", "1e-300", "--out", str(tmp_path / "s.csv")])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert "divergent points excluded: 1" in result.stdout
+    assert result.stderr == "warning: 1 divergent grid points excluded from the p average\n"
+
+
 def test_fig2_files(runner, tmp_path):
     result = runner.invoke(main, ["figure", "fig2", "--out", str(tmp_path / "f2.csv")])
     assert result.exit_code == 0, result.output

@@ -20,22 +20,26 @@ from spinsense import (
     optimal_sense_time,
     projection_noise,
     protocol_kernel,
+    random_overlap_instances,
     sql_beating_window,
     sql_dephasing_min,
-    survival_from_overlaps,
     survival_slope_from_overlaps,
     sz_readout_ideal,
     time_budget,
     time_unit,
     tint_sweep,
-    verify_bound_samples,
     zeno_limit,
 )
 from spinsense import dynamics
 from spinsense.dynamics import ProtocolKernel
 from spinsense.metrology import default_sense_grid, slope_lower_bound
 
-from conftest import cooled_kernel, ideal_readout_state, sz_readout_state
+from conftest import (
+    cooled_kernel,
+    ideal_readout_state,
+    survival_from_overlaps,
+    sz_readout_state,
+)
 
 
 NAN = float("nan")
@@ -56,8 +60,15 @@ NAN = float("nan")
     pytest.param(time_budget, (10, 1.0, 0.5, NAN), "main variant needs a positive C~",
                  id="budget-c_tilde"),
     pytest.param(error_propagation, (1.0, 1.0, NAN), "shots must be >= 1", id="propagation-shots"),
-    pytest.param(survival_from_overlaps, ([NAN, 1.0], 0.1, 2, 1.0),
+    pytest.param(survival_slope_from_overlaps, ([NAN, 1.0], 0.1, 2, 1.0),
                  "overlap weights must sum to 1", id="overlaps-weights"),
+    pytest.param(time_budget, (NAN, 1.0, 0.5, 100.0), "n_qubits must be >= 1", id="budget-n"),
+    pytest.param(adiabatic_time_estimate, (NAN, 0.95, 10), "need h0x_over_jn > 0 and n_qubits",
+                 id="adiabatic-h0x"),
+    pytest.param(sz_readout_ideal, (10, NAN, 1.0), "h^z, t_sense and alpha must be finite",
+                 id="sz-hz"),
+    pytest.param(sz_readout_ideal, (10, [0.1, NAN], 1.0), "h^z, t_sense and alpha must be finite",
+                 id="sz-hz-entry"),
 ])
 def test_closed_forms_reject_nan(fn, args, message):
     # A guard written as `x <= 0` is false for NaN, so these calls used to
@@ -79,6 +90,15 @@ def test_error_propagation_divergence_is_reported_not_raised():
     assert error_propagation(0.5, 0.0) == np.inf
     with pytest.raises(ValueError):
         error_propagation(0.5, 1.0, shots=0)
+
+
+def test_error_propagation_on_arrays_masks_zero_slopes():
+    # one masked division: a zero slope gives inf without a 0/0 warning
+    with np.errstate(all="raise"):
+        dh = error_propagation(np.array([0.5, 0.0, 0.3]), np.array([2.0, 0.0, -0.6]), shots=4)
+        noise = projection_noise(np.array([0.5, 1.0, 0.0]))
+    assert dh.tolist() == [0.125, np.inf, 0.25]
+    assert noise.tolist() == [0.5, 0.0, 0.0]
 
 
 def test_ideal_heisenberg_limit_at_offset():
@@ -334,8 +354,8 @@ def test_sz_readout_quadrature_phase_kills_signal():
 def test_sz_readout_closed_form_uncertainty():
     n, t = 10, 1.0
     hz = np.pi / 8 / (2 * n * t)  # 2 h N T = pi/4, away from quadrature
-    r = sz_readout_ideal(n, hz, t, alpha=0.0, shots=4)
-    expected = 1 / (2 * n * 2 * t * abs(np.cos(2 * hz * n * t)))
+    r = sz_readout_ideal(n, hz, t, alpha=0.0)
+    expected = 1 / (2 * n * t * abs(np.cos(2 * hz * n * t)))
     assert r.delta_h_closed == pytest.approx(expected, rel=1e-12)
 
 
@@ -347,6 +367,16 @@ def test_sz_readout_general_state_matches_closed_form():
         ideal = sz_readout_ideal(n, hz, t, alpha)
         assert general.expectation == pytest.approx(ideal.expectation, abs=1e-10)
         assert general.deviation == pytest.approx(ideal.deviation, abs=1e-10)
+
+
+def test_sz_readout_on_an_array_matches_each_phase():
+    # One call on a block of fields gives each field's own scalar result.
+    n, t, alpha = 20, 1.0, 0.3
+    hz = np.linspace(0, 2 * np.pi, 41) / (2 * n * t)
+    block = sz_readout_ideal(n, hz, t, alpha)
+    for i, h in enumerate(hz):
+        single = sz_readout_ideal(n, h, t, alpha)
+        assert [f[i] for f in block] == list(single)
 
 
 def test_sz_readout_range_limitation():
@@ -373,10 +403,8 @@ def test_survival_single_term_is_tight():
 
 
 def test_survival_slope_matches_finite_difference(rng):
-    n, t = 8, 0.7
-    from spinsense.metrology import random_overlap_instances
-
-    overlaps, hz, t_sense = random_overlap_instances(n, 1, seed=5)[0]
+    n = 8
+    overlaps, hz, t_sense = (x[0] for x in random_overlap_instances(n, 1, seed=5))
     eps = 1e-7
     fd = (
         survival_from_overlaps(overlaps, hz + eps, n, t_sense)
@@ -388,23 +416,48 @@ def test_survival_slope_matches_finite_difference(rng):
 
 
 def test_bound_monte_carlo_no_violations():
-    sample = verify_bound_samples(10, 2000, seed=42)
-    assert sample.violations == 0
-    assert sample.min_margin >= -1e-12
+    overlaps, hz, t_sense = random_overlap_instances(10, 2000, seed=42)
+    check = check_uncertainty_bound(overlaps, hz, 10, t_sense)
+    assert check.satisfied.shape == (2000,)
+    assert np.count_nonzero(~check.satisfied) == 0
+    margin = (check.slope_abs - check.bound)[~check.trivial]
+    assert np.min(margin, initial=np.inf) >= -1e-12
+
+
+def test_bound_check_on_a_block_matches_each_row():
+    # One call on a block gives each instance's own one-row result.
+    n = 6
+    overlaps, hz, t_sense = random_overlap_instances(n, 50, seed=9)
+    block = check_uncertainty_bound(overlaps, hz, n, t_sense)
+    for i in range(50):
+        row = check_uncertainty_bound(overlaps[i:i + 1], hz[i:i + 1], n, t_sense[i:i + 1])
+        assert [f[i] for f in block] == [f[0] for f in row]
 
 
 def test_bound_trivial_branch_and_preconditions():
-    n, t = 6, 1.0
+    n, t = 6, np.array([1.0])
     weights = np.array([0.5, 0.3, 0.2, 0.0])
-    g = np.sqrt(weights).astype(complex)
-    res = check_uncertainty_bound(g, 0.01, n, t)
-    assert res.trivial
-    assert res.satisfied
-    assert res.delta_h_bound == np.inf
+    g = np.sqrt(weights).astype(complex)[None]
+    res = check_uncertainty_bound(g, np.array([0.01]), n, t)
+    assert res.trivial.tolist() == [True]
+    assert res.satisfied.tolist() == [True]
+    assert res.delta_h_bound.tolist() == [np.inf]
     with pytest.raises(ValueError):
-        check_uncertainty_bound(g, 10.0, n, t)  # phase outside [0, pi/2]
+        check_uncertainty_bound(g, np.array([10.0]), n, t)  # phase outside [0, pi/2]
     with pytest.raises(ValueError):
-        check_uncertainty_bound(g * 2, 0.01, n, t)  # weights not normalized
+        check_uncertainty_bound(g * 2, np.array([0.01]), n, t)  # weights not normalized
+
+
+def test_bound_preconditions_name_the_first_bad_entry():
+    n = 6
+    overlaps, hz, t_sense = random_overlap_instances(n, 4, seed=1)
+    hz[2] = np.nan
+    with pytest.raises(ValueError, match=r"^need 0 <= 2 h N T <= pi/2, got nan at entry 2$"):
+        check_uncertainty_bound(overlaps, hz, n, t_sense)
+    hz[2] = 0.0
+    overlaps[3] *= 2
+    with pytest.raises(ValueError, match=r"^overlap weights must sum to 1, got \S+ at entry 3$"):
+        check_uncertainty_bound(overlaps, hz, n, t_sense)
 
 
 # -- sensing-time sweep --------------------------------------------------------------

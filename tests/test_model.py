@@ -53,6 +53,34 @@ def test_entry_points_reject_bad_n(entry, n):
         entry(n)
 
 
+@pytest.mark.parametrize("j", [-0.1, 0.0, float("nan")])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda j: sector_tridiagonal(10, j, 1.0, +1), id="sector_tridiagonal"),
+    pytest.param(lambda j: parity_resolved_spectrum(10, j, 1.0), id="spectrum"),
+    pytest.param(lambda j: scan_ramp_time(10, j, 1.0, [1.0, 2.0, 3.0], ramp_steps=4),
+                 id="scan_ramp_time"),
+    pytest.param(lambda j: protocol_kernel(10, j, 1.0, 10.0, ramp_steps=4), id="protocol_kernel"),
+])
+def test_entry_points_reject_bad_j(entry, j):
+    # A J <= 0 used to be refused by the spectrum alone; the kernel and the
+    # scan returned numbers for it.
+    with pytest.raises(ValueError, match=r"^interaction J must be positive \(ferromagnetic\)$"):
+        entry(j)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda: sector_tridiagonal(10, 0.1, float("nan"), +1), id="sector_tridiagonal"),
+    pytest.param(lambda: parity_resolved_spectrum(10, 0.1, float("nan")), id="spectrum"),
+    pytest.param(lambda: ground_overlap(10, [1.0, float("nan")]), id="ground_overlap"),
+    pytest.param(lambda: even_gap_at(10, float("nan")), id="even_gap_at"),
+])
+def test_entry_points_reject_a_nan_field(entry):
+    # A NaN field used to reach LAPACK, which failed with "?stebz failed with
+    # info = 4" or "?stevd failed with info = 5".
+    with pytest.raises(ValueError, match="^transverse field must be finite, got nan$"):
+        entry()
+
+
 def test_hand_diagonalization_n2():
     # H = -2 S_Z^2 at J=1: eigenvalues {-2, 0, -2} on m = {1, 0, -1}.
     h = build_hamiltonian(2, 1.0, 0.0, 0.0)
