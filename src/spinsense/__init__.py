@@ -1,18 +1,7 @@
 """Collective-spin simulation of GHZ-state metrology with symmetry-protected
 adiabatic transverse-field ramps in the infinite-range Ising model."""
 
-from .dicke import (
-    CollectiveOperator,
-    DickeBasis,
-    DickeState,
-    basis_state,
-    collective_operators,
-    ghz_state,
-    parity_operator,
-    rotate_basis,
-    rotation_matrix,
-    x_polarized_state,
-)
+from .dicke import ghz_state, rotation_matrix, x_polarized_state
 from .dynamics import (
     ProtocolKernel,
     ProtocolResult,

@@ -24,20 +24,19 @@ import numpy.f2py and numpy.testing, about half of the CLI's start-up.
 Only when a file will not load is the scipy package imported, once, and
 the load retried (see `_linalg_extension`).
 
-Objects are immutable after construction and all functions are pure, so
-states and operators can be shared freely across threads or sweep workers.
+States are plain numpy arrays of Z amplitudes, index k carrying
+m = N/2 - k.  The functions are pure and return fresh arrays, except the
+cached blocks and rotation, which are read-only, so everything can be shared
+freely across threads or sweep workers.
 """
 
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-
-AXES = ("Z", "X")
 
 
 def _linalg_extension(name):
@@ -121,80 +120,10 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
-class DickeBasis:
-    """Eigenbasis |N/2, m>_axis of one collective spin component."""
-
-    n_qubits: int
-    axis: str = "Z"
-
-    def __post_init__(self):
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
-            raise ValueError(f"n_qubits must be an even integer >= 2, got {n!r}")
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-
-    @property
-    def dimension(self):
-        return self.n_qubits + 1
-
-    @property
-    def m_values(self):
-        """Magnetic quantum numbers, descending from +N/2 to -N/2."""
-        return _readonly(self.n_qubits / 2 - np.arange(self.n_qubits + 1))
-
-
-@dataclass(frozen=True)
-class DickeState:
-    """Complex amplitude vector over a DickeBasis."""
-
-    basis: DickeBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (self.basis.dimension,):
-            raise ValueError(
-                f"amplitudes must have shape ({self.basis.dimension},), got {amp.shape}"
-            )
-        object.__setattr__(self, "amplitudes", _readonly(amp))
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other):
-        """<self|other>; both states must share the same basis."""
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other):
-        return abs(self.overlap(other)) ** 2
-
-    def expectation(self, operator):
-        """<self|A|self>, real as every operator is Hermitian."""
-        if operator.basis != self.basis:
-            raise ValueError("operator and state bases differ")
-        return float(np.vdot(self.amplitudes, operator.matrix @ self.amplitudes).real)
-
-
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """Dense Hermitian operator on a DickeBasis."""
-
-    basis: DickeBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.basis.dimension
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix must have shape ({d}, {d}), got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", _readonly(mat))
+def check_n(n_qubits):
+    """ValueError unless N is an even integer >= 2, as every function here needs."""
+    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 2 or n_qubits % 2:
+        raise ValueError(f"n_qubits must be an even integer >= 2, got {n_qubits!r}")
 
 
 def ladder_elements(n_qubits):
@@ -206,41 +135,6 @@ def ladder_elements(n_qubits):
     j = n_qubits / 2
     m = j - np.arange(1, n_qubits + 1)
     return np.sqrt(j * (j + 1) - m * (m + 1))
-
-
-def collective_operators(n_qubits):
-    """(S_X, S_Y, S_Z) in the Z eigenbasis.
-
-    S_Z is diagonal with entries m; S_X, S_Y follow from the standard
-    angular-momentum ladder elements for j = N/2.  They satisfy
-    [S_A, S_B] = i eps_ABC S_C and the Casimir constraint
-    S_X^2 + S_Y^2 + S_Z^2 = (N/2)(N/2 + 1) I.
-    """
-    basis = DickeBasis(n_qubits, "Z")
-    sp = np.diag(ladder_elements(n_qubits), 1)
-    sx = (sp + sp.T) / 2
-    sy = (sp - sp.T) / 2j
-    sz = np.diag(basis.m_values)
-    return (
-        CollectiveOperator(basis, sx),
-        CollectiveOperator(basis, sy),
-        CollectiveOperator(basis, sz),
-    )
-
-
-def parity_operator(basis):
-    """Spin-flip parity (the product of all single-qubit X operators).
-
-    Diagonal with entries (-1)^(N/2 - m) in the X eigenbasis; in the Z
-    eigenbasis the same operator exchanges m <-> -m (the anti-diagonal
-    matrix).  It is Hermitian, unitary, and squares to the identity.
-    """
-    d = basis.dimension
-    if basis.axis == "X":
-        mat = np.diag((-1.0) ** np.arange(d))
-    else:
-        mat = np.fliplr(np.eye(d))
-    return CollectiveOperator(basis, mat)
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -301,7 +195,7 @@ def parity_block(n_qubits, parity):
     """
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    DickeBasis(n_qubits)  # validates N
+    check_n(n_qubits)
     h = n_qubits // 2
     off = ladder_elements(n_qubits)[: h if parity == +1 else h - 1] / 2
     if parity == +1:
@@ -326,7 +220,7 @@ def rotation_matrix(n_qubits):
     half-size eigensolves with vectors plus O(N^2) assembly: about 19 ms at
     N = 600, 47 ms at N = 1000 and 0.2 s at N = 2000 (one BLAS thread on a
     2-core x86 host; one eigensolve of the full S_X took 35, 90 and 450 ms).
-    States are rotated through the blocks (see rotate_basis); no ramp, scan
+    States are rotated through the blocks (see sector_to_z); no ramp, scan
     or sweep builds this dense matrix, which is the reference the tests
     hold the blocks to and the span the benchmark's tracer records.  The
     returned array is float64 and read-only; a few recent N are cached.
@@ -368,51 +262,25 @@ def z_to_sector(n_qubits, parity, amp):
     return _block_product(parity_block(n_qubits, parity).T, sym if parity == +1 else antisym)
 
 
-def rotate_basis(state, to_axis):
-    """Re-express a DickeState in the Z or X basis, through the two parity blocks."""
-    if to_axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {to_axis!r}")
-    if state.basis.axis == to_axis:
-        return state
-    n = state.basis.n_qubits
-    amp = state.amplitudes
-    if to_axis == "X":
-        out = np.empty_like(amp)
-        out[0::2] = z_to_sector(n, +1, amp)
-        out[1::2] = z_to_sector(n, -1, amp)
-    else:
-        out = sector_to_z(n, +1, amp[0::2]) + sector_to_z(n, -1, amp[1::2])
-    return DickeState(DickeBasis(n, to_axis), out)
-
-
-def basis_state(basis, index):
-    """The basis vector at the given descending-m index."""
-    amp = np.zeros(basis.dimension, dtype=complex)
-    amp[index] = 1.0
-    return DickeState(basis, amp)
-
-
 def x_polarized_state(n_qubits):
-    """|N/2, N/2>_X = |+>^N over the Z basis, the strong transverse-field ground state.
+    """Z amplitudes of |N/2, N/2>_X = |+>^N, the strong transverse-field ground state.
 
-    It is e_0 of the even parity sector, so the odd block is never solved.
+    A real array.  It is e_0 of the even parity sector, so the odd block is
+    never solved.
     """
-    basis = DickeBasis(n_qubits)
+    check_n(n_qubits)
     e0 = np.zeros(n_qubits // 2 + 1)
     e0[0] = 1.0
-    return DickeState(basis, sector_to_z(n_qubits, +1, e0))
+    return sector_to_z(n_qubits, +1, e0)
 
 
-def ghz_state(n_qubits, parity=+1):
-    """(|N/2, N/2>_Z + parity |N/2, -N/2>_Z) / sqrt(2).
+def ghz_state(n_qubits):
+    """Z amplitudes of (|N/2, N/2>_Z + |N/2, -N/2>_Z) / sqrt(2), a complex array.
 
-    parity = +1 gives the even ground state of the zero-field Ising model,
-    parity = -1 its odd degenerate partner.
+    The even ground state of the zero-field Ising model, complex like the
+    ramp states it is compared with.
     """
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
-    basis = DickeBasis(n_qubits, "Z")
-    amp = np.zeros(basis.dimension, dtype=complex)
-    amp[0] = 1 / np.sqrt(2)
-    amp[-1] = parity / np.sqrt(2)
-    return DickeState(basis, amp)
+    check_n(n_qubits)
+    amp = np.zeros(n_qubits + 1, dtype=complex)
+    amp[0] = amp[-1] = 1 / np.sqrt(2)
+    return amp

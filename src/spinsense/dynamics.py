@@ -104,8 +104,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dicke import (
-    DickeBasis,
-    DickeState,
+    check_n,
     eigh_tridiagonal,
     fold,
     ghz_state,
@@ -325,7 +324,7 @@ def check_sensing_time(n_qubits, interaction, hz, t_sense):
     their last eight digits, and from about 1e16 rad on they are round-off.
     ``t_sense`` is a time or an array of times.
     """
-    DickeBasis(n_qubits)  # validates N
+    check_n(n_qubits)
     top = float(np.abs(_z_diagonal(n_qubits, interaction, hz)).max())
     phase = top * float(np.max(t_sense))  # Python floats: overflow gives inf, not an error
     if phase > _PHASE_LIMIT:
@@ -342,9 +341,11 @@ def sensing_phases(n_qubits, interaction, hz, t_sense):
 
 
 class ProtocolResult(NamedTuple):
-    state_after_prep: DickeState
-    state_after_sense: DickeState
-    final_state: DickeState
+    """The protocol's three states, as Z amplitudes, and its two fidelities."""
+
+    state_after_prep: np.ndarray
+    state_after_sense: np.ndarray
+    final_state: np.ndarray
     fidelity_to_ghz: float
     survival_probability: float
 
@@ -387,29 +388,22 @@ def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_ste
     check_sensing_time(n_qubits, interaction, hz_total, t_sense)
     fields = _down_ramp_fields(h0x, ramp_steps)
     start = x_polarized_state(n_qubits)
-    basis = start.basis
-
     after_prep = start
     if t_ramp > 0:
-        kernel = protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps)
-        after_prep = DickeState(basis, kernel.prep_z)
+        after_prep = protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps).prep_z
     after_sense = after_prep
     if t_sense > 0:
-        amp = after_prep.amplitudes * sensing_phases(
-            n_qubits, interaction, hz_total, t_sense
-        )
-        after_sense = DickeState(basis, amp)
+        after_sense = after_prep * sensing_phases(n_qubits, interaction, hz_total, t_sense)
     final = after_sense
     if t_ramp > 0:
-        amp = _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, after_sense.amplitudes)
-        final = DickeState(basis, amp)
+        final = _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, after_sense)
 
     return ProtocolResult(
         state_after_prep=after_prep,
         state_after_sense=after_sense,
         final_state=final,
-        fidelity_to_ghz=after_prep.fidelity(ghz_state(n_qubits)),
-        survival_probability=final.fidelity(start),
+        fidelity_to_ghz=abs(complex(np.vdot(after_prep, ghz_state(n_qubits)))) ** 2,
+        survival_probability=abs(complex(np.vdot(final, start))) ** 2,
     )
 
 
@@ -514,7 +508,7 @@ def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
     if ramp_times.size == 0:
         raise ValueError("empty ramp-time grid")
     after_down = _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps)
-    ghz_even = z_to_sector(n_qubits, +1, ghz_state(n_qubits).amplitudes)
+    ghz_even = z_to_sector(n_qubits, +1, ghz_state(n_qubits))
     fid_ghz = np.abs(ghz_even.conj() @ after_down) ** 2
     fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
     hits = _peak_indices(fid_ghz)

@@ -492,8 +492,9 @@ def tint_sweep(kernel, tint_grid=None):
     (p = 1).
 
     Divergent points (vanishing slope) are excluded from the p average and
-    counted in ``excluded``.  A grid whose largest sensing phase passes
-    1e8 rad is rejected (see dynamics.check_sensing_time).
+    counted in ``excluded``; a grid of divergent points only is rejected.  A
+    grid whose largest sensing phase passes 1e8 rad is rejected (see
+    dynamics.check_sensing_time).
     """
     n_qubits, interaction = kernel.n_qubits, kernel.interaction
     jn = interaction * n_qubits
@@ -517,6 +518,9 @@ def tint_sweep(kernel, tint_grid=None):
     p_values = np.divide(1.0, 2 * n_qubits * grid * delta_h,
                          out=np.full_like(grid, np.nan), where=kept)
     excluded = int(np.count_nonzero(~kept))
+    if excluded == grid.size:
+        raise ValueError(f"all {excluded} sensing-time grid points diverge: "
+                         "no finite delta_h to average into p")
     included = p_values[np.isfinite(p_values)]
     if excluded:
         warnings.warn(
@@ -533,7 +537,7 @@ def tint_sweep(kernel, tint_grid=None):
         hl=1.0 / (2 * n_qubits * grid),
         sql=1.0 / (2 * np.sqrt(n_qubits) * grid),
         p_values=p_values,
-        p_mean=float(np.mean(included)) if included.size else np.nan,
-        p_std=float(np.std(included)) if included.size else np.nan,
+        p_mean=float(np.mean(included)),
+        p_std=float(np.std(included)),
         excluded=excluded,
     )

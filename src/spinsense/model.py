@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dicke import (
-    DickeBasis,
-    DickeState,
+    check_n,
     eigh_tridiagonal,
     ladder_elements,
     lowest_eigenpairs,
@@ -51,7 +50,7 @@ def sector_indices(n_qubits, parity):
 
 def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
     """(diag, offdiag, X indices) of H restricted to one parity sector."""
-    DickeBasis(n_qubits)  # validates N
+    check_n(n_qubits)
     if not interaction > 0:
         raise ValueError("interaction J must be positive (ferromagnetic)")
     if not np.isfinite(transverse_field):
@@ -76,21 +75,21 @@ class SpectrumData(NamedTuple):
     """Parity-resolved eigenpairs and overlaps with the strong-field ground state."""
 
     even_energies: np.ndarray
-    even_states: tuple
+    even_states: np.ndarray  # column n: Z amplitudes of psi_n
     odd_energies: np.ndarray
-    odd_states: tuple
+    odd_states: np.ndarray  # column n: Z amplitudes of phi_n
     overlaps: np.ndarray  # g_n = <psi_n | N/2, N/2>_X, complex, even sector
 
 
 def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
     """Diagonalize each parity sector of H at h^z = 0.
 
-    Eigenstates are returned as Z-basis DickeStates with the gauge fixed by
-    making each state's largest-magnitude amplitude real positive, which
-    pins the overlap phases gamma_n reproducibly.  An odd state's amplitudes
-    at m and -m are exact negatives, and the one at m > 0 is made positive.
+    Eigenstates are the columns of two real arrays of Z amplitudes, with the
+    gauge fixed by making each state's largest-magnitude amplitude positive,
+    which pins the overlap phases gamma_n reproducibly.  An odd state's
+    amplitudes at m and -m are exact negatives, and the one at m > 0 is made
+    positive.
     """
-    basis_z = DickeBasis(n_qubits, "Z")
 
     def solve(parity):
         diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)
@@ -98,9 +97,8 @@ def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
         amps = sector_to_z(n_qubits, parity, v)  # sector coordinates are X coordinates
         # The largest-magnitude amplitude of each (real) state made positive.
         signs = np.sign(amps[np.argmax(np.abs(amps), axis=0), np.arange(len(v))])
-        states = tuple(DickeState(basis_z, a) for a in (amps * signs).T)
         # g_n = <psi_n | psi_0(inf)>, and |psi_0(inf)> = |+>^N is e_0 of the even sector
-        return w, states, (v[0] * signs).astype(complex)
+        return w, amps * signs, (v[0] * signs).astype(complex)
 
     even_w, even_states, overlaps = solve(+1)
     odd_w, odd_states, _ = solve(-1)
@@ -116,7 +114,7 @@ def ground_overlap(n_qubits, fields_over_jn):
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")
-    DickeBasis(n_qubits)  # validates N before J = 1/N
+    check_n(n_qubits)  # before J = 1/N
     j = 1.0 / n_qubits  # JN = 1
     out = np.empty(fields.shape)
     for i, h in enumerate(fields):
@@ -128,7 +126,7 @@ def ground_overlap(n_qubits, fields_over_jn):
 
 def _gap_and_slope(n_qubits, field_over_jn):
     """Even-sector gap E(psi_1) - E(psi_0) and its h^x derivative, units of JN."""
-    DickeBasis(n_qubits)  # validates N before J = 1/N
+    check_n(n_qubits)  # before J = 1/N
     diag, off, idx = sector_tridiagonal(n_qubits, 1.0 / n_qubits, field_over_jn, +1)
     w, v = lowest_eigenpairs(diag, off, 2)
     # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x = -2 m = 2 k - N diagonal

@@ -6,8 +6,8 @@ collective-spin code under test.  Only usable for small N.  The Z -> X
 rotation oracle is the dense matrix exponential of its definition instead,
 written out from the angular-momentum ladder elements, and is usable up to a
 few hundred qubits.  The dense references (the (N+1)^2 Hamiltonian, the
-exact S_Z statistics of a state) use the package's dense collective
-operators, which its fast paths never build.
+exact S_Z statistics of a state) use dense S_X, S_Y and S_Z arrays built
+here from the package's ladder elements, which its fast paths never build.
 """
 
 import os
@@ -24,15 +24,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsense import (
-    CollectiveOperator,
-    DickeBasis,
-    DickeState,
-    ProtocolKernel,
-    collective_operators,
-    parity_resolved_spectrum,
-    rotate_basis,
-)
+from spinsense import ProtocolKernel, parity_resolved_spectrum, rotation_matrix
+from spinsense.dicke import ladder_elements
 from spinsense.dynamics import _down_ramp_fields, _sector_ramp, sensing_phases
 from spinsense.metrology import SzReadout
 
@@ -160,7 +153,7 @@ def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, amp, steps)
 def cooled_start(n_qubits, interaction, h0x):
     """Z amplitudes of the even ground state at h^x = h0x, a real vector."""
     spectrum = parity_resolved_spectrum(n_qubits, interaction, h0x)
-    return spectrum.even_states[0].amplitudes
+    return spectrum.even_states[:, 0]
 
 
 def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
@@ -176,30 +169,39 @@ def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
     return ProtocolKernel(n_qubits, interaction, prep)
 
 
+def spin_matrices(n_qubits):
+    """Dense (S_X, S_Y, S_Z) over the descending-m Z basis, from the ladder elements.
+
+    S_Z is diagonal with entries m; S_X and S_Y are the standard
+    angular-momentum matrices for j = N/2.
+    """
+    sp = np.diag(ladder_elements(n_qubits), 1)
+    return (sp + sp.T) / 2, (sp - sp.T) / 2j, np.diag(n_qubits / 2 - np.arange(n_qubits + 1))
+
+
+def parity_expectation(amp):
+    """<amp|P|amp> of the spin-flip parity P, which reverses Z amplitudes."""
+    return np.vdot(amp, amp[::-1]).real
+
+
 def build_hamiltonian(n_qubits, interaction, hx, hz=0.0):
-    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a dense Z-basis CollectiveOperator."""
-    sx, _, sz = collective_operators(n_qubits)
-    mat = (
-        -2 * interaction * (sz.matrix @ sz.matrix)
-        - 2 * hx * sx.matrix
-        - 2 * hz * sz.matrix
-    )
-    return CollectiveOperator(DickeBasis(n_qubits, "Z"), mat)
+    """H = -2J S_Z^2 - 2 h^x S_X - 2 h^z S_Z as a dense real Z-basis matrix."""
+    sx, _, sz = spin_matrices(n_qubits)
+    return -2 * interaction * (sz @ sz) - 2 * hx * sx - 2 * hz * sz
 
 
 def ideal_readout_state(n_qubits, hz, t_sense, alpha=0.0):
-    """The post-protocol state cos(theta)|psi0(inf)> + e^{i alpha} sin(theta)|phi0(inf)>.
+    """Z amplitudes of cos(theta)|psi0(inf)> + e^{i alpha} sin(theta)|phi0(inf)>.
 
-    theta = h^z N T_int.  alpha is quoted in the gauge where alpha = 0
-    maximizes <S_Z>; relative phases are convention dependent while all
-    probabilities are not.
+    theta = h^z N T_int, and psi0(inf), phi0(inf) are the X states of index
+    0 and 1.  alpha is quoted in the gauge where alpha = 0 maximizes <S_Z>;
+    relative phases are convention dependent while all probabilities are
+    not.
     """
     theta = hz * n_qubits * t_sense
-    amp = np.zeros(n_qubits + 1, dtype=complex)
-    amp[0] = np.cos(theta)
+    u = rotation_matrix(n_qubits)
     # the sign makes <S_Z> = +(sqrt(N)/2) cos(alpha) sin(2 theta) at alpha = 0
-    amp[1] = -np.exp(1j * alpha) * np.sin(theta)
-    return DickeState(DickeBasis(n_qubits, "X"), amp)
+    return np.cos(theta) * u[:, 0] - np.exp(1j * alpha) * np.sin(theta) * u[:, 1]
 
 
 def survival_from_overlaps(overlaps, hz, n_qubits, t_sense):
@@ -214,15 +216,14 @@ def survival_from_overlaps(overlaps, hz, n_qubits, t_sense):
     return float(abs(np.sum(w * phases)) ** 2)
 
 
-def sz_readout_state(state):
-    """Numerically exact S_Z statistics of an arbitrary DickeState.
+def sz_readout_state(amp):
+    """Numerically exact S_Z statistics of arbitrary Z amplitudes.
 
     S_Z is diagonal in the Z basis, so moments are plain weighted sums.
     Without a known slope ``delta_h`` is reported as infinite.
     """
-    state_z = rotate_basis(state, "Z")
-    m = state_z.basis.m_values
-    w = np.abs(state_z.amplitudes) ** 2
+    m = len(amp) // 2 - np.arange(len(amp))
+    w = np.abs(amp) ** 2
     exp_sz = float(np.sum(m * w))
     second = float(np.sum(m**2 * w))
     return SzReadout(exp_sz, float(np.sqrt(max(second - exp_sz**2, 0.0))), np.inf)

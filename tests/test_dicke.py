@@ -1,4 +1,8 @@
-"""Collective operators, parity, and basis rotation against brute force."""
+"""Collective operators, parity, and basis rotation against brute force.
+
+States are Z amplitude arrays.  In the Z basis the spin-flip parity reverses
+them (``amp[::-1]``); in the X basis it is diagonal with entries (-1)^k.
+"""
 
 import os
 import subprocess
@@ -11,46 +15,45 @@ import pytest
 import scipy
 import scipy.linalg
 
-from spinsense import (
-    DickeBasis,
-    DickeState,
-    basis_state,
-    collective_operators,
-    ghz_state,
-    parity_operator,
-    rotate_basis,
-    rotation_matrix,
-    x_polarized_state,
-)
+from spinsense import ghz_state, rotation_matrix, x_polarized_state
 from spinsense import dicke, model
-from spinsense.dicke import ladder_elements, parity_block
+from spinsense.dicke import check_n, ladder_elements, parity_block, sector_to_z, z_to_sector
 
-from conftest import dense_rotation, full_collective, full_parity, symmetric_isometry, _X, _Z
+from conftest import (
+    dense_rotation,
+    full_collective,
+    full_parity,
+    parity_expectation,
+    spin_matrices,
+    symmetric_isometry,
+    _X,
+    _Z,
+)
+
+
+def _flip(n):
+    """The spin-flip parity over the Z basis: the anti-diagonal permutation."""
+    return np.eye(n + 1)[::-1]
 
 
 def test_basis_validation():
-    with pytest.raises(ValueError):
-        DickeBasis(3)
-    with pytest.raises(ValueError):
-        DickeBasis(0)
-    with pytest.raises(ValueError):
-        DickeBasis(4, "Y")
-    b = DickeBasis(6)
-    assert b.dimension == 7
-    assert np.all(np.diff(b.m_values) == -1)
-    assert b.m_values[0] == 3 and b.m_values[-1] == -3
+    for n in (3, 0, -2, 2.0, "4"):
+        with pytest.raises(ValueError, match=f"^n_qubits must be an even integer >= 2, got {n!r}$"):
+            check_n(n)
+    for n in (2, 6, np.int64(8)):
+        check_n(n)
 
 
 def test_sz_diagonal_n2():
-    _, _, sz = collective_operators(2)
-    assert np.array_equal(sz.matrix, np.diag([1.0, 0.0, -1.0]))
+    _, _, sz = spin_matrices(2)
+    assert np.array_equal(sz, np.diag([1.0, 0.0, -1.0]))
 
 
 def test_sx_elements_n2_brute_force():
     # Oracle: (X_1 + X_2)/2 in the symmetrized two-qubit basis.
     q = symmetric_isometry(2)
     oracle = q.T @ full_collective(2, _X) @ q
-    sx = collective_operators(2)[0].matrix
+    sx = spin_matrices(2)[0]
     assert np.abs(sx - oracle).max() < 1e-14
     assert sx[0, 1] == pytest.approx(1 / np.sqrt(2))
     assert sx[1, 2] == pytest.approx(1 / np.sqrt(2))
@@ -58,14 +61,14 @@ def test_sx_elements_n2_brute_force():
 
 @pytest.mark.parametrize("n", [2, 4, 10, 40])
 def test_commutators(n):
-    sx, sy, sz = (op.matrix for op in collective_operators(n))
+    sx, sy, sz = spin_matrices(n)
     for a, b, c in [(sx, sy, sz), (sy, sz, sx), (sz, sx, sy)]:
         assert np.abs(a @ b - b @ a - 1j * c).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 10, 100])
 def test_casimir(n):
-    sx, sy, sz = (op.matrix for op in collective_operators(n))
+    sx, sy, sz = spin_matrices(n)
     cas = sx @ sx + sy @ sy + sz @ sz
     target = (n / 2) * (n / 2 + 1) * np.eye(n + 1)
     assert np.abs(cas - target).max() < 1e-10
@@ -74,58 +77,59 @@ def test_casimir(n):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_operators_match_full_space(n):
     q = symmetric_isometry(n)
-    sx, _, sz = collective_operators(n)
-    assert np.abs(q.T @ full_collective(n, _X) @ q - sx.matrix).max() < 1e-12
-    assert np.abs(q.T @ full_collective(n, _Z) @ q - sz.matrix).max() < 1e-12
+    sx, _, sz = spin_matrices(n)
+    assert np.abs(q.T @ full_collective(n, _X) @ q - sx).max() < 1e-12
+    assert np.abs(q.T @ full_collective(n, _Z) @ q - sz).max() < 1e-12
 
 
 def test_parity_x_basis_n2():
-    # Oracle: product of X_i acting on the symmetrized two-qubit states.
-    pi = parity_operator(DickeBasis(2, "X"))
-    assert np.array_equal(pi.matrix.real, np.diag([1.0, -1.0, 1.0]))
+    # Oracle: product of X_i acting on the symmetrized two-qubit states,
+    # taken to the X basis by the dense expm rotation.
+    q, u = symmetric_isometry(2), dense_rotation(2)
+    pi_x = u.conj().T @ (q.T @ full_parity(2) @ q) @ u
+    assert np.abs(pi_x - np.diag([1.0, -1.0, 1.0])).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_parity_matches_full_space(n):
+def test_parity_matches_full_space(n, rng):
     q = symmetric_isometry(n)
     oracle = q.T @ full_parity(n) @ q
-    pi_z = parity_operator(DickeBasis(n, "Z"))
-    assert np.abs(pi_z.matrix - oracle).max() < 1e-12
+    assert np.abs(_flip(n) - oracle).max() < 1e-12
+    # so the tests' parity_expectation, which reverses the amplitudes, is <P>
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    assert abs(parity_expectation(amp) - np.vdot(amp, oracle @ amp).real) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_parity_involution_and_rotation_consistency(n):
-    for axis in ("Z", "X"):
-        pi = parity_operator(DickeBasis(n, axis))
-        assert np.abs(pi.matrix @ pi.matrix - np.eye(n + 1)).max() < 1e-12
-        evals = np.linalg.eigvalsh(pi.matrix)
-        assert np.abs(np.abs(evals) - 1).max() < 1e-12
+    pi_x = np.diag((-1.0) ** np.arange(n + 1))
+    for pi in (_flip(n), pi_x):
+        assert np.array_equal(pi @ pi, np.eye(n + 1))
     # the Z form equals the rotated X form
     u = rotation_matrix(n)
-    rotated = u @ parity_operator(DickeBasis(n, "X")).matrix @ u.T
-    assert np.abs(rotated - parity_operator(DickeBasis(n, "Z")).matrix).max() < 1e-12
+    assert np.abs(u @ pi_x @ u.T - _flip(n)).max() < 1e-12
 
 
 def test_parity_commutes_with_sx():
     n = 6
-    basis = DickeBasis(n, "X")
     # S_X in its own eigenbasis is exactly diag(m); commutation with the
     # diagonal parity is then exact, not merely within tolerance.
-    sx_diag = np.diag(basis.m_values.astype(complex))
-    pi = parity_operator(basis)
-    assert np.abs(sx_diag @ pi.matrix - pi.matrix @ sx_diag).max() == 0.0
+    sx_diag = np.diag(n / 2 - np.arange(n + 1))
+    pi_x = np.diag((-1.0) ** np.arange(n + 1))
+    assert np.abs(sx_diag @ pi_x - pi_x @ sx_diag).max() == 0.0
     # and the numerically rotated S_X agrees with that diagonal
     u = rotation_matrix(n)
-    sx_rot = u.T @ collective_operators(n)[0].matrix @ u
+    sx_rot = u.T @ spin_matrices(n)[0] @ u
     assert np.abs(sx_rot - sx_diag).max() < 1e-12
 
 
 def test_ghz_even_parity_expectation_n4():
     state = ghz_state(4)
-    pi = parity_operator(DickeBasis(4, "Z"))
-    assert state.expectation(pi) == pytest.approx(1.0, abs=1e-12)
-    odd = ghz_state(4, parity=-1)
-    assert odd.expectation(pi) == pytest.approx(-1.0, abs=1e-12)
+    assert state.dtype == complex and np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+    assert parity_expectation(state) == pytest.approx(1.0, abs=1e-12)
+    odd = state.copy()
+    odd[-1] *= -1
+    assert parity_expectation(odd) == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 20])
@@ -133,9 +137,9 @@ def test_rotation_unitary_and_round_trip(n, rng):
     u = rotation_matrix(n)
     assert np.abs(u.conj().T @ u - np.eye(n + 1)).max() < 1e-12
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    state = DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
-    back = rotate_basis(rotate_basis(state, "X"), "Z")
-    assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
+    amp /= np.linalg.norm(amp)
+    back = sum(sector_to_z(n, parity, z_to_sector(n, parity, amp)) for parity in (+1, -1))
+    assert np.abs(back - amp).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 50, 100, 200])
@@ -153,7 +157,7 @@ def test_rotation_structure_large_n(n):
     assert u.dtype == np.float64 and u.shape == (n + 1, n + 1)
     assert np.abs(u.T @ u - np.eye(n + 1)).max() < 1e-12
     sp = np.diag(ladder_elements(n), 1)
-    m = DickeBasis(n).m_values
+    m = n / 2 - np.arange(n + 1)
     # Columns are the S_X eigenvectors in descending m ...
     assert np.abs((sp + sp.T) / 2 @ u - u * m).max() <= 1e-10
     # ... and U commutes with -i S_Y = (S_+^T - S_+)/2, the real generator.
@@ -199,8 +203,8 @@ def test_spectrum_bits_match_scipy_solver(monkeypatch):
     ref = model.parity_resolved_spectrum(50, 1.0 / 50, 0.7)
     for field in ("even_energies", "odd_energies", "overlaps"):
         assert np.array_equal(getattr(spec, field), getattr(ref, field))
-    for got, want in zip(spec.even_states + spec.odd_states, ref.even_states + ref.odd_states):
-        assert np.array_equal(got.amplitudes, want.amplitudes)
+    for field in ("even_states", "odd_states"):
+        assert np.array_equal(getattr(spec, field), getattr(ref, field))
 
 
 @pytest.mark.parametrize("d, count", [(2, 1), (2, 2), (7, 3), (51, 2), (301, 1)])
@@ -281,8 +285,7 @@ def test_fold_is_the_parity_isometry(n, rng):
     assert np.abs(dicke.unfold(sym) - q_sym @ sym).max() < 1e-15
     assert np.abs(dicke.unfold(None, antisym) - q_anti @ antisym).max() < 1e-15
     # The folded bases are the two eigenspaces of the spin-flip parity.
-    flip = parity_operator(DickeBasis(n)).matrix.real
-    assert np.array_equal(flip @ q_sym, q_sym) and np.array_equal(flip @ q_anti, -q_anti)
+    assert np.array_equal(_flip(n) @ q_sym, q_sym) and np.array_equal(_flip(n) @ q_anti, -q_anti)
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 100, 600])
@@ -291,7 +294,7 @@ def test_parity_blocks_carry_the_sector_hamiltonians(n):
     # block takes H on its folded Z basis to the tridiagonal sector_tridiagonal
     # matrix, signs of the off-diagonal included.
     j, hx = 1.0 / n, 0.7
-    sx, _, sz = (op.matrix.real for op in collective_operators(n))
+    sx, _, sz = spin_matrices(n)
     h_z = -2 * j * sz @ sz - 2 * hx * sx
     for parity, fold_basis in zip((+1, -1), _folding(n)):
         block = parity_block(n, parity)
@@ -337,15 +340,15 @@ def test_parity_block_rejects_bad_input():
 @pytest.mark.parametrize("n", [4, 10])
 def test_x_polarized_state_is_binomial(n):
     # |N/2, N/2>_X = |+>^N: amplitudes 2^{-N/2} sqrt(binom(N, k)) over Z states.
-    amp = x_polarized_state(n).amplitudes
+    amp = x_polarized_state(n)
     expected = np.array([np.sqrt(comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)])
     assert np.abs(amp - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 600, 2000])
 def test_x_polarized_state_is_the_rotation_column(n):
-    amp = x_polarized_state(n).amplitudes
-    assert amp.imag.max() == 0 and amp.real.min() >= 0
+    amp = x_polarized_state(n)
+    assert amp.dtype == np.float64 and amp.min() >= 0
     assert np.abs(amp - rotation_matrix(n)[:, 0]).max() < 1e-12
 
 
@@ -363,23 +366,6 @@ def test_rotation_of_m0_state_n2():
     # |1, 0>_Z to (|1, -1>_Z - |1, 1>_Z)/sqrt(2); our X state may differ by
     # a global phase only.
     target = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2)
-    got = rotate_basis(basis_state(DickeBasis(2, "X"), 1), "Z").amplitudes
+    got = sector_to_z(2, -1, np.array([1.0]))  # X state 1 is column 0 of the odd sector
     overlap = abs(np.vdot(target, got))
     assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_state_immutability_and_norm():
-    state = ghz_state(4)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 2.0
-    assert state.norm == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        DickeState(DickeBasis(4), np.ones(3))
-
-
-def test_hermiticity_flag_enforced():
-    from spinsense import CollectiveOperator
-
-    mat = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        CollectiveOperator(DickeBasis(2), mat)

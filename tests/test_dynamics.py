@@ -7,11 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from spinsense import (
-    DickeBasis,
-    DickeState,
-    basis_state,
     ghz_state,
-    parity_operator,
     protocol_kernel,
     run_protocol,
     scan_ramp_time,
@@ -39,6 +35,7 @@ from conftest import (
     brute_force_ramp,
     cooled_kernel,
     cooled_start,
+    parity_expectation,
     ramp_profiles,
     sector_protocol,
     symmetric_isometry,
@@ -46,18 +43,17 @@ from conftest import (
 
 
 def _random_state(n, seed):
-    """A normalized Z-basis state with both parity sectors filled."""
+    """Z amplitudes of a normalized state with both parity sectors filled."""
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    return DickeState(DickeBasis(n, "Z"), amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
 def test_stationary_state_picks_up_phase_only():
     # h^x = 0 keeps the Hamiltonian diagonal: |N/2, N/2>_Z is stationary.
     n, j = 4, 0.25
-    state = basis_state(DickeBasis(n, "Z"), 0)
-    out = DickeState(state.basis, state.amplitudes * sensing_phases(n, j, 0.0, 2.3))
-    overlap = state.overlap(out)
+    state = np.eye(n + 1)[0]
+    overlap = np.vdot(state, state * sensing_phases(n, j, 0.0, 2.3))
     assert abs(abs(overlap) - 1) < 1e-12
     # e^{-iEt} with E = -2J (N/2)^2
     expected = np.exp(-1j * (-2 * j * (n / 2) ** 2) * 2.3)
@@ -68,10 +64,12 @@ def test_sensing_phase_accumulation_matches_closed_form():
     # At h^x = 0 with h^z on, the GHZ pair turns into the two-component
     # readout superposition with relative weight cos/sin(h N T).
     n, j, hz, t = 6, 1.0 / 6, 0.37, 1.9
-    psi0 = ghz_state(n, +1)
-    out = DickeState(psi0.basis, psi0.amplitudes * sensing_phases(n, j, hz, t))
-    c_even = out.overlap(ghz_state(n, +1))
-    c_odd = out.overlap(ghz_state(n, -1))
+    psi0 = ghz_state(n)
+    out = psi0 * sensing_phases(n, j, hz, t)
+    psi1 = psi0.copy()
+    psi1[-1] *= -1  # the odd GHZ state
+    c_even = np.vdot(out, psi0)
+    c_odd = np.vdot(out, psi1)
     assert abs(c_even) == pytest.approx(abs(np.cos(hz * n * t)), abs=1e-12)
     assert abs(c_odd) == pytest.approx(abs(np.sin(hz * n * t)), abs=1e-12)
 
@@ -97,13 +95,13 @@ def test_brute_force_oracle_agreement(n):
     j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
     unit = time_unit(n, j)
     ta, t_sense = 30 * unit, 3 * unit
-    start = x_polarized_state(n).amplitudes
-    state = _random_state(n, n).amplitudes
+    start = x_polarized_state(n)
+    state = _random_state(n, n)
     q = symmetric_isometry(n)
     res = run_protocol(n, j, h0, ta, t_sense, hz, ramp_steps=steps)
     stages = (res.state_after_prep, res.state_after_sense, res.final_state)
     runs = [
-        (start, [stage.amplitudes for stage in stages]),
+        (start, stages),
         (state, sector_protocol(n, j, h0, ta, t_sense, hz, state, steps)),
     ]
     for amp, ours in runs:
@@ -135,16 +133,12 @@ def test_norm_and_parity_conservation():
     # Each ramp keeps the norm and the parity of a start with both sectors
     # filled; the sensing between them, with h^z on, mixes the sectors.
     n = 10
-    pi = parity_operator(DickeBasis(n, "Z"))
     state = _random_state(n, 7)
-    prep, sensed, final = (
-        DickeState(state.basis, amp)
-        for amp in sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, state.amplitudes, 2500)
-    )
+    prep, sensed, final = sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, state, 2500)
     for before, after in [(state, prep), (sensed, final)]:
-        assert abs(after.norm - 1) < 1e-12
-        assert abs(after.expectation(pi) - before.expectation(pi)) < 1e-12
-    assert abs(sensed.expectation(pi) - state.expectation(pi)) > 1e-3
+        assert abs(np.linalg.norm(after) - 1) < 1e-12
+        assert abs(parity_expectation(after) - parity_expectation(before)) < 1e-12
+    assert abs(parity_expectation(sensed) - parity_expectation(state)) > 1e-3
 
 
 @pytest.mark.parametrize("times", [
@@ -196,7 +190,7 @@ def test_cf4_fourth_order_convergence():
     ]
     assert scan_err[0] / scan_err[1] >= 12
 
-    state = _random_state(n, 5).amplitudes
+    state = _random_state(n, 5)
     finals = {
         s: sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, state, s)[-1]
         for s in (100, 200, 3200)
@@ -272,7 +266,7 @@ def test_cooled_start_strong_field_survival_is_damped_fringe():
     hz, t_sense = 0.5, 7 * unit
     final = sector_protocol(n, j, 2.0, 2400 * unit, t_sense, hz, cooled_start(n, j, 2.0),
                             20000)[-1]
-    survival = abs(np.vdot(x_polarized_state(n).amplitudes, final)) ** 2
+    survival = abs(np.vdot(x_polarized_state(n), final)) ** 2
     assert survival == pytest.approx(g0_sq * np.cos(hz * n * t_sense) ** 2, abs=2e-3)
 
 
@@ -280,13 +274,11 @@ def test_protocol_parity_protection_and_cooled_start():
     n, j = 8, 1.0 / 8
     ta = 50 * time_unit(n, j)
     # cooled first-approach start: the finite-field ground state
-    start = DickeState(DickeBasis(n, "Z"), cooled_start(n, j, 1.0))
-    final = DickeState(start.basis, sector_protocol(n, j, 1.0, ta, 0.0, 0.0, start.amplitudes,
-                                                    2000)[-1])
-    pi = parity_operator(DickeBasis(n, "Z"))
-    assert final.expectation(pi) == pytest.approx(start.expectation(pi), abs=1e-12)
-    back = final.fidelity(start)
-    assert back == pytest.approx(final.fidelity(x_polarized_state(n)), abs=0.2)
+    start = cooled_start(n, j, 1.0)
+    final = sector_protocol(n, j, 1.0, ta, 0.0, 0.0, start, 2000)[-1]
+    assert parity_expectation(final) == pytest.approx(parity_expectation(start), abs=1e-12)
+    back = abs(np.vdot(final, start)) ** 2
+    assert back == pytest.approx(abs(np.vdot(final, x_polarized_state(n))) ** 2, abs=0.2)
     # the kernel of the cooled column reads out through the cooled start
     assert cooled_kernel(n, j, 1.0, ta, 2000).survival(0.0, 0.0) == pytest.approx(
         back, abs=1e-12
@@ -335,8 +327,8 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
 
     down, up = ramp_profiles()
     q = symmetric_isometry(n)
-    start = q @ x_polarized_state(n).amplitudes
-    ghz = q @ ghz_state(n).amplitudes
+    start = q @ x_polarized_state(n)
+    ghz = q @ ghz_state(n)
     for i, ta in enumerate(taus):
         res = run_protocol(n, j, h0, ta, 0.0, 0.0, ramp_steps=steps)
         assert abs(scan.return_fidelity[i] - res.survival_probability) < 1e-12
@@ -364,7 +356,7 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n):
     columns = [kernel.prep_z, _sector_ramp(n, j, _down_ramp_fields(h0, steps), ta, cooled)]
     down, up = ramp_profiles()
     q = symmetric_isometry(n)
-    for start, column in zip([x_polarized_state(n).amplitudes, cooled], columns):
+    for start, column in zip([x_polarized_state(n), cooled], columns):
         prep = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, q @ start, steps)
         read = brute_force_ramp(n, j, lambda t: h0 * up((ta + t) / ta), -ta, 0.0, q @ start,
                                 steps)
@@ -437,7 +429,7 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     scan_ramp_time(n, j, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
     protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40)
     run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, ramp_steps=40)
-    for start in (cooled_start(n, j, 1.0), _random_state(n, 8).amplitudes):
+    for start in (cooled_start(n, j, 1.0), _random_state(n, 8)):
         sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, start, 40)
 
 
@@ -805,7 +797,7 @@ def test_series_kernels_match_the_oracle(monkeypatch, n):
     ]
     assert not calls
     q = symmetric_isometry(n)
-    start = q @ np.column_stack([x_polarized_state(n).amplitudes, cooled])
+    start = q @ np.column_stack([x_polarized_state(n), cooled])
     down, up = ramp_profiles()
     prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
     read = q.T @ brute_force_ramp(

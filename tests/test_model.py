@@ -6,23 +6,22 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from spinsense import (
-    DickeBasis,
     even_gap_at,
     gap_scaling,
     ghz_state,
     ground_overlap,
     minimum_gap,
-    parity_operator,
     parity_resolved_spectrum,
     protocol_kernel,
-    rotate_basis,
+    rotation_matrix,
     scan_ramp_time,
     x_polarized_state,
 )
 from spinsense import model
+from spinsense.dynamics import check_sensing_time
 from spinsense.model import _gap_and_slope, sector_tridiagonal
 
-from conftest import build_hamiltonian, full_hamiltonian, symmetric_isometry
+from conftest import build_hamiltonian, full_hamiltonian, parity_expectation, symmetric_isometry
 
 
 def test_params_validation():
@@ -44,11 +43,14 @@ def test_params_validation():
     pytest.param(lambda n: scan_ramp_time(n, 0.1, 1.0, [1.0, 2.0, 3.0], ramp_steps=4),
                  id="scan_ramp_time"),
     pytest.param(lambda n: protocol_kernel(n, 0.1, 1.0, 10.0, ramp_steps=4), id="protocol_kernel"),
+    pytest.param(x_polarized_state, id="x_polarized_state"),
+    pytest.param(ghz_state, id="ghz_state"),
+    pytest.param(lambda n: check_sensing_time(n, 0.1, 1.0, 1.0), id="check_sensing_time"),
 ])
 def test_entry_points_reject_bad_n(entry, n):
-    # Each builds its sector matrices through sector_tridiagonal, which checks
-    # N.  A negative N used to fail inside numpy, N = 0 to divide by zero and
-    # an odd N to return numbers.
+    # Each checks N through dicke.check_n, most of them in sector_tridiagonal.
+    # A negative N used to fail inside numpy, N = 0 to divide by zero and an
+    # odd N to return numbers.
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
         entry(n)
 
@@ -81,10 +83,14 @@ def test_entry_points_reject_a_nan_field(entry):
         entry()
 
 
+def _fidelity(a, b):
+    return abs(np.vdot(a, b)) ** 2
+
+
 def test_hand_diagonalization_n2():
     # H = -2 S_Z^2 at J=1: eigenvalues {-2, 0, -2} on m = {1, 0, -1}.
     h = build_hamiltonian(2, 1.0, 0.0, 0.0)
-    assert np.abs(h.matrix - np.diag([-2.0, 0.0, -2.0])).max() < 1e-14
+    assert np.abs(h - np.diag([-2.0, 0.0, -2.0])).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -92,57 +98,53 @@ def test_hamiltonian_matches_full_space(n, rng):
     j, hx, hz = 0.7, 0.4, 0.13
     q = symmetric_isometry(n)
     oracle = q.T @ full_hamiltonian(n, j, hx, hz) @ q
-    ours = build_hamiltonian(n, j, hx, hz).matrix
+    ours = build_hamiltonian(n, j, hx, hz)
     assert np.abs(ours - oracle).max() < 1e-12
 
 
 def test_parity_conservation(rng):
     n = 8
-    pi = parity_operator(DickeBasis(n, "Z")).matrix
+    pi = np.eye(n + 1)[::-1]  # the spin-flip parity over the Z basis
     for hx in rng.uniform(0, 5, 5):
-        h = build_hamiltonian(n, 1.0 / n, hx).matrix
+        h = build_hamiltonian(n, 1.0 / n, hx)
         assert np.abs(h @ pi - pi @ h).max() < 1e-12
 
 
 def test_strong_field_ground_state():
     n = 10
     spec = parity_resolved_spectrum(n, 1.0 / n, 1e6)
-    assert spec.even_states[0].fidelity(x_polarized_state(n)) > 1 - 1e-8
+    assert _fidelity(spec.even_states[:, 0], x_polarized_state(n)) > 1 - 1e-8
 
 
 def test_strong_field_ordering():
     # psi_n -> m = N/2 - 2n and phi_n -> m = N/2 - (2n + 1) as h^x -> inf.
     n = 6
     spec = parity_resolved_spectrum(n, 1.0 / n, 1e6)
-    basis_x = DickeBasis(n, "X")
-    from spinsense import basis_state
-
-    for k, state in enumerate(spec.even_states):
-        limit = rotate_basis(basis_state(basis_x, 2 * k), "Z")
-        assert state.fidelity(limit) > 1 - 1e-8
-    for k, state in enumerate(spec.odd_states):
-        limit = rotate_basis(basis_state(basis_x, 2 * k + 1), "Z")
-        assert state.fidelity(limit) > 1 - 1e-8
+    x_states = rotation_matrix(n)  # column k: Z amplitudes of |N/2, N/2 - k>_X
+    for k, state in enumerate(spec.even_states.T):
+        assert _fidelity(state, x_states[:, 2 * k]) > 1 - 1e-8
+    for k, state in enumerate(spec.odd_states.T):
+        assert _fidelity(state, x_states[:, 2 * k + 1]) > 1 - 1e-8
 
 
 def test_zero_field_ghz_pair():
     n = 8
     spec = parity_resolved_spectrum(n, 1.0 / n, 0.0)
-    assert spec.even_states[0].fidelity(ghz_state(n, +1)) > 1 - 1e-8
-    assert spec.odd_states[0].fidelity(ghz_state(n, -1)) > 1 - 1e-8
+    ghz_odd = ghz_state(n)
+    ghz_odd[-1] *= -1
+    assert _fidelity(spec.even_states[:, 0], ghz_state(n)) > 1 - 1e-8
+    assert _fidelity(spec.odd_states[:, 0], ghz_odd) > 1 - 1e-8
     assert spec.even_energies[0] == pytest.approx(spec.odd_energies[0], abs=1e-12)
 
 
 def test_sector_dimensions_and_parity_labels():
     n = 10
     spec = parity_resolved_spectrum(n, 1.0 / n, 0.7)
-    assert len(spec.even_states) == n // 2 + 1
-    assert len(spec.odd_states) == n // 2
-    pi = parity_operator(DickeBasis(n, "Z"))
-    for state in spec.even_states:
-        assert state.expectation(pi) == pytest.approx(1.0, abs=1e-10)
-    for state in spec.odd_states:
-        assert state.expectation(pi) == pytest.approx(-1.0, abs=1e-10)
+    assert spec.even_states.shape == (n + 1, n // 2 + 1)
+    assert spec.odd_states.shape == (n + 1, n // 2)
+    for states, parity in ((spec.even_states, 1.0), (spec.odd_states, -1.0)):
+        for state in states.T:
+            assert parity_expectation(state) == pytest.approx(parity, abs=1e-10)
     assert np.all(np.diff(spec.even_energies) >= 0)
     assert np.all(np.diff(spec.odd_energies) >= 0)
 
@@ -152,18 +154,17 @@ def test_eigenstate_gauge_is_reproducible(n):
     # The largest-magnitude amplitude is real positive; an odd state's come
     # as an exact pair at m and -m, and the one at m > 0 is taken.
     spec = parity_resolved_spectrum(n, 1.0 / n, 0.7)
-    for state in spec.even_states + spec.odd_states:
-        amp = state.amplitudes
-        assert amp.imag.max() == 0 and amp[np.argmax(np.abs(amp))].real > 0
-    for state in spec.odd_states:
-        assert np.array_equal(state.amplitudes, -state.amplitudes[::-1])
+    for amp in np.hstack([spec.even_states, spec.odd_states]).T:
+        assert amp.dtype == np.float64 and amp[np.argmax(np.abs(amp))] > 0
+    for amp in spec.odd_states.T:
+        assert np.array_equal(amp, -amp[::-1])
 
 
 def test_sector_vs_full_diagonalization():
     n = 8
     spec = parity_resolved_spectrum(n, 1.0 / n, 0.9)
     merged = np.sort(np.concatenate([spec.even_energies, spec.odd_energies]))
-    full = np.linalg.eigvalsh(build_hamiltonian(n, 1.0 / n, 0.9).matrix)
+    full = np.linalg.eigvalsh(build_hamiltonian(n, 1.0 / n, 0.9))
     assert np.abs(merged - full).max() < 1e-10
 
 
@@ -183,7 +184,7 @@ def test_overlaps_are_the_returned_states_projections(n):
     # overlap phases follow the eigenstates' gauge.
     spec = parity_resolved_spectrum(n, 1.0 / n, 0.8)
     plus = x_polarized_state(n)
-    expected = [state.overlap(plus) for state in spec.even_states]
+    expected = [np.vdot(state, plus) for state in spec.even_states.T]
     assert spec.overlaps.dtype == complex
     assert np.abs(spec.overlaps - expected).max() < 1e-13
 
