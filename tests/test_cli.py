@@ -220,10 +220,12 @@ DATA = Path(__file__).resolve().parent / "data"
     (["sz-readout", "--N", "20", "--alpha", "0.3"], "sz_readout_N20_alpha0.3.csv"),
     (["bounds-check", "--N", "6", "--draws", "200", "--seed", "3"],
      "bounds_check_N6_draws200_seed3.csv"),
+    (["uncertainty-sweep"], "uncertainty_sweep.csv"),
+    (["figure", "fig5", "--N", "10,20"], "fig5_N10_20.csv"),
 ])
 def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
-    # The files were written by the per-row loops that the array calls
-    # replaced.  sz-readout is byte-for-byte the same; bounds-check squares
+    # The sz-readout and bounds-check files were written by the per-row loops
+    # that the array calls replaced.  sz-readout is byte-for-byte the same; bounds-check squares
     # |g_0| as x * x instead of a scalar pow, which may move g0_sq by 1 ulp
     # and, through the cancelling 2|g_0|^4 - 1, lower_bound by 1e-13 relative.
     # slope_abs sums cos and sin terms, whose last bit depends on the SIMD
@@ -239,6 +241,20 @@ def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
     ref_header, ref = _read_csv(DATA / pinned)
     assert header == ref_header
     col = {name: i for i, name in enumerate(header)}
+    if argv[0] != "bounds-check":
+        # The ramp commands: their integer columns (the grid and the selected
+        # optima) are exact.  Their floats pass through the ramps' cos, sin
+        # and exp, whose last bits depend on numpy's SIMD level: the files were
+        # written at AVX-512 and match at AVX2 bit for bit, while at
+        # NPY_ENABLE_CPU_FEATURES=X86_V2 delta_h moves by up to 44 ulp and the
+        # fidelities by up to 67 ulp, so 128 ulp are allowed.
+        for name in header:
+            if name in ("N", "T_a_opt_2JN2", "T_int_2JN2"):
+                assert np.array_equal(rows[:, col[name]], ref[:, col[name]]), name
+            else:
+                np.testing.assert_array_max_ulp(rows[:, col[name]], ref[:, col[name]],
+                                                maxulp=128)
+        return
     for name in ("draw", "two_hNT", "satisfied"):
         assert np.array_equal(rows[:, col[name]], ref[:, col[name]]), name
     np.testing.assert_array_max_ulp(rows[:, col["slope_abs"]], ref[:, col["slope_abs"]], maxulp=8)
