@@ -17,7 +17,7 @@ from spinsense import (
 )
 
 n = 10
-spec = parity_resolved_spectrum(n, 1.0 / n, 0.0)
+spec = parity_resolved_spectrum(n, 0.0)
 print(f"N = {n}, h^x = 0:")
 print(f"  ground pair degenerate: E0(even) = {spec.even_energies[0]:.6f}, "
       f"E0(odd) = {spec.odd_energies[0]:.6f}")

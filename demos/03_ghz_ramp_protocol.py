@@ -11,17 +11,16 @@ import numpy as np
 from spinsense import run_protocol, scan_ramp_time, select_optimum, time_unit
 
 n = 10
-j = 1.0 / n  # JN = 1
-unit = time_unit(n, j)  # (2JN^2)^-1
+unit = time_unit(n)  # (2JN^2)^-1
 
 # Fidelity against the ramp time: oscillating, with a good local optimum
 # near T_a = 150 time units.
-scan = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit, ramp_steps=400)
+scan = scan_ramp_time(n, 1.0, np.arange(1.0, 301.0) * unit, ramp_steps=400)
 print(f"{len(scan.optima)} local optima of the GHZ fidelity in T_a <= 300")
 ta_opt, fid_opt = select_optimum(scan, 150 * unit)
 print(f"optimum near 150: T_a = {ta_opt / unit:.0f} units, fidelity {fid_opt:.4f}")
 
-res = run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.0, ramp_steps=400)
+res = run_protocol(n, 1.0, 150 * unit, 0.0, 0.0, ramp_steps=400)
 print(f"\nT_a = 150 units: GHZ fidelity {res.fidelity_to_ghz:.4f}, "
       f"return fidelity {res.survival_probability:.4f}")
 
@@ -35,6 +34,6 @@ print(f"parity before/after: {np.vdot(final, final[::-1]).real:+.12f}")
 # probability traces the interference fringe.
 hz = np.pi / 2  # offset operating point, in units of JN
 for tau in (1, 3, 5):
-    res = run_protocol(n, j, 1.0, 150 * unit, tau * unit, hz, ramp_steps=400)
+    res = run_protocol(n, 1.0, 150 * unit, tau * unit, hz, ramp_steps=400)
     print(f"T_int = {tau} units: P = {res.survival_probability:.4f} "
           f"(ideal cos^2 = {np.cos(hz * n * tau * unit) ** 2:.4f})")

@@ -21,8 +21,7 @@ from spinsense import (
 )
 
 n = 10
-j = 1.0 / n
-unit = time_unit(n, j)
+unit = time_unit(n)
 
 # Offset calibration: 2 (h_k + h_0) N T_int = (2n+1) pi/2.
 t_sense = unit
@@ -41,7 +40,7 @@ print(f"ideal: P = {p:.3f}, |dP/dh| = {abs(slope):.3f}, "
 # its ramps are stepped once, into a protocol kernel, and averaged over the
 # standard sensing grid the uncertainty stays within ~7% of the Heisenberg
 # limit.
-sweep = tint_sweep(protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=400))
+sweep = tint_sweep(protocol_kernel(n, 1.0, 150 * unit, ramp_steps=400))
 print(f"\nsimulated protocol, T_a = 150 units:")
 print(f"  p = {sweep.p_mean:.4f} +- {sweep.p_std:.4f} over "
       f"{len(sweep.t_sense)} sensing times")

@@ -2,7 +2,7 @@
 
 Units in all input and output follow the plotting conventions: transverse
 and longitudinal fields in units of JN, times in units of (2 J N^2)^(-1),
-uncertainties in units of JN (the library itself sets J = 1/N so JN = 1).
+uncertainties in units of JN (the library works in JN = 1).
 Floats are written with 17 significant digits so identical configurations
 produce byte-identical files.
 
@@ -107,10 +107,6 @@ def resolve_out(out, default_name):
     return out
 
 
-def _unit(n):
-    return metrology.time_unit(n, 1.0 / n)  # (2JN^2)^-1 with JN = 1
-
-
 # ---------------------------------------------------------------------------
 # Experiment implementations (shared by figure presets and named commands).
 # ---------------------------------------------------------------------------
@@ -146,10 +142,9 @@ def run_gap_scaling(ns, bracket, out):
 
 
 def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps, out):
-    unit = _unit(n)
-    scan = dynamics.scan_ramp_time(
-        n, 1.0 / n, h0x_over_jn, np.asarray(ta_grid_units) * unit, ramp_steps=steps
-    )
+    unit = metrology.time_unit(n)
+    scan = dynamics.scan_ramp_time(n, h0x_over_jn, np.asarray(ta_grid_units) * unit,
+                                   ramp_steps=steps)
     header = ["T_a_2JN2", "fid_ghz", "fid_init"]
     rows = list(zip(ta_grid_units, scan.ghz_fidelity, scan.return_fidelity))
     path = write_csv(out, header, rows)
@@ -160,8 +155,8 @@ def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps, out):
 
 
 def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps, out):
-    unit = _unit(n)
-    kernel = dynamics.protocol_kernel(n, 1.0 / n, h0x_over_jn, ta_units * unit, ramp_steps=steps)
+    unit = metrology.time_unit(n)
+    kernel = dynamics.protocol_kernel(n, h0x_over_jn, ta_units * unit, ramp_steps=steps)
     sweep = metrology.tint_sweep(kernel, np.asarray(tint_units) * unit)
     header = ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
     rows = list(zip(tint_units, sweep.delta_h, sweep.hl, sweep.sql))
@@ -268,12 +263,12 @@ def _fig5_optima(ns, steps):
     slope, intercept = OPTIMUM_TREND
     optima = {}
     for n in ns:
-        unit = _unit(n)
+        unit = metrology.time_unit(n)
         line = slope * n + intercept
         taus = np.arange(1.0, np.ceil(1.45 * line) + 1)
         near = np.flatnonzero(np.abs(taus - line) <= OPTIMUM_WINDOW * line)
         for grid in (taus[max(near[0] - 1, 0):near[-1] + 2], taus):
-            scan = dynamics.scan_ramp_time(n, 1.0 / n, 1.0, grid * unit, ramp_steps=steps)
+            scan = dynamics.scan_ramp_time(n, 1.0, grid * unit, ramp_steps=steps)
             if scan.optima:
                 break
         ta, fid = optimum = dynamics.select_optimum(scan, line * unit)
@@ -325,7 +320,7 @@ def run_fig8(ns, steps, out):
     for n in ns:
         ta_units, _, _, kernel = optima[n]
         sweep = metrology.tint_sweep(kernel)
-        taus = sweep.t_sense / _unit(n)
+        taus = sweep.t_sense / metrology.time_unit(n)
         rows = list(zip(taus, sweep.delta_h, sweep.hl, sweep.sql))
         target = Path(out)
         p = target.with_name(f"{target.stem}_N{n}{target.suffix}")

@@ -104,7 +104,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dicke import (
-    check_n,
     eigh_tridiagonal,
     fold,
     ghz_state,
@@ -114,7 +113,7 @@ from .dicke import (
     z_to_sector,
     zhbmv,
 )
-from .model import sector_tridiagonal
+from .model import sector_tridiagonal, z_diagonal
 
 _STEPS_RULE = "steps must be even and at least 2"
 _TIMES_RULE = "times must be nonnegative"
@@ -296,16 +295,10 @@ def _exponential_steps(a, b, fields, durations, psi):
     return real_matmul(prev.T, coeffs)[:, :k]
 
 
-def _sector_terms(n_qubits, interaction, parity):
+def _sector_terms(n_qubits, parity):
     """(A, B, X indices) of one parity sector, H = A + h^x B with B = -2 m diagonal."""
-    diag, off, idx = sector_tridiagonal(n_qubits, interaction, 0.0, parity)
+    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, parity)
     return (diag, off), 2.0 * idx - n_qubits, idx
-
-
-def _z_diagonal(n_qubits, interaction, hz):
-    """Z-basis diagonal of H at h^x = 0."""
-    m = n_qubits / 2 - np.arange(n_qubits + 1)
-    return -2 * interaction * m**2 - 2 * hz * m
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _z_diagonal(n_qubits, interaction, hz):
 _PHASE_LIMIT = 1e8  # rad; float64 round-off of a larger phase exceeds 1e-8 rad
 
 
-def check_sensing_time(n_qubits, interaction, hz, t_sense):
+def check_sensing_time(n_qubits, hz, t_sense):
     """ValueError unless every phase E_m T_int of the sensing window is at most 1e8 rad.
 
     A float64 phase carries round-off of about 1e-16 of itself, so past this
@@ -324,8 +317,7 @@ def check_sensing_time(n_qubits, interaction, hz, t_sense):
     their last eight digits, and from about 1e16 rad on they are round-off.
     ``t_sense`` is a time or an array of times.
     """
-    check_n(n_qubits)
-    top = float(np.abs(_z_diagonal(n_qubits, interaction, hz)).max())
+    top = float(np.abs(z_diagonal(n_qubits, hz)).max())
     phase = top * float(np.max(t_sense))  # Python floats: overflow gives inf, not an error
     if phase > _PHASE_LIMIT:
         raise ValueError(
@@ -334,10 +326,9 @@ def check_sensing_time(n_qubits, interaction, hz, t_sense):
         )
 
 
-def sensing_phases(n_qubits, interaction, hz, t_sense):
+def sensing_phases(n_qubits, hz, t_sense):
     """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
-    diag = _z_diagonal(n_qubits, interaction, hz)
-    return np.exp(-1j * diag * t_sense)
+    return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
 
 
 class ProtocolResult(NamedTuple):
@@ -350,7 +341,7 @@ class ProtocolResult(NamedTuple):
     survival_probability: float
 
 
-def _sector_ramp(n_qubits, interaction, fields, t_ramp, amp):
+def _sector_ramp(n_qubits, fields, t_ramp, amp):
     """Z amplitudes ``amp`` after one ramp, each parity sector stepped on its own.
 
     Only the sectors whose folded part of ``amp`` is nonzero are stepped, so
@@ -359,14 +350,14 @@ def _sector_ramp(n_qubits, interaction, fields, t_ramp, amp):
     out = np.zeros(n_qubits + 1, dtype=complex)
     for parity, part in zip((+1, -1), fold(amp)):
         if np.any(part):
-            a, b, _ = _sector_terms(n_qubits, interaction, parity)
+            a, b, _ = _sector_terms(n_qubits, parity)
             coords = z_to_sector(n_qubits, parity, amp)
             stepped = _exponential_steps(a, b, fields, [t_ramp], coords[:, None])
             out += sector_to_z(n_qubits, parity, stepped[:, 0])
     return out
 
 
-def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_steps=400):
+def run_protocol(n_qubits, h0x, t_ramp, t_sense, hz_total, ramp_steps=400):
     """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
 
     The protocol starts from the projected strong-field state |N/2, N/2>_X.
@@ -376,7 +367,7 @@ def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_ste
     sector, and the up ramp steps each parity sector that sensing has filled
     on its own, through the down ramp's CF4 fields reversed (see the scan
     notes).  At h^x = 0 the Hamiltonian is diagonal in the Z basis and the
-    sensing evolution is applied as exact phases, with the interaction term
+    sensing evolution is applied as exact phases, with the S_Z^2 coupling
     left on, and a sensing time whose largest phase passes 1e8 rad is
     rejected (see check_sensing_time).  ``ramp_steps`` counts exponentials
     per ramp, even (two per CF4 step).
@@ -385,18 +376,18 @@ def run_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz_total, ramp_ste
         raise ValueError("t_ramp, t_sense and hz_total must be finite")
     if t_ramp < 0 or t_sense < 0:
         raise ValueError(_TIMES_RULE)
-    check_sensing_time(n_qubits, interaction, hz_total, t_sense)
+    check_sensing_time(n_qubits, hz_total, t_sense)
     fields = _down_ramp_fields(h0x, ramp_steps)
     start = x_polarized_state(n_qubits)
     after_prep = start
     if t_ramp > 0:
-        after_prep = protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps).prep_z
+        after_prep = protocol_kernel(n_qubits, h0x, t_ramp, ramp_steps).prep_z
     after_sense = after_prep
     if t_sense > 0:
-        after_sense = after_prep * sensing_phases(n_qubits, interaction, hz_total, t_sense)
+        after_sense = after_prep * sensing_phases(n_qubits, hz_total, t_sense)
     final = after_sense
     if t_ramp > 0:
-        final = _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, after_sense)
+        final = _sector_ramp(n_qubits, fields[::-1], t_ramp, after_sense)
 
     return ProtocolResult(
         state_after_prep=after_prep,
@@ -454,7 +445,7 @@ def _down_ramp_fields(h0x, n_exps):
     return fields
 
 
-def _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps):
+def _down_ramp(n_qubits, h0x, ramp_times, ramp_steps):
     """Even-sector columns U_down e_0 after the down ramp, one per ramp time.
 
     All columns go through one stepper call; ``ramp_times`` is a float array.
@@ -462,7 +453,7 @@ def _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps):
     if (ramp_times < 0).any():
         raise ValueError(_TIMES_RULE)
     fields = _down_ramp_fields(h0x, ramp_steps)
-    a, b, _ = _sector_terms(n_qubits, interaction, +1)
+    a, b, _ = _sector_terms(n_qubits, +1)
     start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
     start[0] = 1.0
     return _exponential_steps(a, b, fields, ramp_times, start)
@@ -491,7 +482,7 @@ def _peak_indices(y):
     return np.flatnonzero((mid - y[:-2] > _ROUNDOFF_RISE) & (mid - y[2:] > _ROUNDOFF_RISE)) + 1
 
 
-def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
+def scan_ramp_time(n_qubits, h0x, ramp_times, ramp_steps=400):
     """GHZ and return fidelities of the T_int = 0 protocol over a T_a grid.
 
     Evaluates the protocol with h^z = 0 at every grid point and reports the
@@ -507,7 +498,7 @@ def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
     ramp_times = np.asarray(ramp_times, dtype=float)
     if ramp_times.size == 0:
         raise ValueError("empty ramp-time grid")
-    after_down = _down_ramp(n_qubits, interaction, h0x, ramp_times, ramp_steps)
+    after_down = _down_ramp(n_qubits, h0x, ramp_times, ramp_steps)
     ghz_even = z_to_sector(n_qubits, +1, ghz_state(n_qubits))
     fid_ghz = np.abs(ghz_even.conj() @ after_down) ** 2
     fid_init = np.abs(np.sum(after_down * after_down, axis=0)) ** 2
@@ -518,10 +509,7 @@ def scan_ramp_time(n_qubits, interaction, h0x, ramp_times, ramp_steps=400):
         ghz_fidelity=fid_ghz,
         return_fidelity=fid_init,
         optima=tuple((float(ramp_times[i]), float(fid_ghz[i])) for i in hits),
-        kernels=tuple(
-            ProtocolKernel(n_qubits, interaction, prep_z)
-            for prep_z in sector_to_z(n_qubits, +1, after_down[:, hits]).T
-        ),
+        kernels=tuple(map(ProtocolKernel, sector_to_z(n_qubits, +1, after_down[:, hits]).T)),
     )
 
 
@@ -547,17 +535,19 @@ class ProtocolKernel(NamedTuple):
     column U_up^+ e_0 is its complex conjugate (see the scan notes), so the
     amplitude is prep_z^T D prep_z and each (T_int, h^z) evaluation costs
     O(N).  Both methods take arrays of T_int and h^z that broadcast against
-    each other.
+    each other.  N is read off the column's length.
     """
 
-    n_qubits: int
-    interaction: float
     prep_z: np.ndarray
+
+    @property
+    def n_qubits(self):
+        return len(self.prep_z) - 1
 
     def _terms(self, t_sense, hz):
         """(..., d) summands of the survival amplitude; T_int and h^z broadcast."""
         hz = np.asarray(hz, dtype=float)[..., None]
-        diag = _z_diagonal(self.n_qubits, self.interaction, hz)
+        diag = z_diagonal(self.n_qubits, hz)
         t = np.asarray(t_sense, dtype=float)[..., None]
         return self.prep_z * np.exp(-1j * diag * t) * self.prep_z
 
@@ -576,13 +566,12 @@ class ProtocolKernel(NamedTuple):
         return 2 * (amp.real * d_amp.real + amp.imag * d_amp.imag)
 
 
-def protocol_kernel(n_qubits, interaction, h0x, t_ramp, ramp_steps=400):
+def protocol_kernel(n_qubits, h0x, t_ramp, ramp_steps=400):
     """Build the ProtocolKernel of fixed ramps of the standard protocol.
 
     One column is stepped, the down ramp from |N/2, N/2>_X, the first state
     of the even sector; ``ramp_steps`` counts exponentials per ramp (even,
     two per CF4 step).
     """
-    prepared = _down_ramp(n_qubits, interaction, h0x, np.array([t_ramp], dtype=float),
-                          ramp_steps)
-    return ProtocolKernel(n_qubits, interaction, sector_to_z(n_qubits, +1, prepared)[:, 0])
+    prepared = _down_ramp(n_qubits, h0x, np.array([t_ramp], dtype=float), ramp_steps)
+    return ProtocolKernel(sector_to_z(n_qubits, +1, prepared)[:, 0])

@@ -3,9 +3,9 @@
 Limits follow the error-propagation convention delta_omega = dA / (|d<A>/d
 omega| sqrt(M)).  The longitudinal field enters through omega = 2 h^z, so
 every h^z uncertainty carries an extra factor 1/2 relative to its omega
-counterpart.  Times are in the same (arbitrary) energy-inverse units as the
-couplings; sweep-facing helpers quote the paper-style grids where fields are
-measured in JN and times in (2 J N^2)^(-1).
+counterpart.  Energies and fields are in units of JN and times in 1/(JN),
+as ``model`` fixes J = 1/N; sweep-facing helpers quote the paper-style
+grids, with times in (2 J N^2)^(-1).
 """
 
 import warnings
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, model
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +452,19 @@ def random_overlap_instances(n_qubits, count, seed):
 # ---------------------------------------------------------------------------
 
 
-def time_unit(n_qubits, interaction):
+def time_unit(n_qubits):
     """(2 J N^2)^(-1), the paper-style time unit."""
-    return 1.0 / (2 * interaction * n_qubits**2)
+    j = model.coupling(n_qubits)
+    return 1.0 / (2 * j * n_qubits**2)
 
 
-def default_sense_grid(n_qubits, interaction):
+def default_sense_grid(n_qubits):
     """Sensing times (2 J N^2) T_int = 1, 3, ..., 199."""
-    return np.arange(1, 200, 2) * time_unit(n_qubits, interaction)
+    return np.arange(1, 200, 2) * time_unit(n_qubits)
 
 
 class TintSweep(NamedTuple):
     n_qubits: int
-    interaction: float
     t_sense: np.ndarray
     survival: np.ndarray
     slope: np.ndarray
@@ -481,8 +481,8 @@ def tint_sweep(kernel, tint_grid=None):
     """Estimation uncertainty of the simulated protocol over sensing times.
 
     ``kernel`` is the ProtocolKernel of the protocol's ramps, from
-    dynamics.protocol_kernel or a scan's RampScan.kernels; N and J are its
-    own, and no ramp is stepped here.  The total longitudinal field is held
+    dynamics.protocol_kernel or a scan's RampScan.kernels; N is its own, and
+    no ramp is stepped here.  The total longitudinal field is held
     at (pi/2) JN, which sits at an odd multiple of pi/2 in interferometer
     phase for every odd point (2 J N^2) T_int = 1, 3, ... of the default
     grid.  At that field the survival probability and its analytic h^z slope
@@ -496,20 +496,17 @@ def tint_sweep(kernel, tint_grid=None):
     grid whose largest sensing phase passes 1e8 rad is rejected (see
     dynamics.check_sensing_time).
     """
-    n_qubits, interaction = kernel.n_qubits, kernel.interaction
-    jn = interaction * n_qubits
-    grid = (
-        default_sense_grid(n_qubits, interaction)
-        if tint_grid is None
-        else np.asarray(tint_grid, dtype=float)
-    )
+    if np.ndim(kernel.prep_z) != 1:
+        raise ValueError(f"kernel column must be 1-D, got shape {np.shape(kernel.prep_z)}")
+    n_qubits = kernel.n_qubits
+    j = model.coupling(n_qubits)
+    jn = j * n_qubits
+    grid = (default_sense_grid(n_qubits) if tint_grid is None
+            else np.asarray(tint_grid, dtype=float))
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError("sensing-time grid must be finite, positive and nonempty")
     h_tot = (np.pi / 2) * jn
-    dynamics.check_sensing_time(n_qubits, interaction, h_tot, grid)
-    if np.shape(kernel.prep_z) != (n_qubits + 1,):
-        raise ValueError(f"kernel column must hold N + 1 = {n_qubits + 1} amplitudes, "
-                         f"got shape {np.shape(kernel.prep_z)}")
+    dynamics.check_sensing_time(n_qubits, h_tot, grid)
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.
@@ -529,7 +526,6 @@ def tint_sweep(kernel, tint_grid=None):
         )
     return TintSweep(
         n_qubits=n_qubits,
-        interaction=interaction,
         t_sense=grid,
         survival=survival,
         slope=slope,

@@ -10,10 +10,9 @@ longitudinal field h^z.  For h^z = 0 the spin-flip parity is conserved and
 the spectrum splits into an even sector {psi_n} of dimension N/2 + 1 and an
 odd sector {phi_n} of dimension N/2, each sorted by ascending energy.
 
-The spectrum takes plain (n_qubits, interaction, transverse_field)
-arguments; the overlap and gap functions take N and fields in units of JN,
-and set J = 1/N so that JN = 1.  Every one of them builds its sector
-matrices through `sector_tridiagonal`, which validates N, J and the field.
+J only sets the energy unit, so it is fixed here at J = 1/N (``coupling``):
+every field is in units of JN and every energy, whatever function returns
+it, is too.
 """
 
 from typing import NamedTuple
@@ -48,11 +47,15 @@ def sector_indices(n_qubits, parity):
     return np.arange(start, n_qubits + 1, 2)
 
 
-def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
-    """(diag, offdiag, X indices) of H restricted to one parity sector."""
+def coupling(n_qubits):
+    """J = 1/N, which makes JN the energy unit; checks N first."""
     check_n(n_qubits)
-    if not interaction > 0:
-        raise ValueError("interaction J must be positive (ferromagnetic)")
+    return 1.0 / n_qubits
+
+
+def sector_tridiagonal(n_qubits, transverse_field, parity):
+    """(diag, offdiag, X indices) of H restricted to one parity sector."""
+    j = coupling(n_qubits)
     if not np.isfinite(transverse_field):
         raise ValueError(f"transverse field must be finite, got {transverse_field}")
     lad = ladder_elements(n_qubits)
@@ -66,9 +69,16 @@ def sector_tridiagonal(n_qubits, interaction, transverse_field, parity):
     sq_diag[1:] += sx_off**2
     sq_off2 = sx_off[:-1] * sx_off[1:]
     idx = sector_indices(n_qubits, parity)
-    diag = -2 * interaction * sq_diag[idx] - 2 * transverse_field * m[idx]
-    off = -2 * interaction * sq_off2[idx[:-1]]
+    diag = -2 * j * sq_diag[idx] - 2 * transverse_field * m[idx]
+    off = -2 * j * sq_off2[idx[:-1]]
     return diag, off, idx
+
+
+def z_diagonal(n_qubits, hz):
+    """Z-basis diagonal of H at h^x = 0."""
+    j = coupling(n_qubits)
+    m = n_qubits / 2 - np.arange(n_qubits + 1)
+    return -2 * j * m**2 - 2 * hz * m
 
 
 class SpectrumData(NamedTuple):
@@ -81,7 +91,7 @@ class SpectrumData(NamedTuple):
     overlaps: np.ndarray  # g_n = <psi_n | N/2, N/2>_X, complex, even sector
 
 
-def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
+def parity_resolved_spectrum(n_qubits, transverse_field):
     """Diagonalize each parity sector of H at h^z = 0.
 
     Eigenstates are the columns of two real arrays of Z amplitudes, with the
@@ -92,7 +102,7 @@ def parity_resolved_spectrum(n_qubits, interaction, transverse_field):
     """
 
     def solve(parity):
-        diag, off, _ = sector_tridiagonal(n_qubits, interaction, transverse_field, parity)
+        diag, off, _ = sector_tridiagonal(n_qubits, transverse_field, parity)
         w, v = eigh_tridiagonal(diag, off)
         amps = sector_to_z(n_qubits, parity, v)  # sector coordinates are X coordinates
         # The largest-magnitude amplitude of each (real) state made positive.
@@ -114,11 +124,9 @@ def ground_overlap(n_qubits, fields_over_jn):
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")
-    check_n(n_qubits)  # before J = 1/N
-    j = 1.0 / n_qubits  # JN = 1
     out = np.empty(fields.shape)
     for i, h in enumerate(fields):
-        diag, off, _ = sector_tridiagonal(n_qubits, j, h, +1)
+        diag, off, _ = sector_tridiagonal(n_qubits, h, +1)
         _, v = lowest_eigenpairs(diag, off, 1)
         out[i] = abs(v[0, 0]) ** 2
     return out
@@ -126,8 +134,7 @@ def ground_overlap(n_qubits, fields_over_jn):
 
 def _gap_and_slope(n_qubits, field_over_jn):
     """Even-sector gap E(psi_1) - E(psi_0) and its h^x derivative, units of JN."""
-    check_n(n_qubits)  # before J = 1/N
-    diag, off, idx = sector_tridiagonal(n_qubits, 1.0 / n_qubits, field_over_jn, +1)
+    diag, off, idx = sector_tridiagonal(n_qubits, field_over_jn, +1)
     w, v = lowest_eigenpairs(diag, off, 2)
     # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x = -2 m = 2 k - N diagonal
     slope = (v[:, 1] ** 2 - v[:, 0] ** 2) @ (2.0 * idx - n_qubits)

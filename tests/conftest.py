@@ -137,7 +137,7 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, psi_fu
     return prep, sensed, final
 
 
-def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, amp, steps):
+def sector_protocol(n_qubits, h0x, t_ramp, t_sense, hz, amp, steps):
     """Z amplitudes (after prep, after sensing, final) of the protocol from any start.
 
     Not an oracle: the stages of run_protocol through dynamics' own ramp
@@ -145,18 +145,18 @@ def sector_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, amp, steps)
     |N/2, N/2>_X, such as ones with both parity sectors filled.
     """
     fields = _down_ramp_fields(h0x, steps)
-    prep = _sector_ramp(n_qubits, interaction, fields, t_ramp, amp)
-    sensed = prep * sensing_phases(n_qubits, interaction, hz, t_sense)
-    return prep, sensed, _sector_ramp(n_qubits, interaction, fields[::-1], t_ramp, sensed)
+    prep = _sector_ramp(n_qubits, fields, t_ramp, amp)
+    sensed = prep * sensing_phases(n_qubits, hz, t_sense)
+    return prep, sensed, _sector_ramp(n_qubits, fields[::-1], t_ramp, sensed)
 
 
-def cooled_start(n_qubits, interaction, h0x):
+def cooled_start(n_qubits, h0x):
     """Z amplitudes of the even ground state at h^x = h0x, a real vector."""
-    spectrum = parity_resolved_spectrum(n_qubits, interaction, h0x)
+    spectrum = parity_resolved_spectrum(n_qubits, h0x)
     return spectrum.even_states[:, 0]
 
 
-def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
+def cooled_kernel(n_qubits, h0x, t_ramp, steps):
     """ProtocolKernel of the cooled preparation, read out in its own basis.
 
     The cosine down ramp steps the real cooled start c to U_down c.  The
@@ -164,9 +164,8 @@ def cooled_kernel(n_qubits, interaction, h0x, t_ramp, steps):
     so the kernel of the column U_down c projects onto c itself.
     """
     fields = _down_ramp_fields(h0x, steps)
-    prep = _sector_ramp(n_qubits, interaction, fields, t_ramp,
-                        cooled_start(n_qubits, interaction, h0x))
-    return ProtocolKernel(n_qubits, interaction, prep)
+    prep = _sector_ramp(n_qubits, fields, t_ramp, cooled_start(n_qubits, h0x))
+    return ProtocolKernel(prep)
 
 
 def spin_matrices(n_qubits):

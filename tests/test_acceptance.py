@@ -50,10 +50,10 @@ def ramp_time_optima():
     slope, intercept = OPTIMUM_TREND
     optima = {}
     for n in range(10, 101, 10):
-        unit = time_unit(n, 1.0 / n)
+        unit = time_unit(n)
         line = slope * n + intercept
         taus = np.arange(1.0, np.ceil(1.45 * line) + 1)
-        scan = scan_ramp_time(n, 1.0 / n, 1.0, taus * unit, ramp_steps=400)
+        scan = scan_ramp_time(n, 1.0, taus * unit, ramp_steps=400)
         ta, fid = select_optimum(scan, line * unit)
         fid_init = scan.return_fidelity[scan.ramp_times == ta][0]
         optima[n] = (ta / unit, fid, fid_init)
@@ -75,8 +75,8 @@ def test_criterion_01_overlap_figure():
 
 def test_criterion_02_ramp_fidelities():
     start = time.perf_counter()
-    n, j = 10, 0.1
-    res = run_protocol(n, j, 1.0, 150 * time_unit(n, j), 0.0, 0.0, ramp_steps=8000)
+    n = 10
+    res = run_protocol(n, 1.0, 150 * time_unit(n), 0.0, 0.0, ramp_steps=8000)
     assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
     assert res.survival_probability == pytest.approx(0.91, abs=0.01)
     elapsed = time.perf_counter() - start
@@ -88,8 +88,8 @@ def test_criterion_02_ramp_fidelities():
 
 def test_criterion_03_headline_uncertainty_index():
     start = time.perf_counter()
-    n, j = 10, 0.1
-    sweep = tint_sweep(protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=4000))
+    n = 10
+    sweep = tint_sweep(protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=4000))
     assert sweep.p_mean == pytest.approx(0.935, abs=0.02)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
@@ -136,8 +136,8 @@ def test_criterion_05_index_beats_sql(ramp_time_optima):
     start = time.perf_counter()
     margins = {}
     for n, (ta_units, *_) in sorted(ramp_time_optima.items()):
-        ta = ta_units * time_unit(n, 1.0 / n)
-        sweep = tint_sweep(protocol_kernel(n, 1.0 / n, 1.0, ta, ramp_steps=400))
+        ta = ta_units * time_unit(n)
+        sweep = tint_sweep(protocol_kernel(n, 1.0, ta, ramp_steps=400))
         sql_line = 1 / np.sqrt(n)
         assert sweep.p_mean > sql_line, f"p fell below the SQL line at N={n}"
         margins[n] = sweep.p_mean - sql_line
@@ -192,14 +192,14 @@ def test_criterion_08_slope_bound_monte_carlo():
 
 def test_criterion_09_invariants():
     start = time.perf_counter()
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
+    n = 10
+    unit = time_unit(n)
     rng = np.random.default_rng(99)
     amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     state = amp / np.linalg.norm(amp)
     # each ramp keeps norm and parity, also after sensing with h^z on mixes them
     for h0, ta, tau in [(1.0, 40, 20), (2.0, 60, 0)]:
-        prep, sensed, final = sector_protocol(n, j, h0, ta * unit, tau * unit, 0.3, state, 400)
+        prep, sensed, final = sector_protocol(n, h0, ta * unit, tau * unit, 0.3, state, 400)
         for before, out in [(state, prep), (sensed, final)]:
             assert abs(np.linalg.norm(out) - 1) <= 1e-12
             assert abs(parity_expectation(out) - parity_expectation(before)) <= 1e-12
@@ -211,7 +211,7 @@ def test_criterion_09_invariants():
         init = x_polarized_state(n_small)
         ref = brute_force_protocol(n_small, j_small, h0, duration, t_sense, hz,
                                    q @ init, steps)[-1]
-        ours = run_protocol(n_small, j_small, h0, duration, t_sense, hz,
+        ours = run_protocol(n_small, h0, duration, t_sense, hz,
                             ramp_steps=steps).final_state
         fid = abs(np.vdot(q @ ours, ref)) ** 2
         assert fid > 1 - 1e-8, f"oracle disagreement at N={n_small}"
@@ -219,7 +219,7 @@ def test_criterion_09_invariants():
     # adiabatic ideal-protocol fringe at h0/JN = 2 (matched cooled
     # preparation and readout; the projected start saturates at the
     # finite-field overlap instead)
-    kernel = cooled_kernel(n, j, 2.0, 6400 * unit, 40_000)
+    kernel = cooled_kernel(n, 2.0, 6400 * unit, 40_000)
     worst = 0.0
     for hz in (0.2, 0.4, 0.7):
         for tau in (3, 5, 11):

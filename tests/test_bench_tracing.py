@@ -27,13 +27,13 @@ def test_tracer_records_scan_and_kernel():
     tracing = _load_tracing()
     originals = {name: getattr(dynamics, name)
                  for name in ("eigh_tridiagonal", "scan_ramp_time", "protocol_kernel")}
-    n, j, steps = 6, 1.0 / 6, 20
-    taus = np.arange(1.0, 11.0) * time_unit(n, j)
+    n, steps = 6, 20
+    taus = np.arange(1.0, 11.0) * time_unit(n)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        dynamics.scan_ramp_time(n, j, 1.0, taus, ramp_steps=steps)
-        dynamics.protocol_kernel(n, j, 1.0, taus[-1], ramp_steps=steps)
+        dynamics.scan_ramp_time(n, 1.0, taus, ramp_steps=steps)
+        dynamics.protocol_kernel(n, 1.0, taus[-1], ramp_steps=steps)
     finally:
         tracer.restore()
     for name, fn in originals.items():
@@ -55,11 +55,11 @@ def test_tracer_records_sweep():
     tracing = _load_tracing()
     original = dynamics.ProtocolKernel.survival
     n = 6
-    grid = np.arange(1.0, 8.0, 2.0) * time_unit(n, 1.0 / n)
+    grid = np.arange(1.0, 8.0, 2.0) * time_unit(n)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        kernel = dynamics.protocol_kernel(n, 1.0 / n, 1.0, 40 * time_unit(n, 1.0 / n),
+        kernel = dynamics.protocol_kernel(n, 1.0, 40 * time_unit(n),
                                           ramp_steps=20)
         metrology.tint_sweep(kernel, tint_grid=grid)
     finally:

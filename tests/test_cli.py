@@ -539,9 +539,9 @@ def _recorded_scans(monkeypatch):
     calls = []
     scan = dynamics.scan_ramp_time
 
-    def recorded(n, interaction, h0x, ramp_times, **kwargs):
-        calls.append((n, np.asarray(ramp_times) / time_unit(n, interaction)))
-        return scan(n, interaction, h0x, ramp_times, **kwargs)
+    def recorded(n, h0x, ramp_times, **kwargs):
+        calls.append((n, np.asarray(ramp_times) / time_unit(n)))
+        return scan(n, h0x, ramp_times, **kwargs)
 
     monkeypatch.setattr(dynamics, "scan_ramp_time", recorded)
     return calls
@@ -560,8 +560,8 @@ def test_fig5_falls_back_to_the_full_grid(monkeypatch):
     # At N = 20 the 400-exponential maxima sit at T_a = 196, 290 and 477; a
     # trend of 380 puts none within 10 % of it, and 290 is the nearest.
     monkeypatch.setattr(cli, "OPTIMUM_TREND", (0.0, 380.0))
-    unit = time_unit(20, 1 / 20)
-    full = dynamics.scan_ramp_time(20, 1 / 20, 1.0, np.arange(1.0, 552.0) * unit,
+    unit = time_unit(20)
+    full = dynamics.scan_ramp_time(20, 1.0, np.arange(1.0, 552.0) * unit,
                                    ramp_steps=400)
     expected = dynamics.select_optimum(full, 380 * unit)
     calls = _recorded_scans(monkeypatch)
@@ -589,7 +589,7 @@ def test_fig6_fig8_take_the_kernel_from_the_scan(monkeypatch, stepper_widths, tm
     _, fig6 = _read_csv(tmp_path / "f6.csv")
     for (n, p, p_std, *_), ta in zip(fig6, tas):
         n = int(n)
-        kernel = dynamics.protocol_kernel(n, 1 / n, 1.0, ta * time_unit(n, 1 / n))
+        kernel = dynamics.protocol_kernel(n, 1.0, ta * time_unit(n))
         sweep = metrology.tint_sweep(kernel)
         assert p == pytest.approx(sweep.p_mean, rel=1e-12, abs=0)
         assert p_std == pytest.approx(sweep.p_std, rel=1e-12, abs=0)

@@ -198,9 +198,9 @@ def test_rotation_matrix_bits_match_scipy_solver(monkeypatch, n):
 
 
 def test_spectrum_bits_match_scipy_solver(monkeypatch):
-    spec = model.parity_resolved_spectrum(50, 1.0 / 50, 0.7)
+    spec = model.parity_resolved_spectrum(50, 0.7)
     monkeypatch.setattr(model, "eigh_tridiagonal", scipy.linalg.eigh_tridiagonal)
-    ref = model.parity_resolved_spectrum(50, 1.0 / 50, 0.7)
+    ref = model.parity_resolved_spectrum(50, 0.7)
     for field in ("even_energies", "odd_energies", "overlaps"):
         assert np.array_equal(getattr(spec, field), getattr(ref, field))
     for field in ("even_states", "odd_states"):
@@ -298,7 +298,7 @@ def test_parity_blocks_carry_the_sector_hamiltonians(n):
     h_z = -2 * j * sz @ sz - 2 * hx * sx
     for parity, fold_basis in zip((+1, -1), _folding(n)):
         block = parity_block(n, parity)
-        diag, off, _ = model.sector_tridiagonal(n, j, hx, parity)
+        diag, off, _ = model.sector_tridiagonal(n, hx, parity)
         sector = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert block.dtype == np.float64 and not block.flags.writeable
         assert np.abs(block.T @ (fold_basis.T @ h_z @ fold_basis) @ block - sector).max() < 1e-12 * n

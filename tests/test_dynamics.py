@@ -53,7 +53,7 @@ def test_stationary_state_picks_up_phase_only():
     # h^x = 0 keeps the Hamiltonian diagonal: |N/2, N/2>_Z is stationary.
     n, j = 4, 0.25
     state = np.eye(n + 1)[0]
-    overlap = np.vdot(state, state * sensing_phases(n, j, 0.0, 2.3))
+    overlap = np.vdot(state, state * sensing_phases(n, 0.0, 2.3))
     assert abs(abs(overlap) - 1) < 1e-12
     # e^{-iEt} with E = -2J (N/2)^2
     expected = np.exp(-1j * (-2 * j * (n / 2) ** 2) * 2.3)
@@ -63,9 +63,9 @@ def test_stationary_state_picks_up_phase_only():
 def test_sensing_phase_accumulation_matches_closed_form():
     # At h^x = 0 with h^z on, the GHZ pair turns into the two-component
     # readout superposition with relative weight cos/sin(h N T).
-    n, j, hz, t = 6, 1.0 / 6, 0.37, 1.9
+    n, hz, t = 6, 0.37, 1.9
     psi0 = ghz_state(n)
-    out = psi0 * sensing_phases(n, j, hz, t)
+    out = psi0 * sensing_phases(n, hz, t)
     psi1 = psi0.copy()
     psi1[-1] *= -1  # the odd GHZ state
     c_even = np.vdot(out, psi0)
@@ -80,7 +80,7 @@ def test_integrator_matches_exact_sensing():
     n, j, hz, t = 4, 0.25, 0.21, 1.3
     amp = np.arange(1.0, n + 2) + 0.3j
     state = amp / np.linalg.norm(amp)
-    exact = state * sensing_phases(n, j, hz, t)
+    exact = state * sensing_phases(n, hz, t)
     q = symmetric_isometry(n)
     stepped = q.T @ brute_force_ramp(n, j, lambda _: 0.0, t, hz, q @ state, 2000)
     assert np.abs(exact - stepped).max() < 1e-12
@@ -93,16 +93,16 @@ def test_brute_force_oracle_agreement(n):
     # sensing from a start with both parity sectors filled (N = 2 has a
     # one-dimensional odd sector).
     j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
-    unit = time_unit(n, j)
+    unit = time_unit(n)
     ta, t_sense = 30 * unit, 3 * unit
     start = x_polarized_state(n)
     state = _random_state(n, n)
     q = symmetric_isometry(n)
-    res = run_protocol(n, j, h0, ta, t_sense, hz, ramp_steps=steps)
+    res = run_protocol(n, h0, ta, t_sense, hz, ramp_steps=steps)
     stages = (res.state_after_prep, res.state_after_sense, res.final_state)
     runs = [
         (start, stages),
-        (state, sector_protocol(n, j, h0, ta, t_sense, hz, state, steps)),
+        (state, sector_protocol(n, h0, ta, t_sense, hz, state, steps)),
     ]
     for amp, ours in runs:
         refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, q @ amp, steps)
@@ -125,7 +125,7 @@ def test_propagate_matches_brute_force_amplitudes(n, hz):
         n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
         q @ state, steps,
     )
-    ours = _sector_ramp(n, j, _down_ramp_fields(h0, steps), duration, state)
+    ours = _sector_ramp(n, _down_ramp_fields(h0, steps), duration, state)
     assert np.abs(q @ ours - ref).max() < 1e-12
 
 
@@ -134,7 +134,7 @@ def test_norm_and_parity_conservation():
     # filled; the sensing between them, with h^z on, mixes the sectors.
     n = 10
     state = _random_state(n, 7)
-    prep, sensed, final = sector_protocol(n, 1.0 / n, 1.0, 5.0, 1.0, 0.3, state, 2500)
+    prep, sensed, final = sector_protocol(n, 1.0, 5.0, 1.0, 0.3, state, 2500)
     for before, after in [(state, prep), (sensed, final)]:
         assert abs(np.linalg.norm(after) - 1) < 1e-12
         assert abs(parity_expectation(after) - parity_expectation(before)) < 1e-12
@@ -148,28 +148,28 @@ def test_norm_and_parity_conservation():
 def test_run_protocol_rejects_non_finite_times(times):
     # A NaN ramp time used to skip both ramps and report survival 1.
     with pytest.raises(ValueError, match="^t_ramp, t_sense and hz_total must be finite$"):
-        run_protocol(10, 0.1, 1.0, *times)
+        run_protocol(10, 1.0, *times)
 
 
 def test_run_protocol_rejects_phases_past_round_off():
     # Largest |E_m| at h^z = 0.5, J = 0.1, N = 10: 2 J 25 + 2 h^z 5 = 10.
-    run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, ramp_steps=4)
+    run_protocol(10, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, ramp_steps=4)
     with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is 1e[+]08"):
-        run_protocol(10, 0.1, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, ramp_steps=4)
+        run_protocol(10, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, ramp_steps=4)
 
 
 @pytest.mark.parametrize("n", [-2, 0, 3, 10.0, "10"])
 def test_run_protocol_rejects_bad_n(n):
     # The sensing-time check must not reach numpy with a bad N first.
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
-        run_protocol(n, 0.1, 1.0, 1.0, 1.0, 0.5, ramp_steps=4)
+        run_protocol(n, 1.0, 1.0, 1.0, 0.5, ramp_steps=4)
 
 
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
-    n, j = 8, 1.0 / 8
+    n = 8
     steps = [200, 400, 800, 1600, 3200]
-    surv = [run_protocol(n, j, 1.0, 3.0, 0.0, 0.0, ramp_steps=s).survival_probability
+    surv = [run_protocol(n, 1.0, 3.0, 0.0, 0.0, ramp_steps=s).survival_probability
             for s in steps]
     deltas = np.abs(np.diff(surv))
     assert np.all(np.diff(deltas) < 0)
@@ -178,10 +178,10 @@ def test_step_halving_convergence():
 def test_cf4_fourth_order_convergence():
     # Halving the exponential count must cut the error about 16-fold; a
     # second-order rule (such as CF4 with its two exponents swapped) gives 4.
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
+    n = 10
+    unit = time_unit(n)
     taus = np.array([50.0, 150.0, 280.0]) * unit
-    scans = {s: scan_ramp_time(n, j, 1.0, taus, ramp_steps=s)
+    scans = {s: scan_ramp_time(n, 1.0, taus, ramp_steps=s)
              for s in (100, 200, 3200)}
     scan_err = [
         max(np.abs(scans[s].ghz_fidelity - scans[3200].ghz_fidelity).max(),
@@ -192,7 +192,7 @@ def test_cf4_fourth_order_convergence():
 
     state = _random_state(n, 5)
     finals = {
-        s: sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.3, state, s)[-1]
+        s: sector_protocol(n, 1.0, 150 * unit, 3 * unit, 0.3, state, s)[-1]
         for s in (100, 200, 3200)
     }
     state_err = [np.linalg.norm(finals[s] - finals[3200]) for s in (100, 200)]
@@ -203,12 +203,12 @@ def test_cf4_fourth_order_convergence():
 def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, widths):
     # The default start is even: each ramp steps the even sector as one
     # column, until sensing with h^z on fills the odd sector for the up ramp.
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz, ramp_steps=40)
+    n = 10
+    unit = time_unit(n)
+    run_protocol(n, 1.0, 150 * unit, 3 * unit, hz, ramp_steps=40)
     assert stepper_widths == widths
     stepper_widths.clear()
-    run_protocol(n, j, 1.0, 150 * unit, 0.0, 0.3, ramp_steps=40)
+    run_protocol(n, 1.0, 150 * unit, 0.0, 0.3, ramp_steps=40)
     assert stepper_widths == [1, 1]
 
 
@@ -216,18 +216,18 @@ def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, 
 def test_run_protocol_solves_the_odd_block_only_once_sensing_fills_it(hz, blocks):
     # The start and the down ramp are even; the odd parity block is solved
     # only when sensing with h^z on leaves the up ramp an odd part to step.
-    n, j = 20, 0.05
-    unit = time_unit(n, j)
+    n = 20
+    unit = time_unit(n)
     dicke.parity_block.cache_clear()
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, hz)
+    run_protocol(n, 1.0, 150 * unit, 3 * unit, hz)
     assert dicke.parity_block.cache_info().currsize == blocks
 
 
 def test_protocol_headline_fidelities():
     # N=10, JN=1, cosine/sine ramps at T_a = 150 (2JN^2)^-1.
-    n, j = 10, 0.1
-    ta = 150 * time_unit(n, j)
-    res = run_protocol(n, j, 1.0, ta, 0.0, 0.0, ramp_steps=3000)
+    n = 10
+    ta = 150 * time_unit(n)
+    res = run_protocol(n, 1.0, ta, 0.0, 0.0, ramp_steps=3000)
     assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
     assert res.survival_probability == pytest.approx(0.91, abs=0.01)
 
@@ -237,17 +237,17 @@ def test_adiabatic_round_trip():
     # it.  (With the projected strong-field start the return probability
     # saturates near |g_0|^4 instead; that imperfection is the point of the
     # finite-field analysis.)
-    n, j = 4, 0.25
-    kernel = cooled_kernel(n, j, 2.0, 2400 * time_unit(n, j), 20000)
+    n = 4
+    kernel = cooled_kernel(n, 2.0, 2400 * time_unit(n), 20000)
     assert kernel.survival(0.0, 0.0) >= 1 - 1e-3
 
 
 def test_ideal_protocol_survival_cosine_squared():
     # In the adiabatic limit the matched ground-state interferometer shows
     # the full-contrast fringe P = cos^2(h^z N T_int).
-    n, j = 4, 0.25
-    unit = time_unit(n, j)
-    kernel = cooled_kernel(n, j, 2.0, 2400 * unit, 20000)
+    n = 4
+    unit = time_unit(n)
+    kernel = cooled_kernel(n, 2.0, 2400 * unit, 20000)
     for hz, tu in [(0.4, 3), (0.7, 11)]:
         t_sense = tu * unit
         assert kernel.survival(t_sense, hz) == pytest.approx(
@@ -260,54 +260,54 @@ def test_cooled_start_strong_field_survival_is_damped_fringe():
     # reduced-contrast fringe |g_0|^2 cos^2(h N T).
     from spinsense import ground_overlap
 
-    n, j = 4, 0.25
-    unit = time_unit(n, j)
+    n = 4
+    unit = time_unit(n)
     g0_sq = ground_overlap(n, [2.0])[0]
     hz, t_sense = 0.5, 7 * unit
-    final = sector_protocol(n, j, 2.0, 2400 * unit, t_sense, hz, cooled_start(n, j, 2.0),
+    final = sector_protocol(n, 2.0, 2400 * unit, t_sense, hz, cooled_start(n, 2.0),
                             20000)[-1]
     survival = abs(np.vdot(x_polarized_state(n), final)) ** 2
     assert survival == pytest.approx(g0_sq * np.cos(hz * n * t_sense) ** 2, abs=2e-3)
 
 
 def test_protocol_parity_protection_and_cooled_start():
-    n, j = 8, 1.0 / 8
-    ta = 50 * time_unit(n, j)
+    n = 8
+    ta = 50 * time_unit(n)
     # cooled first-approach start: the finite-field ground state
-    start = cooled_start(n, j, 1.0)
-    final = sector_protocol(n, j, 1.0, ta, 0.0, 0.0, start, 2000)[-1]
+    start = cooled_start(n, 1.0)
+    final = sector_protocol(n, 1.0, ta, 0.0, 0.0, start, 2000)[-1]
     assert parity_expectation(final) == pytest.approx(parity_expectation(start), abs=1e-12)
     back = abs(np.vdot(final, start)) ** 2
     assert back == pytest.approx(abs(np.vdot(final, x_polarized_state(n))) ** 2, abs=0.2)
     # the kernel of the cooled column reads out through the cooled start
-    assert cooled_kernel(n, j, 1.0, ta, 2000).survival(0.0, 0.0) == pytest.approx(
+    assert cooled_kernel(n, 1.0, ta, 2000).survival(0.0, 0.0) == pytest.approx(
         back, abs=1e-12
     )
 
 
 def test_scan_ramp_time_headline_and_oscillations():
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
+    n = 10
+    unit = time_unit(n)
     taus = np.arange(120.0, 200.0)
-    scan = scan_ramp_time(n, j, 1.0, taus * unit, ramp_steps=2000)
+    scan = scan_ramp_time(n, 1.0, taus * unit, ramp_steps=2000)
     # a local optimum sits at T_a = 150 (2JN^2)^-1 with ~0.97 GHZ fidelity
     ta_opt, fid = select_optimum(scan, 150 * unit)
     assert ta_opt / unit == pytest.approx(150, abs=2)
     assert fid == pytest.approx(0.967, abs=0.005)
     # interference makes the curves oscillate: several local maxima
-    wide = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit, ramp_steps=1500)
+    wide = scan_ramp_time(n, 1.0, np.arange(1.0, 301.0) * unit, ramp_steps=1500)
     assert len(wide.optima) >= 3
     with pytest.raises(ValueError):
-        scan_ramp_time(n, j, 1.0, np.array([]))
+        scan_ramp_time(n, 1.0, np.array([]))
 
 
 def test_scan_matches_run_protocol():
-    n, j = 6, 1.0 / 6
-    unit = time_unit(n, j)
+    n = 6
+    unit = time_unit(n)
     taus = np.array([40.0, 80.0])
-    scan = scan_ramp_time(n, j, 1.0, taus * unit, ramp_steps=2000)
+    scan = scan_ramp_time(n, 1.0, taus * unit, ramp_steps=2000)
     for i, tau in enumerate(taus):
-        res = run_protocol(n, j, 1.0, tau * unit, 0.0, 0.0, ramp_steps=2000)
+        res = run_protocol(n, 1.0, tau * unit, 0.0, 0.0, ramp_steps=2000)
         assert scan.ghz_fidelity[i] == pytest.approx(res.fidelity_to_ghz, abs=1e-9)
         assert scan.return_fidelity[i] == pytest.approx(
             res.survival_probability, abs=1e-9
@@ -320,8 +320,8 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
     # psi^T psi (U_up = U_down^T); it must match the two-ramp protocol and
     # the full 2^N oracle stepped through both ramps.
     j, steps, h0 = 1.0 / n, 40, 1.0
-    taus = np.array([30.0, 70.0]) * time_unit(n, j)
-    scan = scan_ramp_time(n, j, h0, taus, ramp_steps=steps)
+    taus = np.array([30.0, 70.0]) * time_unit(n)
+    scan = scan_ramp_time(n, h0, taus, ramp_steps=steps)
     assert stepper_widths == [len(taus)]
     monkeypatch.undo()
 
@@ -330,7 +330,7 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
     start = q @ x_polarized_state(n)
     ghz = q @ ghz_state(n)
     for i, ta in enumerate(taus):
-        res = run_protocol(n, j, h0, ta, 0.0, 0.0, ramp_steps=steps)
+        res = run_protocol(n, h0, ta, 0.0, 0.0, ramp_steps=steps)
         assert abs(scan.return_fidelity[i] - res.survival_probability) < 1e-12
         assert abs(scan.ghz_fidelity[i] - res.fidelity_to_ghz) < 1e-12
         mid = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
@@ -348,12 +348,12 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n):
     # backwards: negative duration, the field sampled at T_a + t for t in
     # [-T_a, 0].
     j, steps, h0 = 1.0 / n, 40, 1.0
-    ta = 50 * time_unit(n, j)
-    kernel = protocol_kernel(n, j, h0, ta, ramp_steps=steps)
+    ta = 50 * time_unit(n)
+    kernel = protocol_kernel(n, h0, ta, ramp_steps=steps)
     assert stepper_widths == [1]
 
-    cooled = cooled_start(n, j, h0)
-    columns = [kernel.prep_z, _sector_ramp(n, j, _down_ramp_fields(h0, steps), ta, cooled)]
+    cooled = cooled_start(n, h0)
+    columns = [kernel.prep_z, _sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled)]
     down, up = ramp_profiles()
     q = symmetric_isometry(n)
     for start, column in zip([x_polarized_state(n), cooled], columns):
@@ -369,10 +369,10 @@ def test_one_column_kernel_matches_two_columns_at_large_n():
     # with duration -T_a, e_0 meets the up ramp's adjoint (its exponents
     # are the down ramp's, walked backwards), so that second column is
     # U_up^+ e_0: the conjugate the kernel reads out through.
-    n, j = 600, 1.0 / 600
-    ta = (11.6 * n + 60) * time_unit(n, j)
-    kernel = protocol_kernel(n, j, 1.0, ta)
-    a, b, _ = _sector_terms(n, j, +1)
+    n = 600
+    ta = (11.6 * n + 60) * time_unit(n)
+    kernel = protocol_kernel(n, 1.0, ta)
+    a, b, _ = _sector_terms(n, +1)
     e0 = np.zeros((len(a[0]), 2), dtype=complex)
     e0[0] = 1.0
     ends = _exponential_steps(a, b, _down_ramp_fields(1.0, 400), [ta, -ta], e0)
@@ -384,8 +384,8 @@ def test_one_column_kernel_matches_two_columns_at_large_n():
 def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
     # The even parity block and the unfold take the stepped column to the Z
     # basis as the full rotation did, at 400 exponentials on the series path.
-    n, j, steps = 600, 1.0 / 600, 400
-    ta = (11.6 * n + 60) * time_unit(n, j)
+    n, steps = 600, 400
+    ta = (11.6 * n + 60) * time_unit(n)
     columns = []
     step = dynamics._exponential_steps
 
@@ -394,7 +394,7 @@ def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
         return columns[-1]
 
     monkeypatch.setattr(dynamics, "_exponential_steps", recorded)
-    kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=steps)
+    kernel = protocol_kernel(n, 1.0, ta, ramp_steps=steps)
     full = np.zeros(n + 1, dtype=complex)
     full[sector_indices(n, +1)] = columns[0][:, 0]
     dense = rotation_matrix(n) @ full
@@ -405,14 +405,14 @@ def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
 def test_default_kernel_keeps_the_dense_rotation_out():
     # One (N+1)^2 float64 array at N = 600 is 2.89 MB; the kernel build,
     # with the cached parity blocks rebuilt, stays below that.
-    n, j = 600, 1.0 / 600
-    ta = (11.6 * n + 60) * time_unit(n, j)
-    protocol_kernel(n, j, 1.0, ta, ramp_steps=4)  # first calls into numpy and BLAS
+    n = 600
+    ta = (11.6 * n + 60) * time_unit(n)
+    protocol_kernel(n, 1.0, ta, ramp_steps=4)  # first calls into numpy and BLAS
     dicke.rotation_matrix.cache_clear()
     dicke.parity_block.cache_clear()
     tracemalloc.start()
     try:
-        protocol_kernel(n, j, 1.0, ta, ramp_steps=400)
+        protocol_kernel(n, 1.0, ta, ramp_steps=400)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,30 +424,30 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
         raise AssertionError("the dense rotation was built")
 
     monkeypatch.setattr(dicke, "rotation_matrix", refused)
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
-    scan_ramp_time(n, j, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
-    protocol_kernel(n, j, 1.0, 150 * unit, ramp_steps=40)
-    run_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, ramp_steps=40)
-    for start in (cooled_start(n, j, 1.0), _random_state(n, 8)):
-        sector_protocol(n, j, 1.0, 150 * unit, 3 * unit, 0.2, start, 40)
+    n = 10
+    unit = time_unit(n)
+    scan_ramp_time(n, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
+    protocol_kernel(n, 1.0, 150 * unit, ramp_steps=40)
+    run_protocol(n, 1.0, 150 * unit, 3 * unit, 0.2, ramp_steps=40)
+    for start in (cooled_start(n, 1.0), _random_state(n, 8)):
+        sector_protocol(n, 1.0, 150 * unit, 3 * unit, 0.2, start, 40)
 
 
 def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths):
-    n, j = 10, 0.1
-    unit = time_unit(n, j)
-    scan = scan_ramp_time(n, j, 1.0, np.arange(1.0, 301.0) * unit)
+    n = 10
+    unit = time_unit(n)
+    scan = scan_ramp_time(n, 1.0, np.arange(1.0, 301.0) * unit)
     assert stepper_widths == [300]
     assert len(scan.kernels) == len(scan.optima) >= 3
     for (ta, _), kernel in zip(scan.optima, scan.kernels):
-        built = protocol_kernel(n, j, 1.0, ta)
+        built = protocol_kernel(n, 1.0, ta)
         assert np.abs(kernel.prep_z - built.prep_z).max() < 1e-13
 
 
 @pytest.mark.parametrize("build", [
-    lambda: protocol_kernel(10, 0.1, 1.0, -1.0),
-    lambda: scan_ramp_time(10, 0.1, 1.0, np.array([1.0, -1.0, 2.0])),
-    lambda: run_protocol(10, 0.1, 1.0, -1.0, 0.0, 0.0),
+    lambda: protocol_kernel(10, 1.0, -1.0),
+    lambda: scan_ramp_time(10, 1.0, np.array([1.0, -1.0, 2.0])),
+    lambda: run_protocol(10, 1.0, -1.0, 0.0, 0.0),
 ])
 def test_negative_ramp_times_rejected(build):
     with pytest.raises(ValueError, match="^times must be nonnegative$"):
@@ -466,28 +466,28 @@ def test_scan_drops_roundoff_maxima():
     # The GHZ fidelity of the shortest ramps at N = 100 is below 1e-28; its
     # strict local maxima there are round-off and must not be reported.
     n = 100
-    unit = time_unit(n, 1.0 / n)
-    scan = scan_ramp_time(n, 1.0 / n, 1.0, np.arange(1.0, 41.0) * unit, ramp_steps=400)
+    unit = time_unit(n)
+    scan = scan_ramp_time(n, 1.0, np.arange(1.0, 41.0) * unit, ramp_steps=400)
     assert scan.ghz_fidelity.max() < 1e-20
     assert scan.optima == ()
 
 
 def test_kernel_matches_run_protocol():
-    n, j = 8, 1.0 / 8
-    unit = time_unit(n, j)
+    n = 8
+    unit = time_unit(n)
     ta = 100 * unit
-    kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=2000)
+    kernel = protocol_kernel(n, 1.0, ta, ramp_steps=2000)
     for tau, hz in [(5.0, 0.3), (27.0, np.pi / 2)]:
-        res = run_protocol(n, j, 1.0, ta, tau * unit, hz, ramp_steps=2000)
+        res = run_protocol(n, 1.0, ta, tau * unit, hz, ramp_steps=2000)
         assert kernel.survival(tau * unit, hz) == pytest.approx(
             res.survival_probability, abs=1e-8
         )
 
 
 def test_kernel_analytic_slope_matches_finite_difference():
-    n, j = 6, 1.0 / 6
-    unit = time_unit(n, j)
-    kernel = protocol_kernel(n, j, 1.0, 60 * unit, ramp_steps=1500)
+    n = 6
+    unit = time_unit(n)
+    kernel = protocol_kernel(n, 1.0, 60 * unit, ramp_steps=1500)
     t, hz, eps = 11 * unit, 0.8, 1e-7
     fd = (kernel.survival(t, hz + eps) - kernel.survival(t, hz - eps)) / (2 * eps)
     assert kernel.survival_slope(t, hz) == pytest.approx(fd, rel=1e-5)
@@ -501,7 +501,7 @@ _C = np.sqrt(3) / 6  # Gauss points of a CF4 step at 1/2 -+ _C
 
 
 def _sector_matrix(n, j, h):
-    diag, off, _ = sector_tridiagonal(n, j, h, +1)
+    diag, off, _ = sector_tridiagonal(n, h, +1)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -535,7 +535,7 @@ def test_kernel_shared_steps_match_separate_ramps(n):
     # through both ramps of the protocol run, the up ramp on the down
     # ramp's fields reversed.
     j, steps = 1.0 / n, 300
-    ta = 80 * time_unit(n, j)
+    ta = 80 * time_unit(n)
     down, up = ramp_profiles()
     rng = np.random.default_rng(n)
     d = n // 2 + 1
@@ -550,22 +550,22 @@ def test_kernel_shared_steps_match_separate_ramps(n):
         full_x[idx] = even
         return u @ full_x
 
-    kernel = protocol_kernel(n, j, 1.0, ta, ramp_steps=steps)
+    kernel = protocol_kernel(n, 1.0, ta, ramp_steps=steps)
     fields = _down_ramp_fields(1.0, steps)
     start_z = z_amplitudes(start)
     checks = [
         (kernel.prep_z, _loop_ramp(n, j, down, ta, steps, e0)),
         (kernel.prep_z.conj(), _loop_ramp(n, j, up, ta, steps, e0, adjoint=True)),
-        (_sector_ramp(n, j, fields, ta, start_z), _loop_ramp(n, j, down, ta, steps, start)),
-        (_sector_ramp(n, j, fields[::-1], ta, start_z), _loop_ramp(n, j, up, ta, steps, start)),
+        (_sector_ramp(n, fields, ta, start_z), _loop_ramp(n, j, down, ta, steps, start)),
+        (_sector_ramp(n, fields[::-1], ta, start_z), _loop_ramp(n, j, up, ta, steps, start)),
     ]
     for column, expected in checks:
         assert np.abs(column - z_amplitudes(expected)).max() < 1e-12
 
 
 def test_block_columns_match_single_columns():
-    n, j = 12, 1.0 / 12
-    a, b, _ = _sector_terms(n, j, +1)
+    n = 12
+    a, b, _ = _sector_terms(n, +1)
     d, fields = len(a[0]), np.linspace(1.5, 0.1, 50)
     rng = np.random.default_rng(3)
     # The even sector has d = 7, so every grid takes the eigensolves; the
@@ -592,7 +592,7 @@ def test_block_columns_match_single_columns():
 
 
 def test_phase_factors_of_arithmetic_grids():
-    unit = time_unit(30, 1.0 / 30)
+    unit = time_unit(30)
     for steps in (np.arange(1.0, 593.0) * unit, np.arange(2.0, -2.0, -0.1), np.zeros(5)):
         outer, inner = _phase_factors(steps)
         width = len(inner)
@@ -621,8 +621,8 @@ def test_narrow_block_is_the_plain_step_loop():
     # K <= d and not arithmetic: the eigenbasis carry with a direct cos/sin
     # phase table is the loop through V^T and V at every exponential, up to
     # round-off.
-    n, j = 12, 1.0 / 12
-    a, b, _ = _sector_terms(n, j, +1)
+    n = 12
+    a, b, _ = _sector_terms(n, +1)
     fields = np.linspace(1.5, 0.1, 40)
     durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
     rng = np.random.default_rng(4)
@@ -639,7 +639,7 @@ def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
     # At d = 51 a chunk holds three exponentials, so 400 of them run through
     # 134 chunks, the last one short, each linked to the one before.
     n = 100
-    a, b, _ = _sector_terms(n, 1.0 / n, +1)
+    a, b, _ = _sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, 400)
     rng = np.random.default_rng(6)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
@@ -653,9 +653,9 @@ def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
 @pytest.mark.parametrize("n", [1, 2, 50, 600])  # d = 1, 2, 26, 301
 def test_eigh_tridiagonal_is_scipys(n):
     if n == 1:  # N must be even: d = 1 is the odd sector of N = 2
-        diag, off, _ = sector_tridiagonal(2, 0.5, 0.7, -1)
+        diag, off, _ = sector_tridiagonal(2, 0.7, -1)
     else:
-        diag, off, _ = sector_tridiagonal(n, 1.0 / n, 0.7, +1)
+        diag, off, _ = sector_tridiagonal(n, 0.7, +1)
     w, v = dynamics.eigh_tridiagonal(diag, off)
     w_ref, v_ref = eigh_tridiagonal(diag, off)
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
@@ -663,7 +663,7 @@ def test_eigh_tridiagonal_is_scipys(n):
 
 
 def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
-    diag, off, _ = sector_tridiagonal(10, 0.1, 0.7, +1)
+    diag, off, _ = sector_tridiagonal(10, 0.7, +1)
     monkeypatch.setattr(dicke, "dstevd", lambda d, e: (d, np.eye(len(d)), 1))
     # LinAlgError is a ValueError, so the CLI reports it in one line
     with pytest.raises(np.linalg.LinAlgError, match="info = 1") as err:
@@ -680,7 +680,7 @@ def test_kernel_build_memory_stays_small(monkeypatch):
         monkeypatch.setattr(dynamics, "_EIGEN_COST", eigen_cost)
         tracemalloc.start()
         try:
-            protocol_kernel(n, 1.0 / n, 1.0, 645 * time_unit(n, 1.0 / n), ramp_steps=4000)
+            protocol_kernel(n, 1.0, 645 * time_unit(n), ramp_steps=4000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -688,18 +688,18 @@ def test_kernel_build_memory_stays_small(monkeypatch):
 
 
 def test_stepper_rejects_bad_input():
-    n, j = 6, 1.0 / 6
+    n = 6
     with pytest.raises(ValueError, match="must be finite"):
-        protocol_kernel(n, j, np.nan, 1.0, ramp_steps=10)
+        protocol_kernel(n, np.nan, 1.0, ramp_steps=10)
     with pytest.raises(ValueError, match="must be finite"):
-        scan_ramp_time(n, j, 1.0, np.array([1.0, np.inf]), ramp_steps=10)
+        scan_ramp_time(n, 1.0, np.array([1.0, np.inf]), ramp_steps=10)
     for steps in (0, -3, 1, 7):
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
-            scan_ramp_time(n, j, 1.0, np.array([1.0, 2.0]), ramp_steps=steps)
+            scan_ramp_time(n, 1.0, np.array([1.0, 2.0]), ramp_steps=steps)
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
-            protocol_kernel(n, j, 1.0, 1.0, ramp_steps=steps)
+            protocol_kernel(n, 1.0, 1.0, ramp_steps=steps)
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
-            run_protocol(n, j, 1.0, 1.0, 0.0, 0.0, ramp_steps=steps)
+            run_protocol(n, 1.0, 1.0, 0.0, 0.0, ramp_steps=steps)
 
 
 def _count_eigensolves(monkeypatch):
@@ -730,9 +730,9 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
     # 50 at 4000 exponentials are sensing-sweep kernels; K = 2 blocks
     # take the series too.
-    a, b, _ = _sector_terms(n, 1.0 / n, +1)
+    a, b, _ = _sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, n_exps)
-    durations = np.array(durations) * (11.6 * n + 60) * time_unit(n, 1.0 / n)
+    durations = np.array(durations) * (11.6 * n + 60) * time_unit(n)
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
     block /= np.linalg.norm(block, axis=0)
@@ -775,8 +775,8 @@ def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolv
     # four exponentials need a series of about 2600 terms.  At N = 10
     # (d = 6) an eigensolve costs less than a series of six terms.
     calls = _count_eigensolves(monkeypatch)
-    t_ramp = (11.6 * n + 60) * time_unit(n, 1.0 / n)
-    protocol_kernel(n, 1.0 / n, 1.0, t_ramp, ramp_steps=n_exps)
+    t_ramp = (11.6 * n + 60) * time_unit(n)
+    protocol_kernel(n, 1.0, t_ramp, ramp_steps=n_exps)
     assert len(calls) == eigensolves
 
 
@@ -789,11 +789,11 @@ def test_series_kernels_match_the_oracle(monkeypatch, n):
     monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
     calls = _count_eigensolves(monkeypatch)
     j, steps, h0 = 1.0 / n, 10, 1.0
-    ta = 50 * time_unit(n, j)
-    cooled = cooled_start(n, j, h0)
+    ta = 50 * time_unit(n)
+    cooled = cooled_start(n, h0)
     columns = [
-        protocol_kernel(n, j, h0, ta, ramp_steps=steps).prep_z,
-        _sector_ramp(n, j, _down_ramp_fields(h0, steps), ta, cooled),
+        protocol_kernel(n, h0, ta, ramp_steps=steps).prep_z,
+        _sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled),
     ]
     assert not calls
     q = symmetric_isometry(n)

@@ -126,7 +126,7 @@ def test_calibrate_offset_defining_equation():
 def test_calibrate_offset_paper_operating_point():
     # N = 10, JN = 1, (2JN^2) T_int = 1: the offset lands at pi/2 in JN units.
     n, j = 10, 0.1
-    t = time_unit(n, j)
+    t = time_unit(n)
     assert calibrate_offset(0.0, n, t) == pytest.approx(np.pi / 2 * j * n, rel=1e-12)
 
 
@@ -464,15 +464,15 @@ def test_bound_preconditions_name_the_first_bad_entry():
 
 
 def test_default_grid_is_odd_units():
-    n, j = 10, 0.1
-    grid = default_sense_grid(n, j)
-    taus = grid / time_unit(n, j)
+    n = 10
+    grid = default_sense_grid(n)
+    taus = grid / time_unit(n)
     assert np.allclose(taus, np.arange(1, 200, 2))
 
 
 def test_tint_sweep_headline_index():
-    n, j = 10, 0.1
-    sweep = tint_sweep(protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=3000))
+    n = 10
+    sweep = tint_sweep(protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=3000))
     assert sweep.p_mean == pytest.approx(1 / 1.07, abs=0.02)
     assert sweep.excluded == 0
     assert np.all(sweep.p_values <= 1 + 1e-6)
@@ -484,9 +484,9 @@ def test_tint_sweep_headline_index():
 
 def test_tint_sweep_ideal_adiabatic_reaches_heisenberg():
     # with matched cooled preparation/readout the index p is 1 up to leakage
-    n, j = 4, 0.25
-    unit = time_unit(n, j)
-    kernel = cooled_kernel(n, j, 2.0, 2400 * unit, 20000)
+    n = 4
+    unit = time_unit(n)
+    kernel = cooled_kernel(n, 2.0, 2400 * unit, 20000)
     t = np.arange(1, 40, 2) * unit
     h_tot = np.array([calibrate_offset(0.0, n, x) for x in t])
     p0 = kernel.survival(t, h_tot)
@@ -496,18 +496,18 @@ def test_tint_sweep_ideal_adiabatic_reaches_heisenberg():
 
 def test_tint_sweep_offset_policies_and_validation():
     # the offset is fixed at (pi/2) JN; only the grid is validated
-    n, j = 10, 0.1
+    n = 10
     with pytest.raises(ValueError):
-        tint_sweep(protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20),
+        tint_sweep(protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=20),
                    tint_grid=np.array([]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
 def test_tint_sweep_rejects_bad_grid_entries(bad):
     # A NaN entry used to count as a divergent point beside a valid p average.
-    n, j = 10, 0.1
-    grid = np.array([bad, 3.0]) * time_unit(n, j)
-    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20)
+    n = 10
+    grid = np.array([bad, 3.0]) * time_unit(n)
+    kernel = protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=20)
     with pytest.raises(ValueError, match="^sensing-time grid must be finite, positive and "):
         tint_sweep(kernel, tint_grid=grid)
 
@@ -515,58 +515,61 @@ def test_tint_sweep_rejects_bad_grid_entries(bad):
 def test_tint_sweep_rejects_phases_past_round_off():
     # At (pi/2) JN the largest |E_m| is (1 + pi) N / 2: 20.7 at N = 10.  A
     # grid of 1e20 units used to print p = 0.9490 +- 0.0000 from pure round-off.
-    n, j = 10, 0.1
-    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j), ramp_steps=20)
+    n = 10
+    kernel = protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=20)
     t_bound = 1e8 / ((1 + np.pi) * n / 2)
     tint_sweep(kernel, tint_grid=[t_bound * (1 - 1e-12)])
-    for grid in ([t_bound * (1 + 1e-12)], [1.0, 1e20 * time_unit(n, j)], [1e300]):
+    for grid in ([t_bound * (1 + 1e-12)], [1.0, 1e20 * time_unit(n)], [1e300]):
         with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is "):
             tint_sweep(kernel, tint_grid=grid)
 
 
-@pytest.mark.parametrize("n", [-2, 3])
+@pytest.mark.parametrize("n", [-2, 0, 3])
 def test_tint_sweep_rejects_bad_n(n):
-    # the sweep reads N from the kernel; one made by hand for a bad N is refused
-    kernel = ProtocolKernel(n, 0.1, np.ones(abs(n) + 1, dtype=complex))
+    # The sweep reads N off the kernel's column of N + 1 amplitudes; a column
+    # made by hand for a bad N is refused by the N check.  No column holds
+    # -1 amplitudes, so N = -2 is read off the empty one as -1.
+    kernel = ProtocolKernel(np.ones(max(n + 1, 0), dtype=complex))
+    assert kernel.n_qubits == max(n, -1)
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
         tint_sweep(kernel, tint_grid=[1.0])
 
 
-def test_tint_sweep_rejects_a_kernel_of_the_wrong_length():
-    # A hand-made column of 3 amplitudes at N = 10 used to fail inside numpy's broadcast.
-    with pytest.raises(ValueError, match=r"^kernel column must hold N \+ 1 = 11 amplitudes, "
-                                         r"got shape \(3,\)$"):
-        tint_sweep(ProtocolKernel(10, 0.1, np.ones(3)), [1.0])
+def test_tint_sweep_rejects_a_column_that_is_not_1d():
+    # A square block would pass the N check (N = 2) and broadcast in survival.
+    with pytest.raises(ValueError, match=r"^kernel column must be 1-D, got shape \(3, 3\)$"):
+        tint_sweep(ProtocolKernel(np.ones((3, 3))), [1.0])
 
 
 def test_default_sensing_phases_stay_far_below_the_bound():
     # About 206 rad at N = 1000, T_int = 199 (2JN^2)^-1: 5e5 times below 1e8.
     n, j = 1000, 1e-3
-    t_max = default_sense_grid(n, j).max()
+    t_max = default_sense_grid(n).max()
     phase = (1 + np.pi) * n / 2 * t_max
     assert 200 < phase < 210
-    dynamics.check_sensing_time(n, j, (np.pi / 2) * n * j, t_max)
+    dynamics.check_sensing_time(n, (np.pi / 2) * n * j, t_max)
 
 
 def test_tint_sweep_takes_a_kernel_of_these_ramps(stepper_widths):
     # The sweep steps no ramp: it evaluates the kernel it is given, with the
-    # N and J of that kernel, at (pi/2) JN over the default grid.
-    n, j = 12, 0.25
-    kernel = protocol_kernel(n, j, 1.0, 150 * time_unit(n, j))
+    # N of that kernel, at (pi/2) JN over the default grid.
+    n = 12
+    kernel = protocol_kernel(n, 1.0, 150 * time_unit(n))
     assert stepper_widths == [1]
     sweep = tint_sweep(kernel)
     assert stepper_widths == [1]
-    assert (sweep.n_qubits, sweep.interaction) == (n, j)
-    grid = default_sense_grid(n, j)
+    assert sweep.n_qubits == kernel.n_qubits == n
+    grid = default_sense_grid(n)
+    hz = (np.pi / 2) * (1.0 / n * n)
     assert np.array_equal(sweep.t_sense, grid)
-    assert np.array_equal(sweep.survival, kernel.survival(grid, (np.pi / 2) * (j * n)))
-    assert np.array_equal(sweep.slope, kernel.survival_slope(grid, (np.pi / 2) * (j * n)))
+    assert np.array_equal(sweep.survival, kernel.survival(grid, hz))
+    assert np.array_equal(sweep.slope, kernel.survival_slope(grid, hz))
 
 
 def test_kernel_arrays_match_scalar_calls():
-    n, j = 8, 1.0 / 8
-    unit = time_unit(n, j)
-    kernel = protocol_kernel(n, j, 1.0, 60 * unit, ramp_steps=200)
+    n = 8
+    unit = time_unit(n)
+    kernel = protocol_kernel(n, 1.0, 60 * unit, ramp_steps=200)
     t = np.arange(1.0, 12.0, 2.0)[:, None] * unit
     hz = np.array([0.0, 0.3, np.pi / 2, 2.1])
     for method in (kernel.survival, kernel.survival_slope):
@@ -587,7 +590,7 @@ def test_tint_sweep_divergent_points_are_excluded():
     n = 10
     m0 = np.zeros(n + 1, dtype=complex)
     m0[n // 2] = 1.0
-    kernel, grid, hz = ProtocolKernel(n, 1.0 / n, m0), np.arange(1.0, 11.0), np.pi / 2
+    kernel, grid, hz = ProtocolKernel(m0), np.arange(1.0, 11.0), np.pi / 2
     assert np.all(kernel.survival(grid, hz) == 1.0)
     assert np.all(kernel.survival_slope(grid, hz) == 0.0)
     with np.errstate(all="raise"), pytest.raises(
