@@ -68,14 +68,18 @@ def parse_float_list(text):
 
 
 def parse_grid(text):
-    """Grid spec 'lo:hi:step' (inclusive) or a comma list; ValueError unless nonempty, finite."""
+    """Grid spec 'lo:hi:step' (inclusive) or a comma list; ValueError unless nonempty,
+    finite and of few enough points to allocate."""
     text = str(text)
     if ":" in text:
         fields = [float(t) for t in text.split(":")]
         if len(fields) != 3 or not all(map(math.isfinite, fields)) or fields[2] <= 0:
             raise ValueError(f"grid {text!r} is not lo:hi:step with finite fields and step > 0")
         lo, hi, step = fields
-        grid = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+        try:  # an infinite count overflows; one of 1e18 points cannot be allocated
+            grid = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+        except (OverflowError, MemoryError):
+            raise ValueError(f"grid {text!r} has too many points") from None
     else:
         grid = np.array(parse_float_list(text))
     if grid.size == 0 or not np.isfinite(grid).all():

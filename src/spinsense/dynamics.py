@@ -117,6 +117,7 @@ from .model import sector_tridiagonal, z_diagonal
 
 _STEPS_RULE = "steps must be even and at least 2"
 _TIMES_RULE = "times must be nonnegative"
+_PHASE_LIMIT = 1e8  # rad; float64 round-off of a larger phase exceeds 1e-8 rad
 _GAUSS = np.sqrt(3) / 6  # Gauss points of a CF4 step sit at 1/2 -+ _GAUSS
 
 
@@ -202,21 +203,29 @@ def _exponential_steps(a, b, fields, durations, psi):
     Returns the evolved block as a new array.  A block no wider than tall
     whose Chebyshev series are short takes the series, any other is carried
     in the eigenbasis, and arithmetic step lengths get the factored phase
-    table (see the module docstring).
+    table (see the module docstring).  A ramp whose largest phase max |E| T
+    passes 1e8 rad is rejected, as its float64 round-off would pass 1e-8 rad.
     """
-    neg_dts = -np.asarray(durations, dtype=float) / len(fields)
+    durations = np.asarray(durations, dtype=float)
+    neg_dts = -durations / len(fields)
     # One check here stands in for a per-step input scan of the eigensolves.
     if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, b)):
         raise ValueError("ramp fields, durations and couplings must be finite")
+    offs = np.abs(a[1])
+    rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))  # Gershgorin radii
+    knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
+    diags = a[0] + knots * b
+    # Each row's bound |diag| + rad on |E| is convex in h, so the end knots,
+    # the extreme fields, hold its largest; Python floats, as for sensing.
+    phase = float((np.abs(diags[[0, -1]]) + rad).max()) * float(np.abs(durations).max())
+    if phase > _PHASE_LIMIT:
+        raise ValueError(f"largest ramp phase max |E| T_a is {phase:.3g} rad, above 1e8 rad, "
+                         "where its float64 round-off exceeds 1e-8 rad")
     d, k = np.shape(psi)
     lengths = None
     if k <= d:
         # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
         # convex, have chords between knots that enclose the spectrum at every field.
-        knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
-        offs = np.abs(a[1])
-        rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))
-        diags = a[0] + knots * b
         lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
         hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
         centres, radii = (hi + lo) / 2, (hi - lo) / 2
@@ -304,9 +313,6 @@ def _sector_terms(n_qubits, parity):
 # ---------------------------------------------------------------------------
 # The prepare -> sense -> readout protocol.
 # ---------------------------------------------------------------------------
-
-
-_PHASE_LIMIT = 1e8  # rad; float64 round-off of a larger phase exceeds 1e-8 rad
 
 
 def check_sensing_time(n_qubits, hz, t_sense):

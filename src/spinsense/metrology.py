@@ -454,8 +454,7 @@ def random_overlap_instances(n_qubits, count, seed):
 
 def time_unit(n_qubits):
     """(2 J N^2)^(-1), the paper-style time unit."""
-    j = model.coupling(n_qubits)
-    return 1.0 / (2 * j * n_qubits**2)
+    return 1.0 / (2 * model.coupling(n_qubits) * n_qubits**2)
 
 
 def default_sense_grid(n_qubits):
@@ -499,8 +498,7 @@ def tint_sweep(kernel, tint_grid=None):
     if np.ndim(kernel.prep_z) != 1:
         raise ValueError(f"kernel column must be 1-D, got shape {np.shape(kernel.prep_z)}")
     n_qubits = kernel.n_qubits
-    j = model.coupling(n_qubits)
-    jn = j * n_qubits
+    jn = model.coupling(n_qubits) * n_qubits
     grid = (default_sense_grid(n_qubits) if tint_grid is None
             else np.asarray(tint_grid, dtype=float))
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):

@@ -68,7 +68,10 @@ def test_eigensolver_commands_leave_slow_modules_out(tmp_path):
 def test_parse_grid_forms():
     assert np.allclose(parse_grid("1:5:2"), [1, 3, 5])
     assert np.allclose(parse_grid("0.5,1.5"), [0.5, 1.5])
-    for bad in ["1:5:0", "1:5:-1", "1:5", "1:2:3:4", "1:0:0.1", "1:inf:1", "1,nan", ""]:
+    # The last two used to raise OverflowError (an infinite count) and
+    # MemoryError (8e18 bytes, past any 64-bit address space, so nothing is touched).
+    for bad in ["1:5:0", "1:5:-1", "1:5", "1:2:3:4", "1:0:0.1", "1:inf:1", "1,nan", "",
+                "1:1e300:1e-300", "1:1e18:1"]:
         with pytest.raises(ValueError):
             parse_grid(bad)
 
@@ -454,6 +457,8 @@ BAD_INPUTS = [
     ["time-budget", "--c", "0"],
     ["uncertainty-sweep", "--h0x-over-JN", "nan"],
     ["gap-scaling", "--N", "10,10"],
+    ["uncertainty-sweep", "--tint-grid", "1:1e300:1e-300"],  # these two gave tracebacks
+    ["overlap", "--grid", "0:1e18:1"],
 ]
 
 
@@ -513,6 +518,18 @@ def test_repeated_sizes_rejected(runner, tmp_path):
 def test_sensing_phase_past_round_off_is_rejected(runner, tmp_path, argv):
     line = _diagnostic(runner, tmp_path, argv)
     assert line.startswith("Error: largest sensing phase max_m |E_m| T_int is ")
+    assert line.endswith(" rad, above 1e8 rad, where its float64 round-off exceeds 1e-8 rad")
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty-sweep", "--N", "10", "--Ta", "1e300"],  # printed p = 0.6858
+    ["uncertainty-sweep", "--N", "10", "--Ta", "1e15"],  # printed p = 0.7695
+    ["uncertainty-sweep", "--h0x-over-JN", "1e300"],  # printed p = 0.0657
+    ["scan-ta", "--ta-max", "3", "--h0x-over-JN", "1e300"],  # wrote a CSV
+])
+def test_ramp_phase_past_round_off_is_rejected(runner, tmp_path, argv):
+    line = _diagnostic(runner, tmp_path, argv)
+    assert line.startswith("Error: largest ramp phase max |E| T_a is ")
     assert line.endswith(" rad, above 1e8 rad, where its float64 round-off exceeds 1e-8 rad")
 
 

@@ -158,6 +158,17 @@ def test_run_protocol_rejects_phases_past_round_off():
         run_protocol(10, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, ramp_steps=4)
 
 
+def test_ramps_past_round_off_are_rejected():
+    # Gershgorin bounds |E| over the N = 10 ramp from h0x = 1 by 11.17 (the rows
+    # at its extreme fields), so its phase passes 1e8 rad at T_a = 8.95e6.
+    protocol_kernel(10, 1.0, 8.9e6, ramp_steps=4)
+    for ramp in (lambda: protocol_kernel(10, 1.0, 9e6, ramp_steps=4),
+                 lambda: scan_ramp_time(10, 1.0, [1.0, 9e6], ramp_steps=4),
+                 lambda: run_protocol(10, 1.0, 9e6, 0.0, 0.0, ramp_steps=4)):
+        with pytest.raises(ValueError, match="^largest ramp phase max [|]E[|] T_a is 1e[+]08 rad"):
+            ramp()
+
+
 @pytest.mark.parametrize("n", [-2, 0, 3, 10.0, "10"])
 def test_run_protocol_rejects_bad_n(n):
     # The sensing-time check must not reach numpy with a bad N first.
