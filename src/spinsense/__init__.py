@@ -4,10 +4,8 @@ adiabatic transverse-field ramps in the infinite-range Ising model."""
 from .dicke import ghz_state, rotation_matrix, x_polarized_state
 from .dynamics import (
     ProtocolKernel,
-    ProtocolResult,
     RampScan,
     protocol_kernel,
-    run_protocol,
     scan_ramp_time,
     select_optimum,
 )

@@ -370,7 +370,10 @@ OPTS = {
                      lambda g: bool((g > 0).all()), "positive",
                      "Sensing-time grid 'lo:hi:step' in (2JN^2)^-1 units."),
     "gamma_c": Opt("--gamma-c", parse_float_list, "a comma list of numbers",
-                   lambda gs: len(gs) > 0 and all(0 <= g < math.inf for g in gs), "nonnegative",
+                   # distinct as written into the file names, _gammaC{g:g}
+                   lambda gs: (len(gs) > 0 and all(0 <= g < math.inf for g in gs)
+                               and len({f"{g:g}" for g in gs}) == len(gs)),
+                   "nonnegative and distinct",
                    "Gamma*C value(s), comma separated."),
     "seed": _integer("--seed", 0, "RNG seed."),
     "steps": Opt("--steps", int, "an integer", lambda v: v >= 2 and v % 2 == 0,

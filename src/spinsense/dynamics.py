@@ -1,4 +1,4 @@
-"""Time-dependent dynamics: ramps, protocol runs, ramp-time scans, kernels.
+"""Time-dependent dynamics: ramps, ramp-time scans and the protocol kernel.
 
 Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
 exponentials exp(-i H(h) dt) of the frozen Hamiltonian, either exactly
@@ -18,12 +18,12 @@ so a CF4 step is two exponentials of half the step length, each of the same
 tridiagonal form.  Every step count in this module counts exponentials per
 ramp (two per CF4 step), so it is even.
 
-The ramps run at h^z = 0, and are computed inside the two parity sectors of
-the X eigenbasis, where the Hamiltonian is exactly tridiagonal and B = -2 m
-is diagonal; parity is then conserved identically, which is the symmetry
-protection the prepare/readout ramps rely on.  Their results reach the Z
-basis through the parity blocks of S_X (``dicke.sector_to_z``), never
-through the dense (N+1) x (N+1) rotation.
+The ramps run at h^z = 0 from the even strong-field state, and are computed
+inside the even parity sector of the X eigenbasis, where the Hamiltonian is
+exactly tridiagonal and B = -2 m is diagonal; parity is then conserved
+identically, which is the symmetry protection the prepare/readout ramps rely
+on.  Their results reach the Z basis through the even parity block of S_X
+(``dicke.sector_to_z``), never through the dense (N+1) x (N+1) rotation.
 
 A ramp-time scan steps all its durations as the columns of one block through
 the down ramp alone, the up ramp being its transpose, and keeps the columns
@@ -34,8 +34,8 @@ Two choices are made per call from what the stepper sees.  The first picks
 the Chebyshev series or the eigensolves, from the rows d, the columns K and
 the length of the series.
 
-A block no wider than tall (the protocol kernel's column, a protocol run's
-sector) skips the eigensolves when its series are short
+A block no wider than tall (the protocol kernel's column) skips the
+eigensolves when its series are short
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r]
 holding the spectrum of H and H' = (H - c) / r,
 
@@ -103,16 +103,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import (
-    eigh_tridiagonal,
-    fold,
-    ghz_state,
-    real_matmul,
-    sector_to_z,
-    x_polarized_state,
-    z_to_sector,
-    zhbmv,
-)
+from .dicke import eigh_tridiagonal, ghz_state, real_matmul, sector_to_z, z_to_sector, zhbmv
 from .model import sector_tridiagonal, z_diagonal
 
 _STEPS_RULE = "steps must be even and at least 2"
@@ -304,106 +295,6 @@ def _exponential_steps(a, b, fields, durations, psi):
     return real_matmul(prev.T, coeffs)[:, :k]
 
 
-def _sector_terms(n_qubits, parity):
-    """(A, B, X indices) of one parity sector, H = A + h^x B with B = -2 m diagonal."""
-    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, parity)
-    return (diag, off), 2.0 * idx - n_qubits, idx
-
-
-# ---------------------------------------------------------------------------
-# The prepare -> sense -> readout protocol.
-# ---------------------------------------------------------------------------
-
-
-def check_sensing_time(n_qubits, hz, t_sense):
-    """ValueError unless every phase E_m T_int of the sensing window is at most 1e8 rad.
-
-    A float64 phase carries round-off of about 1e-16 of itself, so past this
-    bound the sensing phases, and any survival computed from them, lose
-    their last eight digits, and from about 1e16 rad on they are round-off.
-    ``t_sense`` is a time or an array of times.
-    """
-    top = float(np.abs(z_diagonal(n_qubits, hz)).max())
-    phase = top * float(np.max(t_sense))  # Python floats: overflow gives inf, not an error
-    if phase > _PHASE_LIMIT:
-        raise ValueError(
-            f"largest sensing phase max_m |E_m| T_int is {phase:.3g} rad, above 1e8 rad, "
-            "where its float64 round-off exceeds 1e-8 rad"
-        )
-
-
-def sensing_phases(n_qubits, hz, t_sense):
-    """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
-    return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
-
-
-class ProtocolResult(NamedTuple):
-    """The protocol's three states, as Z amplitudes, and its two fidelities."""
-
-    state_after_prep: np.ndarray
-    state_after_sense: np.ndarray
-    final_state: np.ndarray
-    fidelity_to_ghz: float
-    survival_probability: float
-
-
-def _sector_ramp(n_qubits, fields, t_ramp, amp):
-    """Z amplitudes ``amp`` after one ramp, each parity sector stepped on its own.
-
-    Only the sectors whose folded part of ``amp`` is nonzero are stepped, so
-    parity is conserved identically.
-    """
-    out = np.zeros(n_qubits + 1, dtype=complex)
-    for parity, part in zip((+1, -1), fold(amp)):
-        if np.any(part):
-            a, b, _ = _sector_terms(n_qubits, parity)
-            coords = z_to_sector(n_qubits, parity, amp)
-            stepped = _exponential_steps(a, b, fields, [t_ramp], coords[:, None])
-            out += sector_to_z(n_qubits, parity, stepped[:, 0])
-    return out
-
-
-def run_protocol(n_qubits, h0x, t_ramp, t_sense, hz_total, ramp_steps=400):
-    """Run the full protocol: ramp h^x down, sense at h^x = 0, ramp back up.
-
-    The protocol starts from the projected strong-field state |N/2, N/2>_X.
-    The ramps are evolved with h^z = 0 (the target field acts only during
-    the sensing window) so the spin-flip symmetry protects both transforms:
-    the down ramp is the protocol kernel's column, stepped in the even
-    sector, and the up ramp steps each parity sector that sensing has filled
-    on its own, through the down ramp's CF4 fields reversed (see the scan
-    notes).  At h^x = 0 the Hamiltonian is diagonal in the Z basis and the
-    sensing evolution is applied as exact phases, with the S_Z^2 coupling
-    left on, and a sensing time whose largest phase passes 1e8 rad is
-    rejected (see check_sensing_time).  ``ramp_steps`` counts exponentials
-    per ramp, even (two per CF4 step).
-    """
-    if not np.isfinite([t_ramp, t_sense, hz_total]).all():
-        raise ValueError("t_ramp, t_sense and hz_total must be finite")
-    if t_ramp < 0 or t_sense < 0:
-        raise ValueError(_TIMES_RULE)
-    check_sensing_time(n_qubits, hz_total, t_sense)
-    fields = _down_ramp_fields(h0x, ramp_steps)
-    start = x_polarized_state(n_qubits)
-    after_prep = start
-    if t_ramp > 0:
-        after_prep = protocol_kernel(n_qubits, h0x, t_ramp, ramp_steps).prep_z
-    after_sense = after_prep
-    if t_sense > 0:
-        after_sense = after_prep * sensing_phases(n_qubits, hz_total, t_sense)
-    final = after_sense
-    if t_ramp > 0:
-        final = _sector_ramp(n_qubits, fields[::-1], t_ramp, after_sense)
-
-    return ProtocolResult(
-        state_after_prep=after_prep,
-        state_after_sense=after_sense,
-        final_state=final,
-        fidelity_to_ghz=abs(complex(np.vdot(after_prep, ghz_state(n_qubits)))) ** 2,
-        survival_probability=abs(complex(np.vdot(final, start))) ** 2,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched ramp-time scans.
 #
@@ -459,10 +350,11 @@ def _down_ramp(n_qubits, h0x, ramp_times, ramp_steps):
     if (ramp_times < 0).any():
         raise ValueError(_TIMES_RULE)
     fields = _down_ramp_fields(h0x, ramp_steps)
-    a, b, _ = _sector_terms(n_qubits, +1)
-    start = np.zeros((len(a[0]), ramp_times.size), dtype=complex)
+    # H = A + h^x B in the even sector, with B = -2 m diagonal
+    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, +1)
+    start = np.zeros((len(diag), ramp_times.size), dtype=complex)
     start[0] = 1.0
-    return _exponential_steps(a, b, fields, ramp_times, start)
+    return _exponential_steps((diag, off), 2.0 * idx - n_qubits, fields, ramp_times, start)
 
 
 class RampScan(NamedTuple):
@@ -531,17 +423,48 @@ def select_optimum(scan, target):
 # ---------------------------------------------------------------------------
 
 
-class ProtocolKernel(NamedTuple):
-    """Precomputed ramps of the protocol, leaving (T_int, h^z) free.
+def check_sensing_time(n_qubits, hz, t_sense):
+    """ValueError unless h^z and T_int are finite, T_int >= 0 and no phase passes 1e8 rad.
 
-    Because the ramps carry no longitudinal field, the survival amplitude
-    factorizes as <e_0| U_up D(T_int, h^z) U_down |e_0> with D the diagonal
-    sensing evolution in the Z basis.  ``prep_z`` is U_down e_0, the
+    A float64 phase carries round-off of about 1e-16 of itself, so past this
+    bound the sensing phases, and any survival computed from them, lose
+    their last eight digits, and from about 1e16 rad on they are round-off.
+    ``hz`` and ``t_sense`` are numbers or arrays; the phase checked is
+    max_m |E_m| over every h^z times the largest T_int.
+    """
+    if not (np.isfinite(hz).all() and np.isfinite(t_sense).all()):
+        raise ValueError("T_int and h^z must be finite")
+    if np.any(np.less(t_sense, 0)):
+        raise ValueError(_TIMES_RULE)
+    top = float(np.abs(z_diagonal(n_qubits, hz)).max(initial=0.0))
+    phase = top * float(np.max(t_sense, initial=0.0))  # Python floats: overflow gives inf
+    if phase > _PHASE_LIMIT:
+        raise ValueError(
+            f"largest sensing phase max_m |E_m| T_int is {phase:.3g} rad, above 1e8 rad, "
+            "where its float64 round-off exceeds 1e-8 rad"
+        )
+
+
+def sensing_phases(n_qubits, hz, t_sense):
+    """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
+    return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
+
+
+class ProtocolKernel(NamedTuple):
+    """The protocol with its ramps stepped once, leaving (T_int, h^z) free.
+
+    The library's one protocol path: every simulated survival, in the
+    commands and the demos, comes from a kernel.  Because the ramps carry no
+    longitudinal field, the survival amplitude factorizes as
+    <e_0| U_up D(T_int, h^z) U_down |e_0> with D the diagonal sensing
+    evolution in the Z basis.  ``prep_z`` is U_down e_0, the
     strong-field state after the down ramp, in the Z basis; the readout
     column U_up^+ e_0 is its complex conjugate (see the scan notes), so the
     amplitude is prep_z^T D prep_z and each (T_int, h^z) evaluation costs
     O(N).  Both methods take arrays of T_int and h^z that broadcast against
-    each other.  N is read off the column's length.
+    each other, and reject a non-finite h^z or T_int, a negative T_int and a
+    sensing phase past 1e8 rad (see check_sensing_time).  N is read off the
+    column's length.
     """
 
     prep_z: np.ndarray
@@ -553,9 +476,9 @@ class ProtocolKernel(NamedTuple):
     def _terms(self, t_sense, hz):
         """(..., d) summands of the survival amplitude; T_int and h^z broadcast."""
         hz = np.asarray(hz, dtype=float)[..., None]
-        diag = z_diagonal(self.n_qubits, hz)
         t = np.asarray(t_sense, dtype=float)[..., None]
-        return self.prep_z * np.exp(-1j * diag * t) * self.prep_z
+        check_sensing_time(self.n_qubits, hz, t)
+        return self.prep_z * sensing_phases(self.n_qubits, hz, t) * self.prep_z
 
     def survival(self, t_sense, hz):
         """P = |<N/2, N/2|_X final>|^2 for the given sensing windows."""

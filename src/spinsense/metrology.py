@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, model
+from . import model
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +491,9 @@ def tint_sweep(kernel, tint_grid=None):
     (p = 1).
 
     Divergent points (vanishing slope) are excluded from the p average and
-    counted in ``excluded``; a grid of divergent points only is rejected.  A
-    grid whose largest sensing phase passes 1e8 rad is rejected (see
-    dynamics.check_sensing_time).
+    counted in ``excluded``; a grid of divergent points only is rejected, and
+    so, by the kernel, is one whose largest sensing phase passes 1e8 rad
+    (see dynamics.check_sensing_time).
     """
     if np.ndim(kernel.prep_z) != 1:
         raise ValueError(f"kernel column must be 1-D, got shape {np.shape(kernel.prep_z)}")
@@ -504,7 +504,6 @@ def tint_sweep(kernel, tint_grid=None):
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError("sensing-time grid must be finite, positive and nonempty")
     h_tot = (np.pi / 2) * jn
-    dynamics.check_sensing_time(n_qubits, h_tot, grid)
     survival = kernel.survival(grid, h_tot)
     slope = kernel.survival_slope(grid, h_tot)
     # Masked divisions: a zero slope gives delta_h = inf and no p, without 0/0.

@@ -121,6 +121,7 @@ def ground_overlap(n_qubits, fields_over_jn):
     The overlap is scale free: it depends on the field only through h^x/JN.
     Monotone increasing in the field, approaching 1 as h^x -> infinity.
     """
+    check_n(n_qubits)  # an empty grid reaches no sector_tridiagonal
     fields = np.atleast_1d(np.asarray(fields_over_jn, dtype=float))
     if np.any(fields < 0):
         raise ValueError("fields must be nonnegative")

@@ -25,9 +25,10 @@ import pytest
 from scipy.linalg import expm
 
 from spinsense import ProtocolKernel, parity_resolved_spectrum, rotation_matrix
-from spinsense.dicke import ladder_elements
-from spinsense.dynamics import _down_ramp_fields, _sector_ramp, sensing_phases
+from spinsense.dicke import fold, ladder_elements, sector_to_z, z_to_sector
+from spinsense.dynamics import _down_ramp_fields, _exponential_steps, sensing_phases
 from spinsense.metrology import SzReadout
+from spinsense.model import sector_tridiagonal
 
 
 def _kron_chain(ops):
@@ -137,17 +138,41 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, psi_fu
     return prep, sensed, final
 
 
+def sector_terms(n_qubits, parity):
+    """(A, B) of one parity sector, H = A + h^x B with B = -2 m diagonal."""
+    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, parity)
+    return (diag, off), 2.0 * idx - n_qubits
+
+
+def sector_ramp(n_qubits, fields, t_ramp, amp):
+    """Z amplitudes ``amp`` after one ramp, each parity sector stepped on its own.
+
+    Only the sectors whose folded part of ``amp`` is nonzero are stepped, so
+    parity is conserved identically.
+    """
+    out = np.zeros(n_qubits + 1, dtype=complex)
+    for parity, part in zip((+1, -1), fold(amp)):
+        if np.any(part):
+            a, b = sector_terms(n_qubits, parity)
+            coords = z_to_sector(n_qubits, parity, amp)
+            stepped = _exponential_steps(a, b, fields, [t_ramp], coords[:, None])
+            out += sector_to_z(n_qubits, parity, stepped[:, 0])
+    return out
+
+
 def sector_protocol(n_qubits, h0x, t_ramp, t_sense, hz, amp, steps):
     """Z amplitudes (after prep, after sensing, final) of the protocol from any start.
 
-    Not an oracle: the stages of run_protocol through dynamics' own ramp
-    (``_sector_ramp``) and sensing functions, for starts other than
-    |N/2, N/2>_X, such as ones with both parity sectors filled.
+    Not an oracle: the library's ramp stepper and sensing phases, both ramps
+    stepped (the up ramp through the down ramp's fields reversed), for starts
+    other than |N/2, N/2>_X, such as ones with both parity sectors filled.
+    The library's own path is the ProtocolKernel, whose ramps start from
+    |N/2, N/2>_X alone.
     """
     fields = _down_ramp_fields(h0x, steps)
-    prep = _sector_ramp(n_qubits, fields, t_ramp, amp)
+    prep = sector_ramp(n_qubits, fields, t_ramp, amp)
     sensed = prep * sensing_phases(n_qubits, hz, t_sense)
-    return prep, sensed, _sector_ramp(n_qubits, fields[::-1], t_ramp, sensed)
+    return prep, sensed, sector_ramp(n_qubits, fields[::-1], t_ramp, sensed)
 
 
 def cooled_start(n_qubits, h0x):
@@ -164,7 +189,7 @@ def cooled_kernel(n_qubits, h0x, t_ramp, steps):
     so the kernel of the column U_down c projects onto c itself.
     """
     fields = _down_ramp_fields(h0x, steps)
-    prep = _sector_ramp(n_qubits, fields, t_ramp, cooled_start(n_qubits, h0x))
+    prep = sector_ramp(n_qubits, fields, t_ramp, cooled_start(n_qubits, h0x))
     return ProtocolKernel(prep)
 
 

@@ -14,12 +14,12 @@ from spinsense import (
     adiabatic_ramp_constant,
     check_uncertainty_bound,
     ghz_dephasing_uncertainty,
+    ghz_state,
     ground_overlap,
     gap_scaling,
     optimal_sense_time,
     protocol_kernel,
     random_overlap_instances,
-    run_protocol,
     scan_ramp_time,
     select_optimum,
     sql_beating_window,
@@ -76,14 +76,14 @@ def test_criterion_01_overlap_figure():
 def test_criterion_02_ramp_fidelities():
     start = time.perf_counter()
     n = 10
-    res = run_protocol(n, 1.0, 150 * time_unit(n), 0.0, 0.0, ramp_steps=8000)
-    assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
-    assert res.survival_probability == pytest.approx(0.91, abs=0.01)
+    kernel = protocol_kernel(n, 1.0, 150 * time_unit(n), ramp_steps=8000)
+    fid_ghz = abs(np.vdot(ghz_state(n), kernel.prep_z)) ** 2
+    fid_init = kernel.survival(0.0, 0.0)
+    assert fid_ghz == pytest.approx(0.97, abs=0.01)
+    assert fid_init == pytest.approx(0.91, abs=0.01)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    report(2, elapsed,
-           f"T_a = 150: GHZ fidelity {res.fidelity_to_ghz:.4f}, "
-           f"return fidelity {res.survival_probability:.4f}")
+    report(2, elapsed, f"T_a = 150: GHZ fidelity {fid_ghz:.4f}, return fidelity {fid_init:.4f}")
 
 
 def test_criterion_03_headline_uncertainty_index():
@@ -204,17 +204,19 @@ def test_criterion_09_invariants():
             assert abs(np.linalg.norm(out) - 1) <= 1e-12
             assert abs(parity_expectation(out) - parity_expectation(before)) <= 1e-12
 
-    # brute-force 2^N oracle of the whole protocol at N = 2 and 4
-    for n_small in (2, 4):
+    # brute-force 2^N oracle of the whole protocol at N = 2, 4 and 6: the
+    # kernel's column is its state after the down ramp, and the kernel's
+    # survival its return probability after both ramps
+    for n_small in (2, 4, 6):
         j_small, h0, hz, duration, t_sense, steps = 1.0 / n_small, 1.0, 0.2, 3.0, 0.7, 400
         q = symmetric_isometry(n_small)
-        init = x_polarized_state(n_small)
-        ref = brute_force_protocol(n_small, j_small, h0, duration, t_sense, hz,
-                                   q @ init, steps)[-1]
-        ours = run_protocol(n_small, h0, duration, t_sense, hz,
-                            ramp_steps=steps).final_state
-        fid = abs(np.vdot(q @ ours, ref)) ** 2
-        assert fid > 1 - 1e-8, f"oracle disagreement at N={n_small}"
+        init = q @ x_polarized_state(n_small)
+        prep, _, final = brute_force_protocol(n_small, j_small, h0, duration, t_sense, hz,
+                                              init, steps)
+        kernel = protocol_kernel(n_small, h0, duration, ramp_steps=steps)
+        assert np.abs(q @ kernel.prep_z - prep).max() <= 1e-12, f"prep at N={n_small}"
+        survival = abs(np.vdot(init, final)) ** 2
+        assert abs(kernel.survival(t_sense, hz) - survival) <= 1e-12, f"P at N={n_small}"
 
     # adiabatic ideal-protocol fringe at h0/JN = 2 (matched cooled
     # preparation and readout; the projected start saturates at the
@@ -229,7 +231,7 @@ def test_criterion_09_invariants():
     assert worst <= 1e-3
     elapsed = time.perf_counter() - start
     report(9, elapsed,
-           f"parity/norm drift <= 1e-12; oracle fidelity > 1 - 1e-8; "
+           f"parity/norm drift <= 1e-12; kernel within 1e-12 of the 2^N oracle; "
            f"ideal fringe deviation {worst:.2e}")
 
 

@@ -225,6 +225,7 @@ DATA = Path(__file__).resolve().parent / "data"
      "bounds_check_N6_draws200_seed3.csv"),
     (["uncertainty-sweep"], "uncertainty_sweep.csv"),
     (["figure", "fig5", "--N", "10,20"], "fig5_N10_20.csv"),
+    (["figure", "fig6", "--N", "10,20"], "fig6_N10_20.csv"),
 ])
 def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
     # The sz-readout and bounds-check files were written by the per-row loops
@@ -249,8 +250,9 @@ def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
         # optima) are exact.  Their floats pass through the ramps' cos, sin
         # and exp, whose last bits depend on numpy's SIMD level: the files were
         # written at AVX-512 and match at AVX2 bit for bit, while at
-        # NPY_ENABLE_CPU_FEATURES=X86_V2 delta_h moves by up to 44 ulp and the
-        # fidelities by up to 67 ulp, so 128 ulp are allowed.
+        # NPY_ENABLE_CPU_FEATURES=X86_V2 delta_h moves by up to 44 ulp, the
+        # fidelities by up to 67 ulp and fig6's p and p_std (the scan's kernels
+        # through the sweep) by up to 61 and 85 ulp, so 128 ulp are allowed.
         for name in header:
             if name in ("N", "T_a_opt_2JN2", "T_int_2JN2"):
                 assert np.array_equal(rows[:, col[name]], ref[:, col[name]]), name
@@ -459,6 +461,8 @@ BAD_INPUTS = [
     ["gap-scaling", "--N", "10,10"],
     ["uncertainty-sweep", "--tint-grid", "1:1e300:1e-300"],  # these two gave tracebacks
     ["overlap", "--grid", "0:1e18:1"],
+    ["dephasing-window", "--gamma-c", "0.01,0.0100000001"],  # these two wrote one file twice
+    ["dephasing-window", "--gamma-c", "0.01,0.01"],
 ]
 
 
@@ -477,6 +481,14 @@ def _diagnostic(runner, tmp_path, argv):
 @pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_input_gives_one_line_diagnostic(runner, tmp_path, argv):
     _diagnostic(runner, tmp_path, argv)
+
+
+def test_fig2_gamma_c_values_name_distinct_files(runner, tmp_path):
+    # As dephasing-window in BAD_INPUTS: two values with one {:g} file suffix
+    # wrote one file twice and exited 0.
+    line = _diagnostic(runner, tmp_path, ["figure", "fig2", "--gamma-c", "0.01,0.0100000001"])
+    assert line == ("Error: invalid configuration: gamma_c must be nonnegative and "
+                    "distinct, got 0.01,0.0100000001")
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS)

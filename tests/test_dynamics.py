@@ -7,9 +7,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from spinsense import (
+    ProtocolKernel,
     ghz_state,
     protocol_kernel,
-    run_protocol,
     scan_ramp_time,
     select_optimum,
     x_polarized_state,
@@ -22,8 +22,6 @@ from spinsense.dynamics import (
     _exponential_steps,
     _peak_indices,
     _phase_factors,
-    _sector_ramp,
-    _sector_terms,
     _series_lengths,
     sensing_phases,
 )
@@ -38,6 +36,8 @@ from conftest import (
     parity_expectation,
     ramp_profiles,
     sector_protocol,
+    sector_ramp,
+    sector_terms,
     symmetric_isometry,
 )
 
@@ -88,26 +88,23 @@ def test_integrator_matches_exact_sensing():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_brute_force_oracle_agreement(n):
-    # Full 2^N protocol against the collective one, the state after each
-    # stage: run_protocol from |N/2, N/2>_X, and the collective ramps and
-    # sensing from a start with both parity sectors filled (N = 2 has a
-    # one-dimensional odd sector).
+    # Full 2^N protocol against the collective one: from |N/2, N/2>_X the
+    # kernel's column and its survival, which never steps the up ramp, and
+    # from a start with both parity sectors filled the state after each
+    # stage of the sector reference (N = 2 has a one-dimensional odd sector).
     j, h0, hz, steps = 1.0 / n, 1.0, 0.3, 40
     unit = time_unit(n)
     ta, t_sense = 30 * unit, 3 * unit
-    start = x_polarized_state(n)
-    state = _random_state(n, n)
     q = symmetric_isometry(n)
-    res = run_protocol(n, h0, ta, t_sense, hz, ramp_steps=steps)
-    stages = (res.state_after_prep, res.state_after_sense, res.final_state)
-    runs = [
-        (start, stages),
-        (state, sector_protocol(n, h0, ta, t_sense, hz, state, steps)),
-    ]
-    for amp, ours in runs:
-        refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, q @ amp, steps)
-        for out, ref in zip(ours, refs):
-            assert np.abs(q @ out - ref).max() < 1e-12
+    start = q @ x_polarized_state(n)
+    prep, _, final = brute_force_protocol(n, j, h0, ta, t_sense, hz, start, steps)
+    kernel = protocol_kernel(n, h0, ta, ramp_steps=steps)
+    assert np.abs(q @ kernel.prep_z - prep).max() < 1e-12
+    assert abs(kernel.survival(t_sense, hz) - abs(np.vdot(start, final)) ** 2) < 1e-12
+    state = _random_state(n, n)
+    refs = brute_force_protocol(n, j, h0, ta, t_sense, hz, q @ state, steps)
+    for out, ref in zip(sector_protocol(n, h0, ta, t_sense, hz, state, steps), refs):
+        assert np.abs(q @ out - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("hz", [0.0])
@@ -125,7 +122,7 @@ def test_propagate_matches_brute_force_amplitudes(n, hz):
         n, j, lambda t: h0 * np.cos(np.pi * t / (2 * duration)), duration, hz,
         q @ state, steps,
     )
-    ours = _sector_ramp(n, _down_ramp_fields(h0, steps), duration, state)
+    ours = sector_ramp(n, _down_ramp_fields(h0, steps), duration, state)
     assert np.abs(q @ ours - ref).max() < 1e-12
 
 
@@ -141,21 +138,53 @@ def test_norm_and_parity_conservation():
     assert abs(parity_expectation(sensed) - parity_expectation(state)) > 1e-3
 
 
+def _kernel_methods():
+    kernel = ProtocolKernel(np.full(11, 1 / np.sqrt(11), dtype=complex))  # N = 10
+    return kernel.survival, kernel.survival_slope
+
+
 @pytest.mark.parametrize("times", [
-    (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 0.0), (1.0, np.inf, 0.0),
-    (1.0, 1.0, np.nan), (1.0, 1.0, -np.inf),
+    (np.nan, 0.5), (np.inf, 0.5), ([1.0, np.nan], 0.5), (1.0, np.nan), (1.0, -np.inf),
+    (1.0, [0.5, np.inf]),
 ])
-def test_run_protocol_rejects_non_finite_times(times):
-    # A NaN ramp time used to skip both ramps and report survival 1.
-    with pytest.raises(ValueError, match="^t_ramp, t_sense and hz_total must be finite$"):
-        run_protocol(10, 1.0, *times)
+def test_kernel_rejects_non_finite_times(times):
+    # survival(nan, 0.5) returned nan.
+    for method in _kernel_methods():
+        with pytest.raises(ValueError, match=r"^T_int and h\^z must be finite$"):
+            method(*times)
 
 
-def test_run_protocol_rejects_phases_past_round_off():
+def test_kernel_rejects_phases_past_round_off():
     # Largest |E_m| at h^z = 0.5, J = 0.1, N = 10: 2 J 25 + 2 h^z 5 = 10.
-    run_protocol(10, 1.0, 1.0, 1e7 * (1 - 1e-9), 0.5, ramp_steps=4)
-    with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is 1e[+]08"):
-        run_protocol(10, 1.0, 1.0, 1e7 * (1 + 1e-9), 0.5, ramp_steps=4)
+    # survival(1e20, 0.5) returned 0.816, a number made of round-off.
+    past = "^largest sensing phase max_m [|]E_m[|] T_int is 1e[+]"
+    for method in _kernel_methods():
+        method(1e7 * (1 - 1e-9), 0.5)
+        method([0.0, 1e7 * (1 - 1e-9)], [[0.5], [-0.5]])
+        for t_sense in (1e7 * (1 + 1e-9), [1.0, 1e7 * (1 + 1e-9)]):
+            with pytest.raises(ValueError, match=past + "08 rad"):
+                method(t_sense, 0.5)
+        with pytest.raises(ValueError, match=past + "21 rad"):
+            method(1e20, 0.5)
+
+
+def test_kernel_rejects_negative_sensing_times():
+    # survival(-1, 0.5) returned 0.487; T_int = 0 stays legal.
+    for method in _kernel_methods():
+        method(0.0, 0.5)
+        for t_sense in (-1.0, [1.0, -1e-300]):
+            with pytest.raises(ValueError, match="^times must be nonnegative$"):
+                method(t_sense, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_kernel_rejects_bad_n(n):
+    # The kernel reads N off its column; the sensing-time check must not
+    # reach numpy with a bad N first.
+    kernel = ProtocolKernel(np.ones(n + 1))
+    for method in (kernel.survival, kernel.survival_slope):
+        with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
+            method(1.0, 0.5)
 
 
 def test_ramps_past_round_off_are_rejected():
@@ -163,25 +192,16 @@ def test_ramps_past_round_off_are_rejected():
     # at its extreme fields), so its phase passes 1e8 rad at T_a = 8.95e6.
     protocol_kernel(10, 1.0, 8.9e6, ramp_steps=4)
     for ramp in (lambda: protocol_kernel(10, 1.0, 9e6, ramp_steps=4),
-                 lambda: scan_ramp_time(10, 1.0, [1.0, 9e6], ramp_steps=4),
-                 lambda: run_protocol(10, 1.0, 9e6, 0.0, 0.0, ramp_steps=4)):
+                 lambda: scan_ramp_time(10, 1.0, [1.0, 9e6], ramp_steps=4)):
         with pytest.raises(ValueError, match="^largest ramp phase max [|]E[|] T_a is 1e[+]08 rad"):
             ramp()
-
-
-@pytest.mark.parametrize("n", [-2, 0, 3, 10.0, "10"])
-def test_run_protocol_rejects_bad_n(n):
-    # The sensing-time check must not reach numpy with a bad N first.
-    with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
-        run_protocol(n, 1.0, 1.0, 1.0, 0.5, ramp_steps=4)
 
 
 def test_step_halving_convergence():
     # survival probability settles monotonically under step doubling
     n = 8
     steps = [200, 400, 800, 1600, 3200]
-    surv = [run_protocol(n, 1.0, 3.0, 0.0, 0.0, ramp_steps=s).survival_probability
-            for s in steps]
+    surv = [protocol_kernel(n, 1.0, 3.0, ramp_steps=s).survival(0.0, 0.0) for s in steps]
     deltas = np.abs(np.diff(surv))
     assert np.all(np.diff(deltas) < 0)
 
@@ -210,37 +230,13 @@ def test_cf4_fourth_order_convergence():
     assert state_err[0] / state_err[1] >= 12
 
 
-@pytest.mark.parametrize("hz, widths", [(0.0, [1, 1]), (0.3, [1, 1, 1])])
-def test_run_protocol_steps_each_ramp_in_its_parity_sectors(stepper_widths, hz, widths):
-    # The default start is even: each ramp steps the even sector as one
-    # column, until sensing with h^z on fills the odd sector for the up ramp.
-    n = 10
-    unit = time_unit(n)
-    run_protocol(n, 1.0, 150 * unit, 3 * unit, hz, ramp_steps=40)
-    assert stepper_widths == widths
-    stepper_widths.clear()
-    run_protocol(n, 1.0, 150 * unit, 0.0, 0.3, ramp_steps=40)
-    assert stepper_widths == [1, 1]
-
-
-@pytest.mark.parametrize("hz, blocks", [(0.0, 1), (0.3, 2)])
-def test_run_protocol_solves_the_odd_block_only_once_sensing_fills_it(hz, blocks):
-    # The start and the down ramp are even; the odd parity block is solved
-    # only when sensing with h^z on leaves the up ramp an odd part to step.
-    n = 20
-    unit = time_unit(n)
-    dicke.parity_block.cache_clear()
-    run_protocol(n, 1.0, 150 * unit, 3 * unit, hz)
-    assert dicke.parity_block.cache_info().currsize == blocks
-
-
 def test_protocol_headline_fidelities():
     # N=10, JN=1, cosine/sine ramps at T_a = 150 (2JN^2)^-1.
     n = 10
     ta = 150 * time_unit(n)
-    res = run_protocol(n, 1.0, ta, 0.0, 0.0, ramp_steps=3000)
-    assert res.fidelity_to_ghz == pytest.approx(0.97, abs=0.01)
-    assert res.survival_probability == pytest.approx(0.91, abs=0.01)
+    kernel = protocol_kernel(n, 1.0, ta, ramp_steps=3000)
+    assert abs(np.vdot(ghz_state(n), kernel.prep_z)) ** 2 == pytest.approx(0.97, abs=0.01)
+    assert kernel.survival(0.0, 0.0) == pytest.approx(0.91, abs=0.01)
 
 
 def test_adiabatic_round_trip():
@@ -312,24 +308,29 @@ def test_scan_ramp_time_headline_and_oscillations():
         scan_ramp_time(n, 1.0, np.array([]))
 
 
-def test_scan_matches_run_protocol():
+def test_scan_matches_both_ramps_stepped():
+    # The scan's psi^T psi against the sector reference, which steps the up
+    # ramp too, from |N/2, N/2>_X.
     n = 6
     unit = time_unit(n)
     taus = np.array([40.0, 80.0])
     scan = scan_ramp_time(n, 1.0, taus * unit, ramp_steps=2000)
+    start = x_polarized_state(n)
     for i, tau in enumerate(taus):
-        res = run_protocol(n, 1.0, tau * unit, 0.0, 0.0, ramp_steps=2000)
-        assert scan.ghz_fidelity[i] == pytest.approx(res.fidelity_to_ghz, abs=1e-9)
+        prep, _, final = sector_protocol(n, 1.0, tau * unit, 0.0, 0.0, start, 2000)
+        assert scan.ghz_fidelity[i] == pytest.approx(
+            abs(np.vdot(ghz_state(n), prep)) ** 2, abs=1e-12
+        )
         assert scan.return_fidelity[i] == pytest.approx(
-            res.survival_probability, abs=1e-9
+            abs(np.vdot(start, final)) ** 2, abs=1e-12
         )
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
     # The scan steps the down ramp only and takes the return amplitude as
-    # psi^T psi (U_up = U_down^T); it must match the two-ramp protocol and
-    # the full 2^N oracle stepped through both ramps.
+    # psi^T psi (U_up = U_down^T); it must match the sector reference and
+    # the full 2^N oracle, both stepped through both ramps.
     j, steps, h0 = 1.0 / n, 40, 1.0
     taus = np.array([30.0, 70.0]) * time_unit(n)
     scan = scan_ramp_time(n, h0, taus, ramp_steps=steps)
@@ -341,9 +342,9 @@ def test_scan_steps_one_ramp_for_both(monkeypatch, stepper_widths, n):
     start = q @ x_polarized_state(n)
     ghz = q @ ghz_state(n)
     for i, ta in enumerate(taus):
-        res = run_protocol(n, h0, ta, 0.0, 0.0, ramp_steps=steps)
-        assert abs(scan.return_fidelity[i] - res.survival_probability) < 1e-12
-        assert abs(scan.ghz_fidelity[i] - res.fidelity_to_ghz) < 1e-12
+        prep, _, final = sector_protocol(n, h0, ta, 0.0, 0.0, q.T @ start, steps)
+        assert abs(scan.return_fidelity[i] - abs(np.vdot(start, q @ final)) ** 2) < 1e-12
+        assert abs(scan.ghz_fidelity[i] - abs(np.vdot(ghz, q @ prep)) ** 2) < 1e-12
         mid = brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
         end = brute_force_ramp(n, j, lambda t: h0 * up(t / ta), ta, 0.0, mid, steps)
         assert abs(scan.return_fidelity[i] - abs(np.vdot(start, end)) ** 2) < 1e-12
@@ -364,7 +365,7 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n):
     assert stepper_widths == [1]
 
     cooled = cooled_start(n, h0)
-    columns = [kernel.prep_z, _sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled)]
+    columns = [kernel.prep_z, sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled)]
     down, up = ramp_profiles()
     q = symmetric_isometry(n)
     for start, column in zip([x_polarized_state(n), cooled], columns):
@@ -383,7 +384,7 @@ def test_one_column_kernel_matches_two_columns_at_large_n():
     n = 600
     ta = (11.6 * n + 60) * time_unit(n)
     kernel = protocol_kernel(n, 1.0, ta)
-    a, b, _ = _sector_terms(n, +1)
+    a, b = sector_terms(n, +1)
     e0 = np.zeros((len(a[0]), 2), dtype=complex)
     e0[0] = 1.0
     ends = _exponential_steps(a, b, _down_ramp_fields(1.0, 400), [ta, -ta], e0)
@@ -438,9 +439,8 @@ def test_ramps_never_build_the_rotation_matrix(monkeypatch):
     n = 10
     unit = time_unit(n)
     scan_ramp_time(n, 1.0, np.arange(100.0, 200.0) * unit, ramp_steps=40)
-    protocol_kernel(n, 1.0, 150 * unit, ramp_steps=40)
-    run_protocol(n, 1.0, 150 * unit, 3 * unit, 0.2, ramp_steps=40)
-    for start in (cooled_start(n, 1.0), _random_state(n, 8)):
+    protocol_kernel(n, 1.0, 150 * unit, ramp_steps=40).survival(3 * unit, 0.2)
+    for start in (x_polarized_state(n), cooled_start(n, 1.0), _random_state(n, 8)):
         sector_protocol(n, 1.0, 150 * unit, 3 * unit, 0.2, start, 40)
 
 
@@ -458,7 +458,6 @@ def test_scan_keeps_the_kernel_of_each_optimum(stepper_widths):
 @pytest.mark.parametrize("build", [
     lambda: protocol_kernel(10, 1.0, -1.0),
     lambda: scan_ramp_time(10, 1.0, np.array([1.0, -1.0, 2.0])),
-    lambda: run_protocol(10, 1.0, -1.0, 0.0, 0.0),
 ])
 def test_negative_ramp_times_rejected(build):
     with pytest.raises(ValueError, match="^times must be nonnegative$"):
@@ -483,15 +482,18 @@ def test_scan_drops_roundoff_maxima():
     assert scan.optima == ()
 
 
-def test_kernel_matches_run_protocol():
+def test_kernel_matches_both_ramps_stepped():
+    # prep_z^T D prep_z against the sector reference, which steps the up
+    # ramp through both parity sectors that sensing fills.
     n = 8
     unit = time_unit(n)
     ta = 100 * unit
     kernel = protocol_kernel(n, 1.0, ta, ramp_steps=2000)
+    start = x_polarized_state(n)
     for tau, hz in [(5.0, 0.3), (27.0, np.pi / 2)]:
-        res = run_protocol(n, 1.0, ta, tau * unit, hz, ramp_steps=2000)
+        final = sector_protocol(n, 1.0, ta, tau * unit, hz, start, 2000)[-1]
         assert kernel.survival(tau * unit, hz) == pytest.approx(
-            res.survival_probability, abs=1e-8
+            abs(np.vdot(start, final)) ** 2, abs=1e-12
         )
 
 
@@ -543,7 +545,7 @@ def test_kernel_shared_steps_match_separate_ramps(n):
     # The kernel's one column serves both ramps: it is the down ramp from
     # e_0, and its conjugate the up ramp's adjoint applied to e_0, each
     # stepped here from its own CF4 exponents.  A complex even start goes
-    # through both ramps of the protocol run, the up ramp on the down
+    # through both ramps of the sector reference, the up ramp on the down
     # ramp's fields reversed.
     j, steps = 1.0 / n, 300
     ta = 80 * time_unit(n)
@@ -567,8 +569,8 @@ def test_kernel_shared_steps_match_separate_ramps(n):
     checks = [
         (kernel.prep_z, _loop_ramp(n, j, down, ta, steps, e0)),
         (kernel.prep_z.conj(), _loop_ramp(n, j, up, ta, steps, e0, adjoint=True)),
-        (_sector_ramp(n, fields, ta, start_z), _loop_ramp(n, j, down, ta, steps, start)),
-        (_sector_ramp(n, fields[::-1], ta, start_z), _loop_ramp(n, j, up, ta, steps, start)),
+        (sector_ramp(n, fields, ta, start_z), _loop_ramp(n, j, down, ta, steps, start)),
+        (sector_ramp(n, fields[::-1], ta, start_z), _loop_ramp(n, j, up, ta, steps, start)),
     ]
     for column, expected in checks:
         assert np.abs(column - z_amplitudes(expected)).max() < 1e-12
@@ -576,7 +578,7 @@ def test_kernel_shared_steps_match_separate_ramps(n):
 
 def test_block_columns_match_single_columns():
     n = 12
-    a, b, _ = _sector_terms(n, +1)
+    a, b = sector_terms(n, +1)
     d, fields = len(a[0]), np.linspace(1.5, 0.1, 50)
     rng = np.random.default_rng(3)
     # The even sector has d = 7, so every grid takes the eigensolves; the
@@ -633,7 +635,7 @@ def test_narrow_block_is_the_plain_step_loop():
     # phase table is the loop through V^T and V at every exponential, up to
     # round-off.
     n = 12
-    a, b, _ = _sector_terms(n, +1)
+    a, b = sector_terms(n, +1)
     fields = np.linspace(1.5, 0.1, 40)
     durations = np.array([0.7, -0.7, 2.0, 0.0, -3.1])
     rng = np.random.default_rng(4)
@@ -650,7 +652,7 @@ def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
     # At d = 51 a chunk holds three exponentials, so 400 of them run through
     # 134 chunks, the last one short, each linked to the one before.
     n = 100
-    a, b, _ = _sector_terms(n, +1)
+    a, b = sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, 400)
     rng = np.random.default_rng(6)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
@@ -709,8 +711,6 @@ def test_stepper_rejects_bad_input():
             scan_ramp_time(n, 1.0, np.array([1.0, 2.0]), ramp_steps=steps)
         with pytest.raises(ValueError, match="steps must be even and at least 2"):
             protocol_kernel(n, 1.0, 1.0, ramp_steps=steps)
-        with pytest.raises(ValueError, match="steps must be even and at least 2"):
-            run_protocol(n, 1.0, 1.0, 0.0, 0.0, ramp_steps=steps)
 
 
 def _count_eigensolves(monkeypatch):
@@ -741,7 +741,7 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
     # 50 at 4000 exponentials are sensing-sweep kernels; K = 2 blocks
     # take the series too.
-    a, b, _ = _sector_terms(n, +1)
+    a, b = sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n)
     rng = np.random.default_rng(n)
@@ -804,7 +804,7 @@ def test_series_kernels_match_the_oracle(monkeypatch, n):
     cooled = cooled_start(n, h0)
     columns = [
         protocol_kernel(n, h0, ta, ramp_steps=steps).prep_z,
-        _sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled),
+        sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled),
     ]
     assert not calls
     q = symmetric_isometry(n)

@@ -34,6 +34,7 @@ def test_params_validation():
     pytest.param(lambda n: sector_tridiagonal(n, 1.0, +1), id="sector_tridiagonal"),
     pytest.param(lambda n: parity_resolved_spectrum(n, 1.0), id="spectrum"),
     pytest.param(lambda n: ground_overlap(n, [1.0]), id="ground_overlap"),
+    pytest.param(lambda n: ground_overlap(n, []), id="ground_overlap_empty"),
     pytest.param(lambda n: even_gap_at(n, 1.0), id="even_gap_at"),
     pytest.param(lambda n: minimum_gap(n), id="minimum_gap"),
     pytest.param(lambda n: scan_ramp_time(n, 1.0, [1.0, 2.0, 3.0], ramp_steps=4),
