@@ -12,6 +12,12 @@ flat key = value pairs; command-line flags override config values.
 Each command is a row of ``COMMANDS`` (``FIGURES`` for the ``figure`` presets)
 naming the config keys it reads; ``OPTS`` turns the raw text of each key, from
 a flag, a config file or a default, into a checked value.
+
+Runners compute and write nothing: each takes its checked values and returns
+``(tables, summary lines)``, every table a ``(file suffix, header, rows)`` whose
+rows are iterated once.  ``_run`` alone writes them, to
+``<out stem><suffix><out ext>`` (the suffix is empty for a single file), and
+prints ``wrote <paths>`` and the summary lines.
 """
 
 import math
@@ -116,84 +122,67 @@ def resolve_out(out, default_name):
 # ---------------------------------------------------------------------------
 
 
-def run_overlap(ns, field_grid, out):
+def run_overlap(ns, field_grid):
     header = ["h_x_over_JN"] + [f"overlap_g0_sq_N{n}" for n in ns]
     columns = [model.ground_overlap(n, field_grid) for n in ns]
     rows = [[field_grid[i]] + [c[i] for c in columns] for i in range(len(field_grid))]
-    path = write_csv(out, header, rows)
-    lines = [f"wrote {path}"]
-    for n in ns:
-        at2 = model.ground_overlap(n, [2.0])[0]
-        lines.append(f"N={n}: |g0|^2 at h^x/JN=2 is {at2:.6f} (|g0|^4 = {at2**2:.6f})")
-    return [path], "\n".join(lines)
+    at2 = [model.ground_overlap(n, [2.0])[0] for n in ns]
+    return [("", header, rows)], [f"N={n}: |g0|^2 at h^x/JN=2 is {a:.6f} (|g0|^4 = {a**2:.6f})"
+                                  for n, a in zip(ns, at2)]
 
 
-def run_gap_scaling(ns, bracket, out):
+def run_gap_scaling(ns, bracket):
     scaling = model.gap_scaling(ns, bracket)
     header = ["N", "h_x_min_over_JN", "gap_min_over_JN", "gap_critical_over_JN"]
-    rows = list(
-        zip(scaling.n_values, scaling.min_locations, scaling.min_gaps, scaling.critical_gaps)
-    )
-    path = write_csv(out, header, rows)
-    summary = (
-        f"wrote {path}\n"
-        f"log-log slope of the minimum gap:        {scaling.min_fit[0]:+.4f}\n"
-        f"log-log slope of the critical-point gap: {scaling.critical_fit[0]:+.4f}\n"
-        "(the critical-point gap follows the asymptotic -1/3 law at these sizes;\n"
-        " the location of the raw minimum still drifts with N)"
-    )
-    return [path], summary
+    rows = zip(scaling.n_values, scaling.min_locations, scaling.min_gaps, scaling.critical_gaps)
+    return [("", header, rows)], [
+        f"log-log slope of the minimum gap:        {scaling.min_fit[0]:+.4f}",
+        f"log-log slope of the critical-point gap: {scaling.critical_fit[0]:+.4f}",
+        "(the critical-point gap follows the asymptotic -1/3 law at these sizes;",
+        " the location of the raw minimum still drifts with N)",
+    ]
 
 
-def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps, out):
+def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps):
     unit = metrology.time_unit(n)
     scan = dynamics.scan_ramp_time(n, h0x_over_jn, np.asarray(ta_grid_units) * unit,
                                    ramp_steps=steps)
-    header = ["T_a_2JN2", "fid_ghz", "fid_init"]
-    rows = list(zip(ta_grid_units, scan.ghz_fidelity, scan.return_fidelity))
-    path = write_csv(out, header, rows)
-    lines = [f"wrote {path}", f"{len(scan.optima)} local optima of the GHZ fidelity"]
-    for ta, fid in scan.optima[:10]:
-        lines.append(f"  T_a = {ta / unit:7.1f} (2JN^2)^-1  fid_ghz = {fid:.4f}")
-    return [path], "\n".join(lines)
+    rows = zip(ta_grid_units, scan.ghz_fidelity, scan.return_fidelity)
+    lines = [f"  T_a = {ta / unit:7.1f} (2JN^2)^-1  fid_ghz = {fid:.4f}"
+             for ta, fid in scan.optima[:10]]
+    return [("", ["T_a_2JN2", "fid_ghz", "fid_init"], rows)], [
+        f"{len(scan.optima)} local optima of the GHZ fidelity", *lines]
 
 
-def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps, out):
+SWEEP_HEADER = ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
+
+
+def run_uncertainty_sweep(n, ta_units, tint_units, h0x_over_jn, steps):
     unit = metrology.time_unit(n)
     kernel = dynamics.protocol_kernel(n, h0x_over_jn, ta_units * unit, ramp_steps=steps)
     sweep = metrology.tint_sweep(kernel, np.asarray(tint_units) * unit)
-    header = ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"]
-    rows = list(zip(tint_units, sweep.delta_h, sweep.hl, sweep.sql))
-    path = write_csv(out, header, rows)
-    summary = (
-        f"wrote {path}\n"
+    rows = zip(tint_units, sweep.delta_h, sweep.hl, sweep.sql)
+    return [("", SWEEP_HEADER, rows)], [
         f"index p = {sweep.p_mean:.4f} +- {sweep.p_std:.4f} "
-        f"(Heisenberg limit p = 1, SQL p = {1 / np.sqrt(n):.4f})\n"
-        f"divergent points excluded: {sweep.excluded}"
-    )
-    return [path], summary
+        f"(Heisenberg limit p = 1, SQL p = {1 / np.sqrt(n):.4f})",
+        f"divergent points excluded: {sweep.excluded}",
+    ]
 
 
-def run_limits(n, shots, t_int, total_time, out):
+def run_limits(n, shots, t_int, total_time):
     lim = metrology.metrology_limits(n, shots, t_int, total_time)
     header = ["N", "M", "T_int", "T", "HL", "SQL", "HL_min", "SQL_min", "HL_min_star"]
     row = [n, shots, t_int, total_time, lim.hl, lim.sql, lim.hl_min, lim.sql_min, lim.hl_min_star]
     rows = [[float("nan") if x is None else x for x in row]]
-    path = write_csv(out, header, rows)
-    summary = f"wrote {path}\nHL = {lim.hl:.6g}, SQL = {lim.sql:.6g}"
-    return [path], summary
+    return [("", header, rows)], [f"HL = {lim.hl:.6g}, SQL = {lim.sql:.6g}"]
 
 
-def run_dephasing_window(gamma_cs, n_max, out):
-    paths = []
-    lines = []
+def run_dephasing_window(gamma_cs, n_max):
+    tables, lines = [], []
     for gc in gamma_cs:
         res = metrology.sql_beating_window(gc, np.arange(2, n_max + 1, 2))
         suffix = f"_gammaC{gc:g}" if len(gamma_cs) > 1 else ""
-        target = Path(out)
-        p = target.with_name(target.stem + suffix + target.suffix)
-        rows = list(zip(res.n_values, res.lhs, res.rhs))
-        paths.append(write_csv(p, ["N", "lhs", "rhs"], rows))
+        tables.append((suffix, ["N", "lhs", "rhs"], zip(res.n_values, res.lhs, res.rhs)))
         if res.window.size:
             lines.append(
                 f"Gamma C = {gc:g}: beats the SQL for N in "
@@ -201,55 +190,42 @@ def run_dephasing_window(gamma_cs, n_max, out):
             )
         else:
             lines.append(f"Gamma C = {gc:g}: never beats the SQL on this grid")
-    return paths, "wrote " + ", ".join(str(p) for p in paths) + "\n" + "\n".join(lines)
+    return tables, lines
 
 
-def run_time_budget(ns, c, c_tilde, eps, variant, out):
+def run_time_budget(ns, c, c_tilde, eps, variant):
     header = ["N", "T_a", "T", "T_int", "eta", "eta_prime", "tint_threshold", "beats_SQL"]
-    rows = []
-    for n in ns:
-        tb = metrology.time_budget(n, c, eps, c_tilde=c_tilde, variant=variant)
-        rows.append(
-            [n, tb.t_ramp, tb.total_time, tb.t_sense, tb.eta, tb.eta_prime,
-             tb.tint_threshold, tb.beats_sql]
-        )
-    path = write_csv(out, header, rows)
-    last = rows[-1]
-    summary = (
-        f"wrote {path}\n"
-        f"variant {variant}, eps = {eps}: at N = {last[0]} "
-        f"eta = {last[4]:.4f}, eta' = {last[5]:.4f}, beats SQL: {bool(last[7])}"
-    )
-    return [path], summary
+    budgets = [metrology.time_budget(n, c, eps, c_tilde=c_tilde, variant=variant) for n in ns]
+    rows = [[n, tb.t_ramp, tb.total_time, tb.t_sense, tb.eta, tb.eta_prime, tb.tint_threshold,
+             tb.beats_sql] for n, tb in zip(ns, budgets)]
+    last = budgets[-1]
+    return [("", header, rows)], [
+        f"variant {variant}, eps = {eps}: at N = {ns[-1]} eta = {last.eta:.4f}, "
+        f"eta' = {last.eta_prime:.4f}, beats SQL: {bool(last.beats_sql)}"
+    ]
 
 
-def run_bounds_check(n, draws, seed, out):
+def run_bounds_check(n, draws, seed):
     overlaps, hz, t_sense = metrology.random_overlap_instances(n, draws, seed)
     check = metrology.check_uncertainty_bound(overlaps, hz, n, t_sense)
     rows = zip(range(draws), check.g0_sq, 2 * hz * n * t_sense, check.slope_abs, check.bound,
                check.satisfied)
     header = ["draw", "g0_sq", "two_hNT", "slope_abs", "lower_bound", "satisfied"]
-    path = write_csv(out, header, rows)
-    summary = (
-        f"wrote {path}\n"
+    return [("", header, rows)], [
         f"{draws} seeded draws (seed {seed}), violations of the slope bound: "
         f"{np.count_nonzero(~check.satisfied)}"
-    )
-    return [path], summary
+    ]
 
 
-def run_sz_readout(n, alpha, out):
+def run_sz_readout(n, alpha):
     t_sense = 1.0
     phases = np.round(np.arange(0, 2 * np.pi + 1e-9, np.pi / 50), 12)  # 2 h^z N T_int
     r = metrology.sz_readout_ideal(n, phases / (2 * n * t_sense), t_sense, alpha=alpha)
     header = ["two_hNT", "exp_sz", "std_sz", "delta_h_est", "delta_h_closed"]
-    path = write_csv(out, header, zip(phases, *r))
-    summary = (
-        f"wrote {path}\n"
+    return [("", header, zip(phases, *r))], [
         f"alpha = {alpha:g}: the slope carries cos(2 h N T), so the estimator "
         "diverges at odd multiples of pi/2"
-    )
-    return [path], summary
+    ]
 
 
 def _fig5_optima(ns, steps):
@@ -282,55 +258,44 @@ def _fig5_optima(ns, steps):
     return optima
 
 
-def run_fig5(ns, steps, out):
+def run_fig5(ns, steps):
     optima = _fig5_optima(ns, steps)
-    header = ["N", "T_a_opt_2JN2", "fid_ghz", "fid_init"]
     rows = [[n, *optima[n][:3]] for n in ns]
-    path = write_csv(out, header, rows)
+    tables = [("", ["N", "T_a_opt_2JN2", "fid_ghz", "fid_init"], rows)]
     if len(ns) < 2:
-        return [path], f"wrote {path}\na linear fit of the selected optima needs two or more N"
+        return tables, ["a linear fit of the selected optima needs two or more N"]
     fit = np.polyfit(ns, [optima[n][0] for n in ns], 1)
-    summary = (
-        f"wrote {path}\n"
-        f"linear fit of the selected optima: T_a = {fit[0]:.2f} N + {fit[1]:.1f} "
-        "(2JN^2)^-1"
-    )
-    return [path], summary
+    return tables, [
+        f"linear fit of the selected optima: T_a = {fit[0]:.2f} N + {fit[1]:.1f} (2JN^2)^-1"
+    ]
 
 
-def run_fig6(ns, steps, out):
+def run_fig6(ns, steps):
     optima = _fig5_optima(ns, steps)
     rows = []
     for n in ns:
         _, fid_ghz, fid_init, kernel = optima[n]
         sweep = metrology.tint_sweep(kernel)
         rows.append([n, sweep.p_mean, sweep.p_std, fid_ghz, fid_init])
-    path = write_csv(out, ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)
+    tables = [("", ["N", "p", "p_std", "fid_ghz", "fid_init"], rows)]
     margins = [r[1] - 1 / np.sqrt(r[0]) for r in rows]
-    summary = (
-        f"wrote {path}\n"
-        f"p exceeds the SQL line 1/sqrt(N) for every N "
-        f"(smallest margin {min(margins):.4f})"
-        if all(m > 0 for m in margins)
-        else f"wrote {path}\nwarning: p fell below the SQL line for some N"
-    )
-    return [path], summary
+    if all(m > 0 for m in margins):
+        return tables, [f"p exceeds the SQL line 1/sqrt(N) for every N "
+                        f"(smallest margin {min(margins):.4f})"]
+    warnings.warn("p fell below the SQL line for some N")
+    return tables, []
 
 
-def run_fig8(ns, steps, out):
+def run_fig8(ns, steps):
     optima = _fig5_optima(ns, steps)
-    paths = []
-    lines = []
+    tables, lines = [], []
     for n in ns:
         ta_units, _, _, kernel = optima[n]
         sweep = metrology.tint_sweep(kernel)
         taus = sweep.t_sense / metrology.time_unit(n)
-        rows = list(zip(taus, sweep.delta_h, sweep.hl, sweep.sql))
-        target = Path(out)
-        p = target.with_name(f"{target.stem}_N{n}{target.suffix}")
-        paths.append(write_csv(p, ["T_int_2JN2", "delta_h_over_JN", "HL", "SQL"], rows))
+        tables.append((f"_N{n}", SWEEP_HEADER, zip(taus, sweep.delta_h, sweep.hl, sweep.sql)))
         lines.append(f"N={n}: T_a = {ta_units:.0f} (2JN^2)^-1, p = {sweep.p_mean:.4f}")
-    return paths, "wrote " + ", ".join(str(p) for p in paths) + "\n" + "\n".join(lines)
+    return tables, lines
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +369,7 @@ OPTS = {
 class Command(NamedTuple):
     help: str
     defaults: dict  # config key read -> default text, or None for unset
-    run: Callable  # (parsed values, output path) -> (paths, summary)
+    run: Callable  # parsed values -> (tables, summary lines); see the module docstring
     sizes: tuple = (1, math.inf)  # least and most values of N taken
     even: bool = True  # N even and >= 2; False allows any positive N
 
@@ -417,48 +382,47 @@ COMMANDS = {
     "overlap": Command(
         "Ground-state overlap |g0|^2 against the transverse field.",
         {"n": "10,50,100", "grid": "0:3:0.02"},
-        lambda v, out: run_overlap(v["n"], v["grid"], out)),
+        lambda v: run_overlap(v["n"], v["grid"])),
     "gap-scaling": Command(
         "Minimum and critical-point even-sector gaps against N.",
         {"n": TEN_TO_100, "bracket": "0.3:1.5"},
-        lambda v, out: run_gap_scaling(v["n"], tuple(v["bracket"]), out),
+        lambda v: run_gap_scaling(v["n"], tuple(v["bracket"])),
         sizes=(2, math.inf)),
     "scan-ta": Command(
         "GHZ and return fidelity against the ramp time.",
         {"n": "10", "h0x_over_jn": "1", "ta_max": "300", "steps": "400"},
-        lambda v, out: run_scan_ta(v["n"][0], v["h0x_over_jn"],
-                                   np.arange(1.0, v["ta_max"] + 1), v["steps"], out),
+        lambda v: run_scan_ta(v["n"][0], v["h0x_over_jn"],
+                              np.arange(1.0, v["ta_max"] + 1), v["steps"]),
         sizes=ONE),
     "uncertainty-sweep": Command(
         "Estimation uncertainty against the sensing time.",
         {"n": "10", "h0x_over_jn": "1", "ta": "150", "tint_grid": "1:199:2", "steps": "400"},
-        lambda v, out: run_uncertainty_sweep(v["n"][0], v["ta"], v["tint_grid"],
-                                             v["h0x_over_jn"], v["steps"], out),
+        lambda v: run_uncertainty_sweep(v["n"][0], v["ta"], v["tint_grid"],
+                                        v["h0x_over_jn"], v["steps"]),
         sizes=ONE),
     "limits": Command(
         "Closed-form Heisenberg and standard quantum limits.",
         {"n": "10", "m": "1", "t_int": "1", "t": None},
-        lambda v, out: run_limits(v["n"][0], v["m"], v["t_int"], v["t"], out),
+        lambda v: run_limits(v["n"][0], v["m"], v["t_int"], v["t"]),
         sizes=ONE, even=False),
     "dephasing-window": Command(
         "System sizes where the entangled scheme beats the dephased SQL.",
         {"gamma_c": "0.01", "n_max": "2000"},
-        lambda v, out: run_dephasing_window(v["gamma_c"], v["n_max"], out)),
+        lambda v: run_dephasing_window(v["gamma_c"], v["n_max"])),
     "time-budget": Command(
         "Finite-duration scaling budget (eta, eta', SQL threshold).",
         {"n": "10,100,1000", "c": "1", "c_tilde": "100", "eps": "0.5", "variant": "main"},
-        lambda v, out: run_time_budget(v["n"], v["c"], v["c_tilde"], v["eps"],
-                                       v["variant"], out),
+        lambda v: run_time_budget(v["n"], v["c"], v["c_tilde"], v["eps"], v["variant"]),
         even=False),
     "bounds-check": Command(
         "Monte-Carlo check of the survival-slope lower bound.",
         {"n": "10", "draws": "10000", "seed": "0"},
-        lambda v, out: run_bounds_check(v["n"][0], v["draws"], v["seed"], out),
+        lambda v: run_bounds_check(v["n"][0], v["draws"], v["seed"]),
         sizes=ONE),
     "sz-readout": Command(
         "Global-magnetization readout statistics of the ideal probe state.",
         {"n": "10", "alpha": "0"},
-        lambda v, out: run_sz_readout(v["n"][0], v["alpha"], out),
+        lambda v: run_sz_readout(v["n"][0], v["alpha"]),
         sizes=ONE),
 }
 
@@ -466,11 +430,11 @@ FIGURES = {
     "fig1": Command(
         "Ground-state overlap |g0|^2 at N = 10, 50, 100.",
         {"n": "10,50,100"},
-        lambda v, out: run_overlap(v["n"], np.round(np.arange(0, 3.0 + 1e-9, 0.02), 10), out)),
+        lambda v: run_overlap(v["n"], np.round(np.arange(0, 3.0 + 1e-9, 0.02), 10))),
     "fig2": Command(
         "SQL-beating windows under dephasing, one file per Gamma*C.",
         {"gamma_c": "0.01,0.03,0.05"},
-        lambda v, out: run_dephasing_window(v["gamma_c"], 1000, out)),
+        lambda v: run_dephasing_window(v["gamma_c"], 1000)),
     "fig3": COMMANDS["scan-ta"]._replace(
         help="GHZ and return fidelity against the ramp time at N = 10."),
     "fig4": COMMANDS["uncertainty-sweep"]._replace(
@@ -478,15 +442,15 @@ FIGURES = {
     "fig5": Command(
         "Locally optimal ramp time against N.",
         {"n": TEN_TO_100, "steps": "400"},
-        lambda v, out: run_fig5(v["n"], v["steps"], out)),
+        lambda v: run_fig5(v["n"], v["steps"])),
     "fig6": Command(
         "Uncertainty index p against N at the fig5 optima.",
         {"n": TEN_TO_100, "steps": "400"},
-        lambda v, out: run_fig6(v["n"], v["steps"], out)),
+        lambda v: run_fig6(v["n"], v["steps"])),
     "fig8": Command(
         "Uncertainty sweeps at the fig5 optima, one file per N.",
         {"n": "20,30,40,50", "steps": "400"},
-        lambda v, out: run_fig8(v["n"], v["steps"], out)),
+        lambda v: run_fig8(v["n"], v["steps"])),
 }
 
 ROWS = {**COMMANDS, **FIGURES}
@@ -532,7 +496,8 @@ def validate_config(kind, values):
 
 
 def _run(kind, config_path, flags):
-    """Merge flag over config over default, check through OPTS and run."""
+    """Merge flag over config over default, check through OPTS, run, and write
+    each table the runner returns to ``<out stem><suffix><out ext>``."""
     config = load_config(config_path) if config_path else {}
     raw = {**ROWS[kind].defaults, **config}
     raw.update((key, text) for key, text in flags.items() if text is not None)
@@ -544,10 +509,12 @@ def _run(kind, config_path, flags):
         with np.errstate(divide="raise", over="raise", invalid="raise"), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            _, summary = ROWS[kind].run(values, out)
+            tables, lines = ROWS[kind].run(values)
+            paths = [write_csv(out.with_name(out.stem + suffix + out.suffix), header, rows)
+                     for suffix, header, rows in tables]
     except (ValueError, ArithmeticError, MemoryError) as exc:
         raise click.ClickException(str(exc) or type(exc).__name__) from exc
-    click.echo(summary)
+    click.echo("\n".join(["wrote " + ", ".join(map(str, paths)), *lines]))
     for caught_warning in caught:  # one line on stderr, not a Python warning with its source line
         click.echo(f"warning: {caught_warning.message}", err=True)
 

@@ -464,7 +464,8 @@ class ProtocolKernel(NamedTuple):
     O(N).  Both methods take arrays of T_int and h^z that broadcast against
     each other, and reject a non-finite h^z or T_int, a negative T_int and a
     sensing phase past 1e8 rad (see check_sensing_time).  N is read off the
-    column's length.
+    column's length; a column that is not 1-D, or whose norm squared is more
+    than 1e-8 from 1, is rejected too (a stepped one is within about 1e-12).
     """
 
     prep_z: np.ndarray
@@ -475,9 +476,14 @@ class ProtocolKernel(NamedTuple):
 
     def _terms(self, t_sense, hz):
         """(..., d) summands of the survival amplitude; T_int and h^z broadcast."""
+        if np.ndim(self.prep_z) != 1:
+            raise ValueError(f"kernel column must be 1-D, got shape {np.shape(self.prep_z)}")
         hz = np.asarray(hz, dtype=float)[..., None]
         t = np.asarray(t_sense, dtype=float)[..., None]
         check_sensing_time(self.n_qubits, hz, t)
+        norm = float(np.vdot(self.prep_z, self.prep_z).real)
+        if not abs(norm - 1) <= 1e-8:
+            raise ValueError(f"kernel column must have unit norm, got sum |prep_z|^2 = {norm!r}")
         return self.prep_z * sensing_phases(self.n_qubits, hz, t) * self.prep_z
 
     def survival(self, t_sense, hz):

@@ -21,17 +21,15 @@ from . import model
 # ---------------------------------------------------------------------------
 
 
-def error_propagation(std_observable, slope, shots=1):
-    """delta = ΔA / (|d<A>/dparam| sqrt(M)), elementwise over arrays.
+def error_propagation(std_observable, slope):
+    """delta = ΔA / |d<A>/dparam| of one measurement, elementwise over arrays.
 
     Infinite where the slope vanishes: the division is masked there, so it
     raises no floating-point warning even under np.errstate(all="raise").
     """
-    if not shots >= 1:
-        raise ValueError("shots must be >= 1")
     std, slope = np.broadcast_arrays(std_observable, slope)
     out = np.full(std.shape, np.inf)
-    return np.divide(std, np.abs(slope) * np.sqrt(shots), out=out, where=slope != 0)[()]
+    return np.divide(std, np.abs(slope), out=out, where=slope != 0)[()]
 
 
 def projection_noise(p):
@@ -495,8 +493,6 @@ def tint_sweep(kernel, tint_grid=None):
     so, by the kernel, is one whose largest sensing phase passes 1e8 rad
     (see dynamics.check_sensing_time).
     """
-    if np.ndim(kernel.prep_z) != 1:
-        raise ValueError(f"kernel column must be 1-D, got shape {np.shape(kernel.prep_z)}")
     n_qubits = kernel.n_qubits
     jn = model.coupling(n_qubits) * n_qubits
     grid = (default_sense_grid(n_qubits) if tint_grid is None

@@ -269,6 +269,61 @@ def test_array_commands_match_their_pinned_csvs(runner, tmp_path, argv, pinned):
     assert np.all(np.abs(rows[:, col["lower_bound"]] - bound) <= 1e-13 * np.abs(bound))
 
 
+GAP_SUMMARY = """\
+log-log slope of the minimum gap:        -0.2133
+log-log slope of the critical-point gap: -0.3410
+(the critical-point gap follows the asymptotic -1/3 law at these sizes;
+ the location of the raw minimum still drifts with N)"""
+
+
+PINNED_STDOUT = {
+    "overlap --N 10 --grid 0:1:0.5":
+        "wrote {out}/overlap.csv\nN=10: |g0|^2 at h^x/JN=2 is 0.988853 (|g0|^4 = 0.977830)",
+    "gap-scaling --N 10,20": "wrote {out}/gap_scaling.csv\n" + GAP_SUMMARY,
+    "scan-ta --ta-max 20":
+        "wrote {out}/scan_ta.csv\n0 local optima of the GHZ fidelity",
+    "uncertainty-sweep --steps 40":
+        "wrote {out}/uncertainty_sweep.csv\n"
+        "index p = 0.9377 +- 0.0097 (Heisenberg limit p = 1, SQL p = 0.3162)\n"
+        "divergent points excluded: 0",
+    "limits --T 2": "wrote {out}/limits.csv\nHL = 0.1, SQL = 0.316228",
+    "time-budget":
+        "wrote {out}/time_budget.csv\n"
+        "variant main, eps = 0.5: at N = 1000 eta = 9.5346, eta' = 0.9535, beats SQL: True",
+    "dephasing-window --gamma-c 0.01,0.03 --n-max 100":
+        "wrote {out}/dephasing_window_gammaC0.01.csv, {out}/dephasing_window_gammaC0.03.csv\n"
+        "Gamma C = 0.01: beats the SQL for N in [6, 100] (48 sizes)\n"
+        "Gamma C = 0.03: beats the SQL for N in [6, 42] (19 sizes)",
+    "bounds-check --draws 20":
+        "wrote {out}/bounds_check.csv\n"
+        "20 seeded draws (seed 0), violations of the slope bound: 0",
+    "sz-readout":
+        "wrote {out}/sz_readout.csv\n"
+        "alpha = 0: the slope carries cos(2 h N T), so the estimator diverges at odd "
+        "multiples of pi/2",
+    "figure fig2":
+        "wrote {out}/fig2_gammaC0.01.csv, {out}/fig2_gammaC0.03.csv, {out}/fig2_gammaC0.05.csv\n"
+        "Gamma C = 0.01: beats the SQL for N in [6, 316] (156 sizes)\n"
+        "Gamma C = 0.03: beats the SQL for N in [6, 42] (19 sizes)\n"
+        "Gamma C = 0.05: never beats the SQL on this grid",
+    "figure fig8 --N 20,30":
+        "wrote {out}/fig8_N20.csv, {out}/fig8_N30.csv\n"
+        "N=20: T_a = 290 (2JN^2)^-1, p = 0.5076\n"
+        "N=30: T_a = 430 (2JN^2)^-1, p = 0.6534",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+def test_command_stdout_is_pinned(runner, tmp_path, command):
+    # The complete stdout with the output directory as {out}: the file names
+    # the command writes, in order, and its summary.  The printed digits do
+    # not depend on numpy's SIMD level.
+    result = runner.invoke(main, command.split() + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.replace(str(tmp_path), "{out}") == PINNED_STDOUT[command] + "\n"
+    assert result.stderr == ""
+
+
 def test_sweep_warning_is_one_line_on_stderr(runner, tmp_path):
     # At T_int = 1e-300 the slope rounds to 0, so the point is excluded; the
     # point at 1 is kept.  The sweep's UserWarning used to escape the command
@@ -280,6 +335,17 @@ def test_sweep_warning_is_one_line_on_stderr(runner, tmp_path):
     assert "index p = 0.9811 +- 0.0000" in result.stdout
     assert "divergent points excluded: 1" in result.stdout
     assert result.stderr == "warning: 1 divergent grid points excluded from the p average\n"
+
+
+def test_fig6_warning_is_one_line_on_stderr(runner, tmp_path):
+    # At 2 exponentials per ramp p falls below 1/sqrt(N); the warning used to
+    # be printed on stdout after the "wrote" line, with stderr empty.
+    out = tmp_path / "f6.csv"
+    result = runner.invoke(main, ["figure", "fig6", "--N", "10,20,30", "--steps", "2",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wrote {out}\n"
+    assert result.stderr == "warning: p fell below the SQL line for some N\n"
 
 
 def test_fig2_files(runner, tmp_path):
@@ -600,30 +666,29 @@ def test_fig5_falls_back_to_the_full_grid(monkeypatch):
     assert fid == expected[1]
 
 
-def test_fig6_fig8_take_the_kernel_from_the_scan(monkeypatch, stepper_widths, tmp_path):
+def test_fig6_fig8_take_the_kernel_from_the_scan(monkeypatch, stepper_widths):
     # fig6 and fig8 sweep at the fig5 optima with the kernel the scan kept:
     # one stepper call per N (the scan) and no kernel build of their own.
     builds = []
     monkeypatch.setattr(dynamics, "protocol_kernel", lambda *args, **kw: builds.append(1))
     ns = [10, 20, 30, 40]
-    cli.run_fig6(ns, 400, tmp_path / "f6.csv")
+    [(_, _, fig6)], _ = cli.run_fig6(ns, 400)
     assert len(stepper_widths) == len(ns) and min(stepper_widths) > 1
-    _, summary = cli.run_fig8(ns, 400, tmp_path / "f8.csv")
+    fig8, summary = cli.run_fig8(ns, 400)
     assert len(stepper_widths) == 2 * len(ns) and min(stepper_widths) > 1
     assert not builds
     monkeypatch.undo()
 
-    tas = [float(line.split()[3]) for line in summary.splitlines()[1:]]
+    tas = [float(line.split()[3]) for line in summary]
     assert tas == [166, 290, 430, 510]
-    _, fig6 = _read_csv(tmp_path / "f6.csv")
-    for (n, p, p_std, *_), ta in zip(fig6, tas):
-        n = int(n)
+    for (n, p, p_std, *_), ta, (suffix, _, rows) in zip(fig6, tas, fig8):
+        assert suffix == f"_N{n}"
         kernel = dynamics.protocol_kernel(n, 1.0, ta * time_unit(n))
         sweep = metrology.tint_sweep(kernel)
         assert p == pytest.approx(sweep.p_mean, rel=1e-12, abs=0)
         assert p_std == pytest.approx(sweep.p_std, rel=1e-12, abs=0)
-        _, fig8 = _read_csv(tmp_path / f"f8_N{n}.csv")
-        assert fig8[:, 1] == pytest.approx(sweep.delta_h, rel=1e-12, abs=0)
+        delta_h = [row[1] for row in rows]
+        assert delta_h == pytest.approx(sweep.delta_h, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(ROWS))

@@ -187,6 +187,27 @@ def test_kernel_rejects_bad_n(n):
             method(1.0, 0.5)
 
 
+@pytest.mark.parametrize("column, message", [
+    (np.ones((3, 3)) / 3, r"^kernel column must be 1-D, got shape \(3, 3\)$"),
+    (2 * np.ones(11), r"^kernel column must have unit norm, got sum \|prep_z\|\^2 = 44\.0$"),
+    (np.full(11, np.sqrt((1 + 2e-8) / 11)), r"^kernel column must have unit norm, got "),
+])
+def test_kernel_rejects_a_malformed_column(column, message):
+    # The block gave three survivals; 2 * ones(11) gave a survival of 1.0 at
+    # (0, 0), clipped by np.minimum, and a slope of -2047.4 at (0.3, 0.5).
+    kernel = ProtocolKernel(column)
+    for method in (kernel.survival, kernel.survival_slope):
+        with pytest.raises(ValueError, match=message):
+            method(0.3, 0.5)
+
+
+def test_kernel_accepts_round_off_in_the_norm():
+    # A stepped column is within about 1e-12 of unit norm; 1e-8 is the limit.
+    kernel = ProtocolKernel(np.full(11, np.sqrt((1 + 5e-9) / 11)))
+    assert 0 <= kernel.survival(0.3, 0.5) <= 1
+    assert np.isfinite(kernel.survival_slope(0.3, 0.5))
+
+
 def test_ramps_past_round_off_are_rejected():
     # Gershgorin bounds |E| over the N = 10 ramp from h0x = 1 by 11.17 (the rows
     # at its extreme fields), so its phase passes 1e8 rad at T_a = 8.95e6.

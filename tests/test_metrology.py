@@ -59,7 +59,6 @@ NAN = float("nan")
     pytest.param(time_budget, (10, NAN, 0.5, 100.0), "C must be positive", id="budget-c"),
     pytest.param(time_budget, (10, 1.0, 0.5, NAN), "main variant needs a positive C~",
                  id="budget-c_tilde"),
-    pytest.param(error_propagation, (1.0, 1.0, NAN), "shots must be >= 1", id="propagation-shots"),
     pytest.param(survival_slope_from_overlaps, ([NAN, 1.0], 0.1, 2, 1.0),
                  "overlap weights must sum to 1", id="overlaps-weights"),
     pytest.param(time_budget, (NAN, 1.0, 0.5, 100.0), "n_qubits must be >= 1", id="budget-n"),
@@ -81,35 +80,33 @@ def test_closed_forms_reject_nan(fn, args, message):
 
 
 def test_error_propagation_substitution():
-    # dA = 1/2, |dP/dh| = N T_int, M = 1  ->  delta h = 1/(2 N T_int)
+    # dA = 1/2, |dP/dh| = N T_int  ->  delta h = 1/(2 N T_int)
     n, t = 10, 3.0
-    assert error_propagation(0.5, n * t, 1) == pytest.approx(1 / (2 * n * t))
+    assert error_propagation(0.5, n * t) == pytest.approx(1 / (2 * n * t))
 
 
 def test_error_propagation_divergence_is_reported_not_raised():
     assert error_propagation(0.5, 0.0) == np.inf
-    with pytest.raises(ValueError):
-        error_propagation(0.5, 1.0, shots=0)
 
 
 def test_error_propagation_on_arrays_masks_zero_slopes():
     # one masked division: a zero slope gives inf without a 0/0 warning
     with np.errstate(all="raise"):
-        dh = error_propagation(np.array([0.5, 0.0, 0.3]), np.array([2.0, 0.0, -0.6]), shots=4)
+        dh = error_propagation(np.array([0.5, 0.0, 0.3]), np.array([2.0, 0.0, -0.6]))
         noise = projection_noise(np.array([0.5, 1.0, 0.0]))
-    assert dh.tolist() == [0.125, np.inf, 0.25]
+    assert dh.tolist() == [0.25, np.inf, 0.5]
     assert noise.tolist() == [0.5, 0.0, 0.0]
 
 
 def test_ideal_heisenberg_limit_at_offset():
     # Projection readout of the ideal protocol at the offset point reaches
-    # delta h = 1/(2 N sqrt(M) T_int).
-    n, t, shots = 10, 2.0, 7
+    # delta h = 1/(2 N T_int) in one measurement.
+    n, t = 10, 2.0
     h_tot = calibrate_offset(0.0, n, t)
     p = ideal_survival(h_tot, n, t)
     slope = ideal_survival_slope(h_tot, n, t)
-    dh = error_propagation(projection_noise(p), slope, shots)
-    assert dh == pytest.approx(1 / (2 * n * np.sqrt(shots) * t), rel=1e-6)
+    dh = error_propagation(projection_noise(p), slope)
+    assert dh == pytest.approx(1 / (2 * n * t), rel=1e-6)
 
 
 # -- offset calibration -------------------------------------------------------
