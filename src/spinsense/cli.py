@@ -143,9 +143,13 @@ def run_gap_scaling(ns, bracket):
     ]
 
 
-def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps):
+def run_scan_ta(n, h0x_over_jn, ta_max, steps):
+    try:  # numpy refuses 1e300 points outright and cannot allocate 1e14
+        ta_grid_units = np.arange(1.0, ta_max + 1)
+    except (ValueError, MemoryError):
+        raise ValueError(f"ta_max {ta_max:g} makes a grid with too many points") from None
     unit = metrology.time_unit(n)
-    scan = dynamics.scan_ramp_time(n, h0x_over_jn, np.asarray(ta_grid_units) * unit,
+    scan = dynamics.scan_ramp_time(n, h0x_over_jn, ta_grid_units * unit,
                                    ramp_steps=steps)
     rows = zip(ta_grid_units, scan.ghz_fidelity, scan.return_fidelity)
     lines = [f"  T_a = {ta / unit:7.1f} (2JN^2)^-1  fid_ghz = {fid:.4f}"
@@ -391,8 +395,7 @@ COMMANDS = {
     "scan-ta": Command(
         "GHZ and return fidelity against the ramp time.",
         {"n": "10", "h0x_over_jn": "1", "ta_max": "300", "steps": "400"},
-        lambda v: run_scan_ta(v["n"][0], v["h0x_over_jn"],
-                              np.arange(1.0, v["ta_max"] + 1), v["steps"]),
+        lambda v: run_scan_ta(v["n"][0], v["h0x_over_jn"], v["ta_max"], v["steps"]),
         sizes=ONE),
     "uncertainty-sweep": Command(
         "Estimation uncertainty against the sensing time.",

@@ -25,14 +25,12 @@ Only when a file will not load is the scipy package imported, once, and
 the load retried (see `_linalg_extension`).
 
 States are plain numpy arrays of Z amplitudes, index k carrying
-m = N/2 - k.  The functions are pure and return fresh arrays, except the
-cached blocks and rotation, which are read-only, so everything can be shared
-freely across threads or sweep workers.
+m = N/2 - k.  The functions are pure, keep no state and return fresh arrays,
+so everything can be shared freely across threads or sweep workers.
 """
 
 import os
 import sys
-from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 
@@ -115,11 +113,6 @@ def lowest_eigenpairs(diag, off, count):
     return w[order], v[:, order]
 
 
-def _readonly(a):
-    a.setflags(write=False)
-    return a
-
-
 def check_n(n_qubits):
     """ValueError unless N is an even integer >= 2, as every function here needs."""
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 2 or n_qubits % 2:
@@ -171,7 +164,6 @@ def real_matmul(m, z):
     return (m @ z.view(float)).view(complex)
 
 
-@lru_cache(maxsize=8)
 def parity_block(n_qubits, parity):
     """The X states of one spin-flip parity over the folded Z basis (see fold).
 
@@ -190,8 +182,7 @@ def parity_block(n_qubits, parity):
 
     Each block is one ?stevd call of half the size of the full S_X (the even
     one takes about 6 ms at N = 600 and 76 ms at N = 2000, one BLAS thread
-    on a 2-core x86 host).  The returned array is float64 and read-only; a
-    few recent (N, parity) are cached.
+    on a 2-core x86 host).  The returned array is float64.
     """
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
@@ -205,10 +196,9 @@ def parity_block(n_qubits, parity):
     m_sq = (h - np.arange(len(v)))[:, None] ** 2.0
     steps = np.einsum("ij,ij->j", v[:, 1:], m_sq * v[:, :-1])
     signs = np.cumprod(np.concatenate([[parity * np.sign(v[:, 0].sum())], np.sign(steps)]))
-    return _readonly(v * signs)
+    return v * signs
 
 
-@lru_cache(maxsize=8)
 def rotation_matrix(n_qubits):
     """Real orthogonal U = exp(-i (pi/2) S_Y) mapping the Z basis onto the X basis.
 
@@ -222,15 +212,13 @@ def rotation_matrix(n_qubits):
     2-core x86 host; one eigensolve of the full S_X took 35, 90 and 450 ms).
     States are rotated through the blocks (see sector_to_z); no ramp, scan
     or sweep builds this dense matrix, which is the reference the tests
-    hold the blocks to and the span the benchmark's tracer records.  The
-    returned array is float64 and read-only; a few recent N are cached.
+    hold the blocks to and the span the benchmark's tracer records.
     """
-    # Solved uncached, so the dense reference does not also pin both blocks.
-    even, odd = parity_block.__wrapped__(n_qubits, +1), parity_block.__wrapped__(n_qubits, -1)
+    even, odd = parity_block(n_qubits, +1), parity_block(n_qubits, -1)
     u = np.empty((n_qubits + 1, n_qubits + 1))
     u[:, 0::2] = unfold(even)
     u[:, 1::2] = unfold(None, odd)
-    return _readonly(u)
+    return u
 
 
 def _block_product(block, coords):

@@ -350,11 +350,10 @@ def _down_ramp(n_qubits, h0x, ramp_times, ramp_steps):
     if (ramp_times < 0).any():
         raise ValueError(_TIMES_RULE)
     fields = _down_ramp_fields(h0x, ramp_steps)
-    # H = A + h^x B in the even sector, with B = -2 m diagonal
-    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, +1)
+    diag, off, b = sector_tridiagonal(n_qubits, 0.0, +1)  # H = A + h^x B, even sector
     start = np.zeros((len(diag), ramp_times.size), dtype=complex)
     start[0] = 1.0
-    return _exponential_steps((diag, off), 2.0 * idx - n_qubits, fields, ramp_times, start)
+    return _exponential_steps((diag, off), b, fields, ramp_times, start)
 
 
 class RampScan(NamedTuple):
@@ -423,33 +422,6 @@ def select_optimum(scan, target):
 # ---------------------------------------------------------------------------
 
 
-def check_sensing_time(n_qubits, hz, t_sense):
-    """ValueError unless h^z and T_int are finite, T_int >= 0 and no phase passes 1e8 rad.
-
-    A float64 phase carries round-off of about 1e-16 of itself, so past this
-    bound the sensing phases, and any survival computed from them, lose
-    their last eight digits, and from about 1e16 rad on they are round-off.
-    ``hz`` and ``t_sense`` are numbers or arrays; the phase checked is
-    max_m |E_m| over every h^z times the largest T_int.
-    """
-    if not (np.isfinite(hz).all() and np.isfinite(t_sense).all()):
-        raise ValueError("T_int and h^z must be finite")
-    if np.any(np.less(t_sense, 0)):
-        raise ValueError(_TIMES_RULE)
-    top = float(np.abs(z_diagonal(n_qubits, hz)).max(initial=0.0))
-    phase = top * float(np.max(t_sense, initial=0.0))  # Python floats: overflow gives inf
-    if phase > _PHASE_LIMIT:
-        raise ValueError(
-            f"largest sensing phase max_m |E_m| T_int is {phase:.3g} rad, above 1e8 rad, "
-            "where its float64 round-off exceeds 1e-8 rad"
-        )
-
-
-def sensing_phases(n_qubits, hz, t_sense):
-    """Diagonal Z-basis phases accumulated at h^x = 0 with the coupling on."""
-    return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
-
-
 class ProtocolKernel(NamedTuple):
     """The protocol with its ramps stepped once, leaving (T_int, h^z) free.
 
@@ -463,7 +435,7 @@ class ProtocolKernel(NamedTuple):
     amplitude is prep_z^T D prep_z and each (T_int, h^z) evaluation costs
     O(N).  Both methods take arrays of T_int and h^z that broadcast against
     each other, and reject a non-finite h^z or T_int, a negative T_int and a
-    sensing phase past 1e8 rad (see check_sensing_time).  N is read off the
+    sensing phase max_m |E_m| T_int past 1e8 rad.  N is read off the
     column's length; a column that is not 1-D, or whose norm squared is more
     than 1e-8 from 1, is rejected too (a stepped one is within about 1e-12).
     """
@@ -480,11 +452,19 @@ class ProtocolKernel(NamedTuple):
             raise ValueError(f"kernel column must be 1-D, got shape {np.shape(self.prep_z)}")
         hz = np.asarray(hz, dtype=float)[..., None]
         t = np.asarray(t_sense, dtype=float)[..., None]
-        check_sensing_time(self.n_qubits, hz, t)
+        if not (np.isfinite(hz).all() and np.isfinite(t).all()):
+            raise ValueError("T_int and h^z must be finite")
+        if np.any(t < 0):
+            raise ValueError(_TIMES_RULE)
+        energies = z_diagonal(self.n_qubits, hz)  # the sensing Hamiltonian, h^x = 0
+        phase = float(np.abs(energies).max(initial=0.0)) * float(t.max(initial=0.0))
+        if phase > _PHASE_LIMIT:  # a product of Python floats: an overflow gives inf
+            raise ValueError(f"largest sensing phase max_m |E_m| T_int is {phase:.3g} rad, "
+                             "above 1e8 rad, where its float64 round-off exceeds 1e-8 rad")
         norm = float(np.vdot(self.prep_z, self.prep_z).real)
         if not abs(norm - 1) <= 1e-8:
             raise ValueError(f"kernel column must have unit norm, got sum |prep_z|^2 = {norm!r}")
-        return self.prep_z * sensing_phases(self.n_qubits, hz, t) * self.prep_z
+        return self.prep_z * np.exp(-1j * energies * t) * self.prep_z
 
     def survival(self, t_sense, hz):
         """P = |<N/2, N/2|_X final>|^2 for the given sensing windows."""

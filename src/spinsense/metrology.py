@@ -491,7 +491,7 @@ def tint_sweep(kernel, tint_grid=None):
     Divergent points (vanishing slope) are excluded from the p average and
     counted in ``excluded``; a grid of divergent points only is rejected, and
     so, by the kernel, is one whose largest sensing phase passes 1e8 rad
-    (see dynamics.check_sensing_time).
+    (see dynamics.ProtocolKernel).
     """
     n_qubits = kernel.n_qubits
     jn = model.coupling(n_qubits) * n_qubits

@@ -40,13 +40,6 @@ from .dicke import (
 # ---------------------------------------------------------------------------
 
 
-def sector_indices(n_qubits, parity):
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
-    start = 0 if parity == +1 else 1
-    return np.arange(start, n_qubits + 1, 2)
-
-
 def coupling(n_qubits):
     """J = 1/N, which makes JN the energy unit; checks N first."""
     check_n(n_qubits)
@@ -54,12 +47,17 @@ def coupling(n_qubits):
 
 
 def sector_tridiagonal(n_qubits, transverse_field, parity):
-    """(diag, offdiag, X indices) of H restricted to one parity sector."""
+    """(diag, offdiag, B) of H = A + h^x B on one parity sector, at h^x = transverse_field.
+
+    B = dH/dh^x = -2 m is diagonal on the sector's X states, of even (parity
+    +1) or odd (parity -1) X index; this is the one place the pencil is written.
+    """
+    if parity not in (+1, -1):
+        raise ValueError("parity must be +1 or -1")
     j = coupling(n_qubits)
     if not np.isfinite(transverse_field):
         raise ValueError(f"transverse field must be finite, got {transverse_field}")
     lad = ladder_elements(n_qubits)
-    m = n_qubits / 2 - np.arange(n_qubits + 1)
     # In the X basis S_Z acts as minus the S_X ladder matrix, so S_Z^2 has
     #   diagonal      (S_Z^2)_X[k, k]   = sx_off[k-1]^2 + sx_off[k]^2
     #   second diag   (S_Z^2)_X[k, k+2] = sx_off[k] * sx_off[k+1]
@@ -68,10 +66,11 @@ def sector_tridiagonal(n_qubits, transverse_field, parity):
     sq_diag[:-1] += sx_off**2
     sq_diag[1:] += sx_off**2
     sq_off2 = sx_off[:-1] * sx_off[1:]
-    idx = sector_indices(n_qubits, parity)
-    diag = -2 * j * sq_diag[idx] - 2 * transverse_field * m[idx]
+    idx = np.arange(0 if parity == +1 else 1, n_qubits + 1, 2)
+    b = 2.0 * idx - n_qubits  # -2 m of X index k, with m = N/2 - k
+    diag = -2 * j * sq_diag[idx] + transverse_field * b
     off = -2 * j * sq_off2[idx[:-1]]
-    return diag, off, idx
+    return diag, off, b
 
 
 def z_diagonal(n_qubits, hz):
@@ -135,10 +134,10 @@ def ground_overlap(n_qubits, fields_over_jn):
 
 def _gap_and_slope(n_qubits, field_over_jn):
     """Even-sector gap E(psi_1) - E(psi_0) and its h^x derivative, units of JN."""
-    diag, off, idx = sector_tridiagonal(n_qubits, field_over_jn, +1)
+    diag, off, b = sector_tridiagonal(n_qubits, field_over_jn, +1)
     w, v = lowest_eigenpairs(diag, off, 2)
-    # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x = -2 m = 2 k - N diagonal
-    slope = (v[:, 1] ** 2 - v[:, 0] ** 2) @ (2.0 * idx - n_qubits)
+    # Hellmann-Feynman: dE_n/dh^x = <n|B|n>, with B = dH/dh^x diagonal
+    slope = (v[:, 1] ** 2 - v[:, 0] ** 2) @ b
     return float(w[1] - w[0]), float(slope)
 
 

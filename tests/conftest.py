@@ -26,9 +26,9 @@ from scipy.linalg import expm
 
 from spinsense import ProtocolKernel, parity_resolved_spectrum, rotation_matrix
 from spinsense.dicke import fold, ladder_elements, sector_to_z, z_to_sector
-from spinsense.dynamics import _down_ramp_fields, _exponential_steps, sensing_phases
+from spinsense.dynamics import _down_ramp_fields, _exponential_steps
 from spinsense.metrology import SzReadout
-from spinsense.model import sector_tridiagonal
+from spinsense.model import sector_tridiagonal, z_diagonal
 
 
 def _kron_chain(ops):
@@ -140,8 +140,13 @@ def brute_force_protocol(n_qubits, interaction, h0x, t_ramp, t_sense, hz, psi_fu
 
 def sector_terms(n_qubits, parity):
     """(A, B) of one parity sector, H = A + h^x B with B = -2 m diagonal."""
-    diag, off, idx = sector_tridiagonal(n_qubits, 0.0, parity)
-    return (diag, off), 2.0 * idx - n_qubits
+    diag, off, b = sector_tridiagonal(n_qubits, 0.0, parity)
+    return (diag, off), b
+
+
+def sensing_phases(n_qubits, hz, t_sense):
+    """Diagonal Z-basis phases exp(-i E_m T_int) of the sensing at h^x = 0, coupling on."""
+    return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
 
 
 def sector_ramp(n_qubits, fields, t_ramp, amp):

@@ -40,8 +40,10 @@ def test_tracer_records_scan_and_kernel():
         assert getattr(dynamics, name) is fn
 
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # one scan ramp and one kernel build, one eigensolve per exponential
+    # one scan ramp and one kernel build, one eigensolve per exponential, and
+    # one even-sector pencil (diag, off, B) per stepped ramp
     assert metrics["dynamics.eigensolves"] == steps + steps
+    assert metrics["model.sector_tridiagonal_calls"] == 2
     assert metrics["dynamics.scan_points"] == len(taus)
     assert metrics["dynamics.phase_exps"] > 0
     assert metrics["dynamics.matmul_flops"] > 0

@@ -611,6 +611,15 @@ def test_ramp_phase_past_round_off_is_rejected(runner, tmp_path, argv):
     assert line.endswith(" rad, above 1e8 rad, where its float64 round-off exceeds 1e-8 rad")
 
 
+@pytest.mark.parametrize("ta_max", ["1e300", "1e14"])
+def test_scan_grid_past_allocation_names_ta_max(runner, tmp_path, ta_max):
+    # numpy refuses both grids at once.  They printed "Error: Maximum allowed
+    # size exceeded" and "Error: Unable to allocate 728. TiB ...", naming no key.
+    for argv in (["scan-ta", "--ta-max", ta_max], ["figure", "fig3", "--ta-max", ta_max]):
+        line = _diagnostic(runner, tmp_path, argv)
+        assert line == f"Error: ta_max {float(ta_max):g} makes a grid with too many points"
+
+
 def test_sweep_of_divergent_points_only_is_rejected(runner, tmp_path):
     # It used to print "index p = nan +- nan" and exit 0.
     line = _diagnostic(runner, tmp_path, ["uncertainty-sweep", "--N", "2", "--steps", "2",

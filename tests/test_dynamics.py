@@ -23,10 +23,9 @@ from spinsense.dynamics import (
     _peak_indices,
     _phase_factors,
     _series_lengths,
-    sensing_phases,
 )
 from spinsense.metrology import time_unit
-from spinsense.model import sector_indices, sector_tridiagonal
+from spinsense.model import sector_tridiagonal
 
 from conftest import (
     brute_force_protocol,
@@ -38,6 +37,7 @@ from conftest import (
     sector_protocol,
     sector_ramp,
     sector_terms,
+    sensing_phases,
     symmetric_isometry,
 )
 
@@ -429,7 +429,7 @@ def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
     monkeypatch.setattr(dynamics, "_exponential_steps", recorded)
     kernel = protocol_kernel(n, 1.0, ta, ramp_steps=steps)
     full = np.zeros(n + 1, dtype=complex)
-    full[sector_indices(n, +1)] = columns[0][:, 0]
+    full[0::2] = columns[0][:, 0]  # the even sector's X states
     dense = rotation_matrix(n) @ full
     scale = np.abs(dense).max()
     assert np.abs(kernel.prep_z - dense).max() < 1e-13 * scale
@@ -437,12 +437,10 @@ def test_default_kernel_matches_the_dense_rotation_at_large_n(monkeypatch):
 
 def test_default_kernel_keeps_the_dense_rotation_out():
     # One (N+1)^2 float64 array at N = 600 is 2.89 MB; the kernel build,
-    # with the cached parity blocks rebuilt, stays below that.
+    # which solves the even parity block afresh, stays below that.
     n = 600
     ta = (11.6 * n + 60) * time_unit(n)
     protocol_kernel(n, 1.0, ta, ramp_steps=4)  # first calls into numpy and BLAS
-    dicke.rotation_matrix.cache_clear()
-    dicke.parity_block.cache_clear()
     tracemalloc.start()
     try:
         protocol_kernel(n, 1.0, ta, ramp_steps=400)
@@ -576,7 +574,7 @@ def test_kernel_shared_steps_match_separate_ramps(n):
     start = rng.normal(size=d) + 1j * rng.normal(size=d)
     start /= np.linalg.norm(start)
     e0 = np.eye(d)[0]
-    idx = sector_indices(n, +1)
+    idx = np.arange(0, n + 1, 2)  # X indices of the even sector
     u = rotation_matrix(n)
 
     def z_amplitudes(even):

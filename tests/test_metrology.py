@@ -30,7 +30,6 @@ from spinsense import (
     tint_sweep,
     zeno_limit,
 )
-from spinsense import dynamics
 from spinsense.dynamics import ProtocolKernel
 from spinsense.metrology import default_sense_grid, slope_lower_bound
 
@@ -544,7 +543,12 @@ def test_default_sensing_phases_stay_far_below_the_bound():
     t_max = default_sense_grid(n).max()
     phase = (1 + np.pi) * n / 2 * t_max
     assert 200 < phase < 210
-    dynamics.check_sensing_time(n, (np.pi / 2) * n * j, t_max)
+    kernel = ProtocolKernel(np.eye(n + 1)[0])  # the kernel checks every m, whatever its column
+    hz = (np.pi / 2) * n * j
+    kernel.survival(t_max, hz)
+    kernel.survival_slope(t_max, hz)
+    with pytest.raises(ValueError, match="^largest sensing phase max_m [|]E_m[|] T_int is 2.0"):
+        kernel.survival(1e6 * t_max, hz)
 
 
 def test_tint_sweep_takes_a_kernel_of_these_ramps(stepper_widths):

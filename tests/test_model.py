@@ -18,10 +18,16 @@ from spinsense import (
     x_polarized_state,
 )
 from spinsense import model
-from spinsense.dynamics import check_sensing_time
+from spinsense.dynamics import ProtocolKernel
 from spinsense.model import _gap_and_slope, sector_tridiagonal
 
-from conftest import build_hamiltonian, full_hamiltonian, parity_expectation, symmetric_isometry
+from conftest import (
+    build_hamiltonian,
+    full_hamiltonian,
+    parity_expectation,
+    spin_matrices,
+    symmetric_isometry,
+)
 
 
 def test_params_validation():
@@ -42,7 +48,6 @@ def test_params_validation():
     pytest.param(lambda n: protocol_kernel(n, 1.0, 10.0, ramp_steps=4), id="protocol_kernel"),
     pytest.param(x_polarized_state, id="x_polarized_state"),
     pytest.param(ghz_state, id="ghz_state"),
-    pytest.param(lambda n: check_sensing_time(n, 1.0, 1.0), id="check_sensing_time"),
 ])
 def test_entry_points_reject_bad_n(entry, n):
     # Each checks N through dicke.check_n, most of them in sector_tridiagonal.
@@ -50,6 +55,18 @@ def test_entry_points_reject_bad_n(entry, n):
     # odd N to return numbers.
     with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
         entry(n)
+
+
+@pytest.mark.parametrize("n", [-2, 0, 3])
+def test_kernel_methods_reject_bad_n(n):
+    # The kernel's sensing check reads N off its column of N + 1 amplitudes
+    # (the empty one reads as N = -1); a column made by hand for a bad N is
+    # refused by the N check before any phase is formed.  No column has a
+    # non-integer length, so N = 2.0 of the rows above cannot reach a kernel.
+    kernel = ProtocolKernel(np.ones(max(n + 1, 0), dtype=complex))
+    for method in (kernel.survival, kernel.survival_slope):
+        with pytest.raises(ValueError, match="^n_qubits must be an even integer >= 2, got "):
+            method(1.0, 1.0)
 
 
 @pytest.mark.parametrize("entry", [
@@ -140,6 +157,25 @@ def test_eigenstate_gauge_is_reproducible(n):
         assert amp.dtype == np.float64 and amp[np.argmax(np.abs(amp))] > 0
     for amp in spec.odd_states.T:
         assert np.array_equal(amp, -amp[::-1])
+
+
+@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("n", [2, 10, 600])
+def test_sector_pencil_is_linear_in_the_field(n, parity):
+    # The ramp stepper takes H(h) = A + h B from the h = 0 diagonal and B:
+    # at every h the sector diagonal is that sum to the bit, and B = dH/dh^x
+    # is -2 m on the sector's X states, X index k carrying m = N/2 - k.
+    a, off, b = sector_tridiagonal(n, 0.0, parity)
+    for h in (0.0, 0.7, 1.0, 3.0):
+        diag_h, off_h, b_h = sector_tridiagonal(n, h, parity)
+        assert np.array_equal(diag_h, a + h * b)
+        assert np.array_equal(off_h, off) and np.array_equal(b_h, b)
+    k = np.arange(0 if parity == +1 else 1, n + 1, 2)
+    assert np.array_equal(b, -2 * (n / 2 - k))
+    # and the same B from the dense rotation: dH/dh^x = -2 S_X is -2 m on the X states
+    x_states = rotation_matrix(n)[:, k]
+    dense_b = np.diag(x_states.T @ (-2 * spin_matrices(n)[0]) @ x_states)
+    assert np.abs(dense_b - b).max() < 1e-12 * n
 
 
 def test_sector_vs_full_diagonalization():
