@@ -73,6 +73,18 @@ def parse_float_list(text):
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+class TooManyPoints(ValueError):
+    """Well-formed text for a grid too long to allocate; the message is the diagnostic."""
+
+
+def _points(count, diagnostic):
+    """np.arange(int(count)), or TooManyPoints(diagnostic) if it cannot be allocated."""
+    try:  # an infinite count overflows, numpy refuses 1e300 points and cannot allocate 1e18
+        return np.arange(int(count))
+    except (OverflowError, ValueError, MemoryError):
+        raise TooManyPoints(diagnostic) from None
+
+
 def parse_grid(text):
     """Grid spec 'lo:hi:step' (inclusive) or a comma list; ValueError unless nonempty,
     finite and of few enough points to allocate."""
@@ -82,15 +94,21 @@ def parse_grid(text):
         if len(fields) != 3 or not all(map(math.isfinite, fields)) or fields[2] <= 0:
             raise ValueError(f"grid {text!r} is not lo:hi:step with finite fields and step > 0")
         lo, hi, step = fields
-        try:  # an infinite count overflows; one of 1e18 points cannot be allocated
-            grid = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
-        except (OverflowError, MemoryError):
-            raise ValueError(f"grid {text!r} has too many points") from None
+        count = np.floor((hi - lo) / step + 1e-9) + 1
+        grid = lo + step * _points(count, f"grid {text!r} has too many points")
     else:
         grid = np.array(parse_float_list(text))
     if grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError(f"grid {text!r} is empty or not finite")
     return grid
+
+
+def parse_ta_grid(text):
+    """Ramp times 1, 2, ..., floor(ta_max) of a scan; empty unless 1 <= ta_max < inf."""
+    ta_max = float(text)
+    if not 1 <= ta_max < math.inf:
+        return np.empty(0)
+    return 1.0 + _points(ta_max, f"ta_max {ta_max:g} makes a grid with too many points")
 
 
 def load_config(path):
@@ -143,11 +161,7 @@ def run_gap_scaling(ns, bracket):
     ]
 
 
-def run_scan_ta(n, h0x_over_jn, ta_max, steps):
-    try:  # numpy refuses 1e300 points outright and cannot allocate 1e14
-        ta_grid_units = np.arange(1.0, ta_max + 1)
-    except (ValueError, MemoryError):
-        raise ValueError(f"ta_max {ta_max:g} makes a grid with too many points") from None
+def run_scan_ta(n, h0x_over_jn, ta_grid_units, steps):
     unit = metrology.time_unit(n)
     scan = dynamics.scan_ramp_time(n, h0x_over_jn, ta_grid_units * unit,
                                    ramp_steps=steps)
@@ -353,8 +367,9 @@ OPTS = {
     "bracket": Opt("--bracket", lambda t: parse_float_list(t.replace(":", ",")), "'lo:hi'",
                    lambda b: len(b) == 2 and 0 <= b[0] < 1 < b[1] < math.inf,
                    "a range lo:hi with 0 <= lo < 1 < hi", "Field bracket lo:hi in JN units."),
-    "ta_max": _number("--ta-max", "Largest ramp time scanned (the scan starts at 1).",
-                      lambda x: 1 <= x < math.inf, "at least 1 and finite"),
+    "ta_max": Opt("--ta-max", parse_ta_grid, "a number", lambda g: g.size > 0,
+                  "at least 1 and finite",
+                  "Largest ramp time scanned (the scan steps by 1 from 1)."),
     "m": _integer("--M", 1, "Number of measurements."),
     "t_int": _number("--T-int", "Sensing time."),
     "t": _number("--T", "Total time budget."),
@@ -471,6 +486,9 @@ def _parse(kind, raw):
             continue
         try:
             value = opt.parse(text)
+        except TooManyPoints as exc:
+            diags.append(str(exc))
+            continue
         except ValueError:
             diags.append(f"{key} must be {opt.form}, got {text!r}")
             continue

@@ -1,10 +1,12 @@
 """Time-dependent dynamics: ramps, ramp-time scans and the protocol kernel.
 
 Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
-exponentials exp(-i H(h) dt) of the frozen Hamiltonian, either exactly
-through its eigendecomposition or as a Chebyshev series whose dropped terms
-weigh at most 1e-16.  Either way every step is unitary to that bound plus
-round-off, whatever the step size.  The kernel writes
+exponentials exp(-i H(h) dt) of the frozen Hamiltonian in one of three
+ways: exactly through its eigendecomposition, as a Chebyshev series whose
+dropped terms weigh at most 1e-16, or, for a single column, as 1 + G(h)
+with the generator G interpolated in the field to within 1e-16.  Each way
+every step is unitary to that bound plus round-off, whatever the step
+size.  The kernel writes
 H(h^x) = A + h^x B with A real symmetric tridiagonal and B diagonal and
 advances a (d, K) block of states, each column by its own signed time step.
 
@@ -31,8 +33,9 @@ at its optima.  The protocol kernel steps one column, U_down e_0 from the
 strong-field state e_0, and reads out through its conjugate U_up^+ e_0.
 
 Two choices are made per call from what the stepper sees.  The first picks
-the Chebyshev series or the eigensolves, from the rows d, the columns K and
-the length of the series.
+the path, the Chebyshev series, the interpolated generators or the
+eigensolves, from the rows d, the columns K, the number n of exponentials,
+the length of the series and the number of interpolation nodes.
 
 A block no wider than tall (the protocol kernel's column) skips the
 eigensolves when its series are short
@@ -51,33 +54,69 @@ The interval is Gershgorin's: its ends are concave and convex in h, so
 their chords between 17 fields spanning the ramp enclose the spectrum at
 every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
-A term costs about one call into BLAS (2.2 us) plus 0.028 us per row and
-column, so a call takes the series when its longest one satisfies
-m_max K (80 + d) < 4.5 d^2, a cost model fitted to these times per
-exponential (one BLAS thread on a shared 2-core x86 host, median of 7
-interleaved runs, the eigensolves at N >= 600 over 40 exponentials; m is
-the mean series length over the ramp, at T_a = 11.6 N + 60; K counts the
-columns, one for a protocol kernel):
 
-       N     d    K   exps      m   eigensolves   series   taken
-      10     6    1   4000    5.8        11 us     16 us   eigensolves
-      20    11    1   4000    6.5        20 us     21 us   eigensolves
-      30    16    1   4000    6.7        36 us     21 us   series
-      30    16    2   4000    6.7        35 us     42 us   eigensolves
-      40    21    1   4000    7.0        58 us     24 us   series
-      50    26    1   4000    7.3        73 us     26 us   series
-      50    26    2   4000    7.3        76 us     51 us   series
-      50    26    1    400   12.2        76 us     42 us   series
-     100    51    1    400   14.6       227 us     73 us   series
-     150    76    1    400   16.5       510 us     85 us   series
-     200   101    2    400   18.2       827 us    207 us   series
-     200   101   32    400   18.2       916 us   3053 us   eigensolves
-     600   301    1    400   27.9      5711 us    337 us   series
-     600   301    1     40  112.0      6322 us   1409 us   series
-    1000   501    1    400   35.6     16721 us    662 us   series
+A single column (K = 1, the protocol kernel's) may instead interpolate in
+the field.  Every exponential of a ramp has the same dt, so
+G(h) = exp(-i dt (A + h B)) - 1 is an entire function of the scalar field
+h.  G is evaluated exactly at the p + 1 Chebyshev points of the second kind
+on [min h, max h], one ?stevd each, as V diag(e^{i theta} - 1) V^T with
+e^{i theta} - 1 written as 2i sin(theta/2) e^{i theta/2}.  At each field it
+is their barycentric combination (Berrut & Trefethen, SIAM Rev. 46, 501,
+2004), one real-weights times complex product per chunk of fields (stacks
+of at most 2^15 float64), and the exponential is psi += G psi.  On the
+Bernstein ellipse E_rho of the field interval the log-norm of -i dt H is at
+most s (rho - 1/rho), with s = |dt| max|B| (max h - min h) / 4, so there
+|G| <= M = e^{s (rho - 1/rho)} + 1, and the interpolant errs by at most
+4 M rho^-p / (rho - 1) on the interval (Trefethen, Approximation Theory
+and Approximation Practice, Thm 8.2).  p is the least degree that some rho
+puts below 1e-16, in closed form per rho; the sweep kernels need 7 to 15
+nodes.  Interpolating G rather than the exponential keeps the round-off of
+the combination at the size of |G|, about r |dt|, rather than 1.
 
-It takes the faster path on every row; N = 20 is a tie, its seven timings
-spreading over 17-27 us (eigensolves) and 19-24 us (series).
+Each path is priced per exponential in units of a series term's work per
+row: a term costs about one call into BLAS (2.2 us) plus 0.028 us per row
+and column on the run that fitted the first two prices below.  The series
+costs m_max K (80 + d), m_max being its longest length, the eigensolves
+4.5 d^2, and the interpolation 100 + 0.02 (p + 2) d^2 plus its p + 1 nodes,
+(p + 1)(860 + 3.9 d^2) / n; the call takes the cheapest.  The node count
+is not taken where the nodes alone would cost more than the eigensolves of
+the whole ramp, so a short ramp over a wide field range, which would need
+millions of nodes, keeps the other paths; nor where the generators at the
+nodes would hold more than 2^21 float64 (16 MB).  These are the times per
+exponential (one BLAS thread on a shared 2-core x86 host with AVX-512,
+median of 7 interleaved runs, the eigensolves at N >= 600 over 40
+exponentials and the interpolation there with the 16 MB bound lifted; m
+is the mean series length over the ramp and p the degree, at
+T_a = 11.6 N + 60; K counts the columns, one for a protocol kernel).
+This run read the series and the eigensolves 1.3 to 2 times faster than
+the one that fitted their prices (0.017 us per unit here); the
+interpolation's prices are fitted to it in those units:
+
+       N     d    K   exps      m    p   eigensolves     series   interpolated   taken
+      10     6    1     40   16.8   16       10.4 us    28.4 us       12.5 us   eigensolves
+      10     6    1    400    9.1    9        7.4 us    12.7 us        2.6 us   interpolated
+      10     6    1   4000    5.8    6        6.2 us     8.1 us        2.1 us   interpolated
+      20    11    1   4000    6.5    6       11.0 us     9.3 us        2.2 us   interpolated
+      30    16    1   4000    6.7    7       22.0 us    11.2 us        2.8 us   interpolated
+      30    16    2   4000    6.7    -       23.2 us    22.2 us          -      eigensolves
+      40    21    1   4000    7.0    7       36.1 us    12.6 us        3.3 us   interpolated
+      50    26    1   4000    7.3    7       49.2 us    16.0 us        4.1 us   interpolated
+      50    26    2   4000    7.3    -       51.7 us    26.5 us          -      series
+      50    26    1    400   12.2   12       50.1 us    21.7 us        6.9 us   interpolated
+     100    51    1    400   14.6   14        171 us    32.0 us       19.1 us   interpolated
+     100    51    1   4000    8.3    8        170 us    19.2 us        9.5 us   interpolated
+     150    76    1    400   16.5   16        377 us    44.2 us       55.5 us   series
+     150    76    1   4000    9.0    9        370 us    27.2 us       21.6 us   interpolated
+     200   101    1   4000    9.4    9        556 us    28.1 us       76.0 us   series
+     200   101    2    400   18.2    -        570 us    97.2 us          -      series
+     200   101   32    400   18.2    -        649 us    1602 us          -      eigensolves
+     600   301    1    400   27.9   25       5181 us     160 us       3167 us   series
+     600   301    1     40  112.0   86       4545 us     805 us      22590 us   series
+    1000   501    1    400   35.6   32      15618 us     332 us      10550 us   series
+
+It takes the fastest path on every row; N = 30 with two columns is a tie.
+The N <= 20 rows come from a second run, the first having met a burst of
+other load on the host.
 
 Every other block goes through the eigendecompositions, one call of LAPACK
 ?stevd per exponential (``dicke.eigh_tridiagonal``), and is carried in the
@@ -142,11 +181,20 @@ def _phase_factors(steps):
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
 # Cost model of the path choice, in units of a series term's work per row
 # (about 0.028 us): a term costs _SERIES_TERM + d per column, an eigensolve
-# with its two products about _EIGEN_COST d^2 (table: module docstring).
+# with its two products about _EIGEN_COST d^2, an interpolated exponential
+# _GENERATOR_STEP + _GENERATOR_COST (p + 2) d^2 and each of its p + 1 nodes
+# _NODE_STEP + _NODE_COST d^2 (table: module docstring).
 _SERIES_TERM = 80.0
 _EIGEN_COST = 4.5
+_GENERATOR_STEP = 100.0
+_GENERATOR_COST = 0.02
+_NODE_STEP = 860.0
+_NODE_COST = 3.9
+_ELLIPSES = 1 + np.logspace(-3, 8, 111)  # Bernstein ellipse parameters rho tried
 _SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
 _STACK_FLOATS = 1 << 13  # float64 entries per stack of a chunk of exponentials
+_GENERATOR_FLOATS = 1 << 15  # float64 entries per stack of interpolated generators
+_NODE_FLOATS = 1 << 21  # float64 entries of the generators at the nodes, at most (16 MB)
 
 
 def _series_lengths(x, limit=math.inf):
@@ -185,16 +233,73 @@ def _bessel_table(x, m):
     return np.fft.fft(waves, axis=-1)[..., : m + 1].real / size
 
 
+def _node_count(s, limit=math.inf):
+    """Degree p of the Chebyshev interpolant of G(h) = exp(-i dt H(h)) - 1.
+
+    On the Bernstein ellipse E_rho of the field interval [lo, hi] the
+    log-norm of -i dt H(h) is at most s (rho - 1/rho), with
+    s = |dt| max|B| (hi - lo) / 4, so |G| <= M = e^{s (rho - 1/rho)} + 1
+    there, and the interpolant at the p + 1 Chebyshev points errs by at most
+    4 M rho^-p / (rho - 1) on [lo, hi] (Trefethen, ATAP, Thm 8.2).  p is the
+    least degree that some rho of _ELLIPSES puts below _SERIES_TAIL, and 0
+    where s = 0, as G is then constant.  Returns None if p reaches ``limit``.
+    """
+    if s == 0:
+        return 0
+    rho = _ELLIPSES
+    log_bound = math.log(4 / _SERIES_TAIL) + np.logaddexp(s * (rho - 1 / rho), 0) - np.log(rho - 1)
+    p = int(np.ceil(log_bound / np.log(rho)).min())
+    return None if p >= limit else p
+
+
+def _interpolated_generators(a, b, fields, neg_dt, p):
+    """G(h) = exp(-i H(h) dt) - 1 at each field in turn, interpolated in h.
+
+    G is evaluated exactly at the p + 1 Chebyshev points of the second kind
+    on [min(fields), max(fields)], as V diag(e^{i theta} - 1) V^T with
+    theta = -w dt, and at each field as their barycentric combination
+    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): one real-weights times
+    complex product per chunk of fields.  Yields (d, d) views.
+    """
+    d = len(a[0])
+    lo, hi = float(np.min(fields)), float(np.max(fields))
+    centre, half = (hi + lo) / 2, (hi - lo) / 2
+    if p:  # points and barycentric weights on [-1, 1], h = centre + half x
+        nodes = np.cos(np.pi / p * np.arange(p + 1))
+        weights = (-1.0) ** np.arange(p + 1)
+        weights[[0, -1]] /= 2
+    else:  # G does not depend on the field
+        nodes, weights = np.zeros(1), np.ones(1)
+    gens = np.empty((p + 1, d, d), dtype=complex)
+    for gen, x in zip(gens, nodes):
+        w, v = eigh_tridiagonal(a[0] + (centre + half * x) * b, a[1])
+        theta = w * (neg_dt / 2)  # half the angle
+        phases = 2j * np.sin(theta) * np.exp(1j * theta)  # e^{2i theta} - 1 without cancellation
+        np.matmul(v, (phases[:, None] * v.T).view(float), out=gen.view(float))
+    table = gens.reshape(p + 1, -1).view(float)
+    scale = 1 / half if p else 0.0  # p > 0 needs fields that differ
+    chunk = max(1, _GENERATOR_FLOATS // (2 * d * d))
+    for start in range(0, len(fields), chunk):
+        diff = (fields[start:start + chunk, None] - centre) * scale - nodes
+        # Scaled by the distance to the nearest node, every term is at most 1
+        # in size, and a field on a node gets that node's G alone.
+        near = np.abs(diff).min(axis=1, keepdims=True)
+        coefs = weights * np.divide(near, diff, out=np.ones_like(diff), where=diff != 0)
+        coefs /= coefs.sum(axis=1, keepdims=True)
+        yield from (coefs @ table).view(complex).reshape(-1, d, d)
+
+
 def _exponential_steps(a, b, fields, durations, psi):
     """Step a (d, K) block through H(h) = A + h B, one exponential per field.
 
     ``a`` is the pair (diagonal, off-diagonal) of A and ``b`` the diagonal
     of B.  Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
-    Returns the evolved block as a new array.  A block no wider than tall
-    whose Chebyshev series are short takes the series, any other is carried
-    in the eigenbasis, and arithmetic step lengths get the factored phase
-    table (see the module docstring).  A ramp whose largest phase max |E| T
+    Returns the evolved block as a new array.  The call takes the cheapest
+    path by the cost model: the Chebyshev series (a block no wider than
+    tall), the interpolated generators (one column) or the eigenbasis carry,
+    where arithmetic step lengths get the factored phase table (see the
+    module docstring).  A ramp whose largest phase max |E| T
     passes 1e8 rad is rejected, as its float64 round-off would pass 1e-8 rad.
     """
     durations = np.asarray(durations, dtype=float)
@@ -213,6 +318,18 @@ def _exponential_steps(a, b, fields, durations, psi):
         raise ValueError(f"largest ramp phase max |E| T_a is {phase:.3g} rad, above 1e8 rad, "
                          "where its float64 round-off exceeds 1e-8 rad")
     d, k = np.shape(psi)
+    n = len(fields)
+    best, nodes = _EIGEN_COST * d * d, None  # cost per exponential, node count
+    if k == 1:
+        s = abs(float(neg_dts[0])) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
+        node = _NODE_STEP + _NODE_COST * d * d
+        # Past this many nodes they alone would cost more than the eigensolves
+        # of the whole ramp, or hold more than _NODE_FLOATS.
+        p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * d * d)))
+        if p is not None:
+            cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 2) * d * d
+            if cost < best:
+                best, nodes = cost, p
     lengths = None
     if k <= d:
         # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
@@ -220,7 +337,7 @@ def _exponential_steps(a, b, fields, durations, psi):
         lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
         hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
         centres, radii = (hi + lo) / 2, (hi - lo) / 2
-        limit = _EIGEN_COST * d * d / (k * (_SERIES_TERM + d))
+        limit = best / (k * (_SERIES_TERM + d))
         lengths = _series_lengths(radii * np.abs(neg_dts).max(), limit)
     if lengths is not None:
         # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
@@ -251,6 +368,13 @@ def _exponential_steps(a, b, fields, durations, psi):
                         terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
                     cols[c] = coef[c, : m + 1] @ terms
         return np.transpose(cols)
+    if nodes is not None:
+        state = np.array(psi[:, 0], dtype=complex)
+        change = np.empty_like(state)
+        for gen in _interpolated_generators(a, b, fields, float(neg_dts[0]), nodes):
+            np.matmul(gen, state, out=change)
+            state += change
+        return state[:, None]
     factors = _phase_factors(neg_dts)
     if factors is None:
         table_steps, width = neg_dts, k

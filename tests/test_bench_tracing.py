@@ -5,6 +5,7 @@ A rename under ``src/`` would leave its spans and counters silently at zero,
 so these tests run it around a small scan, a kernel build and a sweep.
 """
 
+import math
 import types
 from pathlib import Path
 
@@ -23,7 +24,10 @@ def _load_tracing():
     return module
 
 
-def test_tracer_records_scan_and_kernel():
+def test_tracer_records_scan_and_kernel(monkeypatch):
+    # The kernel's column would take the interpolated generators, one
+    # eigensolve per node; priced out, it takes one per exponential.
+    monkeypatch.setattr(dynamics, "_NODE_STEP", math.inf)
     tracing = _load_tracing()
     originals = {name: getattr(dynamics, name)
                  for name in ("eigh_tridiagonal", "scan_ramp_time", "protocol_kernel")}

@@ -529,6 +529,7 @@ BAD_INPUTS = [
     ["overlap", "--grid", "0:1e18:1"],
     ["dephasing-window", "--gamma-c", "0.01,0.0100000001"],  # these two wrote one file twice
     ["dephasing-window", "--gamma-c", "0.01,0.01"],
+    ["scan-ta", "--ta-max", "1e300"],  # validate said ok, the run exited 1
 ]
 
 
@@ -615,9 +616,26 @@ def test_ramp_phase_past_round_off_is_rejected(runner, tmp_path, argv):
 def test_scan_grid_past_allocation_names_ta_max(runner, tmp_path, ta_max):
     # numpy refuses both grids at once.  They printed "Error: Maximum allowed
     # size exceeded" and "Error: Unable to allocate 728. TiB ...", naming no key.
+    # The grid is built as the configuration is checked, so validate sees it too.
     for argv in (["scan-ta", "--ta-max", ta_max], ["figure", "fig3", "--ta-max", ta_max]):
         line = _diagnostic(runner, tmp_path, argv)
-        assert line == f"Error: ta_max {float(ta_max):g} makes a grid with too many points"
+        assert line == ("Error: invalid configuration: "
+                        f"ta_max {float(ta_max):g} makes a grid with too many points")
+
+
+def test_grid_past_allocation_says_so(runner, tmp_path):
+    # The parser's own message was replaced by the generic grid form, which
+    # does not say that the grid is too long.
+    line = _diagnostic(runner, tmp_path, ["overlap", "--grid", "0:1e18:1"])
+    assert line == "Error: invalid configuration: grid '0:1e18:1' has too many points"
+
+
+def test_scan_stops_at_the_largest_ramp_time(runner, tmp_path):
+    # --ta-max 2.5 also wrote a row for T_a = 3.
+    out = tmp_path / "scan.csv"
+    result = runner.invoke(main, ["scan-ta", "--ta-max", "2.5", "--steps", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["T_a_2JN2", "1", "2"]
 
 
 def test_sweep_of_divergent_points_only_is_rejected(runner, tmp_path):

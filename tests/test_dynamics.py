@@ -1,5 +1,6 @@
 """Propagator correctness, symmetry protection, and protocol dynamics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from spinsense.dynamics import (
     _bessel_table,
     _down_ramp_fields,
     _exponential_steps,
+    _interpolated_generators,
+    _node_count,
     _peak_indices,
     _phase_factors,
     _series_lengths,
@@ -703,19 +706,33 @@ def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
     assert isinstance(err.value, ValueError)
 
 
+_NO_INTERPOLATION = {"_NODE_STEP": math.inf}
+_ONLY_INTERPOLATION = {"_SERIES_TERM": math.inf, "_EIGEN_COST": 1e9}
+
+
+def _price(monkeypatch, prices):
+    for name, value in prices.items():
+        monkeypatch.setattr(dynamics, name, value)
+
+
 def test_kernel_build_memory_stays_small(monkeypatch):
-    # Both paths keep fixed-size chunk stacks: the eigenbasis carry's over
-    # the whole 4000-exponential ramp would take about 22 MB.  This kernel
-    # takes the series; priced at zero, the eigensolves take it.
+    # Every path keeps fixed-size chunk stacks: the eigenbasis carry's over
+    # the whole 4000-exponential ramp would take about 22 MB, and the
+    # interpolated generators of all 4000 exponentials 43 MB.  This kernel
+    # takes the interpolation (8 nodes); priced out, the series; with the
+    # eigensolves priced at zero, the eigenbasis carry.
     n = 50
-    for eigen_cost in (dynamics._EIGEN_COST, 0.0):
-        monkeypatch.setattr(dynamics, "_EIGEN_COST", eigen_cost)
+    for prices, eigensolves in (({}, 8), (_NO_INTERPOLATION, 0), ({"_EIGEN_COST": 0.0}, 4000)):
+        _price(monkeypatch, prices)
+        calls = _count_eigensolves(monkeypatch)
         tracemalloc.start()
         try:
             protocol_kernel(n, 1.0, 645 * time_unit(n), ramp_steps=4000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        monkeypatch.undo()
+        assert len(calls) == eigensolves
         assert peak < 1e6
 
 
@@ -766,6 +783,9 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
     block /= np.linalg.norm(block, axis=0)
+    # One column at N = 30 and 50 takes the interpolated generators; price
+    # them out so the series is checked there.
+    _price(monkeypatch, _NO_INTERPOLATION)
     if n == 30 and len(durations) == 2:
         # At d = 16 the eigensolves are the cheaper path for two columns
         # (see the table in the dynamics docstring); price them out so the
@@ -776,6 +796,79 @@ def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations)
     assert not calls
     assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
     assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("duration", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("n, n_exps", [(10, 4000), (30, 4000), (50, 4000), (100, 400)])
+def test_interpolated_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, duration):
+    # One column through the interpolated generators alone, on the protocol
+    # kernel's ramp at the fig5 line: N = 10..50 at 4000 exponentials are
+    # sensing-sweep kernels, N = 100 at 400 a CLI default.  A zero duration
+    # has one node, where G = 0.
+    a, b = sector_terms(n, +1)
+    fields = _down_ramp_fields(1.0, n_exps)
+    durations = np.array([duration]) * (11.6 * n + 60) * time_unit(n)
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(len(a[0]), 1)) * (1 + 1j)
+    block /= np.linalg.norm(block)
+    _price(monkeypatch, _ONLY_INTERPOLATION)
+    calls = _count_eigensolves(monkeypatch)
+    out = _exponential_steps(a, b, fields, durations, block)
+    assert 0 < len(calls) <= 15  # one per node
+    assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
+    assert np.abs(np.linalg.norm(out) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n, n_exps", [(10, 4000), (30, 4000), (50, 4000), (100, 400)])
+def test_interpolated_generators_meet_their_bound(n, n_exps):
+    # At 50 random fields, G(h) = exp(-i H(h) dt) - 1 combined from the
+    # p + 1 nodes matches G from an eigensolve at h itself within 1e-15: the
+    # interpolation errs by at most 1e-16, and both sides carry round-off of
+    # about 5 ulp of |G|, which passes 1e-15 only where |G| nears 1 (0.87 at
+    # N = 100; at most 0.04 in the sweep kernels).  With two nodes fewer the
+    # sweep kernels miss the bound by far.
+    a, b = sector_terms(n, +1)
+    neg_dt = -(11.6 * n + 60) * time_unit(n) / n_exps
+    fields = np.random.default_rng(n).uniform(0.0, 1.0, 50)
+    p = _node_count(abs(neg_dt) * np.abs(b).max() * np.ptp(fields) / 4)
+    exact = []
+    for h in fields:
+        w, v = eigh_tridiagonal(a[0] + h * b, a[1])
+        exact.append((v * (2j * np.sin(w * neg_dt / 2) * np.exp(0.5j * w * neg_dt))) @ v.T)
+    exact = np.array(exact)
+    tol = 1e-15 * max(1.0, 10 * np.abs(exact).max())
+    gens = np.array(list(_interpolated_generators(a, b, fields, neg_dt, p)))
+    assert np.abs(gens - exact).max() <= tol
+    if n_exps == 4000:
+        fewer = np.array(list(_interpolated_generators(a, b, fields, neg_dt, p - 2)))
+        assert np.abs(fewer - exact).max() > 10 * tol
+
+
+@pytest.mark.parametrize("n, n_exps, eigensolves", [
+    (10, 4000, 7), (50, 4000, 8), (50, 400, 13), (100, 400, 15), (10, 40, 40), (600, 400, 0),
+])
+def test_kernel_path_follows_the_node_count(monkeypatch, n, n_exps, eigensolves):
+    # One column takes the interpolated generators, one eigensolve per node,
+    # where the nodes cost little beside the exponentials they serve.  At
+    # 40 exponentials N = 10 needs 17 nodes and takes the eigensolves; at
+    # N = 600 its 26 nodes of 301^2 entries would pass 16 MB, and the series
+    # is cheaper anyway.
+    calls = _count_eigensolves(monkeypatch)
+    t_ramp = (11.6 * n + 60) * time_unit(n)
+    protocol_kernel(n, 1.0, t_ramp, ramp_steps=n_exps)
+    assert len(calls) == eigensolves
+
+
+def test_node_count_stops_early():
+    # A ramp of four exponentials whose generators vary over a huge field
+    # range would need millions of nodes; the count stops at its limit.
+    assert _node_count(0.0) == 0
+    assert _node_count(1e7) > 1e6
+    assert _node_count(1e7, limit=4) is None
+    for s in (1e-3, 0.02, 0.4, 2.2):
+        p = _node_count(s)
+        assert 1 <= p < 40
+        assert _node_count(s, limit=p) is None and _node_count(s, limit=p + 1) == p
 
 
 def test_bessel_table_and_series_tail():
@@ -801,9 +894,12 @@ def test_bessel_table_and_series_tail():
     "n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4), (50, 4000, 0), (10, 4000, 4000)]
 )
 def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolves):
-    # The choice follows the series length, not the size alone: at N = 600
-    # four exponentials need a series of about 2600 terms.  At N = 10
-    # (d = 6) an eigensolve costs less than a series of six terms.
+    # Between the series and the eigensolves, the choice follows the series
+    # length, not the size alone: at N = 600 four exponentials need a series
+    # of about 2600 terms.  At N = 10 (d = 6) an eigensolve costs less than a
+    # series of six terms.  The interpolated generators, which N = 10 and 50
+    # would take, are priced out.
+    _price(monkeypatch, _NO_INTERPOLATION)
     calls = _count_eigensolves(monkeypatch)
     t_ramp = (11.6 * n + 60) * time_unit(n)
     protocol_kernel(n, 1.0, t_ramp, ramp_steps=n_exps)
@@ -812,20 +908,43 @@ def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolv
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_series_kernels_match_the_oracle(monkeypatch, n):
-    # With the eigensolves priced out, the kernel column and the cooled
-    # column take the series even at d = 3..5; both and their conjugates
-    # must match the full 2^N oracle, which steps the two start states as
-    # columns through the down ramp and, run backwards, the adjoint up ramp.
-    monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
+    # With the eigensolves and the interpolation priced out, the kernel
+    # column and the cooled column take the series even at d = 3..5.
+    _price(monkeypatch, {"_EIGEN_COST": 1e9, **_NO_INTERPOLATION})
     calls = _count_eigensolves(monkeypatch)
-    j, steps, h0 = 1.0 / n, 10, 1.0
+    _kernels_match_the_oracle(n, 10)
+    assert not calls
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_interpolated_kernels_match_the_oracle(monkeypatch, n):
+    # With the series and the eigensolves priced out, both columns take the
+    # interpolated generators.
+    _price(monkeypatch, _ONLY_INTERPOLATION)
+    calls = []
+    generators = dynamics._interpolated_generators
+
+    def counted(*args):
+        calls.append(1)
+        return generators(*args)
+
+    monkeypatch.setattr(dynamics, "_interpolated_generators", counted)
+    _kernels_match_the_oracle(n, 10)
+    assert len(calls) == 2
+
+
+def _kernels_match_the_oracle(n, steps):
+    """The kernel column and the cooled column, stepped by the path the
+    prices pick, and their conjugates match the full 2^N oracle, which steps
+    the two start states as columns through the down ramp and, run
+    backwards, the adjoint up ramp."""
+    j, h0 = 1.0 / n, 1.0
     ta = 50 * time_unit(n)
     cooled = cooled_start(n, h0)
     columns = [
         protocol_kernel(n, h0, ta, ramp_steps=steps).prep_z,
         sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled),
     ]
-    assert not calls
     q = symmetric_isometry(n)
     start = q @ np.column_stack([x_polarized_state(n), cooled])
     down, up = ramp_profiles()
