@@ -1,9 +1,9 @@
 """Time-dependent dynamics: ramps, ramp-time scans and the protocol kernel.
 
 Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
-exponentials exp(-i H(h) dt) of the frozen Hamiltonian in one of three
-ways: exactly through its eigendecomposition, as a Chebyshev series whose
-dropped terms weigh at most 1e-16, or, for a single column, as 1 + G(h)
+exponentials exp(-i H(h) dt) of the frozen Hamiltonian exactly through its
+eigendecomposition or, for a single column, in one of two further ways: as
+a Chebyshev series whose dropped terms weigh at most 1e-16, or as 1 + G(h)
 with the generator G interpolated in the field to within 1e-16.  Each way
 every step is unitary to that bound plus round-off, whatever the step
 size.  The kernel writes
@@ -32,38 +32,38 @@ the down ramp alone, the up ramp being its transpose, and keeps the columns
 at its optima.  The protocol kernel steps one column, U_down e_0 from the
 strong-field state e_0, and reads out through its conjugate U_up^+ e_0.
 
-Two choices are made per call from what the stepper sees.  The first picks
-the path, the Chebyshev series, the interpolated generators or the
-eigensolves, from the rows d, the columns K, the number n of exponentials,
-the length of the series and the number of interpolation nodes.
+A block of two or more columns, a scan's, always takes the eigensolves.
+For the protocol kernel's column the call picks the path, the Chebyshev
+series, the interpolated generators or the eigensolves, from the rows d,
+the number n of exponentials, the length of the series and the number of
+interpolation nodes.
 
-A block no wider than tall (the protocol kernel's column) skips the
-eigensolves when its series are short
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With [c - r, c + r]
-holding the spectrum of H and H' = (H - c) / r,
+The protocol kernel's column skips the eigensolves when its series is
+short (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With
+[c - r, c + r] holding the spectrum of H and H' = (H - c) / r,
 
     exp(-i H dt) = e^{-i c dt} sum_j (2 - delta_j0) (-i)^j J_j(r dt) T_j(H'),
 
 and T_j(H') psi = 2 H' T_{j-1} psi - T_{j-2} psi.  The fields are walked in
 chunks whose stacks hold at most 2^13 float64 each: a chunk's bands of H'
-come from one broadcast and the Bessel coefficients of all its exponentials
-and columns, with (-i)^j and e^{-i c dt} folded in, from one FFT.  Each
-term is one BLAS banded product (zhbmv) per column, and each column ends as
-one product of its coefficients with its terms.
+come from one broadcast and the Bessel coefficients of all its
+exponentials, with (-i)^j and e^{-i c dt} folded in, from one FFT.  Each
+term is one BLAS banded product (zhbmv), and the state ends as one product
+of its coefficients with its terms.
 The interval is Gershgorin's: its ends are concave and convex in h, so
 their chords between 17 fields spanning the ramp enclose the spectrum at
 every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
 
-A single column (K = 1, the protocol kernel's) may instead interpolate in
-the field.  Every exponential of a ramp has the same dt, so
-G(h) = exp(-i dt (A + h B)) - 1 is an entire function of the scalar field
-h.  G is evaluated exactly at the p + 1 Chebyshev points of the second kind
-on [min h, max h], one ?stevd each, as V diag(e^{i theta} - 1) V^T with
-e^{i theta} - 1 written as 2i sin(theta/2) e^{i theta/2}.  At each field it
-is their barycentric combination (Berrut & Trefethen, SIAM Rev. 46, 501,
-2004), one real-weights times complex product per chunk of fields (stacks
-of at most 2^15 float64), and the exponential is psi += G psi.  On the
+The column may instead interpolate in the field.  Every exponential of a
+ramp has the same dt, so G(h) = exp(-i dt (A + h B)) - 1 is an entire
+function of the scalar field h.  G is evaluated exactly at the p + 1
+Chebyshev points of the second kind on [min h, max h], one ?stevd each, as
+V diag(e^{i theta} - 1) V^T with e^{i theta} - 1 written as
+2i sin(theta/2) e^{i theta/2}.  At each field it is their barycentric
+combination (Berrut & Trefethen, SIAM Rev. 46, 501, 2004), one
+real-weights times complex product per chunk of fields (stacks of at most
+2^15 float64), and the exponential is psi += G psi.  On the
 Bernstein ellipse E_rho of the field interval the log-norm of -i dt H is at
 most s (rho - 1/rho), with s = |dt| max|B| (max h - min h) / 4, so there
 |G| <= M = e^{s (rho - 1/rho)} + 1, and the interpolant errs by at most
@@ -75,9 +75,9 @@ the combination at the size of |G|, about r |dt|, rather than 1.
 
 Each path is priced per exponential in units of a series term's work per
 row: a term costs about one call into BLAS (2.2 us) plus 0.028 us per row
-and column on the run that fitted the first two prices below.  The series
-costs m_max K (80 + d), m_max being its longest length, the eigensolves
-4.5 d^2, and the interpolation 100 + 0.02 (p + 2) d^2 plus its p + 1 nodes,
+on the run that fitted the first two prices below.  The series costs
+m_max (80 + d), m_max being its longest length, the eigensolves 4.5 d^2,
+and the interpolation 100 + 0.02 (p + 2) d^2 plus its p + 1 nodes,
 (p + 1)(860 + 3.9 d^2) / n; the call takes the cheapest.  The node count
 is not taken where the nodes alone would cost more than the eigensolves of
 the whole ramp, so a short ramp over a wide field range, which would need
@@ -87,38 +87,34 @@ exponential (one BLAS thread on a shared 2-core x86 host with AVX-512,
 median of 7 interleaved runs, the eigensolves at N >= 600 over 40
 exponentials and the interpolation there with the 16 MB bound lifted; m
 is the mean series length over the ramp and p the degree, at
-T_a = 11.6 N + 60; K counts the columns, one for a protocol kernel).
+T_a = 11.6 N + 60).
 This run read the series and the eigensolves 1.3 to 2 times faster than
 the one that fitted their prices (0.017 us per unit here); the
 interpolation's prices are fitted to it in those units:
 
-       N     d    K   exps      m    p   eigensolves     series   interpolated   taken
-      10     6    1     40   16.8   16       10.4 us    28.4 us       12.5 us   eigensolves
-      10     6    1    400    9.1    9        7.4 us    12.7 us        2.6 us   interpolated
-      10     6    1   4000    5.8    6        6.2 us     8.1 us        2.1 us   interpolated
-      20    11    1   4000    6.5    6       11.0 us     9.3 us        2.2 us   interpolated
-      30    16    1   4000    6.7    7       22.0 us    11.2 us        2.8 us   interpolated
-      30    16    2   4000    6.7    -       23.2 us    22.2 us          -      eigensolves
-      40    21    1   4000    7.0    7       36.1 us    12.6 us        3.3 us   interpolated
-      50    26    1   4000    7.3    7       49.2 us    16.0 us        4.1 us   interpolated
-      50    26    2   4000    7.3    -       51.7 us    26.5 us          -      series
-      50    26    1    400   12.2   12       50.1 us    21.7 us        6.9 us   interpolated
-     100    51    1    400   14.6   14        171 us    32.0 us       19.1 us   interpolated
-     100    51    1   4000    8.3    8        170 us    19.2 us        9.5 us   interpolated
-     150    76    1    400   16.5   16        377 us    44.2 us       55.5 us   series
-     150    76    1   4000    9.0    9        370 us    27.2 us       21.6 us   interpolated
-     200   101    1   4000    9.4    9        556 us    28.1 us       76.0 us   series
-     200   101    2    400   18.2    -        570 us    97.2 us          -      series
-     200   101   32    400   18.2    -        649 us    1602 us          -      eigensolves
-     600   301    1    400   27.9   25       5181 us     160 us       3167 us   series
-     600   301    1     40  112.0   86       4545 us     805 us      22590 us   series
-    1000   501    1    400   35.6   32      15618 us     332 us      10550 us   series
+       N     d   exps      m    p   eigensolves     series   interpolated   taken
+      10     6     40   16.8   16       10.4 us    28.4 us       12.5 us   eigensolves
+      10     6    400    9.1    9        7.4 us    12.7 us        2.6 us   interpolated
+      10     6   4000    5.8    6        6.2 us     8.1 us        2.1 us   interpolated
+      20    11   4000    6.5    6       11.0 us     9.3 us        2.2 us   interpolated
+      30    16   4000    6.7    7       22.0 us    11.2 us        2.8 us   interpolated
+      40    21   4000    7.0    7       36.1 us    12.6 us        3.3 us   interpolated
+      50    26   4000    7.3    7       49.2 us    16.0 us        4.1 us   interpolated
+      50    26    400   12.2   12       50.1 us    21.7 us        6.9 us   interpolated
+     100    51    400   14.6   14        171 us    32.0 us       19.1 us   interpolated
+     100    51   4000    8.3    8        170 us    19.2 us        9.5 us   interpolated
+     150    76    400   16.5   16        377 us    44.2 us       55.5 us   series
+     150    76   4000    9.0    9        370 us    27.2 us       21.6 us   interpolated
+     200   101   4000    9.4    9        556 us    28.1 us       76.0 us   series
+     600   301    400   27.9   25       5181 us     160 us       3167 us   series
+     600   301     40  112.0   86       4545 us     805 us      22590 us   series
+    1000   501    400   35.6   32      15618 us     332 us      10550 us   series
 
-It takes the fastest path on every row; N = 30 with two columns is a tie.
+It takes the fastest path on every row.
 The N <= 20 rows come from a second run, the first having met a burst of
 other load on the host.
 
-Every other block goes through the eigendecompositions, one call of LAPACK
+Every other ramp goes through the eigendecompositions, one call of LAPACK
 ?stevd per exponential (``dicke.eigh_tridiagonal``), and is carried in the
 instantaneous eigenbasis: moved between exponentials by the real transfer
 matrix W_i = V_{i+1}^T V_i (one d^3 product and one d x d x K product each),
@@ -130,11 +126,12 @@ its transfer matrices come from one stacked product and its phase table
 from one cos and one sin, so the loop over exponentials keeps only the
 d x d x K products and the phase multiplies.
 
-The second choice is the phase table.  When K >= 3 signed steps form an
-arithmetic progression s_k = s_0 + k delta, the phase table exp(i w s_k) is
-applied as exp(i w (s_0 + q B delta)) times exp(i w r delta) with
-k = q B + r and B = ceil(sqrt(K)): two exact tables of about d sqrt(K)
-entries each instead of d K cos/sin evaluations.
+The phase table exp(i w s_k) is applied as two factors, an outer one
+exp(i w o_q) and an inner one exp(i w u_r) with k = q B + r.  When K >= 3
+signed steps form an arithmetic progression s_k = s_0 + k delta,
+o_q = s_0 + q B delta and u_r = r delta with B = ceil(sqrt(K)): two exact
+tables of about d sqrt(K) entries each instead of d K cos/sin evaluations.
+Other steps are their own outer lengths, beside the one inner length 0.
 """
 
 import math
@@ -160,27 +157,28 @@ _ARITHMETIC_TOL = 1e-13  # relative; any np.arange(...) * unit grid passes
 
 
 def _phase_factors(steps):
-    """Outer and inner step lengths of an arithmetic progression, else None.
+    """Outer and inner step lengths o_q and u_r, with o_q + u_r step q B + r.
 
     For K >= 3 steps s_k = s_0 + k delta (to _ARITHMETIC_TOL relative to
     the largest |s_k|), B = ceil(sqrt(K)) and k = q B + r, returns
     (s_0 + q B delta for q < Q, r delta for r < B) with Q = ceil(K / B).
+    Any other steps are their own outer lengths, beside the one inner
+    length 0 (B = 1).
     """
     k = len(steps)
-    if k < 3:
-        return None
-    delta = (steps[-1] - steps[0]) / (k - 1)
-    ramp = steps[0] + delta * np.arange(k)
-    if np.abs(steps - ramp).max() > _ARITHMETIC_TOL * np.abs(steps).max():
-        return None
-    width = int(np.ceil(np.sqrt(k)))
-    rows = -(-k // width)
-    return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
+    if k >= 3:
+        delta = (steps[-1] - steps[0]) / (k - 1)
+        ramp = steps[0] + delta * np.arange(k)
+        if np.abs(steps - ramp).max() <= _ARITHMETIC_TOL * np.abs(steps).max():
+            width = int(np.ceil(np.sqrt(k)))
+            rows = -(-k // width)
+            return steps[0] + delta * width * np.arange(rows), delta * np.arange(width)
+    return steps, np.zeros(1)
 
 
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
 # Cost model of the path choice, in units of a series term's work per row
-# (about 0.028 us): a term costs _SERIES_TERM + d per column, an eigensolve
+# (about 0.028 us): a series term costs _SERIES_TERM + d, an eigensolve
 # with its two products about _EIGEN_COST d^2, an interpolated exponential
 # _GENERATOR_STEP + _GENERATOR_COST (p + 2) d^2 and each of its p + 1 nodes
 # _NODE_STEP + _NODE_COST d^2 (table: module docstring).
@@ -295,11 +293,11 @@ def _exponential_steps(a, b, fields, durations, psi):
     ``a`` is the pair (diagonal, off-diagonal) of A and ``b`` the diagonal
     of B.  Column k of ``psi`` spans the signed duration ``durations[k]`` in
     len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
-    Returns the evolved block as a new array.  The call takes the cheapest
-    path by the cost model: the Chebyshev series (a block no wider than
-    tall), the interpolated generators (one column) or the eigenbasis carry,
-    where arithmetic step lengths get the factored phase table (see the
-    module docstring).  A ramp whose largest phase max |E| T
+    Returns the evolved block as a new array.  A block of two or more
+    columns takes the eigenbasis carry, where arithmetic step lengths get
+    the factored phase table; one column takes the cheapest path by the
+    cost model, the Chebyshev series, the interpolated generators or the
+    carry (see the module docstring).  A ramp whose largest phase max |E| T
     passes 1e8 rad is rejected, as its float64 round-off would pass 1e-8 rad.
     """
     durations = np.asarray(durations, dtype=float)
@@ -318,10 +316,11 @@ def _exponential_steps(a, b, fields, durations, psi):
         raise ValueError(f"largest ramp phase max |E| T_a is {phase:.3g} rad, above 1e8 rad, "
                          "where its float64 round-off exceeds 1e-8 rad")
     d, k = np.shape(psi)
-    n = len(fields)
-    best, nodes = _EIGEN_COST * d * d, None  # cost per exponential, node count
+    lengths = nodes = None
     if k == 1:
-        s = abs(float(neg_dts[0])) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
+        n, dt = len(fields), float(neg_dts[0])
+        best = _EIGEN_COST * d * d  # cost per exponential
+        s = abs(dt) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
         node = _NODE_STEP + _NODE_COST * d * d
         # Past this many nodes they alone would cost more than the eigensolves
         # of the whole ramp, or hold more than _NODE_FLOATS.
@@ -330,57 +329,49 @@ def _exponential_steps(a, b, fields, durations, psi):
             cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 2) * d * d
             if cost < best:
                 best, nodes = cost, p
-    lengths = None
-    if k <= d:
         # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
         # convex, have chords between knots that enclose the spectrum at every field.
         lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
         hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
         centres, radii = (hi + lo) / 2, (hi - lo) / 2
-        limit = best / (k * (_SERIES_TERM + d))
-        lengths = _series_lengths(radii * np.abs(neg_dts).max(), limit)
-    if lengths is not None:
+        lengths = _series_lengths(radii * abs(dt), best / (_SERIES_TERM + d))
+    if lengths is not None or nodes is not None:
+        state = np.array(psi[:, 0], dtype=complex)
+        if lengths is None:
+            change = np.empty_like(state)
+            for gen in _interpolated_generators(a, b, fields, dt, nodes):
+                np.matmul(gen, state, out=change)
+                state += change
+            return state[:, None]
         # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
-        # complex weights w_j, so each column ends as one product w @ [T_j].
+        # complex weights w_j, so the state ends as one product w @ [T_j].
         weights = np.array([2, 2j, -2, -2j])[np.arange(lengths.max() + 1) % 4]
         weights[0] = 1.0
         size = 1 << int(2 * lengths.max() + 1).bit_length()  # the widest FFT
-        chunk = max(1, _STACK_FLOATS // max(2 * k * size, 4 * d))
+        chunk = max(1, _STACK_FLOATS // max(2 * size, 4 * d))
         # bands[i].T is H' in BLAS's upper band storage, superdiagonal over
         # diagonal, as a Fortran (2, d) array that f2py passes on uncopied.
         bands = np.zeros((chunk, d, 2), dtype=complex)
-        cols = list(np.array(np.transpose(psi), dtype=complex))
-        for start in range(0, len(fields), chunk):
+        for start in range(0, n, chunk):
             part = slice(start, start + chunk)
             hs, cs, rs = fields[part, None], centres[part, None], radii[part, None]
             ms = lengths[part]
             scale = 1 / np.where(rs > 0, rs, 1)  # r = 0 only where m = 0
             bands.real[: len(ms), :, 1] = (a[0] + hs * b - cs) * scale
             bands.real[: len(ms), 1:, 0] = a[1] * scale
-            coefs = _bessel_table(rs * neg_dts, ms.max()) * weights[: ms.max() + 1]
-            coefs *= np.exp(1j * cs * neg_dts)[..., None]
+            coefs = _bessel_table(radii[part] * dt, ms.max()) * weights[: ms.max() + 1]
+            coefs *= np.exp(1j * cs * dt)
             for band, m, coef in zip(bands.transpose(0, 2, 1), ms, coefs):
-                for c, col in enumerate(cols):
-                    # T_1 = H' T_0 and T_j = 2 H' T_{j-1} - T_{j-2}, by zhbmv(k, alpha,
-                    # a, x, incx, offx, beta, y) = alpha A x + beta y (keywords cost more)
-                    terms = [col, zhbmv(1, 1.0, band, col)] if m else [col]
-                    for _ in range(1, m):
-                        terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
-                    cols[c] = coef[c, : m + 1] @ terms
-        return np.transpose(cols)
-    if nodes is not None:
-        state = np.array(psi[:, 0], dtype=complex)
-        change = np.empty_like(state)
-        for gen in _interpolated_generators(a, b, fields, float(neg_dts[0]), nodes):
-            np.matmul(gen, state, out=change)
-            state += change
+                # T_1 = H' T_0 and T_j = 2 H' T_{j-1} - T_{j-2}, by zhbmv(k, alpha,
+                # a, x, incx, offx, beta, y) = alpha A x + beta y (keywords cost more)
+                terms = [state, zhbmv(1, 1.0, band, state)] if m else [state]
+                for _ in range(1, m):
+                    terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
+                state = coef[: m + 1] @ terms
         return state[:, None]
-    factors = _phase_factors(neg_dts)
-    if factors is None:
-        table_steps, width = neg_dts, k
-    else:  # one table holds both factors: columns [:rows] and [rows:]
-        table_steps = np.concatenate(factors)
-        rows, width = len(factors[0]), len(factors[0]) * len(factors[1])
+    outer, inner = _phase_factors(neg_dts)
+    table_steps = np.concatenate((outer, inner))  # columns [:rows] and [rows:]
+    rows, width = len(outer), len(outer) * len(inner)
     coeffs = np.zeros((d, width), dtype=complex)
     coeffs[:, :k] = psi
     t = len(table_steps)
@@ -410,12 +401,9 @@ def _exponential_steps(a, b, fields, durations, psi):
         np.sin(tables.imag, out=tables.imag)
         for transfer, table in zip(transfers[:n], tables):
             coeffs = real_matmul(transfer, coeffs)
-            if factors is None:
-                coeffs *= table
-            else:
-                grid = coeffs.reshape(d, rows, -1)
-                grid *= table[:, :rows, None]
-                grid *= table[:, None, rows:]
+            grid = coeffs.reshape(d, rows, -1)
+            grid *= table[:, :rows, None]
+            grid *= table[:, None, rows:]
     return real_matmul(prev.T, coeffs)[:, :k]
 
 

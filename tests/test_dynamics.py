@@ -401,18 +401,21 @@ def test_default_kernel_reads_out_the_conjugate(stepper_widths, n):
 
 
 def test_one_column_kernel_matches_two_columns_at_large_n():
-    # At N = 600 the kernel takes the Chebyshev series.  Stepped beside it
-    # with duration -T_a, e_0 meets the up ramp's adjoint (its exponents
-    # are the down ramp's, walked backwards), so that second column is
-    # U_up^+ e_0: the conjugate the kernel reads out through.
+    # At N = 600 the kernel takes the Chebyshev series.  Stepped with
+    # duration -T_a, e_0 meets the up ramp's adjoint (its exponents are the
+    # down ramp's, walked backwards), so that second column is U_up^+ e_0:
+    # the conjugate the kernel reads out through.  Each column is its own
+    # call, so both stay on the series path; as one block of two they would
+    # take the eigenbasis carry.
     n = 600
     ta = (11.6 * n + 60) * time_unit(n)
     kernel = protocol_kernel(n, 1.0, ta)
     a, b = sector_terms(n, +1)
-    e0 = np.zeros((len(a[0]), 2), dtype=complex)
+    e0 = np.zeros((len(a[0]), 1), dtype=complex)
     e0[0] = 1.0
-    ends = _exponential_steps(a, b, _down_ramp_fields(1.0, 400), [ta, -ta], e0)
-    prep_z, read_z = dicke.sector_to_z(n, +1, ends).T
+    fields = _down_ramp_fields(1.0, 400)
+    ends = [_exponential_steps(a, b, fields, [t], e0)[:, 0] for t in (ta, -ta)]
+    prep_z, read_z = dicke.sector_to_z(n, +1, np.transpose(ends)).T
     assert np.abs(kernel.prep_z - prep_z).max() < 1e-13
     assert np.abs(kernel.prep_z.conj() - read_z).max() < 1e-13
 
@@ -627,16 +630,25 @@ def test_block_columns_match_single_columns():
 
 
 def test_phase_factors_of_arithmetic_grids():
+    # Arithmetic grids of K >= 3 steps factor into about sqrt(K) outer and
+    # inner lengths; any other steps are their own outer lengths beside the
+    # one inner length 0.  Either way outer q plus inner r rebuilds step
+    # q B + r, B being the number of inner lengths.
     unit = time_unit(30)
-    for steps in (np.arange(1.0, 593.0) * unit, np.arange(2.0, -2.0, -0.1), np.zeros(5)):
+    arithmetic = (np.arange(1.0, 593.0) * unit, np.arange(2.0, -2.0, -0.1), np.zeros(5))
+    others = ([0.7, -0.7, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0, 3.0 + 1e-9])
+    for steps in arithmetic:
         outer, inner = _phase_factors(steps)
         width = len(inner)
         assert width == int(np.ceil(np.sqrt(len(steps))))
         assert len(outer) * width >= len(steps) > (len(outer) - 1) * width
+    for steps in others:
+        outer, inner = _phase_factors(np.array(steps))
+        assert np.array_equal(outer, steps) and np.array_equal(inner, [0.0])
+    for steps in (*arithmetic, *map(np.array, others)):
+        outer, inner = _phase_factors(steps)
         rebuilt = (outer[:, None] + inner[None, :]).ravel()[:len(steps)]
         assert np.abs(rebuilt - steps).max() <= 1e-13 * max(1.0, np.abs(steps).max())
-    for steps in ([0.7, -0.7, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0, 3.0 + 1e-9]):
-        assert _phase_factors(np.array(steps)) is None
 
 
 def _plain_steps(a, b, fields, durations, block):
@@ -653,9 +665,9 @@ def _plain_steps(a, b, fields, durations, block):
 
 
 def test_narrow_block_is_the_plain_step_loop():
-    # K <= d and not arithmetic: the eigenbasis carry with a direct cos/sin
-    # phase table is the loop through V^T and V at every exponential, up to
-    # round-off.
+    # Not arithmetic: the eigenbasis carry, each step its own outer phase
+    # length beside the inner length 0, is the loop through V^T and V at
+    # every exponential, up to round-off.
     n = 12
     a, b = sector_terms(n, +1)
     fields = np.linspace(1.5, 0.1, 40)
@@ -667,7 +679,7 @@ def test_narrow_block_is_the_plain_step_loop():
 
 
 @pytest.mark.parametrize("durations", [
-    np.array([2500.0, -2500.0]),  # direct table; series far too long to take
+    np.array([2500.0, -2500.0]),  # K = 2: each step its own outer phase length
     np.arange(-40.0, 40.0) * 0.05,  # K = 80 > d: the factored table
 ])
 def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
@@ -762,40 +774,54 @@ def _count_eigensolves(monkeypatch):
 
 
 def _carried(a, b, fields, durations, block):
-    """The same columns padded to K > d, so the eigenbasis carry steps them."""
+    """The same columns padded by one, so the eigenbasis carry steps them."""
     d, k = block.shape
-    padded = np.zeros((d, d + 1), dtype=complex)
+    padded = np.zeros((d, k + 1), dtype=complex)
     padded[:, :k] = block
-    out = _exponential_steps(a, b, fields, np.resize(durations, d + 1), padded)
+    out = _exponential_steps(a, b, fields, np.resize(durations, k + 1), padded)
     return out[:, :k]
 
 
-@pytest.mark.parametrize("durations", [[1.0], [-1.0], [1.0, -1.0], [0.7, 0.0]])
+@pytest.mark.parametrize("durations", [[1.0], [-1.0], [1e-3], [0.0]])
 @pytest.mark.parametrize("n, n_exps", [(30, 4000), (50, 4000), (200, 400), (600, 40)])
 def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations):
-    # Narrow blocks whose series is short skip the eigensolves; the ramp is
+    # One column whose series is short skips the eigensolves; the ramp is
     # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
-    # 50 at 4000 exponentials are sensing-sweep kernels; K = 2 blocks
-    # take the series too.
+    # 50 at 4000 exponentials are sensing-sweep kernels.  A short duration
+    # keeps a few terms of the series, and a zero duration T_0 alone.
     a, b = sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n)
     rng = np.random.default_rng(n)
-    block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
-    block /= np.linalg.norm(block, axis=0)
+    block = rng.normal(size=(len(a[0]), 1)) * (1 + 1j)
+    block /= np.linalg.norm(block)
     # One column at N = 30 and 50 takes the interpolated generators; price
     # them out so the series is checked there.
     _price(monkeypatch, _NO_INTERPOLATION)
-    if n == 30 and len(durations) == 2:
-        # At d = 16 the eigensolves are the cheaper path for two columns
-        # (see the table in the dynamics docstring); price them out so the
-        # series is checked there too.
-        monkeypatch.setattr(dynamics, "_EIGEN_COST", 1e9)
     calls = _count_eigensolves(monkeypatch)
     out = _exponential_steps(a, b, fields, durations, block)
     assert not calls
     assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
     assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, n_exps", [(50, 4000), (200, 400)])
+def test_blocks_take_the_eigenbasis_carry(monkeypatch, n, n_exps):
+    # Only one column is priced for the series and the interpolation.  A
+    # block of two, whose series would be short here, makes one eigensolve
+    # per exponential, and each column matches its own one-column call.
+    a, b = sector_terms(n, +1)
+    fields = _down_ramp_fields(1.0, n_exps)
+    durations = np.array([1.0, -1.0]) * (11.6 * n + 60) * time_unit(n)
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(len(a[0]), 2)) * (1 + 1j)
+    block /= np.linalg.norm(block, axis=0)
+    calls = _count_eigensolves(monkeypatch)
+    out = _exponential_steps(a, b, fields, durations, block)
+    assert len(calls) == n_exps
+    for k, duration in enumerate(durations):
+        single = _exponential_steps(a, b, fields, [duration], block[:, k:k + 1])
+        assert np.abs(out[:, k] - single[:, 0]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("duration", [1.0, -1.0, 0.0])
