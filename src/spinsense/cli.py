@@ -45,18 +45,12 @@ OPTIMUM_WINDOW = 0.1
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows):
     path = Path(path)
+    # .17g round-trips every float64 and prints an int below 1e17 (True: 1) as its digits
+    values = np.array(list(rows), dtype=float).tolist()
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join([format(x, ".17g") for x in row]) for row in values]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")

@@ -17,8 +17,9 @@ blocks of half the size; the rotation is built from their eigenvectors (see
 
 scipy is used only through its compiled LAPACK and BLAS wrappers: ``dstevd``
 for all eigenpairs of a tridiagonal matrix, ``dstebz`` and ``dstein`` for its
-lowest ones (`lowest_eigenpairs`), and ``zhbmv`` in the ramp stepper.  They
-are loaded from the files of scipy's own f2py extension modules, without
+lowest ones (`lowest_eigenpairs`), and ``zhbmv`` (banded) and ``zspmv``
+(packed symmetric) matrix-vector products in the ramp stepper.  They are
+loaded from the files of scipy's own f2py extension modules, without
 importing the scipy package itself: the scipy.linalg package would also
 import numpy.f2py and numpy.testing, about half of the CLI's start-up.
 Only when a file will not load is the scipy package imported, once, and
@@ -74,7 +75,8 @@ def _linalg_extension(name):
 
 _flapack = _linalg_extension("_flapack")
 dstevd, dstebz, dstein = _flapack.dstevd, _flapack.dstebz, _flapack.dstein
-zhbmv = _linalg_extension("_fblas").zhbmv
+_fblas = _linalg_extension("_fblas")
+zhbmv, zspmv = _fblas.zhbmv, _fblas.zspmv
 
 
 def eigh_tridiagonal(diag, off):

@@ -60,10 +60,13 @@ ramp has the same dt, so G(h) = exp(-i dt (A + h B)) - 1 is an entire
 function of the scalar field h.  G is evaluated exactly at the p + 1
 Chebyshev points of the second kind on [min h, max h], one ?stevd each, as
 V diag(e^{i theta} - 1) V^T with e^{i theta} - 1 written as
-2i sin(theta/2) e^{i theta/2}.  At each field it is their barycentric
-combination (Berrut & Trefethen, SIAM Rev. 46, 501, 2004), one
-real-weights times complex product per chunk of fields (stacks of at most
-2^15 float64), and the exponential is psi += G psi.  On the
+2i sin(theta/2) e^{i theta/2}.  G is complex symmetric, so the table keeps
+only its d (d + 1) / 2 entries on and below the diagonal, row by row, which
+is BLAS's packed upper triangle.  At each field G is the barycentric
+combination of the nodes' packed entries (Berrut & Trefethen, SIAM Rev. 46,
+501, 2004), one real-weights times complex product per chunk of fields
+(stacks of at most 2^15 float64), and the exponential is one BLAS zspmv,
+psi + G psi.  On the
 Bernstein ellipse E_rho of the field interval the log-norm of -i dt H is at
 most s (rho - 1/rho), with s = |dt| max|B| (max h - min h) / 4, so there
 |G| <= M = e^{s (rho - 1/rho)} + 1, and the interpolant errs by at most
@@ -77,42 +80,52 @@ Each path is priced per exponential in units of a series term's work per
 row: a term costs about one call into BLAS (2.2 us) plus 0.028 us per row
 on the run that fitted the first two prices below.  The series costs
 m_max (80 + d), m_max being its longest length, the eigensolves 4.5 d^2,
-and the interpolation 100 + 0.02 (p + 2) d^2 plus its p + 1 nodes,
-(p + 1)(860 + 3.9 d^2) / n; the call takes the cheapest.  The node count
+and the interpolation 70 + 0.012 (p + 14) d (d + 1) / 2, per entry of the
+packed triangle its combination over the p + 1 nodes and its zspmv at the
+price of 13 more, plus its p + 1 nodes, (p + 1)(1100 + 4.4 d^2) / n; the
+call takes the cheapest.  The node count
 is not taken where the nodes alone would cost more than the eigensolves of
 the whole ramp, so a short ramp over a wide field range, which would need
-millions of nodes, keeps the other paths; nor where the generators at the
-nodes would hold more than 2^21 float64 (16 MB).  These are the times per
-exponential (one BLAS thread on a shared 2-core x86 host with AVX-512,
-median of 7 interleaved runs, the eigensolves at N >= 600 over 40
-exponentials and the interpolation there with the 16 MB bound lifted; m
-is the mean series length over the ramp and p the degree, at
-T_a = 11.6 N + 60).
-This run read the series and the eigensolves 1.3 to 2 times faster than
-the one that fitted their prices (0.017 us per unit here); the
-interpolation's prices are fitted to it in those units:
+millions of nodes, keeps the other paths; nor where the packed generators
+at the nodes would hold more than 2^21 float64 (16 MB).  These are the times
+per exponential (one BLAS thread on a shared 2-core x86 host with AVX-512;
+the paths alternate run by run within each row, and each entry is the least
+of 7 runs' medians, the host having met bursts of other load; the
+eigensolves at N >= 600 over 40 exponentials and the interpolation there
+with the 16 MB bound lifted; m is the mean series length over the ramp and
+p the degree, at T_a = 11.6 N + 60).  This run read the series and the
+eigensolves 1.6 to 2.5 times faster than the one that fitted their prices
+(0.015 us per unit here); the interpolation's prices are fitted in those
+units to separate timings of its nodes (d = 6..301) and of its steps
+(d = 6..101, p = 6..24):
 
        N     d   exps      m    p   eigensolves     series   interpolated   taken
-      10     6     40   16.8   16       10.4 us    28.4 us       12.5 us   eigensolves
-      10     6    400    9.1    9        7.4 us    12.7 us        2.6 us   interpolated
-      10     6   4000    5.8    6        6.2 us     8.1 us        2.1 us   interpolated
-      20    11   4000    6.5    6       11.0 us     9.3 us        2.2 us   interpolated
-      30    16   4000    6.7    7       22.0 us    11.2 us        2.8 us   interpolated
-      40    21   4000    7.0    7       36.1 us    12.6 us        3.3 us   interpolated
-      50    26   4000    7.3    7       49.2 us    16.0 us        4.1 us   interpolated
-      50    26    400   12.2   12       50.1 us    21.7 us        6.9 us   interpolated
-     100    51    400   14.6   14        171 us    32.0 us       19.1 us   interpolated
-     100    51   4000    8.3    8        170 us    19.2 us        9.5 us   interpolated
-     150    76    400   16.5   16        377 us    44.2 us       55.5 us   series
-     150    76   4000    9.0    9        370 us    27.2 us       21.6 us   interpolated
-     200   101   4000    9.4    9        556 us    28.1 us       76.0 us   series
-     600   301    400   27.9   25       5181 us     160 us       3167 us   series
-     600   301     40  112.0   86       4545 us     805 us      22590 us   series
-    1000   501    400   35.6   32      15618 us     332 us      10550 us   series
+      10     6     40   16.8   16       14.4 us    31.6 us        13.1 us   eigensolves
+      10     6    400    9.1    9        9.8 us    13.7 us         2.2 us   interpolated
+      10     6   4000    5.8    6        9.4 us     8.8 us         1.3 us   interpolated
+      20    11   4000    6.5    6       15.4 us    10.7 us         1.6 us   interpolated
+      30    16   4000    6.7    7       25.1 us    11.2 us         1.9 us   interpolated
+      40    21   4000    7.0    7       40.4 us    12.2 us         2.4 us   interpolated
+      50    26   4000    7.3    7       53.2 us    13.3 us         3.0 us   interpolated
+      50    26    400   12.2   12       54.2 us    22.0 us         6.7 us   interpolated
+     100    51    400   14.6   14        180 us    32.7 us        16.8 us   interpolated
+     100    51   4000    8.3    8        173 us    18.7 us         6.6 us   interpolated
+     150    76    400   16.5   16        362 us    42.4 us        35.3 us   interpolated
+     150    76   4000    9.0    9        360 us    24.5 us        12.7 us   interpolated
+     200   101    400   18.2   17        569 us    53.7 us        64.8 us   series
+     200   101   4000    9.4    9        570 us    29.5 us        22.1 us   interpolated
+     600   301    400   27.9   25       4002 us     162 us        1523 us   series
+     600   301     40  112.0   86       4575 us     740 us       18540 us   series
+    1000   501    400   35.6   32      12661 us     362 us        6454 us   series
 
-It takes the fastest path on every row.
-The N <= 20 rows come from a second run, the first having met a burst of
-other load on the host.
+It takes the fastest path on every row but the first, a tie: there the
+interpolation's 17 nodes cost about as much as the 40 eigensolves, and
+runs with the paths alternating in one process put either ahead, by up to
+9 %.  The model keeps the eigensolves, whose price 4.5 d^2 leaves out
+their per-call work, most of their time at d = 6.  Beyond d = 101 the
+interpolation's steps outgrow their price as the node table leaves the
+cache (d = 151: 70 to 240 us against 44 to 77 priced), where the series
+is priced lower anyway.
 
 Every other ramp goes through the eigendecompositions, one call of LAPACK
 ?stevd per exponential (``dicke.eigh_tridiagonal``), and is carried in the
@@ -139,7 +152,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import eigh_tridiagonal, ghz_state, real_matmul, sector_to_z, z_to_sector, zhbmv
+from .dicke import (eigh_tridiagonal, ghz_state, real_matmul, sector_to_z, z_to_sector, zhbmv,
+                    zspmv)
 from .model import sector_tridiagonal, z_diagonal
 
 _STEPS_RULE = "steps must be even and at least 2"
@@ -180,19 +194,21 @@ _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
 # Cost model of the path choice, in units of a series term's work per row
 # (about 0.028 us): a series term costs _SERIES_TERM + d, an eigensolve
 # with its two products about _EIGEN_COST d^2, an interpolated exponential
-# _GENERATOR_STEP + _GENERATOR_COST (p + 2) d^2 and each of its p + 1 nodes
-# _NODE_STEP + _NODE_COST d^2 (table: module docstring).
+# _GENERATOR_STEP + _GENERATOR_COST (p + 14) d (d + 1) / 2 (its combination
+# over p + 1 nodes and its zspmv, at the price of 13 more, both per entry of
+# the packed triangle) and each of its p + 1 nodes _NODE_STEP + _NODE_COST d^2
+# (table: module docstring).
 _SERIES_TERM = 80.0
 _EIGEN_COST = 4.5
-_GENERATOR_STEP = 100.0
-_GENERATOR_COST = 0.02
-_NODE_STEP = 860.0
-_NODE_COST = 3.9
+_GENERATOR_STEP = 70.0
+_GENERATOR_COST = 0.012
+_NODE_STEP = 1100.0
+_NODE_COST = 4.4
 _ELLIPSES = 1 + np.logspace(-3, 8, 111)  # Bernstein ellipse parameters rho tried
 _SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
 _STACK_FLOATS = 1 << 13  # float64 entries per stack of a chunk of exponentials
 _GENERATOR_FLOATS = 1 << 15  # float64 entries per stack of interpolated generators
-_NODE_FLOATS = 1 << 21  # float64 entries of the generators at the nodes, at most (16 MB)
+_NODE_FLOATS = 1 << 21  # float64 entries of the packed generators at the nodes, at most (16 MB)
 
 
 def _series_lengths(x, limit=math.inf):
@@ -257,7 +273,9 @@ def _interpolated_generators(a, b, fields, neg_dt, p):
     on [min(fields), max(fields)], as V diag(e^{i theta} - 1) V^T with
     theta = -w dt, and at each field as their barycentric combination
     (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): one real-weights times
-    complex product per chunk of fields.  Yields (d, d) views.
+    complex product per chunk of fields.  G is complex symmetric, so only
+    its lower triangle is kept, row by row, which is BLAS's packed upper
+    triangle (column by column).  Yields the d (d + 1) / 2 packed entries.
     """
     d = len(a[0])
     lo, hi = float(np.min(fields)), float(np.max(fields))
@@ -268,15 +286,16 @@ def _interpolated_generators(a, b, fields, neg_dt, p):
         weights[[0, -1]] /= 2
     else:  # G does not depend on the field
         nodes, weights = np.zeros(1), np.ones(1)
-    gens = np.empty((p + 1, d, d), dtype=complex)
-    for gen, x in zip(gens, nodes):
+    lower = np.flatnonzero(np.tri(d, dtype=bool))  # flat indices, as np.tril_indices orders them
+    table = np.empty((p + 1, len(lower)), dtype=complex)
+    for packed, x in zip(table, nodes):
         w, v = eigh_tridiagonal(a[0] + (centre + half * x) * b, a[1])
         theta = w * (neg_dt / 2)  # half the angle
         phases = 2j * np.sin(theta) * np.exp(1j * theta)  # e^{2i theta} - 1 without cancellation
-        np.matmul(v, (phases[:, None] * v.T).view(float), out=gen.view(float))
-    table = gens.reshape(p + 1, -1).view(float)
+        packed[:] = real_matmul(v, phases[:, None] * v.T).take(lower)
+    table = table.view(float)
     scale = 1 / half if p else 0.0  # p > 0 needs fields that differ
-    chunk = max(1, _GENERATOR_FLOATS // (2 * d * d))
+    chunk = max(1, _GENERATOR_FLOATS // table.shape[1])
     for start in range(0, len(fields), chunk):
         diff = (fields[start:start + chunk, None] - centre) * scale - nodes
         # Scaled by the distance to the nearest node, every term is at most 1
@@ -284,7 +303,7 @@ def _interpolated_generators(a, b, fields, neg_dt, p):
         near = np.abs(diff).min(axis=1, keepdims=True)
         coefs = weights * np.divide(near, diff, out=np.ones_like(diff), where=diff != 0)
         coefs /= coefs.sum(axis=1, keepdims=True)
-        yield from (coefs @ table).view(complex).reshape(-1, d, d)
+        yield from (coefs @ table).view(complex)
 
 
 def _exponential_steps(a, b, fields, durations, psi):
@@ -322,11 +341,12 @@ def _exponential_steps(a, b, fields, durations, psi):
         best = _EIGEN_COST * d * d  # cost per exponential
         s = abs(dt) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
         node = _NODE_STEP + _NODE_COST * d * d
+        packed = d * (d + 1) / 2  # entries of a generator's packed triangle
         # Past this many nodes they alone would cost more than the eigensolves
         # of the whole ramp, or hold more than _NODE_FLOATS.
-        p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * d * d)))
+        p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * packed)))
         if p is not None:
-            cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 2) * d * d
+            cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 14) * packed
             if cost < best:
                 best, nodes = cost, p
         # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
@@ -338,10 +358,10 @@ def _exponential_steps(a, b, fields, durations, psi):
     if lengths is not None or nodes is not None:
         state = np.array(psi[:, 0], dtype=complex)
         if lengths is None:
-            change = np.empty_like(state)
+            # state + G state by zspmv(n, alpha, ap, x, incx, offx, beta, y),
+            # into a new array: BLAS forbids x and y to share memory
             for gen in _interpolated_generators(a, b, fields, dt, nodes):
-                np.matmul(gen, state, out=change)
-                state += change
+                state = zspmv(d, 1.0, gen, state, 1, 0, 1.0, state)
             return state[:, None]
         # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
         # complex weights w_j, so the state ends as one product w @ [T_j].

@@ -179,11 +179,13 @@ def test_linalg_wrappers_are_scipys():
     # scipy.linalg exposes, whichever of the two is imported first.
     assert dicke.dstevd is scipy.linalg.lapack.dstevd
     assert dicke.zhbmv is scipy.linalg.blas.zhbmv
+    assert dicke.zspmv is scipy.linalg.blas.zspmv
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import spinsense.dicke as d, scipy.linalg as s; "
-        "print(d.dstevd is s.lapack.dstevd and d.zhbmv is s.blas.zhbmv)"
+        "print(d.dstevd is s.lapack.dstevd and d.zhbmv is s.blas.zhbmv "
+        "and d.zspmv is s.blas.zspmv)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
