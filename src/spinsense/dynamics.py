@@ -1,14 +1,17 @@
 """Time-dependent dynamics: ramps, ramp-time scans and the protocol kernel.
 
-Every ramp is stepped by one kernel, ``_exponential_steps``, which applies
-exponentials exp(-i H(h) dt) of the frozen Hamiltonian exactly through its
-eigendecomposition or, for a single column, in one of two further ways: as
-a Chebyshev series whose dropped terms weigh at most 1e-16, or as 1 + G(h)
-with the generator G interpolated in the field to within 1e-16.  Each way
-every step is unitary to that bound plus round-off, whatever the step
-size.  The kernel writes
-H(h^x) = A + h^x B with A real symmetric tridiagonal and B diagonal and
-advances a (d, K) block of states, each column by its own signed time step.
+Every ramp goes through ``_exponential_steps``, which advances a (d, K) block
+of states, each column by its own signed time step, through exponentials
+exp(-i H(h) dt) of the frozen Hamiltonian H(h^x) = A + h^x B, with A real
+symmetric tridiagonal and B diagonal.  It checks the ramp and hands it to
+one of three exact ways to apply them: a block of two or more columns, a
+scan's, to ``_carry_steps``, through the eigendecompositions, and the
+protocol kernel's one column to the path the cost model below prices
+cheapest from d, the number n of exponentials, the series length and the
+node count: the carry, ``_series_steps``, a Chebyshev series whose dropped
+terms weigh at most 1e-16, or ``_interpolated_steps``, 1 + G(h) with the
+generator G interpolated in the field to within 1e-16.  Each way every
+step is unitary to that bound plus round-off, whatever the step size.
 
 The fields come from the fourth-order commutator-free Magnus rule CF4
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930, 2011):
@@ -32,13 +35,7 @@ the down ramp alone, the up ramp being its transpose, and keeps the columns
 at its optima.  The protocol kernel steps one column, U_down e_0 from the
 strong-field state e_0, and reads out through its conjugate U_up^+ e_0.
 
-A block of two or more columns, a scan's, always takes the eigensolves.
-For the protocol kernel's column the call picks the path, the Chebyshev
-series, the interpolated generators or the eigensolves, from the rows d,
-the number n of exponentials, the length of the series and the number of
-interpolation nodes.
-
-The protocol kernel's column skips the eigensolves when its series is
+``_series_steps`` spares the column the eigensolves when its series is
 short (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  With
 [c - r, c + r] holding the spectrum of H and H' = (H - c) / r,
 
@@ -55,20 +52,20 @@ their chords between 17 fields spanning the ramp enclose the spectrum at
 every field.  The series stops at the least m whose dropped terms weigh at
 most 1e-16 by |J_k(x)| <= (|x|/2)^k / k!; m grows with r |dt|, not with d.
 
-The column may instead interpolate in the field.  Every exponential of a
-ramp has the same dt, so G(h) = exp(-i dt (A + h B)) - 1 is an entire
-function of the scalar field h.  G is evaluated exactly at the p + 1
-Chebyshev points of the second kind on [min h, max h], one ?stevd each, as
-V diag(e^{i theta} - 1) V^T with e^{i theta} - 1 written as
+``_interpolated_steps`` interpolates in the field instead.  Every
+exponential of a ramp has the same dt, so G(h) = exp(-i dt (A + h B)) - 1
+is an entire function of the scalar field h.  G is evaluated exactly at the
+p + 1 Chebyshev points of the second kind on [min h, max h], one ?stevd
+each, as V diag(e^{i theta} - 1) V^T with e^{i theta} - 1 written as
 2i sin(theta/2) e^{i theta/2}.  G is complex symmetric, so the table keeps
 only its d (d + 1) / 2 entries on and below the diagonal, row by row, which
 is BLAS's packed upper triangle.  At each field G is the barycentric
 combination of the nodes' packed entries (Berrut & Trefethen, SIAM Rev. 46,
 501, 2004), one real-weights times complex product per chunk of fields
 (stacks of at most 2^15 float64), and the exponential is one BLAS zspmv,
-psi + G psi.  On the
-Bernstein ellipse E_rho of the field interval the log-norm of -i dt H is at
-most s (rho - 1/rho), with s = |dt| max|B| (max h - min h) / 4, so there
+psi + G psi.  On the Bernstein ellipse E_rho of the field interval the
+log-norm of -i dt H is at most s (rho - 1/rho), with
+s = |dt| max|B| (max h - min h) / 4, so there
 |G| <= M = e^{s (rho - 1/rho)} + 1, and the interpolant errs by at most
 4 M rho^-p / (rho - 1) on the interval (Trefethen, Approximation Theory
 and Approximation Practice, Thm 8.2).  p is the least degree that some rho
@@ -127,17 +124,18 @@ interpolation's steps outgrow their price as the node table leaves the
 cache (d = 151: 70 to 240 us against 44 to 77 priced), where the series
 is priced lower anyway.
 
-Every other ramp goes through the eigendecompositions, one call of LAPACK
-?stevd per exponential (``dicke.eigh_tridiagonal``), and is carried in the
-instantaneous eigenbasis: moved between exponentials by the real transfer
-matrix W_i = V_{i+1}^T V_i (one d^3 product and one d x d x K product each),
-with V_{-1} = 1 so that W_0 = V_0^T rotates it in, and rotated out by the
-last V.  The fields are walked in chunks whose stacks hold at most 2^13
-float64 each (one exponential's worth when that is more): a chunk's
-diagonals come from one broadcast, its eigenpairs fill preallocated stacks,
-its transfer matrices come from one stacked product and its phase table
-from one cos and one sin, so the loop over exponentials keeps only the
-d x d x K products and the phase multiplies.
+``_carry_steps`` takes every other ramp through the eigendecompositions, one
+call of LAPACK ?stevd per exponential (``dicke.eigh_tridiagonal``), and
+carries it in the instantaneous eigenbasis: it moves the state between
+exponentials by the real transfer matrix W_i = V_{i+1}^T V_i (one d^3
+product and one d x d x K product each), with V_{-1} = 1 so that
+W_0 = V_0^T rotates it in, and rotates it out by the last V.  The fields
+are walked in chunks whose stacks hold at most 2^13 float64 each (one
+exponential's worth when that is more): a chunk's diagonals come from one
+broadcast, its eigenpairs fill preallocated stacks, its transfer matrices
+come from one stacked product and its phase table from one cos and one
+sin, so the loop over exponentials keeps only the d x d x K products and
+the phase multiplies.
 
 The phase table exp(i w s_k) is applied as two factors, an outer one
 exp(i w o_q) and an inner one exp(i w u_r) with k = q B + r.  When K >= 3
@@ -191,13 +189,8 @@ def _phase_factors(steps):
 
 
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
-# Cost model of the path choice, in units of a series term's work per row
-# (about 0.028 us): a series term costs _SERIES_TERM + d, an eigensolve
-# with its two products about _EIGEN_COST d^2, an interpolated exponential
-# _GENERATOR_STEP + _GENERATOR_COST (p + 14) d (d + 1) / 2 (its combination
-# over p + 1 nodes and its zspmv, at the price of 13 more, both per entry of
-# the packed triangle) and each of its p + 1 nodes _NODE_STEP + _NODE_COST d^2
-# (table: module docstring).
+# Prices of the path choice in units of a series term's work per row, about
+# 0.028 us (the formulas and the table: module docstring)
 _SERIES_TERM = 80.0
 _EIGEN_COST = 4.5
 _GENERATOR_STEP = 70.0
@@ -306,89 +299,61 @@ def _interpolated_generators(a, b, fields, neg_dt, p):
         yield from (coefs @ table).view(complex)
 
 
-def _exponential_steps(a, b, fields, durations, psi):
-    """Step a (d, K) block through H(h) = A + h B, one exponential per field.
+def _series_steps(a, b, fields, neg_dt, centres, radii, lengths, column):
+    """Step one column through the Chebyshev series, one exponential per field.
 
-    ``a`` is the pair (diagonal, off-diagonal) of A and ``b`` the diagonal
-    of B.  Column k of ``psi`` spans the signed duration ``durations[k]`` in
-    len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k).
-    Returns the evolved block as a new array.  A block of two or more
-    columns takes the eigenbasis carry, where arithmetic step lengths get
-    the factored phase table; one column takes the cheapest path by the
-    cost model, the Chebyshev series, the interpolated generators or the
-    carry (see the module docstring).  A ramp whose largest phase max |E| T
-    passes 1e8 rad is rejected, as its float64 round-off would pass 1e-8 rad.
+    The series of exp(i neg_dt H) at field i is taken on the interval
+    centres[i] -+ radii[i], which holds the spectrum there, and cut after
+    term lengths[i].  Returns the stepped column as a new array.
     """
-    durations = np.asarray(durations, dtype=float)
-    neg_dts = -durations / len(fields)
-    # One check here stands in for a per-step input scan of the eigensolves.
-    if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, b)):
-        raise ValueError("ramp fields, durations and couplings must be finite")
-    offs = np.abs(a[1])
-    rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))  # Gershgorin radii
-    knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
-    diags = a[0] + knots * b
-    # Each row's bound |diag| + rad on |E| is convex in h, so the end knots,
-    # the extreme fields, hold its largest; Python floats, as for sensing.
-    phase = float((np.abs(diags[[0, -1]]) + rad).max()) * float(np.abs(durations).max())
-    if phase > _PHASE_LIMIT:
-        raise ValueError(f"largest ramp phase max |E| T_a is {phase:.3g} rad, above 1e8 rad, "
-                         "where its float64 round-off exceeds 1e-8 rad")
+    state = np.array(column, dtype=complex)
+    d = len(state)
+    # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
+    # complex weights w_j, so the state ends as one product w @ [T_j].
+    weights = np.array([2, 2j, -2, -2j])[np.arange(lengths.max() + 1) % 4]
+    weights[0] = 1.0
+    size = 1 << int(2 * lengths.max() + 1).bit_length()  # the widest FFT
+    chunk = max(1, _STACK_FLOATS // max(2 * size, 4 * d))
+    # bands[i].T is H' in BLAS's upper band storage, superdiagonal over
+    # diagonal, as a Fortran (2, d) array that f2py passes on uncopied.
+    bands = np.zeros((chunk, d, 2), dtype=complex)
+    for start in range(0, len(fields), chunk):
+        part = slice(start, start + chunk)
+        hs, cs, rs = fields[part, None], centres[part, None], radii[part, None]
+        ms = lengths[part]
+        scale = 1 / np.where(rs > 0, rs, 1)  # r = 0 only where m = 0
+        bands.real[: len(ms), :, 1] = (a[0] + hs * b - cs) * scale
+        bands.real[: len(ms), 1:, 0] = a[1] * scale
+        coefs = _bessel_table(radii[part] * neg_dt, ms.max()) * weights[: ms.max() + 1]
+        coefs *= np.exp(1j * cs * neg_dt)
+        for band, m, coef in zip(bands.transpose(0, 2, 1), ms, coefs):
+            # T_1 = H' T_0 and T_j = 2 H' T_{j-1} - T_{j-2}, by zhbmv(k, alpha,
+            # a, x, incx, offx, beta, y) = alpha A x + beta y (keywords cost more)
+            terms = [state, zhbmv(1, 1.0, band, state)] if m else [state]
+            for _ in range(1, m):
+                terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
+            state = coef[: m + 1] @ terms
+    return state
+
+
+def _interpolated_steps(a, b, fields, neg_dt, p, column):
+    """Step one column by psi + G psi per field, G interpolated from p + 1 nodes."""
+    state = np.array(column, dtype=complex)
+    d = len(state)
+    # state + G state by zspmv(n, alpha, ap, x, incx, offx, beta, y), into a
+    # new array: BLAS forbids x and y to share memory
+    for gen in _interpolated_generators(a, b, fields, neg_dt, p):
+        state = zspmv(d, 1.0, gen, state, 1, 0, 1.0, state)
+    return state
+
+
+def _carry_steps(a, b, fields, neg_dts, psi):
+    """Carry a (d, K) block in the instantaneous eigenbasis, one ?stevd per field.
+
+    Column k takes exp(i neg_dts[k] H(h)) at each field h in turn.  Returns
+    the evolved block as a new array.
+    """
     d, k = np.shape(psi)
-    lengths = nodes = None
-    if k == 1:
-        n, dt = len(fields), float(neg_dts[0])
-        best = _EIGEN_COST * d * d  # cost per exponential
-        s = abs(dt) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
-        node = _NODE_STEP + _NODE_COST * d * d
-        packed = d * (d + 1) / 2  # entries of a generator's packed triangle
-        # Past this many nodes they alone would cost more than the eigensolves
-        # of the whole ramp, or hold more than _NODE_FLOATS.
-        p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * packed)))
-        if p is not None:
-            cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 14) * packed
-            if cost < best:
-                best, nodes = cost, p
-        # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
-        # convex, have chords between knots that enclose the spectrum at every field.
-        lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
-        hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
-        centres, radii = (hi + lo) / 2, (hi - lo) / 2
-        lengths = _series_lengths(radii * abs(dt), best / (_SERIES_TERM + d))
-    if lengths is not None or nodes is not None:
-        state = np.array(psi[:, 0], dtype=complex)
-        if lengths is None:
-            # state + G state by zspmv(n, alpha, ap, x, incx, offx, beta, y),
-            # into a new array: BLAS forbids x and y to share memory
-            for gen in _interpolated_generators(a, b, fields, dt, nodes):
-                state = zspmv(d, 1.0, gen, state, 1, 0, 1.0, state)
-            return state[:, None]
-        # exp(-i H dt) = sum_j e^{-i c dt} (2 - delta_j0) i^j J_j(-r dt) T_j(H'):
-        # complex weights w_j, so the state ends as one product w @ [T_j].
-        weights = np.array([2, 2j, -2, -2j])[np.arange(lengths.max() + 1) % 4]
-        weights[0] = 1.0
-        size = 1 << int(2 * lengths.max() + 1).bit_length()  # the widest FFT
-        chunk = max(1, _STACK_FLOATS // max(2 * size, 4 * d))
-        # bands[i].T is H' in BLAS's upper band storage, superdiagonal over
-        # diagonal, as a Fortran (2, d) array that f2py passes on uncopied.
-        bands = np.zeros((chunk, d, 2), dtype=complex)
-        for start in range(0, n, chunk):
-            part = slice(start, start + chunk)
-            hs, cs, rs = fields[part, None], centres[part, None], radii[part, None]
-            ms = lengths[part]
-            scale = 1 / np.where(rs > 0, rs, 1)  # r = 0 only where m = 0
-            bands.real[: len(ms), :, 1] = (a[0] + hs * b - cs) * scale
-            bands.real[: len(ms), 1:, 0] = a[1] * scale
-            coefs = _bessel_table(radii[part] * dt, ms.max()) * weights[: ms.max() + 1]
-            coefs *= np.exp(1j * cs * dt)
-            for band, m, coef in zip(bands.transpose(0, 2, 1), ms, coefs):
-                # T_1 = H' T_0 and T_j = 2 H' T_{j-1} - T_{j-2}, by zhbmv(k, alpha,
-                # a, x, incx, offx, beta, y) = alpha A x + beta y (keywords cost more)
-                terms = [state, zhbmv(1, 1.0, band, state)] if m else [state]
-                for _ in range(1, m):
-                    terms.append(zhbmv(1, 2.0, band, terms[-1], 1, 0, -1.0, terms[-2]))
-                state = coef[: m + 1] @ terms
-        return state[:, None]
     outer, inner = _phase_factors(neg_dts)
     table_steps = np.concatenate((outer, inner))  # columns [:rows] and [rows:]
     rows, width = len(outer), len(outer) * len(inner)
@@ -425,6 +390,58 @@ def _exponential_steps(a, b, fields, durations, psi):
             grid *= table[:, :rows, None]
             grid *= table[:, None, rows:]
     return real_matmul(prev.T, coeffs)[:, :k]
+
+
+def _exponential_steps(a, b, fields, durations, psi):
+    """Step a (d, K) block through H(h) = A + h B, one exponential per field.
+
+    ``a`` is the pair (diagonal, off-diagonal) of A and ``b`` the diagonal
+    of B.  Column k of ``psi`` spans the signed duration ``durations[k]`` in
+    len(fields) equal steps; step i applies exp(-i H(fields[i]) dt_k), by
+    the path the cost model picks.  Returns a new array.  A ramp whose
+    phase max |E| T passes 1e8 rad is rejected (float64 round-off, 1e-8 rad).
+    """
+    durations = np.asarray(durations, dtype=float)
+    neg_dts = -durations / len(fields)
+    # One check here stands in for a per-step input scan of the eigensolves.
+    if not all(np.isfinite(x).all() for x in (fields, neg_dts, *a, b)):
+        raise ValueError("ramp fields, durations and couplings must be finite")
+    offs = np.abs(a[1])
+    rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))  # Gershgorin radii
+    knots = np.linspace(np.min(fields), np.max(fields), _SERIES_KNOTS)[:, None]
+    diags = a[0] + knots * b
+    # Each row's bound |diag| + rad on |E| is convex in h, so the end knots,
+    # the extreme fields, hold its largest; Python floats, as for sensing.
+    phase = float((np.abs(diags[[0, -1]]) + rad).max()) * float(np.abs(durations).max())
+    if phase > _PHASE_LIMIT:
+        raise ValueError(f"largest ramp phase max |E| T_a is {phase:.3g} rad, above 1e8 rad, "
+                         "where its float64 round-off exceeds 1e-8 rad")
+    d, k = np.shape(psi)
+    if k > 1:
+        return _carry_steps(a, b, fields, neg_dts, psi)
+    n, dt = len(fields), float(neg_dts[0])
+    best, nodes = _EIGEN_COST * d * d, None  # cost per exponential
+    s = abs(dt) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
+    node = _NODE_STEP + _NODE_COST * d * d
+    packed = d * (d + 1) / 2  # entries of a generator's packed triangle
+    # Past this many nodes they alone would cost more than the eigensolves
+    # of the whole ramp, or hold more than _NODE_FLOATS.
+    p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * packed)))
+    if p is not None:
+        cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 14) * packed
+        if cost < best:
+            best, nodes = cost, p
+    # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
+    # convex, have chords between knots that enclose the spectrum at every field.
+    lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
+    hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
+    centres, radii = (hi + lo) / 2, (hi - lo) / 2
+    lengths = _series_lengths(radii * abs(dt), best / (_SERIES_TERM + d))
+    if lengths is not None:
+        return _series_steps(a, b, fields, dt, centres, radii, lengths, psi[:, 0])[:, None]
+    if nodes is not None:
+        return _interpolated_steps(a, b, fields, dt, nodes, psi[:, 0])[:, None]
+    return _carry_steps(a, b, fields, neg_dts, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -149,18 +149,19 @@ def sensing_phases(n_qubits, hz, t_sense):
     return np.exp(-1j * z_diagonal(n_qubits, hz) * t_sense)
 
 
-def sector_ramp(n_qubits, fields, t_ramp, amp):
+def sector_ramp(n_qubits, fields, t_ramp, amp, step=_exponential_steps):
     """Z amplitudes ``amp`` after one ramp, each parity sector stepped on its own.
 
     Only the sectors whose folded part of ``amp`` is nonzero are stepped, so
-    parity is conserved identically.
+    parity is conserved identically.  ``step`` is called as
+    ``_exponential_steps`` is, with one column.
     """
     out = np.zeros(n_qubits + 1, dtype=complex)
     for parity, part in zip((+1, -1), fold(amp)):
         if np.any(part):
             a, b = sector_terms(n_qubits, parity)
             coords = z_to_sector(n_qubits, parity, amp)
-            stepped = _exponential_steps(a, b, fields, [t_ramp], coords[:, None])
+            stepped = step(a, b, fields, [t_ramp], coords[:, None])
             out += sector_to_z(n_qubits, parity, stepped[:, 0])
     return out
 

@@ -5,7 +5,6 @@ A rename under ``src/`` would leave its spans and counters silently at zero,
 so these tests run it around a small scan, a kernel build and a sweep.
 """
 
-import math
 import types
 from pathlib import Path
 
@@ -24,20 +23,20 @@ def _load_tracing():
     return module
 
 
-def test_tracer_records_scan_and_kernel(monkeypatch):
-    # The kernel's column would take the interpolated generators, one
-    # eigensolve per node; priced out, it takes one per exponential.
-    monkeypatch.setattr(dynamics, "_NODE_STEP", math.inf)
+def test_tracer_records_scan_and_kernel():
+    # At N = 10 and 40 exponentials the kernel's column at the fig5 line
+    # takes the eigenbasis carry, as the scan's block does: one eigensolve
+    # per exponential each.
     tracing = _load_tracing()
     originals = {name: getattr(dynamics, name)
                  for name in ("eigh_tridiagonal", "scan_ramp_time", "protocol_kernel")}
-    n, steps = 6, 20
+    n, steps = 10, 40
     taus = np.arange(1.0, 11.0) * time_unit(n)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         dynamics.scan_ramp_time(n, 1.0, taus, ramp_steps=steps)
-        dynamics.protocol_kernel(n, 1.0, taus[-1], ramp_steps=steps)
+        dynamics.protocol_kernel(n, 1.0, (11.6 * n + 60) * time_unit(n), ramp_steps=steps)
     finally:
         tracer.restore()
     for name, fn in originals.items():

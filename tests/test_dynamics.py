@@ -1,6 +1,5 @@
 """Propagator correctness, symmetry protection, and protocol dynamics."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -19,13 +18,16 @@ from spinsense import dicke, dynamics
 from spinsense.dicke import rotation_matrix
 from spinsense.dynamics import (
     _bessel_table,
+    _carry_steps,
     _down_ramp_fields,
     _exponential_steps,
     _interpolated_generators,
+    _interpolated_steps,
     _node_count,
     _peak_indices,
     _phase_factors,
     _series_lengths,
+    _series_steps,
 )
 from spinsense.metrology import time_unit
 from spinsense.model import sector_tridiagonal
@@ -675,7 +677,7 @@ def test_narrow_block_is_the_plain_step_loop():
     rng = np.random.default_rng(4)
     block = rng.normal(size=(len(a[0]), 5)) + 1j * rng.normal(size=(len(a[0]), 5))
     ref = _plain_steps(a, b, fields, durations, block)
-    assert np.abs(_exponential_steps(a, b, fields, durations, block) - ref).max() < 1e-13
+    assert np.abs(_carry(a, b, fields, durations, block) - ref).max() < 1e-13
 
 
 @pytest.mark.parametrize("durations", [
@@ -692,7 +694,7 @@ def test_chunked_carry_is_the_plain_step_loop(monkeypatch, durations):
     block = rng.normal(size=(len(a[0]), len(durations))) * (1 + 1j)
     block /= np.linalg.norm(block, axis=0)
     calls = _count_eigensolves(monkeypatch)
-    out = _exponential_steps(a, b, fields, durations, block)
+    out = _carry(a, b, fields, durations, block)
     assert len(calls) == len(fields)
     assert np.abs(out - _plain_steps(a, b, fields, durations, block)).max() < 1e-13
 
@@ -718,28 +720,27 @@ def test_eigh_tridiagonal_reports_lapack_failure(monkeypatch):
     assert isinstance(err.value, ValueError)
 
 
-_NO_INTERPOLATION = {"_NODE_STEP": math.inf}
-_ONLY_INTERPOLATION = {"_SERIES_TERM": math.inf, "_EIGEN_COST": 1e9}
-
-
-def _price(monkeypatch, prices):
-    for name, value in prices.items():
-        monkeypatch.setattr(dynamics, name, value)
-
-
 def test_kernel_build_memory_stays_small(monkeypatch):
     # Every path keeps fixed-size chunk stacks: the eigenbasis carry's over
     # the whole 4000-exponential ramp would take about 22 MB, and the
-    # interpolated generators of all 4000 exponentials 43 MB.  This kernel
-    # takes the interpolation (8 nodes); priced out, the series; with the
-    # eigensolves priced at zero, the eigenbasis carry.
+    # interpolated generators of all 4000 exponentials 43 MB.  The sweep
+    # kernel's column at N = 50 goes through each path by name: the
+    # interpolation with its 8 nodes, the series and the carry.
     n = 50
-    for prices, eigensolves in (({}, 8), (_NO_INTERPOLATION, 0), ({"_EIGEN_COST": 0.0}, 4000)):
-        _price(monkeypatch, prices)
+    a, b = sector_terms(n, +1)
+    fields = _down_ramp_fields(1.0, 4000)
+    neg_dt = -645 * time_unit(n) / len(fields)
+    e0 = np.zeros(len(a[0]), dtype=complex)
+    e0[0] = 1.0
+    p = _node_count(abs(neg_dt) * np.abs(b).max() * np.ptp(fields) / 4)
+    series = _series_inputs(a, b, fields, neg_dt)
+    for path, args, eigensolves in ((_interpolated_steps, (neg_dt, p, e0), 8),
+                                    (_series_steps, (neg_dt, *series, e0), 0),
+                                    (_carry_steps, (np.array([neg_dt]), e0[:, None]), 4000)):
         calls = _count_eigensolves(monkeypatch)
         tracemalloc.start()
         try:
-            protocol_kernel(n, 1.0, 645 * time_unit(n), ramp_steps=4000)
+            path(a, b, fields, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -773,41 +774,66 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
-def _carried(a, b, fields, durations, block):
-    """The same columns padded by one, so the eigenbasis carry steps them."""
-    d, k = block.shape
-    padded = np.zeros((d, k + 1), dtype=complex)
-    padded[:, :k] = block
-    out = _exponential_steps(a, b, fields, np.resize(durations, k + 1), padded)
-    return out[:, :k]
+def _series_inputs(a, b, fields, neg_dt):
+    """Centres, radii and lengths of the series on each field's own
+    Gershgorin interval, which holds the spectrum there."""
+    offs = np.abs(a[1])
+    rad = np.pad(offs, (1, 0)) + np.pad(offs, (0, 1))
+    diags = a[0] + fields[:, None] * b
+    lo, hi = (diags - rad).min(axis=1), (diags + rad).max(axis=1)
+    radii = (hi - lo) / 2
+    return (hi + lo) / 2, radii, _series_lengths(radii * abs(neg_dt))
+
+
+# The three stepper paths by name, each called as _exponential_steps is.
+
+
+def _series(a, b, fields, durations, psi):
+    """One column through _series_steps, on each field's Gershgorin interval."""
+    neg_dt = -float(durations[0]) / len(fields)
+    return _series_steps(a, b, fields, neg_dt, *_series_inputs(a, b, fields, neg_dt), psi[:, 0])[:, None]
+
+
+def _interpolated(a, b, fields, durations, psi):
+    """One column through _interpolated_steps, with the nodes its bound asks for."""
+    neg_dt = -float(durations[0]) / len(fields)
+    p = _node_count(abs(neg_dt) * np.abs(b).max() * np.ptp(fields) / 4)
+    return _interpolated_steps(a, b, fields, neg_dt, p, psi[:, 0])[:, None]
+
+
+def _carry(a, b, fields, durations, psi):
+    """Any block through _carry_steps."""
+    return _carry_steps(a, b, fields, -np.asarray(durations, dtype=float) / len(fields), psi)
 
 
 @pytest.mark.parametrize("durations", [[1.0], [-1.0], [1e-3], [0.0]])
 @pytest.mark.parametrize("n, n_exps", [(30, 4000), (50, 4000), (200, 400), (600, 40)])
 def test_series_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, durations):
-    # One column whose series is short skips the eigensolves; the ramp is
-    # the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30 and
-    # 50 at 4000 exponentials are sensing-sweep kernels.  A short duration
-    # keeps a few terms of the series, and a zero duration T_0 alone.
+    # One column through the Chebyshev series makes no eigensolve; the ramp
+    # is the protocol kernel's at the fig5 line T_a = 11.6 N + 60.  N = 30
+    # and 50 at 4000 exponentials are sensing-sweep kernels.  A short
+    # duration keeps a few terms of the series, and a zero duration T_0
+    # alone.  At N >= 200 the call takes the series itself, on its own
+    # interval: the chords of Gershgorin's ends between 17 knots.
     a, b = sector_terms(n, +1)
     fields = _down_ramp_fields(1.0, n_exps)
     durations = np.array(durations) * (11.6 * n + 60) * time_unit(n)
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), 1)) * (1 + 1j)
     block /= np.linalg.norm(block)
-    # One column at N = 30 and 50 takes the interpolated generators; price
-    # them out so the series is checked there.
-    _price(monkeypatch, _NO_INTERPOLATION)
-    calls = _count_eigensolves(monkeypatch)
-    out = _exponential_steps(a, b, fields, durations, block)
-    assert not calls
-    assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
-    assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
+    ref = _carry(a, b, fields, durations, block)
+    for step in (_series, _exponential_steps) if n >= 200 else (_series,):
+        calls = _count_eigensolves(monkeypatch)
+        out = step(a, b, fields, durations, block)
+        monkeypatch.undo()
+        assert not calls
+        assert np.abs(out - ref).max() <= 1e-12
+        assert np.abs(np.linalg.norm(out, axis=0) - 1).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n, n_exps", [(50, 4000), (200, 400)])
 def test_blocks_take_the_eigenbasis_carry(monkeypatch, n, n_exps):
-    # Only one column is priced for the series and the interpolation.  A
+    # Only one column may take the series or the interpolation.  A
     # block of two, whose series would be short here, makes one eigensolve
     # per exponential, and each column matches its own one-column call.
     a, b = sector_terms(n, +1)
@@ -837,11 +863,11 @@ def test_interpolated_path_matches_eigenbasis_carry(monkeypatch, n, n_exps, dura
     rng = np.random.default_rng(n)
     block = rng.normal(size=(len(a[0]), 1)) * (1 + 1j)
     block /= np.linalg.norm(block)
-    _price(monkeypatch, _ONLY_INTERPOLATION)
+    ref = _carry(a, b, fields, durations, block)
     calls = _count_eigensolves(monkeypatch)
-    out = _exponential_steps(a, b, fields, durations, block)
+    out = _interpolated(a, b, fields, durations, block)
     assert 0 < len(calls) <= 15  # one per node
-    assert np.abs(out - _carried(a, b, fields, durations, block)).max() <= 1e-12
+    assert np.abs(out - ref).max() <= 1e-12
     assert np.abs(np.linalg.norm(out) - 1) <= 1e-12
 
 
@@ -875,21 +901,49 @@ def test_interpolated_generators_meet_their_bound(n, n_exps):
         assert np.abs(fewer - lower).max() > 10 * tol
 
 
-@pytest.mark.parametrize("n, n_exps, eigensolves", [
-    (10, 4000, 7), (50, 4000, 8), (50, 400, 13), (100, 400, 15), (150, 400, 17),
-    (200, 4000, 10), (200, 400, 0), (10, 40, 40), (600, 400, 0),
-])
-def test_kernel_path_follows_the_node_count(monkeypatch, n, n_exps, eigensolves):
-    # One column takes the interpolated generators, one eigensolve per node,
-    # where the nodes cost little beside the exponentials they serve: up to
-    # N = 150 at 400 exponentials and N = 200 at 4000, while N = 200 at 400
-    # takes the series.  At 40 exponentials N = 10 needs 17 nodes and takes
-    # the eigensolves; at N = 600 its 26 nodes of 301 * 302 / 2 packed
-    # entries would pass 16 MB, and the series is cheaper anyway.
-    calls = _count_eigensolves(monkeypatch)
+def _assert_kernel_path(monkeypatch, n, n_exps, eigensolves):
+    """The kernel's one column at the fig5 line takes the path named by its
+    eigensolves: one per node on the interpolated generators, none on the
+    series, one per exponential on the carry."""
+    taken = []
+
+    def spy(name):
+        step = getattr(dynamics, name)
+
+        def recorded(*args):
+            taken.append((name, args[4] + 1 if name == "_interpolated_steps" else 0))
+            return step(*args)
+
+        return recorded
+
+    for name in ("_series_steps", "_interpolated_steps", "_carry_steps"):
+        monkeypatch.setattr(dynamics, name, spy(name))
     t_ramp = (11.6 * n + 60) * time_unit(n)
     protocol_kernel(n, 1.0, t_ramp, ramp_steps=n_exps)
-    assert len(calls) == eigensolves
+    path = {0: "_series_steps", n_exps: "_carry_steps"}.get(eigensolves, "_interpolated_steps")
+    assert taken == [(path, eigensolves if path == "_interpolated_steps" else 0)]
+
+
+@pytest.mark.parametrize("n, n_exps, eigensolves", [
+    (10, 4000, 7), (50, 4000, 8), (50, 400, 13), (100, 400, 15), (150, 400, 17),
+    (200, 4000, 10), (200, 400, 0), (600, 400, 0), (10, 40, 40),
+])
+def test_kernel_path_follows_the_node_count(monkeypatch, n, n_exps, eigensolves):
+    # The interpolation is taken where its nodes cost little beside the
+    # exponentials they serve: up to N = 150 at 400 exponentials and N = 200
+    # at 4000.  At N = 200 and 600 and 400 exponentials the series is
+    # cheaper; at N = 600 its 26 nodes of 301 * 302 / 2 packed entries would
+    # pass 16 MB anyway.  At 40 exponentials N = 10 needs 17 nodes and keeps
+    # the carry.
+    _assert_kernel_path(monkeypatch, n, n_exps, eigensolves)
+
+
+@pytest.mark.parametrize("n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4)])
+def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolves):
+    # Between the series and the carry the choice follows the series length,
+    # not the size alone: at N = 600 four exponentials would need a series of
+    # about 2600 terms and take the carry.
+    _assert_kernel_path(monkeypatch, n, n_exps, eigensolves)
 
 
 def test_node_count_stops_early():
@@ -923,63 +977,33 @@ def test_bessel_table_and_series_tail():
     assert _series_lengths(np.array([0.5, 30.0]), limit=20) is None
 
 
-@pytest.mark.parametrize(
-    "n, n_exps, eigensolves", [(600, 400, 0), (600, 4, 4), (50, 4000, 0), (10, 4000, 4000)]
-)
-def test_kernel_path_follows_the_series_length(monkeypatch, n, n_exps, eigensolves):
-    # Between the series and the eigensolves, the choice follows the series
-    # length, not the size alone: at N = 600 four exponentials need a series
-    # of about 2600 terms.  At N = 10 (d = 6) an eigensolve costs less than a
-    # series of six terms.  The interpolated generators, which N = 10 and 50
-    # would take, are priced out.
-    _price(monkeypatch, _NO_INTERPOLATION)
-    calls = _count_eigensolves(monkeypatch)
-    t_ramp = (11.6 * n + 60) * time_unit(n)
-    protocol_kernel(n, 1.0, t_ramp, ramp_steps=n_exps)
-    assert len(calls) == eigensolves
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_series_kernels_match_the_oracle(n):
+    _kernels_match_the_oracle(n, 10, _series)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_series_kernels_match_the_oracle(monkeypatch, n):
-    # With the eigensolves and the interpolation priced out, the kernel
-    # column and the cooled column take the series even at d = 3..5.
-    _price(monkeypatch, {"_EIGEN_COST": 1e9, **_NO_INTERPOLATION})
-    calls = _count_eigensolves(monkeypatch)
-    _kernels_match_the_oracle(n, 10)
-    assert not calls
+def test_interpolated_kernels_match_the_oracle(n):
+    _kernels_match_the_oracle(n, 10, _interpolated)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_interpolated_kernels_match_the_oracle(monkeypatch, n):
-    # With the series and the eigensolves priced out, both columns take the
-    # interpolated generators.
-    _price(monkeypatch, _ONLY_INTERPOLATION)
-    calls = []
-    generators = dynamics._interpolated_generators
-
-    def counted(*args):
-        calls.append(1)
-        return generators(*args)
-
-    monkeypatch.setattr(dynamics, "_interpolated_generators", counted)
-    _kernels_match_the_oracle(n, 10)
-    assert len(calls) == 2
+def test_carry_kernels_match_the_oracle(n):
+    _kernels_match_the_oracle(n, 10, _carry)
 
 
-def _kernels_match_the_oracle(n, steps):
-    """The kernel column and the cooled column, stepped by the path the
-    prices pick, and their conjugates match the full 2^N oracle, which steps
-    the two start states as columns through the down ramp and, run
-    backwards, the adjoint up ramp."""
+def _kernels_match_the_oracle(n, steps, path):
+    """The kernel column and the cooled column, each stepped through the
+    down ramp by ``path``, and their conjugates match the full 2^N oracle,
+    which steps the two start states as columns through the down ramp and,
+    run backwards, the adjoint up ramp."""
     j, h0 = 1.0 / n, 1.0
     ta = 50 * time_unit(n)
-    cooled = cooled_start(n, h0)
-    columns = [
-        protocol_kernel(n, h0, ta, ramp_steps=steps).prep_z,
-        sector_ramp(n, _down_ramp_fields(h0, steps), ta, cooled),
-    ]
+    starts = [x_polarized_state(n), cooled_start(n, h0)]
+    fields = _down_ramp_fields(h0, steps)
+    columns = [sector_ramp(n, fields, ta, start, path) for start in starts]
     q = symmetric_isometry(n)
-    start = q @ np.column_stack([x_polarized_state(n), cooled])
+    start = q @ np.column_stack(starts)
     down, up = ramp_profiles()
     prep = q.T @ brute_force_ramp(n, j, lambda t: h0 * down(t / ta), ta, 0.0, start, steps)
     read = q.T @ brute_force_ramp(

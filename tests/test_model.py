@@ -246,6 +246,23 @@ def test_even_gap_closed_form_n2():
         assert even_gap_at(2, h) == pytest.approx(2 * np.sqrt(4 * h**2 + j**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("h, coefficient", [(2.0, 1.356), (3.0, 0.592), (0.5, -2.131)])
+def test_even_gap_approaches_its_large_n_limit(h, coefficient):
+    # Holstein-Primakoff limits of the even gap, in units of JN: with
+    # S_X = N/2 - a^+ a the paramagnet is the oscillator h p^2 + (h - 1) x^2
+    # and its even gap two quanta, 4 sqrt(h (h - 1)); in the ferromagnet it
+    # is one quantum, 2 sqrt(1 - h^2).  The gap reaches them as
+    # limit (1 + c / N), c read at N = 10^4.  A unit or sign error that
+    # shows only at large N breaks the sign of c, its size or its
+    # convergence, which the 2^N oracles (N <= 8) cannot see.
+    limit = 4 * np.sqrt(h * (h - 1)) if h > 1 else 2 * np.sqrt(1 - h * h)
+    scaled = {n: n * (even_gap_at(n, h) / limit - 1) for n in (100, 1000, 10_000)}
+    assert all(np.sign(c) == np.sign(coefficient) for c in scaled.values())
+    for n in (1000, 10_000):
+        assert abs(scaled[n] / coefficient - 1) < 0.05
+    assert abs(scaled[10_000] - scaled[1000]) < 0.03
+
+
 def test_minimum_gap_validation():
     with pytest.raises(ValueError):
         minimum_gap(10, bracket=(1.2, 0.5))
