@@ -74,30 +74,32 @@ nodes.  Interpolating G rather than the exponential keeps the round-off of
 the combination at the size of |G|, about r |dt|, rather than 1.
 
 Each path is priced per exponential in units of a series term's work per
-row: a term costs about one call into BLAS (2.2 us) plus 0.028 us per row
-on the run that fitted the first two prices below.  The series costs
-m_max (80 + d), m_max being its longest length, the eigensolves 4.5 d^2,
-and the interpolation 70 + 0.012 (p + 14) d (d + 1) / 2, per entry of the
-packed triangle its combination over the p + 1 nodes and its zspmv at the
-price of 13 more, plus its p + 1 nodes, (p + 1)(1100 + 4.4 d^2) / n; the
-call takes the cheapest.  The node count
-is not taken where the nodes alone would cost more than the eigensolves of
-the whole ramp, so a short ramp over a wide field range, which would need
-millions of nodes, keeps the other paths; nor where the packed generators
-at the nodes would hold more than 2^21 float64 (16 MB).  These are the times
+row, each operation at one price: a call into BLAS, a series term or a
+zspmv step, costs 80 (about 2.2 us, plus 0.028 us per row, on the run
+that fitted it), an eigensolve with its d x d product, a carried
+exponential's or an interpolation node's, 1100 + 4.4 d^2, and combining
+one entry of the packed triangle over the p + 1 nodes 0.012 (p + 1), its
+zspmv at the price of 13 more.  So the series costs m_max (80 + d),
+m_max being its longest length, the carry 1100 + 4.4 d^2, and the
+interpolation 80 + 0.012 (p + 14) d (d + 1) / 2 plus its nodes,
+(p + 1)(1100 + 4.4 d^2) / n; the call takes the cheapest.  The
+interpolation takes at most n nodes, as more would cost more than the
+carry, so a short ramp over a wide field range, which would need millions
+of nodes, keeps the other paths; nor does it take nodes whose packed
+generators would hold more than 2^21 float64 (16 MB).  These are the times
 per exponential (one BLAS thread on a shared 2-core x86 host with AVX-512;
 the paths alternate run by run within each row, and each entry is the least
 of 7 runs' medians, the host having met bursts of other load; the
 eigensolves at N >= 600 over 40 exponentials and the interpolation there
 with the 16 MB bound lifted; m is the mean series length over the ramp and
-p the degree, at T_a = 11.6 N + 60).  This run read the series and the
-eigensolves 1.6 to 2.5 times faster than the one that fitted their prices
-(0.015 us per unit here); the interpolation's prices are fitted in those
-units to separate timings of its nodes (d = 6..301) and of its steps
-(d = 6..101, p = 6..24):
+p the degree, at T_a = 11.6 N + 60).  This run read the series 1.6 to 2.5
+times faster than the one that fitted its price (0.015 us per unit here);
+the eigensolve and combination prices are fitted in those units to
+separate timings of the nodes (d = 6..301) and of the interpolation's
+steps (d = 6..101, p = 6..24):
 
        N     d   exps      m    p   eigensolves     series   interpolated   taken
-      10     6     40   16.8   16       14.4 us    31.6 us        13.1 us   eigensolves
+      10     6     40   16.8   16       14.4 us    31.6 us        13.1 us   interpolated
       10     6    400    9.1    9        9.8 us    13.7 us         2.2 us   interpolated
       10     6   4000    5.8    6        9.4 us     8.8 us         1.3 us   interpolated
       20    11   4000    6.5    6       15.4 us    10.7 us         1.6 us   interpolated
@@ -115,11 +117,7 @@ units to separate timings of its nodes (d = 6..301) and of its steps
      600   301     40  112.0   86       4575 us     740 us       18540 us   series
     1000   501    400   35.6   32      12661 us     362 us        6454 us   series
 
-It takes the fastest path on every row but the first, a tie: there the
-interpolation's 17 nodes cost about as much as the 40 eigensolves, and
-runs with the paths alternating in one process put either ahead, by up to
-9 %.  The model keeps the eigensolves, whose price 4.5 d^2 leaves out
-their per-call work, most of their time at d = 6.  Beyond d = 101 the
+It takes the fastest path on every row.  Beyond d = 101 the
 interpolation's steps outgrow their price as the node table leaves the
 cache (d = 151: 70 to 240 us against 44 to 77 priced), where the series
 is priced lower anyway.
@@ -191,12 +189,10 @@ def _phase_factors(steps):
 _SERIES_TAIL = 1e-16  # bound on the weight of the dropped Chebyshev terms
 # Prices of the path choice in units of a series term's work per row, about
 # 0.028 us (the formulas and the table: module docstring)
-_SERIES_TERM = 80.0
-_EIGEN_COST = 4.5
-_GENERATOR_STEP = 70.0
-_GENERATOR_COST = 0.012
-_NODE_STEP = 1100.0
-_NODE_COST = 4.4
+_BLAS_CALL = 80.0  # a series term or a zspmv step
+_EIGEN_STEP = 1100.0  # an eigensolve with its d x d product: the per-call part
+_EIGEN_COST = 4.4  # and the part per d^2
+_GENERATOR_COST = 0.012  # per packed entry of G and node it is combined over
 _ELLIPSES = 1 + np.logspace(-3, 8, 111)  # Bernstein ellipse parameters rho tried
 _SERIES_KNOTS = 17  # fields at which the Gershgorin bounds are evaluated
 _STACK_FLOATS = 1 << 13  # float64 entries per stack of a chunk of exponentials
@@ -344,6 +340,7 @@ def _interpolated_steps(a, b, fields, neg_dt, p, column):
     # new array: BLAS forbids x and y to share memory
     for gen in _interpolated_generators(a, b, fields, neg_dt, p):
         state = zspmv(d, 1.0, gen, state, 1, 0, 1.0, state)
+        del gen  # a view into its chunk's product, which the next chunk replaces
     return state
 
 
@@ -361,10 +358,10 @@ def _carry_steps(a, b, fields, neg_dts, psi):
     coeffs[:, :k] = psi
     t = len(table_steps)
     chunk = max(1, _STACK_FLOATS // (d * max(d, 2 * t)))
-    # Two stacks of V^T take turns, so the last V of a chunk stays in place
-    # as the link to the next.  The carried coefficients start out referring
-    # to the identity, so the first transfer matrix is V_0^T.
-    stacks = np.empty((2, chunk, d, d))
+    # The last V^T of a chunk is copied out as the link to the next.  The
+    # carried coefficients start out referring to the identity, so the first
+    # transfer matrix is V_0^T.
+    bases = np.empty((chunk, d, d))
     prev = np.eye(d)
     eigvals = np.empty((chunk, d))
     transfers = np.empty((chunk, d, d))
@@ -373,13 +370,12 @@ def _carry_steps(a, b, fields, neg_dts, psi):
         hs = fields[start:start + chunk, None]
         n = len(hs)
         diags = a[0] + hs * b
-        bases = stacks[start // chunk % 2]
         for i in range(n):
             w, v = eigh_tridiagonal(diags[i], a[1])
             eigvals[i], bases[i] = w, v.T  # LAPACK's V is column-major: a flat copy
         np.matmul(bases[0], prev.T, out=transfers[0])
         np.matmul(bases[1:n], bases[:n - 1].transpose(0, 2, 1), out=transfers[1:n])
-        prev = bases[n - 1]
+        prev = bases[n - 1].copy()
         tables = phase[:n]  # the angles w s first, in the imaginary parts
         np.multiply(eigvals[:n, :, None], table_steps, out=tables.imag)
         np.cos(tables.imag, out=tables.real)
@@ -420,15 +416,15 @@ def _exponential_steps(a, b, fields, durations, psi):
     if k > 1:
         return _carry_steps(a, b, fields, neg_dts, psi)
     n, dt = len(fields), float(neg_dts[0])
-    best, nodes = _EIGEN_COST * d * d, None  # cost per exponential
+    best = eigensolve = _EIGEN_STEP + _EIGEN_COST * d * d  # cost per exponential
+    nodes = None
     s = abs(dt) * float(np.abs(b).max()) * float(knots[-1, 0] - knots[0, 0]) / 4
-    node = _NODE_STEP + _NODE_COST * d * d
     packed = d * (d + 1) / 2  # entries of a generator's packed triangle
-    # Past this many nodes they alone would cost more than the eigensolves
-    # of the whole ramp, or hold more than _NODE_FLOATS.
-    p = _node_count(s, limit=min(n * best / node, _NODE_FLOATS / (2 * packed)))
+    # More than n nodes would cost more than the carry; nor may they hold
+    # more than _NODE_FLOATS.
+    p = _node_count(s, limit=min(n, _NODE_FLOATS / (2 * packed)))
     if p is not None:
-        cost = (p + 1) * node / n + _GENERATOR_STEP + _GENERATOR_COST * (p + 14) * packed
+        cost = (p + 1) * eigensolve / n + _BLAS_CALL + _GENERATOR_COST * (p + 14) * packed
         if cost < best:
             best, nodes = cost, p
     # Gershgorin's ends min(diag - rad), concave in h, and max(diag + rad),
@@ -436,7 +432,7 @@ def _exponential_steps(a, b, fields, durations, psi):
     lo = np.interp(fields, knots[:, 0], (diags - rad).min(axis=1))
     hi = np.interp(fields, knots[:, 0], (diags + rad).max(axis=1))
     centres, radii = (hi + lo) / 2, (hi - lo) / 2
-    lengths = _series_lengths(radii * abs(dt), best / (_SERIES_TERM + d))
+    lengths = _series_lengths(radii * abs(dt), best / (_BLAS_CALL + d))
     if lengths is not None:
         return _series_steps(a, b, fields, dt, centres, radii, lengths, psi[:, 0])[:, None]
     if nodes is not None:

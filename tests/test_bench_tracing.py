@@ -24,9 +24,9 @@ def _load_tracing():
 
 
 def test_tracer_records_scan_and_kernel():
-    # At N = 10 and 40 exponentials the kernel's column at the fig5 line
-    # takes the eigenbasis carry, as the scan's block does: one eigensolve
-    # per exponential each.
+    # At N = 10 and 40 exponentials the scan's block takes the eigenbasis
+    # carry, one eigensolve per exponential, and the kernel's column at the
+    # fig5 line the interpolation, one eigensolve per node (17).
     tracing = _load_tracing()
     originals = {name: getattr(dynamics, name)
                  for name in ("eigh_tridiagonal", "scan_ramp_time", "protocol_kernel")}
@@ -43,9 +43,9 @@ def test_tracer_records_scan_and_kernel():
         assert getattr(dynamics, name) is fn
 
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # one scan ramp and one kernel build, one eigensolve per exponential, and
-    # one even-sector pencil (diag, off, B) per stepped ramp
-    assert metrics["dynamics.eigensolves"] == steps + steps
+    # one scan ramp and one kernel build, and one even-sector pencil
+    # (diag, off, B) per stepped ramp
+    assert metrics["dynamics.eigensolves"] == steps + 17
     assert metrics["model.sector_tridiagonal_calls"] == 2
     assert metrics["dynamics.scan_points"] == len(taus)
     assert metrics["dynamics.phase_exps"] > 0
